@@ -99,6 +99,15 @@ def subdivide_times(x: FreeZpComplex, depth: int) -> FreeZpComplex:
     return x
 
 
+def _search(source: FreeZpComplex, target: FreeZpComplex, subdivision_depth: int,
+            budget: int) -> tuple[Optional[EquivariantMap], int]:
+    """Subdivide the source and search it into the target: the witness map
+    (None only after full exhaustion) and the number of nodes visited."""
+    src = subdivide_times(source, subdivision_depth)
+    vm, nodes = find_equivariant_vertex_map(src, target, budget)
+    return (None if vm is None else EquivariantMap(src, target, vm)), nodes
+
+
 def search_equivariant_map(
     source: FreeZpComplex,
     target: FreeZpComplex,
@@ -106,11 +115,27 @@ def search_equivariant_map(
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[EquivariantMap]:
     """Search source (subdivided) -> target; None only after full exhaustion."""
-    src = subdivide_times(source, subdivision_depth)
-    vm, _nodes = find_equivariant_vertex_map(src, target, budget)
-    if vm is None:
-        return None
-    return EquivariantMap(src, target, vm)
+    return _search(source, target, subdivision_depth, budget)[0]
+
+
+def _model_bound(bound_type: str, x: FreeZpComplex, n: int, subdivision_depth: int,
+                 budget: int, space: str | None) -> IndexCertificate:
+    """Search for the map between x and the standard n-model that witnesses
+    the bound: the model into x for coind_lower, x into the model for
+    ind_upper.  The map's source is subdivided."""
+    if n < 0:
+        raise ValidationError(f"target n={n} must be nonnegative")
+    space = space or content_key(x)
+    model = e_n_zp(n, x.p)
+    source, target = (model, x) if bound_type == "coind_lower" else (x, model)
+    found, nodes = _search(source, target, subdivision_depth, budget)
+    if found is None:
+        return IndexCertificate(
+            "exhaustion", bound_type, n,
+            {"nodes": nodes, "attempted": n,
+             "note": "no equivariant simplicial map at this depth; not a disproof"},
+            subdivision_depth, space)
+    return IndexCertificate("map_witness", bound_type, n, found, subdivision_depth, space)
 
 
 def coindex_lower(
@@ -121,20 +146,7 @@ def coindex_lower(
     space: str | None = None,
 ) -> IndexCertificate:
     """Try to witness coind >= n by mapping the standard n-model into x."""
-    if n < 0:
-        raise ValidationError(f"target n={n} must be nonnegative")
-    space = space or content_key(x)
-    src = subdivide_times(e_n_zp(n, x.p), subdivision_depth)
-    vm, nodes = find_equivariant_vertex_map(src, x, budget)
-    if vm is None:
-        return IndexCertificate(
-            "exhaustion", "coind_lower", n,
-            {"nodes": nodes, "attempted": n,
-             "note": "no equivariant simplicial map at this depth; not a disproof"},
-            subdivision_depth, space)
-    return IndexCertificate(
-        "map_witness", "coind_lower", n, EquivariantMap(src, x, vm),
-        subdivision_depth, space)
+    return _model_bound("coind_lower", x, n, subdivision_depth, budget, space)
 
 
 def index_upper(
@@ -145,21 +157,7 @@ def index_upper(
     space: str | None = None,
 ) -> IndexCertificate:
     """Try to witness ind <= n by mapping x (subdivided) into the n-model."""
-    if n < 0:
-        raise ValidationError(f"target n={n} must be nonnegative")
-    space = space or content_key(x)
-    src = subdivide_times(x, subdivision_depth)
-    tgt = e_n_zp(n, x.p)
-    vm, nodes = find_equivariant_vertex_map(src, tgt, budget)
-    if vm is None:
-        return IndexCertificate(
-            "exhaustion", "ind_upper", n,
-            {"nodes": nodes, "attempted": n,
-             "note": "no equivariant simplicial map at this depth; not a disproof"},
-            subdivision_depth, space)
-    return IndexCertificate(
-        "map_witness", "ind_upper", n, EquivariantMap(src, tgt, vm),
-        subdivision_depth, space)
+    return _model_bound("ind_upper", x, n, subdivision_depth, budget, space)
 
 
 def index_lower_from_connectivity(

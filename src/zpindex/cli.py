@@ -69,7 +69,10 @@ def sha256_of(obj) -> str:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path} is not JSON: {exc}") from exc
 
 
 def _load_complex(path: str):
@@ -167,18 +170,10 @@ def cmd_search_map(args):
             "vertex_map": list(found.vertex_map)}
 
 
-def cmd_coind(args):
+def cmd_bound(args):
     x, prov = _build_space(args)
-    cert = coindex_lower(x, args.target, args.depth, args.budget)
-    out = _certificate_result(cert)
-    out["space_params"] = prov
-    return out
-
-
-def cmd_ind(args):
-    x, prov = _build_space(args)
-    cert = index_upper(x, args.target, args.depth, args.budget)
-    out = _certificate_result(cert)
+    bound = {"coind": coindex_lower, "ind": index_upper}[args.subcommand]
+    out = _certificate_result(bound(x, args.target, args.depth, args.budget))
     out["space_params"] = prov
     return out
 
@@ -237,9 +232,7 @@ def cmd_relabel(args):
     pair = relabel_isomorphism(offset_m, args.l)
     return {"m": pair.m, "l": pair.l,
             "offset_m_cells": len(pair.offset_m.cells),
-            "offset_one_cells": len(pair.offset_one.cells),
-            "mutually_inverse": True,
-            "intertwines_shift_power": True}
+            "offset_one_cells": len(pair.offset_one.cells)}
 
 
 def cmd_marker_check(args):
@@ -327,8 +320,8 @@ HANDLERS = {
     "subdivide": cmd_subdivide,
     "homology": cmd_homology,
     "search-map": cmd_search_map,
-    "coind": cmd_coind,
-    "ind": cmd_ind,
+    "coind": cmd_bound,
+    "ind": cmd_bound,
     "periodic": cmd_periodic,
     "join-periodic": cmd_join_periodic,
     "config-space": cmd_config_space,
@@ -352,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--out", help="artifact JSON path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0, help="recorded in provenance")
         return p
 
     def add_space_flags(p, with_target=True):
@@ -484,8 +476,6 @@ def _manifest_to_argv(manifest: dict) -> list[str]:
             argv.extend([flag, str(value)])
     if manifest.get("output"):
         argv.extend(["--out", str(manifest["output"])])
-    if "seed" in manifest:
-        argv.extend(["--seed", str(manifest["seed"])])
     if "budget" in manifest and "budget" not in params:
         argv.extend(["--budget", str(manifest["budget"])])
     return argv
@@ -522,7 +512,7 @@ def main(argv=None) -> int:
         try:
             manifest = _load_json(args.manifest)
             argv2 = _manifest_to_argv(manifest)
-        except (ValidationError, OSError, json.JSONDecodeError) as exc:
+        except (ValidationError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return main(argv2)

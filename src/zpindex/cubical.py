@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, ValidationError
-from .fplinalg import betti_numbers, is_prime
+from .fplinalg import is_prime
 from .simplicial import (
-    EMPTY_CONNECTIVITY,
     FreeZpComplex,
     HomologyProfile,
     SimplicialComplex,
     ZpAction,
-    connectivity_from_reduced_betti,
+    chain_homology,
 )
 
 AxisInterval = tuple[int, int]  # (lo, length), length in {0, 1}
@@ -143,18 +142,6 @@ def _antipodal_points(a: AxisInterval, b: AxisInterval, grid: GridSpec) -> bool:
     return a[1] == 0 and b[1] == 0 and (a[0] - b[0]) % (2 * grid.G) == grid.G
 
 
-@dataclass(frozen=True)
-class UnconstrainedCells:
-    """No pointwise constraint; for hand-built complexes where the group
-    action slot is irrelevant (homology and triangulation sanity checks)."""
-
-    def cell_ok(self, cell: Cell, grid: GridSpec, p: int) -> bool:
-        return True
-
-    def describe(self) -> dict:
-        return {"space": "manual"}
-
-
 def cell_dim(cell: Cell) -> int:
     return sum(iv[1] for box in cell for iv in box)
 
@@ -165,7 +152,8 @@ def shift_cell(cell: Cell, a: int = 1) -> Cell:
 
 
 def cell_faces(cell: Cell, grid: GridSpec) -> list[Cell]:
-    """Codimension-one faces (both endpoints of every unit interval)."""
+    """Codimension-one faces: the top and then the bottom face of the j-th
+    unit interval (coordinate-major order) sit at positions 2j and 2j + 1."""
     out = []
     two_g = 2 * grid.G
     for n, box in enumerate(cell):
@@ -173,7 +161,7 @@ def cell_faces(cell: Cell, grid: GridSpec) -> list[Cell]:
             if ln == 0:
                 continue
             hi = (lo + 1) % two_g if grid.circle_valued else lo + 1
-            for pos in (lo, hi):
+            for pos in (hi, lo):
                 nb = list(box)
                 nb[axis] = (pos, 0)
                 nc = list(cell)
@@ -183,25 +171,18 @@ def cell_faces(cell: Cell, grid: GridSpec) -> list[Cell]:
 
 
 class CubicalZpComplex:
-    """Shift-closed, face-closed family of certified cells.
+    """Shift-closed, face-closed family of certified cells on which the
+    cyclic shift acts freely."""
 
-    require_action=False drops the shift-closure and freeness invariants for
-    hand-built complexes used purely as chain-complex inputs; such complexes
-    cannot be triangulated into free Z_p-complexes.
-    """
+    __slots__ = ("p", "grid", "constraint", "cells", "_cell_set")
 
-    __slots__ = ("p", "grid", "constraint", "cells", "require_action", "_cell_set")
-
-    def __init__(self, p: int, grid: GridSpec, constraint, cells, *,
-                 require_action: bool = True, validate: bool = True):
+    def __init__(self, p: int, grid: GridSpec, constraint, cells):
         self.p = p
         self.grid = grid
         self.constraint = constraint
         self.cells = tuple(sorted(cells))
-        self.require_action = require_action
         self._cell_set = frozenset(self.cells)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if not is_prime(self.p):
@@ -226,13 +207,12 @@ class CubicalZpComplex:
             for face in cell_faces(cell, self.grid):
                 if face not in self._cell_set:
                     raise ValidationError(f"face {face} of {cell} missing")
-            if self.require_action:
-                for a in range(1, self.p):
-                    shifted = shift_cell(cell, a)
-                    if shifted == cell:
-                        raise ValidationError(f"cell {cell} is fixed by shift^{a}")
-                    if shifted not in self._cell_set:
-                        raise ValidationError(f"shift^{a} image of {cell} missing")
+            for a in range(1, self.p):
+                shifted = shift_cell(cell, a)
+                if shifted == cell:
+                    raise ValidationError(f"cell {cell} is fixed by shift^{a}")
+                if shifted not in self._cell_set:
+                    raise ValidationError(f"shift^{a} image of {cell} missing")
 
     @property
     def dim(self) -> int:
@@ -306,59 +286,26 @@ def build_pp_yz(which: str, p: int, grid: GridSpec,
 # ---------------------------------------------------------------------------
 # Cubical homology.
 
-def _face_cells(cell: Cell, grid: GridSpec):
-    """Signed codimension-one faces: pairs (face, coefficient).
-
-    The j-th non-degenerate slot (flattened coordinate-major order)
-    contributes (-1)^j * (top face - bottom face).
-    """
-    two_g = 2 * grid.G
-    out = []
-    j = 0
-    for n, box in enumerate(cell):
-        for axis, (lo, ln) in enumerate(box):
-            if ln == 0:
-                continue
-            sign = 1 if j % 2 == 0 else -1
-            hi = (lo + 1) % two_g if grid.circle_valued else lo + 1
-            for pos, coeff in ((hi, sign), (lo, -sign)):
-                nb = list(box)
-                nb[axis] = (pos, 0)
-                nc = list(cell)
-                nc[n] = tuple(nb)
-                out.append((tuple(nc), coeff))
-            j += 1
-    return out
-
-
 def cubical_boundary_columns(cx: CubicalZpComplex, k: int) -> list[dict[int, int]]:
+    """The j-th unit interval of a cell contributes (-1)^j * (top face -
+    bottom face); by the order of cell_faces, the face at position i has the
+    sign + for i = 0, 3 mod 4 and - for i = 1, 2 mod 4."""
     if k == 0:
         return [dict() for _ in cx.cells_of_dim(0)]
     lower = {c: i for i, c in enumerate(cx.cells_of_dim(k - 1))}
     cols = []
     for cell in cx.cells_of_dim(k):
-        col: dict[int, int] = {}
-        for face, coeff in _face_cells(cell, cx.grid):
-            idx = lower[face]
-            col[idx] = col.get(idx, 0) + coeff
-        cols.append({r: c for r, c in col.items() if c != 0})
+        col = {}
+        for i, face in enumerate(cell_faces(cell, cx.grid)):
+            col[lower[face]] = 1 if i % 4 in (0, 3) else -1
+        cols.append(col)
     return cols
 
 
 def cubical_homology(cx: CubicalZpComplex, p_coeff: int,
                      reduced: bool = False) -> HomologyProfile:
     """Betti numbers over F_{p_coeff} from the cubical boundary operators."""
-    if not is_prime(p_coeff):
-        raise ValidationError(f"coefficient prime {p_coeff} is not prime")
-    if cx.is_empty():
-        return HomologyProfile(p_coeff, (), reduced, EMPTY_CONNECTIVITY)
-    chain = [cubical_boundary_columns(cx, k) for k in range(cx.dim + 1)]
-    if reduced:
-        chain[0] = [{0: 1} for _ in chain[0]]
-    betti = tuple(betti_numbers(chain, p_coeff))
-    reduced_betti = betti if reduced else (betti[0] - 1,) + betti[1:]
-    conn = connectivity_from_reduced_betti(reduced_betti, empty=False)
-    return HomologyProfile(p_coeff, betti, reduced, conn)
+    return chain_homology(lambda k: cubical_boundary_columns(cx, k), cx.dim, p_coeff, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +360,6 @@ def triangulate_cells(cx: CubicalZpComplex) -> tuple[SimplicialComplex, list[Cel
 
 
 def cubical_to_simplicial(cx: CubicalZpComplex) -> FreeZpComplex:
-    if not cx.require_action:
-        raise ValidationError("equivariant triangulation needs a shift-closed complex")
     complex_, verts = triangulate_cells(cx)
     if not verts:
         return FreeZpComplex(SimplicialComplex(0, ()), ZpAction(cx.p, ()))

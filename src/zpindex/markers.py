@@ -15,15 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
+from .simplicial import cycles
 
 
 def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, (Fraction, int, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"expected exact rational, got {value!r}") from exc
     raise ValidationError(f"expected exact rational, got {value!r}")
 
 
@@ -32,7 +32,7 @@ class FiniteDynSys:
 
     __slots__ = ("n", "metric", "T", "T_inv")
 
-    def __init__(self, metric, T, *, validate: bool = True):
+    def __init__(self, metric, T):
         self.metric = tuple(tuple(_frac(v) for v in row) for row in metric)
         self.n = len(self.metric)
         self.T = tuple(T)
@@ -42,8 +42,7 @@ class FiniteDynSys:
         for i, j in enumerate(self.T):
             inv[j] = i
         self.T_inv = tuple(inv)
-        if validate:
-            self._validate_metric()
+        self._validate_metric()
 
     def _validate_metric(self):
         d = self.metric
@@ -73,19 +72,7 @@ class FiniteDynSys:
         return max((v for row in self.metric for v in row), default=Fraction(0))
 
     def orbits(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        out = []
-        for v in range(self.n):
-            if v in seen:
-                continue
-            orbit = [v]
-            cur = self.T[v]
-            while cur != v:
-                orbit.append(cur)
-                cur = self.T[cur]
-            seen.update(orbit)
-            out.append(tuple(orbit))
-        return out
+        return cycles(range(self.n), self.T.__getitem__)
 
     def iterate(self, x: int, k: int) -> int:
         f = self.T if k >= 0 else self.T_inv
@@ -99,9 +86,10 @@ class FiniteDynSys:
             n = data["points"]
             metric = data["metric"]
             T = data["T"]
+            sizes_agree = len(metric) == n and len(T) == n
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed system JSON: {exc}") from exc
-        if len(metric) != n or len(T) != n:
+        if not sizes_agree:
             raise ValidationError("points count disagrees with metric/T size")
         return cls(metric, T)
 

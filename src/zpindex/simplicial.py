@@ -31,12 +31,11 @@ class SimplicialComplex:
 
     __slots__ = ("vertex_count", "by_dim", "_hash")
 
-    def __init__(self, vertex_count: int, by_dim, *, validate: bool = True):
+    def __init__(self, vertex_count: int, by_dim):
         self.vertex_count = int(vertex_count)
         self.by_dim = tuple(tuple(level) for level in by_dim)
         self._hash = None
-        if validate:
-            self._validate()
+        self._validate()
 
     @classmethod
     def from_simplices(cls, vertex_count: int, simplices) -> "SimplicialComplex":
@@ -161,6 +160,24 @@ class SimplicialComplex:
         return f"SimplicialComplex(vertices={self.vertex_count}, f={self.f_vector()})"
 
 
+def cycles(items, step) -> list[tuple]:
+    """Cycles of the bijection `step` through `items`, each listed from its
+    first member in `items` order, in that order."""
+    seen = set()
+    out = []
+    for x in items:
+        if x in seen:
+            continue
+        cycle = [x]
+        cur = step(x)
+        while cur != x:
+            cycle.append(cur)
+            cur = step(cur)
+        seen.update(cycle)
+        out.append(tuple(cycle))
+    return out
+
+
 @dataclass(frozen=True)
 class ZpAction:
     """Vertex permutation of order dividing the prime p."""
@@ -174,16 +191,13 @@ class ZpAction:
         n = len(self.perm)
         if sorted(self.perm) != list(range(n)):
             raise ValidationError("perm is not a permutation of 0..n-1")
-        cur = list(range(n))
-        for _ in range(self.p):
-            cur = [self.perm[v] for v in cur]
-        if cur != list(range(n)):
+        # perm^p = perm o perm^(p-1)
+        if [self.perm[v] for v in self.power(self.p - 1)] != list(range(n)):
             raise ValidationError("perm^p is not the identity")
 
     def power(self, a: int) -> tuple[int, ...]:
-        a %= self.p
         out = list(range(len(self.perm)))
-        for _ in range(a):
+        for _ in range(a % self.p):
             out = [self.perm[v] for v in out]
         return tuple(out)
 
@@ -197,27 +211,26 @@ class FreeZpComplex:
     __slots__ = ("complex", "action", "simply_connected_verified")
 
     def __init__(self, complex: SimplicialComplex, action: ZpAction, *,
-                 simply_connected_verified: bool = False, validate: bool = True):
+                 simply_connected_verified: bool = False):
         self.complex = complex
         self.action = action
         # Metadata only (set by join() or by explicit caller assertion);
         # not part of equality.
         self.simply_connected_verified = simply_connected_verified
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if len(self.action.perm) != self.complex.vertex_count:
             raise ValidationError("permutation length differs from vertex count")
         sset = self.complex.simplex_set()
-        perms = [self.action.power(a) for a in range(1, self.action.p)]
         for s in self.complex.simplices():
             image = self.action.apply(s)
             if image not in sset:
                 raise ValidationError(f"action is not simplicial: image of {s} missing")
-            for pa in perms:
-                if tuple(sorted(pa[v] for v in s)) == s:
-                    raise ValidationError(f"action is not free: {s} is setwise fixed")
+            # Checking the generator suffices: p is prime, so T is a power of
+            # any T^a with 0 < a < p, and a simplex fixed by T^a is fixed by T.
+            if image == s:
+                raise ValidationError(f"action is not free: {s} is setwise fixed")
 
     @property
     def p(self) -> int:
@@ -240,19 +253,7 @@ class FreeZpComplex:
         """Orbits of the action on vertices of the complex, each starting at
         its smallest member, sorted by that member."""
         present = [s[0] for s in self.complex.by_dim[0]] if not self.complex.is_empty() else []
-        seen: set[int] = set()
-        orbits = []
-        for v in present:
-            if v in seen:
-                continue
-            orbit = [v]
-            cur = self.action.perm[v]
-            while cur != v:
-                orbit.append(cur)
-                cur = self.action.perm[cur]
-            seen.update(orbit)
-            orbits.append(tuple(orbit))
-        return orbits
+        return cycles(present, self.action.perm.__getitem__)
 
     def __eq__(self, other):
         return (
@@ -289,9 +290,7 @@ class HomologyProfile:
             raise ValidationError("negative betti number")
 
 
-def connectivity_from_reduced_betti(reduced_betti, empty: bool):
-    if empty:
-        return EMPTY_CONNECTIVITY
+def connectivity_from_reduced_betti(reduced_betti):
     first_nonzero = None
     for k, b in enumerate(reduced_betti):
         if b != 0:
@@ -317,20 +316,26 @@ def boundary_columns(cx: SimplicialComplex, k: int) -> list[dict[int, int]]:
     return cols
 
 
-def homology(cx: SimplicialComplex, p: int, reduced: bool = True) -> HomologyProfile:
-    """Betti numbers of cx over F_p via boundary-matrix column reduction."""
+def chain_homology(columns, dim: int, p: int, reduced: bool) -> HomologyProfile:
+    """Betti numbers over F_p of a chain complex of dimension dim (-1 when
+    empty) whose boundary operator C_k -> C_{k-1} has the columns columns(k);
+    columns(0) holds one empty column per vertex."""
     if not is_prime(p):
         raise ValidationError(f"coefficient prime p={p} is not prime")
-    if cx.is_empty():
+    if dim < 0:
         return HomologyProfile(p, (), reduced, EMPTY_CONNECTIVITY)
-    chain = [boundary_columns(cx, k) for k in range(cx.dim + 1)]
+    chain = [columns(k) for k in range(dim + 1)]
     if reduced:
         # Augmentation C_0 -> F_p replaces the zero map in degree 0.
-        chain[0] = [{0: 1} for _ in cx.by_dim[0]]
+        chain[0] = [{0: 1} for _ in chain[0]]
     betti = tuple(betti_numbers(chain, p))
     reduced_betti = betti if reduced else (betti[0] - 1,) + betti[1:]
-    conn = connectivity_from_reduced_betti(reduced_betti, empty=False)
-    return HomologyProfile(p, betti, reduced, conn)
+    return HomologyProfile(p, betti, reduced, connectivity_from_reduced_betti(reduced_betti))
+
+
+def homology(cx: SimplicialComplex, p: int, reduced: bool = True) -> HomologyProfile:
+    """Betti numbers of cx over F_p via boundary-matrix column reduction."""
+    return chain_homology(lambda k: boundary_columns(cx, k), cx.dim, p, reduced)
 
 
 def make_discrete_zp(p: int) -> FreeZpComplex:
@@ -377,26 +382,20 @@ def join(x: FreeZpComplex, y: FreeZpComplex) -> FreeZpComplex:
 
 
 def e_n_zp(n: int, p: int) -> FreeZpComplex:
-    """Join of n+1 copies of the discrete Z_p: the standard n-dimensional,
-    (n-1)-connected free Z_p-complex.
+    """The standard n-dimensional, (n-1)-connected free Z_p-complex: the
+    iterated join of n+1 copies of the discrete Z_p.
 
     Vertex i*p + j is symbol j in copy i; a simplex picks at most one symbol
-    per copy.  This matches the iterated binary join with the same numbering.
+    per copy.  The discrete factors are disconnected, so the result is not
+    flagged as simply connected.
     """
     if n < 0:
         raise ValidationError(f"n={n} must be nonnegative")
-    if not is_prime(p):
-        raise ValidationError(f"p={p} is not prime")
-    levels = []
-    for d in range(n + 1):
-        level = []
-        for copies in itertools.combinations(range(n + 1), d + 1):
-            for symbols in itertools.product(range(p), repeat=d + 1):
-                level.append(tuple(copies[i] * p + symbols[i] for i in range(d + 1)))
-        levels.append(sorted(level))
-    cx = SimplicialComplex((n + 1) * p, levels)
-    perm = tuple(i * p + (j + 1) % p for i in range(n + 1) for j in range(p))
-    return FreeZpComplex(cx, ZpAction(p, perm))
+    discrete = make_discrete_zp(p)
+    model = discrete
+    for _ in range(n):
+        model = join(model, discrete)
+    return model
 
 
 def subdivide_complex(cx: SimplicialComplex) -> tuple[SimplicialComplex, dict[Simplex, int]]:
@@ -460,6 +459,9 @@ def complex_from_json_dict(data: dict) -> FreeZpComplex:
         simplices = [tuple(s) for s in data["simplices"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed complex JSON: {exc}") from exc
+    if not all(isinstance(v, int) for v in (p, vertices, *perm, *itertools.chain(*simplices))):
+        raise ValidationError(
+            "malformed complex JSON: p, vertices, perm and simplices must hold integers")
     cx = SimplicialComplex.from_simplices(vertices, simplices) if simplices else SimplicialComplex(vertices, ())
     return FreeZpComplex(cx, ZpAction(p, perm))
 

@@ -10,12 +10,11 @@ which in particular makes the offset-m constraint at period m a self-pair
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ValidationError
 from .fplinalg import is_prime
-from .simplicial import FreeZpComplex, SimplicialComplex, ZpAction, join
+from .simplicial import FreeZpComplex, SimplicialComplex, ZpAction, cycles, join
 
 Word = tuple[int, ...]
 
@@ -92,19 +91,7 @@ class PeriodicOrbitSet:
 
     def orbits(self) -> list[tuple[Word, ...]]:
         """Rotation orbits, each listed from its lexicographic minimum."""
-        seen: set[Word] = set()
-        out = []
-        for w in self.points:
-            if w in seen:
-                continue
-            orbit = [w]
-            cur = rotate(w)
-            while cur != w:
-                orbit.append(cur)
-                cur = rotate(cur)
-            seen.update(orbit)
-            out.append(tuple(orbit))
-        return out
+        return cycles(self.points, rotate)
 
     def rotation_is_free(self) -> bool:
         return all(len(o) == self.period for o in self.orbits())

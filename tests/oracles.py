@@ -99,3 +99,14 @@ def circle_pair_ok(values, kind):
             if max(d1, d2) != 1:
                 return False
     return True
+
+
+def fixed_by_some_power(perm, p, simplices):
+    """True iff some simplex is setwise fixed by T^a for some 0 < a < p,
+    with every power composed and checked explicitly."""
+    power = list(range(len(perm)))
+    for _ in range(1, p):
+        power = [perm[v] for v in power]
+        if any({power[v] for v in s} == set(s) for s in simplices):
+            return True
+    return False

@@ -94,7 +94,6 @@ class TestSubcommands:
         code, art = run(capsys, "relabel", "--N", "1", "--delta", "1/3", "--m", "2",
                         "--p", "3", "--grid", "3", "--l", "2")
         assert code == 0
-        assert art["result"]["mutually_inverse"]
         assert art["result"]["offset_m_cells"] == art["result"]["offset_one_cells"]
 
     def test_join_periodic(self, capsys):
@@ -158,6 +157,21 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 3
 
+    @pytest.mark.parametrize("argv,text", [
+        (["homology", "--coeff", "2", "--input"], "not json"),
+        (["homology", "--coeff", "2", "--input"],
+         json.dumps({"p": "3", "vertices": 3, "perm": [1, 2, 0],
+                     "simplices": [[0], [1], [2]]})),
+        (["marker-check", "--N", "1", "--U", "0", "--system"],
+         json.dumps({"points": 2, "metric": [["0", "x"], ["x", "0"]], "T": [1, 0]})),
+    ], ids=["not-json", "string-prime", "non-rational-metric"])
+    def test_malformed_input_file_is_2(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        code = main(argv + [str(path)])
+        capsys.readouterr()
+        assert code == 2
+
     def test_unknown_subcommand_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -165,11 +179,72 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+E0P2 = {"p": 2, "vertices": 2, "perm": [1, 0], "simplices": [[0], [1]]}
+E0P3 = {"p": 3, "vertices": 3, "perm": [1, 2, 0], "simplices": [[0], [1], [2]]}
+E1P2 = {"p": 2, "vertices": 4, "perm": [1, 0, 3, 2],
+        "simplices": [[0, 2], [0, 3], [1, 2], [1, 3]]}
+E1P3 = {"p": 3, "vertices": 6, "perm": [1, 2, 0, 4, 5, 3],
+        "simplices": [[i, j] for i in range(3) for j in range(3, 6)]}
+
+
+FROZEN = {
+    "enzp": (
+        "enzp --n 2 --p 3 --homology",
+        "df86716c0eddb9703584e530a9845e428bcd85ed0ef70af70402ee00bcc61015"),
+    "join": (
+        "join --left {d}/e0p3.json --right {d}/e0p3.json",
+        "68e1707aa72d512e63788f0c301c724454b8aad9453d09ecd4d4b4f1567bcf1e"),
+    "subdivide": (
+        "subdivide --input {d}/e1p2.json --depth 1",
+        "fc4ed52f051ffb0b7a78ebee8a2e2c922846472c275d9bee090fd026183f1043"),
+    "homology": (
+        "homology --input {d}/e1p3.json --coeff 3",
+        "e8cef34174fc88b938b2d78e7671a4280633f63f04dbb402bd7f2b2d5a67adf5"),
+    "search-map-found": (
+        "search-map --source {d}/e0p3.json --target {d}/e1p3.json",
+        "a40813c0a70b6da2da0df69c8431d8f184119b3d83dceb66e9c5fd01acc12fa0"),
+    "search-map-exhausted": (
+        "search-map --source {d}/e1p2.json --target {d}/e0p2.json --depth 1",
+        "d8b95899e4275ea62aa97934143107f3c64badde509222e8162e0c221bd0f4d7"),
+    "coind-xm": (
+        "coind --space Xm --N 1 --p 3 --grid 3 --delta 1/3 --target 0",
+        "7ce318ccc75370e8a08b6db04e277a6a0a24ba8f3024f90a194b495ce4ed9623"),
+    "ind-z": (
+        "ind --space Z --p 2 --grid 2 --target 1",
+        "27690a0be9a12bf5efc426c659a92b59150f72ff9a063d09cf4434dc28d9dd59"),
+    "cubical-homology": (
+        "cubical-homology --space Z --p 3 --grid 2 --coeff 3",
+        "5367416323f992f0ffd8d9abf3a5bd17e65e57ed4b07b567b94ac3e3a105b863"),
+    "periodic": (
+        "periodic --shift sigma_m --m 2 --n 1,2,3,4,5,6,7,8",
+        "2422c77043c57055feaf8f95e46456c1c6066079fc83d87e6988e0752e851e30"),
+    "join-periodic": (
+        "join-periodic --shift sigma --p 3 --copies 2",
+        "b69c907c58d08e1d59c8c91940c223bd6e2a08af40d75d72724501c41df8b0bb"),
+    "relabel": (
+        "relabel --N 1 --delta 1/3 --m 2 --p 3 --grid 3 --l 2",
+        "9a8192b2a635109e4f02151405c8aa9651b502905308e088a677a7402d236c10"),
+}
+
+
+class TestFrozenResults:
+    """The hash of each artifact's result block, recorded once; a change to
+    any of them is a change to the program's output."""
+
+    @pytest.mark.parametrize("name", FROZEN)
+    def test_result_sha256(self, tmp_path, capsys, name):
+        argv, sha256 = FROZEN[name]
+        for stem, data in (("e0p2", E0P2), ("e0p3", E0P3), ("e1p2", E1P2), ("e1p3", E1P3)):
+            (tmp_path / f"{stem}.json").write_text(json.dumps(data), encoding="utf-8")
+        code, art = run(capsys, *argv.format(d=tmp_path).split())
+        assert code == 0
+        assert art["sha256"] == sha256
+
+
 class TestManifests:
     MANIFEST = {
         "subcommand": "enzp",
         "params": {"n": 1, "p": 3, "homology": True},
-        "seed": 0,
     }
 
     def test_run_manifest(self, tmp_path, capsys):

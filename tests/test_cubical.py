@@ -184,17 +184,19 @@ class TestCubicalHomology:
         assert cubical_homology(cx, 2).betti == (2,)
 
     def test_hollow_square_ring(self):
-        # perimeter of the square [0,1] x [3,4]: four edges and four corners
-        from zpindex.cubical import UnconstrainedCells, close_cells
+        # perimeter of the square [0,1] x [3,4] (four edges and four corners)
+        # and its swap image: two disjoint circles
+        from zpindex.cubical import close_cells
         grid = GridSpec(1, 4)
         ring = [
             (((0, 1),), ((3, 0),)), (((0, 1),), ((4, 0),)),
             (((0, 0),), ((3, 1),)), (((1, 0),), ((3, 1),)),
         ]
-        cx = CubicalZpComplex(2, grid, UnconstrainedCells(),
-                              close_cells(ring, grid), require_action=False)
+        ring += [shift_cell(c) for c in ring]
+        cx = CubicalZpComplex(2, grid, OffsetGapConstraint(Fraction(1, 2), 1),
+                              close_cells(ring, grid))
         prof = cubical_homology(cx, 2)
-        assert prof.betti == (1, 1)
+        assert prof.betti == (2, 2)
 
     @pytest.mark.parametrize("builder,coeff", [
         (lambda: build_pp_xm(1, Fraction(3, 5), 1, 2, GridSpec(1, 4)), 2),
@@ -211,31 +213,33 @@ class TestCubicalHomology:
 
     def test_boundary_squares_to_zero(self):
         from zpindex.cubical import cubical_boundary_columns
-        cx = build_pp_yz("Z", 3, GridSpec(1, 2, circle_valued=True))
-        for k in range(1, cx.dim + 1):
-            cols_k = cubical_boundary_columns(cx, k)
-            if k == 1:
-                continue
-            cols_km1 = cubical_boundary_columns(cx, k - 1)
-            for col in cols_k:
-                acc: dict[int, int] = {}
-                for j, cj in col.items():
-                    for i, ci in cols_km1[j].items():
-                        acc[i] = acc.get(i, 0) + cj * ci
-                assert all(v == 0 for v in acc.values())
+        for cx in (build_pp_yz("Z", 3, GridSpec(1, 2, circle_valued=True)),
+                   build_pp_xm(2, Fraction(1, 2), 1, 2, GridSpec(2, 2))):
+            for k in range(1, cx.dim + 1):
+                cols_k = cubical_boundary_columns(cx, k)
+                if k == 1:
+                    continue
+                cols_km1 = cubical_boundary_columns(cx, k - 1)
+                for col in cols_k:
+                    acc: dict[int, int] = {}
+                    for j, cj in col.items():
+                        for i, ci in cols_km1[j].items():
+                            acc[i] = acc.get(i, 0) + cj * ci
+                    assert all(v == 0 for v in acc.values())
 
 
 class TestTriangulation:
     def test_single_square_splits_into_two_triangles(self):
-        from zpindex.cubical import UnconstrainedCells, close_cells, triangulate_cells
+        # the square and its swap image: two disjoint squares
+        from zpindex.cubical import close_cells, triangulate_cells
         grid = GridSpec(1, 4)
         square = (((0, 1),), ((3, 1),))
-        cx = CubicalZpComplex(2, grid, UnconstrainedCells(),
-                              close_cells([square], grid), require_action=False)
+        cx = CubicalZpComplex(2, grid, OffsetGapConstraint(Fraction(1, 2), 1),
+                              close_cells([square, shift_cell(square)], grid))
         tri, verts = triangulate_cells(cx)
-        assert len(verts) == 4
-        assert tri.f_vector() == (4, 5, 2)
-        assert homology(tri, 2, reduced=False).betti == (1, 0, 0)
+        assert len(verts) == 8
+        assert tri.f_vector() == (8, 10, 4)
+        assert homology(tri, 2, reduced=False).betti == (2, 0, 0)
 
     def test_two_cells_exist_and_triangulate(self):
         grid = GridSpec(1, 4)

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import betti_by_elimination
+from oracles import betti_by_elimination, fixed_by_some_power
 from zpindex.errors import ValidationError
 from zpindex.simplicial import (
     FreeZpComplex,
@@ -11,6 +13,7 @@ from zpindex.simplicial import (
     barycentric_subdivide,
     complex_from_json,
     complex_to_json,
+    cycles,
     e_n_zp,
     homology,
     join,
@@ -233,3 +236,54 @@ class TestJsonInterchange:
         import json
         data = json.loads(complex_to_json(e_n_zp(2, 2)))
         assert sorted(len(s) for s in data["simplices"]) == [3] * 8
+
+
+@st.composite
+def prime_order_perms(draw):
+    """(p, perm): a random permutation made of p-cycles and fixed points."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n_cycles = draw(st.integers(1, 3))
+    n_fixed = draw(st.integers(0, 3))
+    labels = draw(st.permutations(range(n_cycles * p + n_fixed)))
+    perm = list(range(len(labels)))
+    for c in range(n_cycles):
+        for i in range(p):
+            perm[labels[c * p + i]] = labels[c * p + (i + 1) % p]
+    return p, tuple(perm)
+
+
+class TestActionProperties:
+    @given(prime_order_perms())
+    def test_cycles_partition_and_close(self, p_perm):
+        _, perm = p_perm
+        found = cycles(range(len(perm)), perm.__getitem__)
+        assert sorted(v for c in found for v in c) == list(range(len(perm)))
+        for c in found:
+            assert all(perm[c[i]] == c[(i + 1) % len(c)] for i in range(len(c)))
+
+    @given(prime_order_perms(), st.integers(0, 20), st.integers(0, 20))
+    def test_powers_compose(self, p_perm, a, b):
+        action = ZpAction(*p_perm)
+        pa, pb = action.power(a), action.power(b)
+        assert tuple(pa[pb[v]] for v in range(len(pb))) == action.power(a + b)
+
+    @given(prime_order_perms(), st.data())
+    def test_generator_freeness_check_matches_all_powers(self, p_perm, data):
+        p, perm = p_perm
+        seeds = data.draw(st.lists(
+            st.sets(st.integers(0, len(perm) - 1), min_size=1, max_size=3), max_size=4))
+        # Close the seeds under the action so that it is simplicial.
+        closed = set()
+        for s in seeds:
+            for _ in range(p):
+                closed.add(tuple(sorted(s)))
+                s = {perm[v] for v in s}
+        cx = SimplicialComplex.from_simplices(len(perm), closed)
+        expect_fixed = fixed_by_some_power(perm, p, list(cx.simplices()))
+        try:
+            FreeZpComplex(cx, ZpAction(p, perm))
+            rejected = False
+        except ValidationError as exc:
+            assert "not free" in str(exc)
+            rejected = True
+        assert rejected == expect_fixed
