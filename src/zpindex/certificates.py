@@ -376,15 +376,8 @@ class CertStore:
         self._by_space.setdefault(cert.space, []).append(cert)
         return cert
 
-    def extend(self, certs):
-        for c in certs:
-            self.add(c)
-
     def spaces(self) -> list[str]:
         return sorted(self._by_space)
-
-    def for_space(self, space: str) -> list[IndexCertificate]:
-        return list(self._by_space.get(space, []))
 
     def all(self) -> list[IndexCertificate]:
         return [c for space in self.spaces() for c in self._by_space[space]]

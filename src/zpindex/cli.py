@@ -41,6 +41,7 @@ from .cubical import (
 from .errors import BudgetExceeded, ConsistencyError, ValidationError
 from .markers import (
     FiniteDynSys,
+    _frac,
     check_marker,
     epsilon_embedding,
     lindenstrauss_phi,
@@ -80,7 +81,10 @@ def _load_complex(path: str):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError as exc:
+        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _build_space(args):
@@ -104,7 +108,7 @@ def _build_space(args):
 def _build_cubical(args):
     if args.space == "Xm":
         grid = GridSpec(args.N, args.grid, circle_valued=False)
-        return build_pp_xm(args.N, Fraction(args.delta), args.m, args.p, grid,
+        return build_pp_xm(args.N, _frac(args.delta), args.m, args.p, grid,
                            budget=args.cell_budget)
     grid = GridSpec(1, args.grid, circle_valued=True)
     return build_pp_yz(args.space, args.p, grid, budget=args.cell_budget)
@@ -113,7 +117,7 @@ def _build_cubical(args):
 def _cubical_provenance(args) -> dict:
     prov = {"space": args.space, "p": args.p, "grid": args.grid}
     if args.space == "Xm":
-        prov.update({"N": args.N, "delta": str(Fraction(args.delta)), "m": args.m})
+        prov.update({"N": args.N, "delta": str(_frac(args.delta)), "m": args.m})
     return prov
 
 
@@ -227,7 +231,7 @@ def cmd_cubical_homology(args):
 
 def cmd_relabel(args):
     grid = GridSpec(args.N, args.grid, circle_valued=False)
-    offset_m = build_pp_xm(args.N, Fraction(args.delta), args.m, args.p, grid,
+    offset_m = build_pp_xm(args.N, _frac(args.delta), args.m, args.p, grid,
                            budget=args.cell_budget)
     pair = relabel_isomorphism(offset_m, args.l)
     return {"m": pair.m, "l": pair.l,
@@ -245,7 +249,7 @@ def cmd_marker_check(args):
 
 def cmd_eps_embed(args):
     sys_ = FiniteDynSys.from_json_dict(_load_json(args.system))
-    emb = epsilon_embedding(sys_, Fraction(args.eps))
+    emb = epsilon_embedding(sys_, _frac(args.eps))
     return {"N": emb.N, "centers": list(emb.centers),
             "delta_sq": str(emb.delta_sq),
             "images": [[str(v) for v in row] for row in emb.images]}
@@ -263,7 +267,11 @@ def cmd_phi(args):
     sys_ = FiniteDynSys.from_json_dict(_load_json(args.system))
     if args.w_json:
         raw = _load_json(args.w_json)
-        w = [Fraction(raw[str(x)]) for x in sys_.points()]
+        try:
+            w = [raw[str(x)] for x in sys_.points()]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(
+                f"{args.w_json} must map every point to a rational: {exc!r}") from exc
     elif args.w_indicator is not None:
         marked = set(_int_list(args.w_indicator))
         w = [Fraction(1 if x in marked else 0) for x in sys_.points()]
@@ -279,6 +287,7 @@ def cmd_phi(args):
 
 
 def cmd_obstruction_report(args):
+    p_list = _int_list(args.p_list)
     store = CertStore()
     x_certs: dict[int, list] = {}
     z_certs: dict[int, list] = {}
@@ -293,7 +302,6 @@ def cmd_obstruction_report(args):
     if not store.all():
         raise ValidationError("empty certificate store")
     store.assert_consistent()
-    p_list = _int_list(args.p_list)
     rows = obstruction_report(p_list, x_certs, z_certs)
     return {"rows": [{"p": r.p, "x_coind_lower": r.x_coind_lower,
                       "x_exhausted_at": r.x_exhausted_at,
@@ -357,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=1)
         p.add_argument("--grid", type=int, default=2)
         p.add_argument("--input", help="complex JSON for --space file")
-        p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
+        p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
+                       help="most boxes the cell enumerator may place")
         if with_target:
             p.add_argument("--target", type=int, required=True)
             p.add_argument("--depth", type=int, default=0)
@@ -421,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
+    p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
+                   help="most boxes the cell enumerator may place")
 
     p = add("marker-check", help="no-quick-return and covering flags")
     p.add_argument("--system", required=True)
@@ -479,11 +489,6 @@ def _manifest_to_argv(manifest: dict) -> list[str]:
     if "budget" in manifest and "budget" not in params:
         argv.extend(["--budget", str(manifest["budget"])])
     return argv
-
-
-def dispatch(manifest: dict) -> int:
-    """Run a manifest; returns the process exit status."""
-    return main(_manifest_to_argv(manifest))
 
 
 def _provenance(args) -> dict:

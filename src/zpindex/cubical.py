@@ -1,12 +1,15 @@
 """Equivariant cubical inner approximations of periodic-point spaces.
 
 Points are p-tuples of coordinates in [0,1]^N on a uniform grid (or in the
-circle of circumference 2 split into 2G arcs).  A cell is a p-tuple of
-axis-aligned boxes whose axis intervals have grid length 0 or 1.  A cell is
-kept only when the defining constraint holds at every point of the cell,
-certified by exact integer interval arithmetic; the kept set is therefore
-automatically closed under faces and under the cyclic shift, and the shift
-acts freely on it.  Inner approximations certify map-into lower bounds only;
+circle of circumference 2 split into 2G arcs).  A box is an axis-aligned box
+whose axis intervals have grid length 0 or 1, and a cell is a p-periodic
+word over the alphabet of boxes.  The defining constraint is a window
+constraint on such words (pairs at offset m for X_m, consecutive triples for
+Y/Z), so the cells are listed by the one enumerator `subshifts.cyclic_words`.
+A window is forbidden unless the constraint holds at every point of its
+boxes, certified by exact integer interval arithmetic; the kept set is
+therefore automatically closed under faces and under the cyclic shift, and
+the shift acts freely on it.  Inner approximations certify map-into lower bounds only;
 upper bounds come from the ambient-sphere formula.
 """
 
@@ -16,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, ValidationError
+from .errors import ValidationError
 from .fplinalg import is_prime
 from .simplicial import (
     FreeZpComplex,
@@ -25,6 +28,7 @@ from .simplicial import (
     ZpAction,
     chain_homology,
 )
+from .subshifts import cyclic_words, satisfies
 
 AxisInterval = tuple[int, int]  # (lo, length), length in {0, 1}
 Box = tuple[AxisInterval, ...]
@@ -47,15 +51,15 @@ class GridSpec:
         if self.N < 1 or self.G < 1:
             raise ValidationError("grid needs N >= 1 and G >= 1")
 
-    def positions(self) -> int:
-        """Number of distinct grid point positions per axis."""
-        return 2 * self.G if self.circle_valued else self.G + 1
-
     def axis_intervals(self) -> list[AxisInterval]:
         if self.circle_valued:
             return [(lo, ln) for lo in range(2 * self.G) for ln in (0, 1)]
         return [(lo, 0) for lo in range(self.G + 1)] + \
                [(lo, 1) for lo in range(self.G)]
+
+    def boxes(self) -> list[Box]:
+        """The alphabet of cells: every choice of one interval per axis."""
+        return list(itertools.product(self.axis_intervals(), repeat=self.N))
 
 
 def _axis_gap(a: AxisInterval, b: AxisInterval) -> int:
@@ -83,22 +87,19 @@ class OffsetGapConstraint:
         if self.offset < 1:
             raise ValidationError("offset must be >= 1")
 
-    def cell_ok(self, cell: Cell, grid: GridSpec, p: int) -> bool:
+    @property
+    def offsets(self) -> tuple[int, int]:
+        return (0, self.offset)
+
+    def forbidden_test(self, grid: GridSpec):
+        """forbidden((a, b)): the boxes' squared gap is < delta^2, in grid units."""
         s, t = self.delta.numerator, self.delta.denominator
         threshold = s * s * grid.G * grid.G
         t2 = t * t
-        for n in range(p):
-            a, b = cell[n], cell[(n + self.offset) % p]
-            sq = 0
-            for axis in range(grid.N):
-                g = _axis_gap(a[axis], b[axis])
-                sq += g * g
-            if t2 * sq < threshold:
-                return False
-        return True
 
-    def describe(self) -> dict:
-        return {"space": "Xm", "delta": str(self.delta), "m": self.offset}
+        def forbidden(window: tuple[Box, Box]) -> bool:
+            return t2 * sum(_axis_gap(x, y) ** 2 for x, y in zip(*window)) < threshold
+        return forbidden
 
 
 @dataclass(frozen=True)
@@ -113,33 +114,28 @@ class CirclePairConstraint:
     """
 
     kind: str
+    offsets = (0, 1, 2)
 
     def __post_init__(self):
         if self.kind not in ("Y", "Z"):
             raise ValidationError("kind must be 'Y' or 'Z'")
 
-    def cell_ok(self, cell: Cell, grid: GridSpec, p: int) -> bool:
-        two_g = 2 * grid.G
-        for n in range(p):
-            a = cell[n][0]
-            b = cell[(n + 1) % p][0]
-            c = cell[(n + 2) % p][0]
-            if self.kind == "Z":
-                # rho >= 1/2 on an arc pair iff 2*gap >= G in grid units.
-                if 2 * _circle_gap(a, b, two_g) < grid.G and \
-                   2 * _circle_gap(b, c, two_g) < grid.G:
-                    return False
-            else:
-                if not (_antipodal_points(a, b, grid) or _antipodal_points(b, c, grid)):
-                    return False
-        return True
-
-    def describe(self) -> dict:
-        return {"space": self.kind}
-
-
-def _antipodal_points(a: AxisInterval, b: AxisInterval, grid: GridSpec) -> bool:
-    return a[1] == 0 and b[1] == 0 and (a[0] - b[0]) % (2 * grid.G) == grid.G
+    def forbidden_test(self, grid: GridSpec):
+        """forbidden((a, b, c)) on three consecutive one-axis boxes."""
+        g, two_g = grid.G, 2 * grid.G
+        if self.kind == "Z":
+            # rho >= 1/2 on an arc pair iff 2*gap >= G in grid units.
+            def forbidden(window: tuple[Box, Box, Box]) -> bool:
+                (a,), (b,), (c,) = window
+                return (2 * _circle_gap(a, b, two_g) < g
+                        and 2 * _circle_gap(b, c, two_g) < g)
+        else:
+            # Two grid points G arcs apart: an antipodal pair.
+            def forbidden(window: tuple[Box, Box, Box]) -> bool:
+                ((x, xl),), ((y, yl),), ((z, zl),) = window
+                return not (xl == yl == 0 and (x - y) % two_g == g
+                            or yl == zl == 0 and (y - z) % two_g == g)
+        return forbidden
 
 
 def cell_dim(cell: Cell) -> int:
@@ -187,32 +183,23 @@ class CubicalZpComplex:
     def _validate(self):
         if not is_prime(self.p):
             raise ValidationError(f"p={self.p} is not prime")
-        positions = self.grid.positions()
+        boxes = frozenset(self.grid.boxes())
+        forbidden = self.constraint.forbidden_test(self.grid)
         for cell in self.cells:
-            if len(cell) != self.p:
-                raise ValidationError("cell is not a p-tuple of boxes")
-            for box in cell:
-                if len(box) != self.grid.N:
-                    raise ValidationError("box does not have N axes")
-                for lo, ln in box:
-                    if ln not in (0, 1):
-                        raise ValidationError("axis interval length must be 0 or 1")
-                    if self.grid.circle_valued:
-                        if not 0 <= lo < positions:
-                            raise ValidationError("arc start out of range")
-                    elif not (0 <= lo and lo + ln <= self.grid.G):
-                        raise ValidationError("interval leaves the grid")
-            if not self.constraint.cell_ok(cell, self.grid, self.p):
+            if len(cell) != self.p or not boxes.issuperset(cell):
+                raise ValidationError(f"cell {cell} is not a p-tuple of grid boxes")
+            if not satisfies(cell, self.constraint.offsets, forbidden):
                 raise ValidationError(f"cell {cell} fails the defining constraint")
             for face in cell_faces(cell, self.grid):
                 if face not in self._cell_set:
                     raise ValidationError(f"face {face} of {cell} missing")
-            for a in range(1, self.p):
-                shifted = shift_cell(cell, a)
-                if shifted == cell:
-                    raise ValidationError(f"cell {cell} is fixed by shift^{a}")
-                if shifted not in self._cell_set:
-                    raise ValidationError(f"shift^{a} image of {cell} missing")
+            # p is prime, so a cell fixed by some shift^a is fixed by the
+            # shift, and closure under the shift gives closure under its powers.
+            shifted = shift_cell(cell)
+            if shifted == cell:
+                raise ValidationError(f"cell {cell} is fixed by the shift")
+            if shifted not in self._cell_set:
+                raise ValidationError(f"shift image of {cell} missing")
 
     @property
     def dim(self) -> int:
@@ -236,20 +223,11 @@ class CubicalZpComplex:
                 f"cells={len(self.cells)}, dim={self.dim})")
 
 
-def _enumerate_cells(p: int, grid: GridSpec, constraint,
-                     budget: int) -> CubicalZpComplex:
-    choices = grid.axis_intervals()
-    slots = p * grid.N
-    count = len(choices) ** slots
-    if count > budget:
-        raise BudgetExceeded(
-            f"{count} candidate cells exceed the budget of {budget}", count=count)
-    kept = []
-    for flat in itertools.product(choices, repeat=slots):
-        cell = tuple(tuple(flat[n * grid.N:(n + 1) * grid.N]) for n in range(p))
-        if constraint.cell_ok(cell, grid, p):
-            kept.append(cell)
-    return CubicalZpComplex(p, grid, constraint, kept)
+def _enumerate_cells(p: int, grid: GridSpec, constraint, budget: int) -> CubicalZpComplex:
+    """The p-periodic words over the grid's boxes that pass the constraint."""
+    cells = cyclic_words(grid.boxes(), p, constraint.offsets, constraint.forbidden_test(grid),
+                         budget)
+    return CubicalZpComplex(p, grid, constraint, cells)
 
 
 def build_pp_xm(N: int, delta: Fraction, m: int, p: int, grid: GridSpec,
@@ -264,10 +242,7 @@ def build_pp_xm(N: int, delta: Fraction, m: int, p: int, grid: GridSpec,
         raise ValidationError(f"p={p} is not prime")
     if p > MAX_P or N > MAX_N:
         raise ValidationError(f"instances beyond p={MAX_P}, N={MAX_N} are unsupported")
-    if m < 1:
-        raise ValidationError("offset m must be >= 1")
-    constraint = OffsetGapConstraint(Fraction(delta), m)
-    return _enumerate_cells(p, grid, constraint, budget)
+    return _enumerate_cells(p, grid, OffsetGapConstraint(Fraction(delta), m), budget)
 
 
 def build_pp_yz(which: str, p: int, grid: GridSpec,
@@ -279,8 +254,7 @@ def build_pp_yz(which: str, p: int, grid: GridSpec,
         raise ValidationError(f"p={p} is not prime")
     if p > MAX_P:
         raise ValidationError(f"instances beyond p={MAX_P} are unsupported")
-    constraint = CirclePairConstraint(which)
-    return _enumerate_cells(p, grid, constraint, budget)
+    return _enumerate_cells(p, grid, CirclePairConstraint(which), budget)
 
 
 # ---------------------------------------------------------------------------

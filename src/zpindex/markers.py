@@ -10,7 +10,6 @@ against thresholds are squared as well.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +35,8 @@ class FiniteDynSys:
         self.metric = tuple(tuple(_frac(v) for v in row) for row in metric)
         self.n = len(self.metric)
         self.T = tuple(T)
+        if not all(isinstance(t, int) for t in self.T):
+            raise ValidationError("T must hold integer point indices")
         if sorted(self.T) != list(range(self.n)):
             raise ValidationError("T is not a bijection on the points")
         inv = [0] * self.n
@@ -92,10 +93,6 @@ class FiniteDynSys:
         if not sizes_agree:
             raise ValidationError("points count disagrees with metric/T size")
         return cls(metric, T)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteDynSys":
-        return cls.from_json_dict(json.loads(text))
 
     def to_json_dict(self) -> dict:
         return {"points": self.n,

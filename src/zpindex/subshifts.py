@@ -1,16 +1,23 @@
-"""Shifts of finite type with a single-offset window constraint, and their
-periodic points as free Z_p-sets.
+"""Periodic points of window-constrained shifts, and their free Z_p-sets.
 
-The basic examples are the three-symbol shifts forbidding equal symbols at
-offset 1 (adjacent symbols differ) and at a general offset m.  Periodic
-points of period n are cyclic words; the window offset is read modulo n,
-which in particular makes the offset-m constraint at period m a self-pair
-(so that shift has no m-periodic points at all).
+A period-n point of a shift is a cyclic word of length n; a window
+constraint says that for no i is the window of symbols at i + o (mod n), o
+in a fixed tuple of offsets, forbidden.  `cyclic_words` is the one
+enumerator of such words, over any alphabet: it backtracks and tests each
+window as soon as its last position is placed.  `satisfies` applies the
+same test to a whole word.  The cubical models in `cubical` are the
+p-periodic words of this kind over the alphabet of grid boxes.
+
+The basic examples here are the three-symbol shifts forbidding equal symbols
+at offset 1 (adjacent symbols differ) and at a general offset m.  Offsets
+are read modulo n, which in particular makes the offset-m constraint at
+period m a self-pair (so that shift has no m-periodic points at all).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BudgetExceeded, ValidationError
 from .fplinalg import is_prime
@@ -39,12 +46,55 @@ class Subshift:
                 raise ValidationError(f"forbidden pair ({a},{b}) outside alphabet")
         object.__setattr__(self, "forbidden", frozenset(self.forbidden))
 
-    def allows_cyclic(self, word: Word) -> bool:
-        n = len(word)
-        return all(
-            (word[i], word[(i + self.window) % n]) not in self.forbidden
-            for i in range(n)
-        )
+    @property
+    def offsets(self) -> tuple[int, int]:
+        return (0, self.window)
+
+
+def cyclic_words(alphabet, n: int, offsets, forbidden, budget: int) -> list[tuple]:
+    """Every length-n word over `alphabet` none of whose windows, the tuples
+    (word[(i + o) % n] for o in offsets) for each i, is forbidden(window), in
+    the lexicographic order of `alphabet`.  A window spans two or more
+    offsets.  Each window is tested as soon as its last position is placed;
+    every placed symbol counts against `budget`."""
+    if n < 1:
+        raise ValidationError("period must be >= 1")
+    if len(offsets) < 2:
+        raise ValidationError("a window needs two or more offsets")
+    closing: list[list[itemgetter]] = [[] for _ in range(n)]
+    for i in range(n):
+        window = [(i + o) % n for o in offsets]
+        closing[max(window)].append(itemgetter(*window))
+    found: list[tuple] = []
+    word = [None] * n
+    nodes = 0
+
+    def extend(i: int):
+        nonlocal nodes
+        if i == n:
+            found.append(tuple(word))
+            return
+        nodes += len(alphabet)
+        if nodes > budget:
+            raise BudgetExceeded(
+                f"enumeration of length-{n} words exceeded budget {budget}", count=nodes)
+        windows = closing[i]
+        for symbol in alphabet:
+            word[i] = symbol
+            for window in windows:
+                if forbidden(window(word)):
+                    break
+            else:
+                extend(i + 1)
+
+    extend(0)
+    return found
+
+
+def satisfies(word, offsets, forbidden) -> bool:
+    """The window test of `cyclic_words` on a whole word."""
+    n = len(word)
+    return not any(map(forbidden, zip(*(word[o % n:] + word[:o % n] for o in offsets))))
 
 
 def make_sigma_m(m: int, alphabet_size: int = 3) -> Subshift:
@@ -75,10 +125,11 @@ class PeriodicOrbitSet:
         pts = set(self.points)
         if len(pts) != len(self.points):
             raise ValidationError("duplicate periodic words")
+        offsets, forbidden = self.shift.offsets, self.shift.forbidden.__contains__
         for w in self.points:
             if len(w) != self.period:
                 raise ValidationError(f"word {w} has wrong length")
-            if not self.shift.allows_cyclic(w):
+            if not satisfies(w, offsets, forbidden):
                 raise ValidationError(f"word {w} violates the window constraint")
             if rotate(w) not in pts:
                 raise ValidationError(f"orbit of {w} not closed under rotation")
@@ -101,35 +152,9 @@ def periodic_points(shift: Subshift, n: int,
                     budget: int = DEFAULT_ENUM_BUDGET) -> PeriodicOrbitSet:
     """Complete enumeration of cyclic words of length n avoiding the
     forbidden pairs at the window offset taken mod n."""
-    if n < 1:
-        raise ValidationError("period must be >= 1")
-    pair_at = [(i, (i + shift.window) % n) for i in range(n)]
-    checks_when: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v in pair_at:
-        checks_when[max(u, v)].append((u, v))
-
-    found: list[Word] = []
-    word = [0] * n
-    nodes = 0
-
-    def extend(i: int):
-        nonlocal nodes
-        if i == n:
-            found.append(tuple(word))
-            return
-        for sym in range(1, shift.alphabet_size + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(
-                    f"periodic-point enumeration exceeded budget {budget}",
-                    count=nodes)
-            word[i] = sym
-            if all((word[u], word[v]) not in shift.forbidden for u, v in checks_when[i]):
-                extend(i + 1)
-        word[i] = 0
-
-    extend(0)
-    return PeriodicOrbitSet(shift, n, tuple(found))
+    words = cyclic_words(range(1, shift.alphabet_size + 1), n, shift.offsets,
+                         shift.forbidden.__contains__, budget)
+    return PeriodicOrbitSet(shift, n, tuple(words))
 
 
 def odd_period_witness(m: int) -> Word:
@@ -139,7 +164,8 @@ def odd_period_witness(m: int) -> Word:
         raise ValidationError(f"m={m} must be odd and >= 3")
     l = (m - 1) // 2
     word = (1, 2) * l + (3,)
-    if not make_sigma().allows_cyclic(word):
+    sigma = make_sigma()
+    if not satisfies(word, sigma.offsets, sigma.forbidden.__contains__):
         raise ValidationError("constructed word failed the cyclic check")
     return word
 

@@ -2,8 +2,9 @@
 
 Deliberately share no code with the library: ranks use dense row-echelon
 Gaussian elimination (the library uses sparse column reduction), periodic
-points come from brute force over all words, and geometric constraints are
-re-checked with Fraction arithmetic straight from the definitions.
+words and cubical cells come from brute force over all candidates (the
+library backtracks), and geometric constraints are re-checked with Fraction
+arithmetic straight from the definitions.
 """
 
 from fractions import Fraction
@@ -69,6 +70,80 @@ def brute_force_periodic(alphabet_size, window, forbidden, n):
     return words
 
 
+def brute_force_cyclic(alphabet, n, offsets, forbidden):
+    """Every length-n word over alphabet (in product order) none of whose
+    windows, the tuples (word[(i + o) % n] for o in offsets), one per start
+    i, is in the set `forbidden`."""
+    return [word for word in product(alphabet, repeat=n)
+            if all(tuple(word[(i + o) % n] for o in offsets) not in forbidden
+                   for i in range(n))]
+
+
+def grid_intervals(G, circle_valued):
+    """Axis intervals (lo, length) of the grid: points, then unit steps."""
+    if circle_valued:
+        return [(lo, ln) for lo in range(2 * G) for ln in (0, 1)]
+    return [(lo, 0) for lo in range(G + 1)] + [(lo, 1) for lo in range(G)]
+
+
+def brute_force_cells(p, N, G, circle_valued, cell_ok):
+    """Every p-tuple of N-axis boxes on the grid that passes cell_ok,
+    found by testing every candidate."""
+    boxes = list(product(grid_intervals(G, circle_valued), repeat=N))
+    return [cell for cell in product(boxes, repeat=p) if cell_ok(cell)]
+
+
+def _interval_gap(a, b, G):
+    """Distance between [lo, lo + ln] / G intervals, in Fractions."""
+    (alo, aln), (blo, bln) = a, b
+    lo_a, hi_a = Fraction(alo, G), Fraction(alo + aln, G)
+    lo_b, hi_b = Fraction(blo, G), Fraction(blo + bln, G)
+    return max(Fraction(0), lo_b - hi_a, lo_a - hi_b)
+
+
+def xm_cell_ok(cell, G, delta, offset):
+    """Boxes at cyclic offset `offset` are >= delta apart in Euclidean
+    distance at every pair of points, i.e. at their nearest points."""
+    p = len(cell)
+    for n in range(p):
+        a, b = cell[n], cell[(n + offset) % p]
+        if sum(_interval_gap(x, y, G) ** 2 for x, y in zip(a, b)) < delta * delta:
+            return False
+    return True
+
+
+def _arc_gap(a, b, G):
+    """Least circle distance between points of two arcs [lo, lo + ln] / G of
+    the circle of circumference 2: 0 if they meet, else the least distance
+    between endpoints."""
+    ends_a = [Fraction(a[0], G), Fraction(a[0] + a[1], G)]
+    ends_b = [Fraction(b[0], G), Fraction(b[0] + b[1], G)]
+
+    def inside(x, arc):
+        return (x - Fraction(arc[0], G)) % 2 <= Fraction(arc[1], G)
+
+    if any(inside(x, b) for x in ends_a) or any(inside(x, a) for x in ends_b):
+        return Fraction(0)
+    return min(circle_distance(x, y) for x in ends_a for y in ends_b)
+
+
+def circle_cell_ok(cell, G, kind):
+    """The consecutive-pair rule on whole cells: for Z the larger of the two
+    consecutive distances is >= 1/2 at every point; for Y it is identically
+    1, which needs two points at distance 1 (an arc of positive length moves
+    the distance)."""
+    p = len(cell)
+    arcs = [box[0] for box in cell]
+    for n in range(p):
+        pairs = ((arcs[n], arcs[(n + 1) % p]), (arcs[(n + 1) % p], arcs[(n + 2) % p]))
+        if kind == "Z":
+            if all(_arc_gap(x, y, G) < Fraction(1, 2) for x, y in pairs):
+                return False
+        elif not any(x[1] == 0 and y[1] == 0 and _arc_gap(x, y, G) == 1 for x, y in pairs):
+            return False
+    return True
+
+
 def cube_tuple_ok(values, delta, offset):
     """values: p-tuple of N-tuples of Fractions in [0,1]."""
     p = len(values)
@@ -97,6 +172,19 @@ def circle_pair_ok(values, kind):
                 return False
         else:
             if max(d1, d2) != 1:
+                return False
+    return True
+
+
+def cells_shift_closed_and_free(cells):
+    """True iff every power shift^a, 0 < a < p, of every p-tuple cell is
+    another cell of the family, with every power checked explicitly."""
+    family = set(cells)
+    for cell in family:
+        p = len(cell)
+        for a in range(1, p):
+            image = tuple(cell[(n + a) % p] for n in range(p))
+            if image == cell or image not in family:
                 return False
     return True
 

@@ -164,13 +164,43 @@ class TestExitCodes:
                      "simplices": [[0], [1], [2]]})),
         (["marker-check", "--N", "1", "--U", "0", "--system"],
          json.dumps({"points": 2, "metric": [["0", "x"], ["x", "0"]], "T": [1, 0]})),
-    ], ids=["not-json", "string-prime", "non-rational-metric"])
+        (["marker-check", "--N", "1", "--U", "0", "--system"],
+         json.dumps({"points": 2, "metric": [["0", "1"], ["1", "0"]], "T": ["a", 0]})),
+    ], ids=["not-json", "string-prime", "non-rational-metric", "non-integer-T"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.json"
         path.write_text(text, encoding="utf-8")
         code = main(argv + [str(path)])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("argv,w_json,needle", [
+        ("coind --space Xm --delta x --target 0", None, "'x'"),
+        ("ind --space Xm --delta 1/0 --target 0", None, "'1/0'"),
+        ("config-space --space Xm --delta x", None, "'x'"),
+        ("cubical-homology --space Xm --delta 1/0 --coeff 2", None, "'1/0'"),
+        ("relabel --N 1 --delta x --m 2 --p 3 --grid 3 --l 2", None, "'x'"),
+        ("eps-embed --system {d}/sys.json --eps x", None, "'x'"),
+        ("phi --system {d}/sys.json --M 2 --w-json {d}/w.json",
+         {"0": "x", "1": "0", "2": "0", "3": "0"}, "'x'"),
+        ("phi --system {d}/sys.json --M 2 --w-json {d}/w.json",
+         {"0": "1", "1": "0", "2": "0"}, "'3'"),
+        ("phi --system {d}/sys.json --M 2 --w-indicator 0,x", None, "'0,x'"),
+        ("marker-check --system {d}/sys.json --N 1 --U 0,x", None, "'0,x'"),
+        ("periodic --shift sigma --n 3,x", None, "'3,x'"),
+        ("obstruction-report --p-list 2,x", None, "'2,x'"),
+    ], ids=["coind-delta", "ind-delta-zero-denominator", "config-space-delta",
+            "cubical-homology-delta-zero-denominator", "relabel-delta", "eps",
+            "w-json-value", "w-json-missing-point", "w-indicator", "U", "periods",
+            "p-list"])
+    def test_malformed_argument_is_2(self, tmp_path, capsys, argv, w_json, needle):
+        write_system(tmp_path / "sys.json", 4)
+        if w_json is not None:
+            (tmp_path / "w.json").write_text(json.dumps(w_json), encoding="utf-8")
+        code = main(argv.format(d=tmp_path).split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error") and needle in err
 
     def test_unknown_subcommand_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -224,6 +254,15 @@ FROZEN = {
     "relabel": (
         "relabel --N 1 --delta 1/3 --m 2 --p 3 --grid 3 --l 2",
         "9a8192b2a635109e4f02151405c8aa9651b502905308e088a677a7402d236c10"),
+    "cubical-homology-y": (
+        "cubical-homology --space Y --p 5 --grid 3 --coeff 5",
+        "442b33c02ff619691fe1d8b2b118b6b0bae774ee7b45458c8c18b6c2b5272e33"),
+    "config-space-xm-n2": (
+        "config-space --space Xm --N 2 --p 2 --grid 2 --delta 1/2 --coeff 2",
+        "39f5951cbb319547d66f9af3e9ad0a0937d9d1e62ab8a04ceb6ad9c2eb2bbbcf"),
+    "cubical-homology-xm-m2": (
+        "cubical-homology --space Xm --N 1 --p 5 --grid 3 --delta 1/3 --m 2 --coeff 5",
+        "5ec4d74f59023535b260f53fa5c9319d4c1268c8443eaea0c6bcc8d87dead22b"),
 }
 
 

@@ -3,8 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import circle_pair_ok, cube_tuple_ok
+from oracles import (
+    brute_force_cells,
+    cells_shift_closed_and_free,
+    circle_cell_ok,
+    circle_pair_ok,
+    cube_tuple_ok,
+    xm_cell_ok,
+)
 from zpindex.certificates import ambient_sphere_bound, coindex_lower, index_upper_from_dimension
 from zpindex.cubical import (
     CubicalZpComplex,
@@ -13,6 +22,7 @@ from zpindex.cubical import (
     build_pp_xm,
     build_pp_yz,
     cell_dim,
+    close_cells,
     cubical_homology,
     cubical_to_simplicial,
     relabel_isomorphism,
@@ -318,3 +328,56 @@ class TestDeskScaleLinearGrowth:
         assert not cx.is_empty()
         cert = ambient_sphere_bound(1, p)
         assert cert.value <= p - 2
+
+
+class TestEnumerationProperties:
+    """The built cell set equals brute force over every candidate cell."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2), st.sampled_from([2, 3, 5]), st.integers(1, 3),
+           st.integers(1, 3), st.sampled_from([Fraction(1, 4), Fraction(1, 3),
+                                               Fraction(1, 2), Fraction(3, 5), Fraction(1)]))
+    def test_xm_matches_brute_force(self, N, p, G, m, delta):
+        assume((2 * G + 1) ** (p * N) <= 5000)
+        cx = build_pp_xm(N, delta, m, p, GridSpec(N, G))
+        expected = brute_force_cells(p, N, G, False, lambda c: xm_cell_ok(c, G, delta, m))
+        assert list(cx.cells) == sorted(expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["Y", "Z"]), st.sampled_from([2, 3, 5]), st.integers(1, 3))
+    def test_yz_matches_brute_force(self, kind, p, G):
+        assume((4 * G) ** p <= 5000)
+        cx = build_pp_yz(kind, p, GridSpec(1, G, circle_valued=True))
+        expected = brute_force_cells(p, 1, G, True, lambda c: circle_cell_ok(c, G, kind))
+        assert list(cx.cells) == sorted(expected)
+
+
+class AnyCell:
+    """A constraint every cell passes, so that validation turns on the
+    shift structure alone."""
+
+    offsets = (0, 1)
+
+    def forbidden_test(self, grid):
+        return lambda window: False
+
+
+class TestValidationProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.data())
+    def test_generator_check_matches_all_powers(self, p, G, data):
+        grid = GridSpec(1, G)
+        boxes = st.sampled_from([(iv,) for iv in grid.axis_intervals()])
+        seeds = data.draw(st.lists(st.tuples(*[boxes] * p), min_size=1, max_size=3))
+        cells = set()
+        for cell in seeds:
+            powers = data.draw(st.sets(st.integers(0, p - 1)))
+            cells.update(shift_cell(cell, a) for a in powers | {0})
+        cells = close_cells(cells, grid)
+        try:
+            CubicalZpComplex(p, grid, AnyCell(), cells)
+            accepted = True
+        except ValidationError as exc:
+            assert "shift" in str(exc)
+            accepted = False
+        assert accepted == cells_shift_closed_and_free(cells)

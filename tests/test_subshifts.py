@@ -1,11 +1,16 @@
-import pytest
+import itertools
 
-from oracles import brute_force_periodic
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_force_cyclic, brute_force_periodic
 from zpindex.errors import BudgetExceeded, ValidationError
 from zpindex.simplicial import homology
 from zpindex.subshifts import (
     PeriodicOrbitSet,
     as_free_zp_complex,
+    cyclic_words,
     join_periodic_sets,
     join_power,
     make_sigma,
@@ -14,6 +19,7 @@ from zpindex.subshifts import (
     periodic_points,
     periodic_table,
     rotate,
+    satisfies,
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13]
@@ -82,7 +88,7 @@ class TestOddWitness:
     def test_construction(self, m, expected):
         word = odd_period_witness(m)
         assert word == expected
-        assert make_sigma().allows_cyclic(word)
+        assert satisfies(word, make_sigma().offsets, make_sigma().forbidden.__contains__)
         assert word in periodic_points(make_sigma(), m).points
 
     @pytest.mark.parametrize("bad", [1, 2, 4, 6])
@@ -155,6 +161,33 @@ class TestRotation:
     def test_validation_catches_bad_word(self):
         with pytest.raises(ValidationError):
             PeriodicOrbitSet(make_sigma(), 2, ((1, 1), (1, 2), (2, 1)))
+
+
+@st.composite
+def window_problems(draw):
+    """(alphabet, n, offsets, forbidden windows) with at most 4^6 words."""
+    alphabet = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 6))
+    offsets = tuple(draw(st.lists(st.integers(0, 8), min_size=2, max_size=3)))
+    windows = st.tuples(*[st.sampled_from(alphabet)] * len(offsets))
+    forbidden = draw(st.frozensets(windows, max_size=2 * len(alphabet)))
+    return alphabet, n, offsets, forbidden
+
+
+class TestEnumerator:
+    @settings(max_examples=200, deadline=None)
+    @given(window_problems())
+    def test_matches_brute_force(self, problem):
+        alphabet, n, offsets, forbidden = problem
+        expected = brute_force_cyclic(alphabet, n, offsets, forbidden)
+        test = forbidden.__contains__
+        assert cyclic_words(alphabet, n, offsets, test, budget=10 ** 6) == expected
+        assert [w for w in itertools.product(alphabet, repeat=n)
+                if satisfies(w, offsets, test)] == expected
+
+    def test_window_needs_two_offsets(self):
+        with pytest.raises(ValidationError):
+            cyclic_words([1, 2], 3, (1,), frozenset().__contains__, budget=100)
 
 
 class TestTable:
