@@ -24,7 +24,6 @@ from .simplicial import (
     INFINITE_CONNECTIVITY,
     FreeZpComplex,
     HomologyProfile,
-    ZpAction,
     barycentric_subdivide,
     complex_from_json_dict,
     complex_to_json_dict,
@@ -332,16 +331,12 @@ def iterate_action_coindex(cert: IndexCertificate, a: int) -> IndexCertificate:
     if cert.kind != "map_witness" or cert.bound_type != "coind_lower":
         raise ValidationError("action-power transport needs a coind_lower map witness")
     wit: EquivariantMap = cert.evidence
-    p = wit.source.p
-    if not 1 <= a <= p - 1:
-        raise ValidationError(f"power a={a} outside 1..p-1")
-    src_a = FreeZpComplex(wit.source.complex, ZpAction(p, wit.source.action.power(a)))
-    tgt_a = FreeZpComplex(wit.target.complex, ZpAction(p, wit.target.action.power(a)))
+    src_a = wit.source.with_action_power(a)
+    tgt_a = wit.target.with_action_power(a)
     transported = EquivariantMap(src_a, tgt_a, wit.vertex_map)
-    b = pow(a, -1, p)
-    src_back = FreeZpComplex(src_a.complex, ZpAction(p, src_a.action.power(b)))
-    tgt_back = FreeZpComplex(tgt_a.complex, ZpAction(p, tgt_a.action.power(b)))
-    EquivariantMap(src_back, tgt_back, wit.vertex_map)  # round trip revalidates
+    b = pow(a, -1, wit.source.p)
+    # round trip revalidates
+    EquivariantMap(src_a.with_action_power(b), tgt_a.with_action_power(b), wit.vertex_map)
     return IndexCertificate(
         "map_witness", "coind_lower", cert.value, transported,
         cert.subdivision_depth, content_key(tgt_a))
@@ -465,3 +460,5 @@ def certificate_from_json_dict(data: dict) -> IndexCertificate:
             data["depth"], data.get("space", ""))
     except KeyError as exc:
         raise ValidationError(f"malformed certificate JSON: missing {exc}") from exc
+    except TypeError as exc:
+        raise ValidationError(f"malformed certificate JSON: {exc}") from exc

@@ -152,6 +152,8 @@ def cmd_join(args):
 
 
 def cmd_subdivide(args):
+    if args.depth < 0:
+        raise ValidationError(f"subdivision depth {args.depth} must be nonnegative")
     x = _load_complex(args.input)
     for _ in range(args.depth):
         x = barycentric_subdivide(x)
@@ -294,7 +296,11 @@ def cmd_obstruction_report(args):
     for side, paths, sink in (("X", args.x_cert, x_certs), ("Z", args.z_cert, z_certs)):
         for path in paths or ():
             data = _load_json(path)
-            cert_data = data["result"]["certificate"] if "result" in data else data
+            try:
+                cert_data = data["result"]["certificate"] if "result" in data else data
+            except (KeyError, TypeError) as exc:
+                raise ValidationError(
+                    f"{path} is neither a certificate nor a coind/ind artifact: {exc!r}") from exc
             cert = certificate_from_json_dict(cert_data)
             p = _prime_of_cert(data, cert)
             sink.setdefault(p, []).append(cert)
@@ -465,13 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _manifest_to_argv(manifest: dict) -> list[str]:
-    try:
-        sub = manifest["subcommand"]
-        params = manifest.get("params", {})
-    except TypeError as exc:
-        raise ValidationError(f"malformed manifest: {exc}") from exc
-    if sub not in HANDLERS:
+    if not isinstance(manifest, dict):
+        raise ValidationError("malformed manifest: expected a JSON object")
+    sub = manifest.get("subcommand")
+    params = manifest.get("params", {})
+    if not isinstance(sub, str) or sub not in HANDLERS:
         raise ValidationError(f"unknown subcommand {sub!r}")
+    if not isinstance(params, dict):
+        raise ValidationError(f"malformed manifest: params must be an object, got {params!r}")
     argv = [sub]
     for key in sorted(params):
         value = params[key]

@@ -92,6 +92,8 @@ class FiniteDynSys:
             raise ValidationError(f"malformed system JSON: {exc}") from exc
         if not sizes_agree:
             raise ValidationError("points count disagrees with metric/T size")
+        if not all(isinstance(row, list) for row in metric):
+            raise ValidationError("malformed system JSON: metric rows must be lists")
         return cls(metric, T)
 
     def to_json_dict(self) -> dict:
@@ -311,12 +313,7 @@ def lindenstrauss_phi(sys: FiniteDynSys, w, M: int,
         hypotheses["E_in_TinvU"] = E <= frozenset(sys.T_inv[u] for u in U)
         if N is not None:
             hypotheses["U_no_return"] = check_marker(sys, N, U).return_times_ok
-            e_ok = True
-            for k in range(1, N + 1):
-                if E & {sys.iterate(x, -k) for x in E}:
-                    e_ok = False
-                    break
-            hypotheses["E_no_return"] = e_ok
+            hypotheses["E_no_return"] = check_marker(sys, N, E).return_times_ok
     return StoppingTimeResult(M, tuple(phi), E, tuple(mass), hypotheses)
 
 

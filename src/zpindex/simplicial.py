@@ -39,27 +39,20 @@ class SimplicialComplex:
 
     @classmethod
     def from_simplices(cls, vertex_count: int, simplices) -> "SimplicialComplex":
-        """Build the downward closure of an arbitrary simplex family."""
-        closed: set[Simplex] = set()
-        stack = [tuple(sorted(set(s))) for s in simplices]
-        for s in stack:
+        """Build the downward closure of an arbitrary simplex family: group
+        the simplices by dimension, then from the top down add the facets
+        of each level to the level below."""
+        levels: list[set[Simplex]] = []
+        for s in simplices:
+            s = tuple(sorted(set(s)))
             if not s:
                 raise ValidationError("empty vertex tuple is not a simplex")
-        while stack:
-            s = stack.pop()
-            if s in closed:
-                continue
-            closed.add(s)
-            if len(s) > 1:
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    if face not in closed:
-                        stack.append(face)
-        if not closed:
-            return cls(vertex_count, ())
-        top = max(len(s) for s in closed) - 1
-        by_dim = [sorted(s for s in closed if len(s) == d + 1) for d in range(top + 1)]
-        return cls(vertex_count, by_dim)
+            while len(levels) < len(s):
+                levels.append(set())
+            levels[len(s) - 1].add(s)
+        for d in range(len(levels) - 1, 0, -1):
+            levels[d - 1].update(s[:i] + s[i + 1:] for s in levels[d] for i in range(d + 1))
+        return cls(vertex_count, [sorted(level) for level in levels])
 
     def _validate(self):
         seen: set[Simplex] = set()
@@ -105,23 +98,14 @@ class SimplicialComplex:
         return sum((-1) ** d * len(level) for d, level in enumerate(self.by_dim))
 
     def maximal_simplices(self) -> list[Simplex]:
+        """Simplices that are no facet of a simplex one dimension up (so, the
+        complex being downward closed, no proper face of any simplex), in
+        (dimension, lexicographic) order."""
         maximal = []
-        for d, level in enumerate(self.by_dim):
-            if d == self.dim:
-                maximal.extend(level)
-                continue
-            above = set(self.by_dim[d + 1])
-            for s in level:
-                is_face = False
-                for v in range(self.vertex_count):
-                    if v in s:
-                        continue
-                    if tuple(sorted(s + (v,))) in above:
-                        is_face = True
-                        break
-                if not is_face:
-                    maximal.append(s)
-        return sorted(maximal, key=lambda s: (len(s), s))
+        for level, above in zip(self.by_dim, self.by_dim[1:] + ((),)):
+            facets = {s[:i] + s[i + 1:] for s in above for i in range(len(s))}
+            maximal.extend(s for s in level if s not in facets)
+        return maximal
 
     def connected_components(self) -> int:
         """Number of connected components of the underlying 1-skeleton."""

@@ -3,12 +3,14 @@
 Deliberately share no code with the library: ranks use dense row-echelon
 Gaussian elimination (the library uses sparse column reduction), periodic
 words and cubical cells come from brute force over all candidates (the
-library backtracks), and geometric constraints are re-checked with Fraction
-arithmetic straight from the definitions.
+library backtracks), simplicial closures and maximal simplices come from
+all subsets and all pairs (the library walks facets level by level), and
+geometric constraints are re-checked with Fraction arithmetic straight from
+the definitions.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def dense_fp_rank(rows, p):
@@ -198,3 +200,22 @@ def fixed_by_some_power(perm, p, simplices):
         if any({power[v] for v in s} == set(s) for s in simplices):
             return True
     return False
+
+
+def brute_force_closure(simplices):
+    """Every nonempty subset of every simplex (vertex collections), as a set
+    of sorted tuples."""
+    closure = set()
+    for s in simplices:
+        vertices = sorted(set(s))
+        for r in range(1, len(vertices) + 1):
+            closure.update(combinations(vertices, r))
+    return closure
+
+
+def brute_force_maximal(simplices):
+    """The simplices of the family that lie in no strictly larger member,
+    compared as vertex sets, in (dimension, lexicographic) order."""
+    family = [frozenset(s) for s in simplices]
+    maximal = [s for s in family if not any(s < t for t in family)]
+    return sorted((tuple(sorted(s)) for s in maximal), key=lambda s: (len(s), s))

@@ -166,7 +166,21 @@ class TestExitCodes:
          json.dumps({"points": 2, "metric": [["0", "x"], ["x", "0"]], "T": [1, 0]})),
         (["marker-check", "--N", "1", "--U", "0", "--system"],
          json.dumps({"points": 2, "metric": [["0", "1"], ["1", "0"]], "T": ["a", 0]})),
-    ], ids=["not-json", "string-prime", "non-rational-metric", "non-integer-T"])
+        (["marker-check", "--N", "1", "--U", "0", "--system"],
+         json.dumps({"points": 1, "metric": [0], "T": [0]})),
+        (["run", "--manifest"], json.dumps({})),
+        (["run", "--manifest"], json.dumps({"subcommand": "enzp", "params": ["n"]})),
+        (["obstruction-report", "--p-list", "3", "--x-cert"], json.dumps([])),
+        (["obstruction-report", "--p-list", "3", "--x-cert"],
+         json.dumps({"kind": "connectivity_bound", "bound_type": "ind_lower", "value": 1,
+                     "depth": 0, "evidence": {"type": "homology", "p": 3, "betti": 1,
+                                              "reduced": True, "connectivity": 0}})),
+        (["obstruction-report", "--p-list", "3", "--x-cert"],
+         json.dumps({"provenance": {"subcommand": "cubical-homology"},
+                     "result": {"cells": 6, "homology": {"betti": [6]}}})),
+    ], ids=["not-json", "string-prime", "non-rational-metric", "non-integer-T",
+            "non-list-metric-row", "manifest-without-subcommand", "manifest-params-list",
+            "certificate-list", "certificate-betti-not-list", "artifact-without-certificate"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.json"
         path.write_text(text, encoding="utf-8")
@@ -189,12 +203,14 @@ class TestExitCodes:
         ("marker-check --system {d}/sys.json --N 1 --U 0,x", None, "'0,x'"),
         ("periodic --shift sigma --n 3,x", None, "'3,x'"),
         ("obstruction-report --p-list 2,x", None, "'2,x'"),
+        ("subdivide --input {d}/e0p2.json --depth -1", None, "depth -1"),
     ], ids=["coind-delta", "ind-delta-zero-denominator", "config-space-delta",
             "cubical-homology-delta-zero-denominator", "relabel-delta", "eps",
             "w-json-value", "w-json-missing-point", "w-indicator", "U", "periods",
-            "p-list"])
+            "p-list", "subdivide-depth"])
     def test_malformed_argument_is_2(self, tmp_path, capsys, argv, w_json, needle):
         write_system(tmp_path / "sys.json", 4)
+        (tmp_path / "e0p2.json").write_text(json.dumps(E0P2), encoding="utf-8")
         if w_json is not None:
             (tmp_path / "w.json").write_text(json.dumps(w_json), encoding="utf-8")
         code = main(argv.format(d=tmp_path).split())

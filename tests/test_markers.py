@@ -186,6 +186,15 @@ class TestStoppingTime:
         assert res.hypotheses["mass_ok"]
         assert res.hypotheses["supp_w_in_U"]
 
+    def test_e_returning_within_n(self):
+        # w = 1 on K = {0, 4} of Z_12: E = T^{-1}K = {3, 11}, and T^4(11) = 3
+        sys_ = cycle_system(12)
+        w = [F(1) if x in (0, 4) else F(0) for x in range(12)]
+        for N, no_return in ((3, True), (4, False)):
+            res = lindenstrauss_phi(sys_, w, 11, U={0, 4}, N=N)
+            assert res.E == frozenset({3, 11})
+            assert res.hypotheses["E_no_return"] is no_return
+
     def test_additivity_off_E(self):
         rng = random.Random(5)
         for trial in range(10):

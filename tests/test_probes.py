@@ -1,15 +1,21 @@
 """The benchmark's probes (perfbench/probes.py) wrap program functions at
 module and class attributes.  A renamed or moved function would otherwise
-only show when a traced benchmark run fails."""
+only show when a traced benchmark run fails.  The benchmark's set-up
+(perfbench/jobs.py) writes its input complexes with its own copy of the
+maximal-simplex walk, which must keep matching the CLI's JSON form."""
 
 import importlib.util
 from pathlib import Path
 
-PROBES_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
+import pytest
+
+from zpindex.simplicial import complex_to_json_dict
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_probes():
-    spec = importlib.util.spec_from_file_location("perfbench_probes", PROBES_PATH)
+def load_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -20,7 +26,7 @@ def current(owner, attr):
 
 
 def test_probes_attach_and_restore():
-    probes = load_probes()
+    probes = load_module("probes")
     missing = [f"{owner.__name__}.{attr}" for _, owner, attr, _ in probes.PROBES
                if not hasattr(owner, attr)]
     assert not missing
@@ -34,3 +40,13 @@ def test_probes_attach_and_restore():
         tracer.uninstall()
     for (_, owner, attr, _), raw in zip(probes.PROBES, before):
         assert current(owner, attr) is raw
+
+
+JOBS = load_module("jobs")
+
+
+@pytest.mark.parametrize("workload,name", [
+    (workload, name) for workload in ("refute", "topology") for name in JOBS.INPUTS[workload]])
+def test_benchmark_inputs_are_cli_json(workload, name):
+    x = JOBS.INPUTS[workload][name]()
+    assert JOBS.complex_file_dict(x, None) == complex_to_json_dict(x)

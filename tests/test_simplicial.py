@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import betti_by_elimination, fixed_by_some_power
+from oracles import (
+    betti_by_elimination,
+    brute_force_closure,
+    brute_force_maximal,
+    fixed_by_some_power,
+)
 from zpindex.errors import ValidationError
 from zpindex.simplicial import (
     FreeZpComplex,
@@ -287,3 +292,33 @@ class TestActionProperties:
             assert "not free" in str(exc)
             rejected = True
         assert rejected == expect_fixed
+
+
+@st.composite
+def simplex_families(draw):
+    """(n, family): up to 8 vertex lists on n <= 7 vertices, each unsorted
+    and possibly repeating a vertex."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    family = draw(st.lists(st.lists(vertex, min_size=1, max_size=n + 1), max_size=8))
+    return n, family
+
+
+class TestFaceRelationProperties:
+    @given(simplex_families())
+    def test_closure_matches_brute_force(self, n_family):
+        n, family = n_family
+        cx = SimplicialComplex.from_simplices(n, family)
+        assert cx.simplex_set() == brute_force_closure(family)
+
+    @given(simplex_families())
+    def test_maximal_matches_brute_force(self, n_family):
+        n, family = n_family
+        cx = SimplicialComplex.from_simplices(n, family)
+        assert cx.maximal_simplices() == brute_force_maximal(cx.simplices())
+
+    @given(simplex_families())
+    def test_maximal_simplices_close_back(self, n_family):
+        n, family = n_family
+        cx = SimplicialComplex.from_simplices(n, family)
+        assert SimplicialComplex.from_simplices(n, cx.maximal_simplices()) == cx
