@@ -94,6 +94,8 @@ def _build_space(args):
         x = e_n_zp(args.n, args.p)
         return x, {"space": "enzp", "n": args.n, "p": args.p}
     if name == "file":
+        if args.input is None:
+            raise ValidationError("--space file needs --input")
         x = _load_complex(args.input)
         return x, {"space": "file", "input": args.input}
     if name in ("Xm", "Y", "Z"):
@@ -372,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=2)
         p.add_argument("--input", help="complex JSON for --space file")
         p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
-                       help="most boxes the cell enumerator may place")
+                       help="most boxes the cell enumerator may try, plus p per cell it emits")
         if with_target:
             p.add_argument("--target", type=int, required=True)
             p.add_argument("--depth", type=int, default=0)
@@ -437,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
-                   help="most boxes the cell enumerator may place")
+                   help="most boxes the cell enumerator may try, plus p per cell it emits")
 
     p = add("marker-check", help="no-quick-return and covering flags")
     p.add_argument("--system", required=True)

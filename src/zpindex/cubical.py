@@ -156,7 +156,7 @@ def cell_faces(cell: Cell, grid: GridSpec) -> list[Cell]:
         for axis, (lo, ln) in enumerate(box):
             if ln == 0:
                 continue
-            hi = (lo + 1) % two_g if grid.circle_valued else lo + 1
+            hi = (lo + 1) % (2 * grid.G) if grid.circle_valued else lo + 1
             for pos in (hi, lo):
                 nb = list(box)
                 nb[axis] = (pos, 0)
@@ -287,59 +287,39 @@ def cubical_homology(cx: CubicalZpComplex, p_coeff: int,
 # (one simplex per ordering of its unit axes).  The decomposition is defined
 # per cell from its own intervals, restricts to the same rule on faces, and
 # is permuted into itself by the cyclic shift, so the action stays simplicial
-# and free and the geometric realization is unchanged.
+# and free and the geometric realization is unchanged.  Since it restricts to
+# faces, only the maximal cells are walked; `from_simplices` supplies the
+# simplices of the lower cells as faces.
 
-def _corner(cell: Cell, bumped: frozenset, grid: GridSpec) -> Cell:
-    two_g = 2 * grid.G
-    out = []
-    for n, box in enumerate(cell):
-        nb = []
-        for axis, (lo, ln) in enumerate(box):
-            if ln == 1 and (n, axis) in bumped:
-                pos = (lo + 1) % two_g if grid.circle_valued else lo + 1
-            else:
-                pos = lo
-            nb.append((pos, 0))
-        out.append(tuple(nb))
-    return tuple(out)
-
-
-def triangulate_cells(cx: CubicalZpComplex) -> tuple[SimplicialComplex, list[Cell]]:
-    """Triangulation only; returns the complex and the vertex-cell order."""
-    if cx.grid.circle_valued and cx.grid.G < 2:
+def cubical_to_simplicial(cx: CubicalZpComplex) -> FreeZpComplex:
+    """The corner-path triangulation, vertices numbered by the sorted 0-cells,
+    with the cyclic shift as the action."""
+    grid = cx.grid
+    if grid.circle_valued and grid.G < 2:
         raise ValidationError("circle triangulation needs G >= 2 (distinct arc endpoints)")
     verts = cx.vertex_cells()
     index = {v: i for i, v in enumerate(verts)}
-    if not verts:
-        return SimplicialComplex(0, ()), []
-    tops = set()
+    faces = {face for cell in cx.cells for face in cell_faces(cell, grid)}
+    tops = []
     for cell in cx.cells:
-        unit_slots = [(n, axis)
-                      for n, box in enumerate(cell)
-                      for axis, (lo, ln) in enumerate(box) if ln == 1]
-        if not unit_slots:
-            tops.add((index[cell],))
+        if cell in faces:
             continue
-        for order in itertools.permutations(unit_slots):
-            bumped: set = set()
-            path = [index[_corner(cell, frozenset(), cx.grid)]]
-            for slot in order:
-                bumped.add(slot)
-                path.append(index[_corner(cell, frozenset(bumped), cx.grid)])
-            simplex = tuple(sorted(path))
-            if len(set(simplex)) != len(unit_slots) + 1:
+        low = [tuple((lo, 0) for lo, _ in box) for box in cell]
+        raises = [(n, axis, (lo + 1) % (2 * grid.G) if grid.circle_valued else lo + 1)
+                  for n, box in enumerate(cell)
+                  for axis, (lo, ln) in enumerate(box) if ln == 1]
+        for order in itertools.permutations(raises):
+            corner = low[:]
+            path = [index[tuple(corner)]]
+            for n, axis, hi in order:
+                corner[n] = corner[n][:axis] + ((hi, 0),) + corner[n][axis + 1:]
+                path.append(index[tuple(corner)])
+            if len(set(path)) != len(path):
                 raise ValidationError("degenerate corner path; refine the grid")
-            tops.add(simplex)
-    return SimplicialComplex.from_simplices(len(verts), sorted(tops)), verts
-
-
-def cubical_to_simplicial(cx: CubicalZpComplex) -> FreeZpComplex:
-    complex_, verts = triangulate_cells(cx)
-    if not verts:
-        return FreeZpComplex(SimplicialComplex(0, ()), ZpAction(cx.p, ()))
-    index = {v: i for i, v in enumerate(verts)}
+            tops.append(path)
     perm = tuple(index[shift_cell(v)] for v in verts)
-    return FreeZpComplex(complex_, ZpAction(cx.p, perm))
+    return FreeZpComplex(SimplicialComplex.from_simplices(len(verts), tops),
+                         ZpAction(cx.p, perm))
 
 
 def close_cells(cells, grid: GridSpec):

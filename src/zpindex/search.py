@@ -28,6 +28,8 @@ def find_equivariant_vertex_map(
     """
     if source.p != target.p:
         raise ValidationError(f"mismatched primes {source.p} != {target.p}")
+    if budget < 0:
+        raise ValidationError(f"budget {budget} must be nonnegative")
     p = source.p
     if source.is_empty():
         return (), 0

@@ -55,39 +55,46 @@ def cyclic_words(alphabet, n: int, offsets, forbidden, budget: int) -> list[tupl
     """Every length-n word over `alphabet` none of whose windows, the tuples
     (word[(i + o) % n] for o in offsets) for each i, is forbidden(window), in
     the lexicographic order of `alphabet`.  A window spans two or more
-    offsets.  Each window is tested as soon as its last position is placed;
-    every placed symbol counts against `budget`."""
+    offsets.  The words are built by backtracking, and each window is tested
+    as soon as its last position is placed.  Each position entered counts
+    len(alphabet) against `budget`, and each word found counts its n symbols."""
     if n < 1:
         raise ValidationError("period must be >= 1")
     if len(offsets) < 2:
         raise ValidationError("a window needs two or more offsets")
+    if budget < 0:
+        raise ValidationError(f"budget {budget} must be nonnegative")
     closing: list[list[itemgetter]] = [[] for _ in range(n)]
     for i in range(n):
         window = [(i + o) % n for o in offsets]
         closing[max(window)].append(itemgetter(*window))
+    symbols = tuple(alphabet)
+    size = len(symbols)
     found: list[tuple] = []
     word = [None] * n
-    nodes = 0
-
-    def extend(i: int):
-        nonlocal nodes
-        if i == n:
-            found.append(tuple(word))
-            return
-        nodes += len(alphabet)
+    tried = [0] * n  # tried[i]: how many symbols position i has taken so far
+    i, nodes = 0, size
+    while i >= 0:
         if nodes > budget:
             raise BudgetExceeded(
                 f"enumeration of length-{n} words exceeded budget {budget}", count=nodes)
-        windows = closing[i]
-        for symbol in alphabet:
-            word[i] = symbol
-            for window in windows:
-                if forbidden(window(word)):
-                    break
+        k = tried[i]
+        if k == size:
+            i -= 1
+            continue
+        tried[i] = k + 1
+        word[i] = symbols[k]
+        for window in closing[i]:
+            if forbidden(window(word)):
+                break
+        else:
+            if i == n - 1:
+                found.append(tuple(word))
+                nodes += n
             else:
-                extend(i + 1)
-
-    extend(0)
+                i += 1
+                tried[i] = 0
+                nodes += size
     return found
 
 

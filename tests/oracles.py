@@ -4,13 +4,15 @@ Deliberately share no code with the library: ranks use dense row-echelon
 Gaussian elimination (the library uses sparse column reduction), periodic
 words and cubical cells come from brute force over all candidates (the
 library backtracks), simplicial closures and maximal simplices come from
-all subsets and all pairs (the library walks facets level by level), and
-geometric constraints are re-checked with Fraction arithmetic straight from
-the definitions.
+all subsets and all pairs (the library walks facets level by level), the
+triangulation of a cubical complex walks every cell with every corner built
+from scratch (the library walks maximal cells, moving one corner per step),
+and geometric constraints are re-checked with Fraction arithmetic straight
+from the definitions.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 
 def dense_fp_rank(rows, p):
@@ -219,3 +221,32 @@ def brute_force_maximal(simplices):
     family = [frozenset(s) for s in simplices]
     maximal = [s for s in family if not any(s < t for t in family)]
     return sorted((tuple(sorted(s)) for s in maximal), key=lambda s: (len(s), s))
+
+
+def brute_force_triangulation(cx):
+    """The corner-path triangulation of a cubical complex: for every cell
+    (not only the maximal ones) and every ordering of its unit slots, the
+    path of corners that raises the first r slots of the ordering, r = 0..k,
+    each corner built from scratch; closed by all subsets.  Vertices are the
+    0-cells in sorted order.  Returns (set of sorted simplices, shift
+    permutation of the vertices)."""
+    two_g = 2 * cx.grid.G
+    verts = sorted(c for c in cx.cells if all(ln == 0 for box in c for _, ln in box))
+    index = {v: i for i, v in enumerate(verts)}
+
+    def corner(cell, raised):
+        return tuple(
+            tuple(((lo + 1) % two_g if cx.grid.circle_valued else lo + 1, 0)
+                  if (n, axis) in raised else (lo, 0)
+                  for axis, (lo, _) in enumerate(box))
+            for n, box in enumerate(cell))
+
+    paths = []
+    for cell in cx.cells:
+        slots = [(n, axis) for n, box in enumerate(cell)
+                 for axis, (_, ln) in enumerate(box) if ln == 1]
+        for order in permutations(slots):
+            paths.append([index[corner(cell, set(order[:r]))]
+                          for r in range(len(order) + 1)])
+    perm = tuple(index[v[1:] + v[:1]] for v in verts)
+    return brute_force_closure(paths), perm

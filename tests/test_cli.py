@@ -204,10 +204,15 @@ class TestExitCodes:
         ("periodic --shift sigma --n 3,x", None, "'3,x'"),
         ("obstruction-report --p-list 2,x", None, "'2,x'"),
         ("subdivide --input {d}/e0p2.json --depth -1", None, "depth -1"),
+        ("search-map --source {d}/e0p2.json --target {d}/e0p2.json --budget -1", None,
+         "budget -1"),
+        ("cubical-homology --space Xm --coeff 2 --cell-budget -1", None, "budget -1"),
+        ("coind --space file --target 0", None, "--input"),
     ], ids=["coind-delta", "ind-delta-zero-denominator", "config-space-delta",
             "cubical-homology-delta-zero-denominator", "relabel-delta", "eps",
             "w-json-value", "w-json-missing-point", "w-indicator", "U", "periods",
-            "p-list", "subdivide-depth"])
+            "p-list", "subdivide-depth", "search-map-budget", "cell-budget",
+            "file-space-without-input"])
     def test_malformed_argument_is_2(self, tmp_path, capsys, argv, w_json, needle):
         write_system(tmp_path / "sys.json", 4)
         (tmp_path / "e0p2.json").write_text(json.dumps(E0P2), encoding="utf-8")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_force_cells,
+    brute_force_triangulation,
     cells_shift_closed_and_free,
     circle_cell_ok,
     circle_pair_ok,
@@ -241,13 +242,12 @@ class TestCubicalHomology:
 class TestTriangulation:
     def test_single_square_splits_into_two_triangles(self):
         # the square and its swap image: two disjoint squares
-        from zpindex.cubical import close_cells, triangulate_cells
         grid = GridSpec(1, 4)
         square = (((0, 1),), ((3, 1),))
         cx = CubicalZpComplex(2, grid, OffsetGapConstraint(Fraction(1, 2), 1),
                               close_cells([square, shift_cell(square)], grid))
-        tri, verts = triangulate_cells(cx)
-        assert len(verts) == 8
+        tri = cubical_to_simplicial(cx).complex
+        assert tri.vertex_count == 8
         assert tri.f_vector() == (8, 10, 4)
         assert homology(tri, 2, reduced=False).betti == (2, 0, 0)
 
@@ -277,6 +277,32 @@ class TestTriangulation:
         cx = build_pp_yz("Z", 2, GridSpec(1, 1, circle_valued=True))
         with pytest.raises(ValidationError):
             cubical_to_simplicial(cx)
+
+
+class TestTriangulationProperties:
+    """The triangulation equals the corner paths of every cell, each corner
+    built from scratch, closed by all subsets."""
+
+    @staticmethod
+    def assert_matches_oracle(cx):
+        tri = cubical_to_simplicial(cx)
+        simplices, perm = brute_force_triangulation(cx)
+        assert tri.complex.vertex_count == len(perm)
+        assert set(tri.complex.simplices()) == simplices
+        assert tri.action.perm == perm
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 2), st.sampled_from([2, 3]), st.integers(1, 3), st.integers(1, 2),
+           st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
+    def test_xm_matches_brute_force(self, N, p, G, m, delta):
+        assume((N, p, G) != (2, 3, 3))  # 56,064 cells: too large for the oracle
+        self.assert_matches_oracle(build_pp_xm(N, delta, m, p, GridSpec(N, G)))
+
+    @settings(max_examples=20)
+    @given(st.sampled_from(["Y", "Z"]), st.sampled_from([2, 3, 5]), st.integers(2, 4))
+    def test_yz_matches_brute_force(self, kind, p, G):
+        assume((kind, p) != ("Z", 5))  # 10,760 cells and more: too large for the oracle
+        self.assert_matches_oracle(build_pp_yz(kind, p, GridSpec(1, G, circle_valued=True)))
 
 
 class TestShiftStructure:
@@ -333,7 +359,7 @@ class TestDeskScaleLinearGrowth:
 class TestEnumerationProperties:
     """The built cell set equals brute force over every candidate cell."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(1, 2), st.sampled_from([2, 3, 5]), st.integers(1, 3),
            st.integers(1, 3), st.sampled_from([Fraction(1, 4), Fraction(1, 3),
                                                Fraction(1, 2), Fraction(3, 5), Fraction(1)]))
@@ -343,7 +369,7 @@ class TestEnumerationProperties:
         expected = brute_force_cells(p, N, G, False, lambda c: xm_cell_ok(c, G, delta, m))
         assert list(cx.cells) == sorted(expected)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.sampled_from(["Y", "Z"]), st.sampled_from([2, 3, 5]), st.integers(1, 3))
     def test_yz_matches_brute_force(self, kind, p, G):
         assume((4 * G) ** p <= 5000)
@@ -363,7 +389,7 @@ class AnyCell:
 
 
 class TestValidationProperties:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.data())
     def test_generator_check_matches_all_powers(self, p, G, data):
         grid = GridSpec(1, G)

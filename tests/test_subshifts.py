@@ -175,7 +175,7 @@ def window_problems(draw):
 
 
 class TestEnumerator:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(window_problems())
     def test_matches_brute_force(self, problem):
         alphabet, n, offsets, forbidden = problem
@@ -188,6 +188,25 @@ class TestEnumerator:
     def test_window_needs_two_offsets(self):
         with pytest.raises(ValidationError):
             cyclic_words([1, 2], 3, (1,), frozenset().__contains__, budget=100)
+
+    def test_long_period_without_recursion(self):
+        words = cyclic_words((0, 1), 1200, (0, 1), {(0, 0), (1, 1)}.__contains__, 10 ** 5)
+        assert words == [(0, 1) * 600, (1, 0) * 600]
+
+    def test_emitted_words_count_against_budget(self):
+        # entering the positions costs 4,798 nodes, the two words 2 * 1200 more
+        forbidden = {(0, 0), (1, 1)}.__contains__
+        assert len(cyclic_words((0, 1), 1200, (0, 1), forbidden, 7198)) == 2
+        with pytest.raises(BudgetExceeded):
+            cyclic_words((0, 1), 1200, (0, 1), forbidden, 7197)
+
+    def test_budget_bounds_a_long_period(self):
+        with pytest.raises(BudgetExceeded):
+            periodic_points(make_sigma(), 1200, budget=10 ** 5)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValidationError):
+            cyclic_words([1, 2], 3, (0, 1), frozenset().__contains__, budget=-1)
 
 
 class TestTable:
