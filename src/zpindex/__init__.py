@@ -5,21 +5,15 @@ marker-function experiments on finite dynamical systems."""
 __version__ = "0.1.0"
 
 from .certificates import (
-    CertStore,
     EquivariantMap,
     IndexCertificate,
     ambient_sphere_bound,
     assert_coindex_le_index,
     coindex_le_index_check,
     coindex_lower,
-    empty_space_certificate,
     index_lower_from_connectivity,
     index_upper,
     index_upper_from_dimension,
-    iterate_action_coindex,
-    join_coindex_certificate,
-    product_coindex_certificate,
-    restrict_coindex_witness,
     search_equivariant_map,
 )
 from .cubical import (
@@ -47,8 +41,6 @@ from .simplicial import (
     SimplicialComplex,
     ZpAction,
     barycentric_subdivide,
-    complex_from_json,
-    complex_to_json,
     e_n_zp,
     homology,
     join,

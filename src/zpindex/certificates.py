@@ -1,10 +1,13 @@
 """Certified upper/lower bounds for the Z_p-index and coindex.
 
-Every bound is carried by an IndexCertificate whose evidence can be
-re-validated: an explicit equivariant simplicial map, a homology profile, an
-exhausted search trace, the ambient-sphere formula, or a combination rule
-applied to child certificates.  Witness maps are checked by the standalone
-verifier on construction, never trusted from the search alone.
+Every bound is carried by an IndexCertificate whose value is derived from its
+evidence: an explicit equivariant simplicial map, a homology profile, an
+exhausted search trace, the dimension, or the parameters of the ambient-sphere
+formula.  Each (kind, bound type) pair has one derivation, listed in DERIVE,
+and the constructor refuses a certificate whose value the derivation does not
+reproduce.  Loading goes through the constructor, so a certificate read from
+disk is derived again before it is trusted.  Witness maps are checked by the
+standalone verifier on construction, never trusted from the search alone.
 
 Searches subdivide the source only (the simplicial-approximation direction),
 and an exhausted search at finite depth is recorded as one-sided evidence:
@@ -13,34 +16,26 @@ it never certifies the nonexistence of a continuous equivariant map.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import BudgetExceeded, ConsistencyError, ValidationError
+from .cubical import CubicalZpComplex, OffsetGapConstraint, cubical_to_simplicial
+from .errors import ConsistencyError, ValidationError
+from .fplinalg import is_prime
 from .search import DEFAULT_BUDGET, find_equivariant_vertex_map
 from .simplicial import (
-    EMPTY_CONNECTIVITY,
     INFINITE_CONNECTIVITY,
     FreeZpComplex,
     HomologyProfile,
     barycentric_subdivide,
     complex_from_json_dict,
     complex_to_json_dict,
+    connectivity_from_reduced_betti,
     content_key,
     e_n_zp,
     homology,
-    join,
 )
 from .verify import check_vertex_map
-
-KINDS = ("map_witness", "exhaustion", "connectivity_bound", "dimension_bound",
-         "ambient_bound", "combined")
-BOUND_TYPES = ("ind_upper", "ind_lower", "coind_lower", "coind_upper")
-
-# Kinds whose value may be used as an actual bound.  Exhaustion is excluded:
-# it only records that a search at some depth found nothing.
-ESTABLISHED_KINDS = frozenset(k for k in KINDS if k != "exhaustion")
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,65 @@ class EquivariantMap:
             raise ValidationError("invalid equivariant map: " + "; ".join(problems))
 
 
-Evidence = Union[EquivariantMap, HomologyProfile, dict, None]
+Evidence = Union[EquivariantMap, dict]
+
+
+def _model_source(ev: EquivariantMap, depth: int) -> int:
+    """coind >= n: the map's source is the standard n-model subdivided depth times."""
+    n = ev.source.dim
+    if ev.source != subdivide_times(e_n_zp(n, ev.source.p), depth):
+        raise ValidationError(f"map source is not the {n}-model subdivided {depth} times")
+    return n
+
+
+def _model_target(ev: EquivariantMap, depth: int) -> int:
+    """ind <= n: the map's target is the standard n-model."""
+    n = ev.target.dim
+    if ev.target != e_n_zp(n, ev.target.p):
+        raise ValidationError(f"map target is not the {n}-model")
+    return n
+
+
+def _connectivity(ev: dict, depth: int) -> int:
+    """ind >= homological connectivity + 1, read off the reduced Betti
+    numbers; -1 on the empty complex."""
+    prof: HomologyProfile = ev["homology"]
+    if not prof.reduced:
+        raise ValidationError("connectivity bound needs reduced homology")
+    if not prof.betti:
+        return -1
+    conn = connectivity_from_reduced_betti(prof.betti)
+    if conn == INFINITE_CONNECTIVITY:
+        # A free simplicial Z_p-complex has Euler characteristic divisible
+        # by p, so it cannot be F_p-acyclic.
+        raise ValidationError("free complex reported acyclic; invariant violated")
+    return conn + 1
+
+
+def _ambient(ev: dict, depth: int) -> int:
+    """ind <= N*p - N - 1: coordinates at an offset prime to p never all
+    agree, so the p-tuples avoid the diagonal of ([0,1]^N)^p, whose
+    complement retracts equivariantly onto a (Np-N-1)-sphere carrying a
+    standard free action."""
+    N, p, offset = ev["N"], ev["p"], ev["offset"]
+    if N < 1 or not is_prime(p):
+        raise ValidationError(f"ambient bound needs N >= 1 and a prime p, got N={N}, p={p}")
+    if offset % p == 0:
+        raise ValidationError("offset divisible by p never avoids the diagonal")
+    return N * p - N - 1
+
+
+# (kind, bound type) -> derive(evidence, depth) -> value.  Exhaustion records
+# the target of a search that found nothing; it is never established.
+DERIVE = {
+    ("map_witness", "coind_lower"): _model_source,
+    ("map_witness", "ind_upper"): _model_target,
+    ("exhaustion", "coind_lower"): lambda ev, depth: ev["attempted"],
+    ("exhaustion", "ind_upper"): lambda ev, depth: ev["attempted"],
+    ("connectivity_bound", "ind_lower"): _connectivity,
+    ("dimension_bound", "ind_upper"): lambda ev, depth: ev["dim"],
+    ("ambient_bound", "ind_upper"): _ambient,
+}
 
 
 @dataclass(frozen=True)
@@ -74,18 +127,24 @@ class IndexCertificate:
     space: str = ""
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown certificate kind {self.kind!r}")
-        if self.bound_type not in BOUND_TYPES:
-            raise ValidationError(f"unknown bound type {self.bound_type!r}")
+        derive = DERIVE.get((self.kind, self.bound_type))
+        if derive is None:
+            raise ValidationError(f"no {self.kind!r} certificate of type {self.bound_type!r}")
+        try:
+            derived = derive(self.evidence, self.subdivision_depth)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed {self.kind} evidence: {exc!r}") from exc
+        if derived != self.value:
+            raise ValidationError(
+                f"{self.kind} evidence derives {derived}, not the claimed {self.value!r}")
 
     @property
     def established(self) -> bool:
-        return self.kind in ESTABLISHED_KINDS
+        return self.kind != "exhaustion"
 
     def describe(self) -> str:
         rel = {"ind_upper": "ind <=", "ind_lower": "ind >=",
-               "coind_lower": "coind >=", "coind_upper": "coind <="}[self.bound_type]
+               "coind_lower": "coind >="}[self.bound_type]
         status = "" if self.established else " [inconclusive: exhausted search, not a disproof]"
         return f"[{self.kind}] {rel} {self.value} on {self.space} (depth {self.subdivision_depth}){status}"
 
@@ -173,24 +232,14 @@ def index_lower_from_connectivity(
     assertion).
     """
     p_coeff = coefficients if coefficients is not None else x.p
-    prof = homology(x.complex, p_coeff, reduced=True)
-    conn = prof.homological_connectivity
-    if conn == EMPTY_CONNECTIVITY:
-        value = -1
-    elif conn == INFINITE_CONNECTIVITY:
-        # A free simplicial Z_p-complex has Euler characteristic divisible
-        # by p, so it cannot be F_p-acyclic.
-        raise ValidationError("free complex reported acyclic; invariant violated")
-    else:
-        value = int(conn) + 1
-    return IndexCertificate(
-        "connectivity_bound", "ind_lower", value,
-        {"homology": prof,
-         "coefficients": p_coeff,
-         "simply_connected_verified": bool(x.simply_connected_verified or assert_simply_connected),
-         "caveat": "homological connectivity; equals homotopy connectivity "
-                   "only when the space is simply connected (Hurewicz)"},
-        0, space or content_key(x))
+    evidence = {
+        "homology": homology(x.complex, p_coeff, reduced=True),
+        "coefficients": p_coeff,
+        "simply_connected_verified": bool(x.simply_connected_verified or assert_simply_connected),
+        "caveat": "homological connectivity; equals homotopy connectivity "
+                  "only when the space is simply connected (Hurewicz)"}
+    return IndexCertificate("connectivity_bound", "ind_lower", _connectivity(evidence, 0),
+                            evidence, 0, space or content_key(x))
 
 
 def index_upper_from_dimension(x: FreeZpComplex, space: str | None = None) -> IndexCertificate:
@@ -201,18 +250,18 @@ def index_upper_from_dimension(x: FreeZpComplex, space: str | None = None) -> In
         {"dim": x.dim}, 0, space or content_key(x))
 
 
-def ambient_sphere_bound(N: int, p: int, space: str = "generic", m: int = 1) -> IndexCertificate:
-    """ind <= N*p - N - 1 for any space of p-tuples in [0,1]^N avoiding the
-    diagonal: the complement of the diagonal retracts equivariantly onto a
-    (Np-N-1)-sphere carrying a standard free action."""
-    if N < 1:
-        raise ValidationError(f"N={N} must be >= 1")
-    if m % p == 0:
-        raise ValidationError("offset divisible by p never avoids the diagonal")
-    return IndexCertificate(
-        "ambient_bound", "ind_upper", N * p - N - 1,
-        {"N": N, "p": p, "offset": m, "formula": "N*p - N - 1"},
-        0, space)
+def ambient_sphere_bound(cx: CubicalZpComplex, space: str | None = None) -> IndexCertificate:
+    """ind <= N*p - N - 1 on an offset-gap complex of p-tuples in [0,1]^N.
+
+    The space label defaults to the content key of the triangulation.
+    Circle-valued grids are refused: their tuples may lie on the diagonal."""
+    if cx.grid.circle_valued:
+        raise ValidationError("the ambient bound needs tuples in a cube, not on a circle")
+    if not isinstance(cx.constraint, OffsetGapConstraint):
+        raise ValidationError("the ambient bound needs an offset-gap constraint")
+    evidence = {"N": cx.grid.N, "p": cx.p, "offset": cx.constraint.offset}
+    return IndexCertificate("ambient_bound", "ind_upper", _ambient(evidence, 0), evidence, 0,
+                            space or content_key(cubical_to_simplicial(cx)))
 
 
 def coindex_le_index_check(certs) -> bool:
@@ -237,170 +286,10 @@ def assert_coindex_le_index(certs):
             f"{certs[0].space}: " + "; ".join(c.describe() for c in certs))
 
 
-def inclusion_of_standard_models(m: int, n: int, p: int) -> EquivariantMap:
-    """The first m+1 join factors of the n-model: the canonical inclusion."""
-    if m > n:
-        raise ValidationError(f"no inclusion of model {m} into smaller model {n}")
-    em, en = e_n_zp(m, p), e_n_zp(n, p)
-    return EquivariantMap(em, en, tuple(range((m + 1) * p)))
-
-
-def product_coindex_certificate(cx: IndexCertificate, cy: IndexCertificate) -> IndexCertificate:
-    """coind(X x Y) >= min(m, n) from witnesses of coind X >= m, coind Y >= n.
-
-    The product complex is never built: the evidence bundles the two factor
-    maps plus the inclusion of the smaller standard model into the larger,
-    which is exactly the data the product map u -> (f(u), g(h(u))) needs.
-    The matching upper bound (projections give <= min) is recorded as a note.
-    """
-    for c in (cx, cy):
-        if c.kind != "map_witness" or c.bound_type != "coind_lower":
-            raise ValidationError("product rule needs coind_lower map witnesses")
-    fmap: EquivariantMap = cx.evidence
-    gmap: EquivariantMap = cy.evidence
-    if fmap.source.p != gmap.source.p:
-        raise ValidationError("product rule needs matching primes")
-    m, n = cx.value, cy.value
-    lo, hi = min(m, n), max(m, n)
-    incl = inclusion_of_standard_models(lo, hi, fmap.source.p)
-    return IndexCertificate(
-        "combined", "coind_lower", lo,
-        {"rule": "product: coind(X x Y) = min(coind X, coind Y)",
-         "left": cx, "right": cy, "inclusion": incl,
-         "upper_note": "projections onto each factor give coind <= min symbolically"},
-        max(cx.subdivision_depth, cy.subdivision_depth),
-        f"product({cx.space},{cy.space})")
-
-
-def empty_space_certificate(p: int) -> IndexCertificate:
-    """The empty space has coindex -1 by convention."""
-    return IndexCertificate(
-        "combined", "coind_lower", -1,
-        {"rule": "empty-space convention: coind = -1", "children": []},
-        0, "empty")
-
-
-def join_coindex_certificate(
-    cx: IndexCertificate,
-    cy: IndexCertificate,
-    budget: int = DEFAULT_BUDGET,
-) -> IndexCertificate:
-    """coind(X * Y) >= m + n + 1 via the join of the two witness maps.
-
-    For depth-0 witnesses the join of the standard m- and n-models is
-    literally the standard (m+n+1)-model, so the result is again a plain
-    map witness.  An empty side follows the join convention X * empty = X.
-    """
-    if cy.space == "empty" and cy.value == -1:
-        return IndexCertificate(cx.kind, cx.bound_type, cx.value, cx.evidence,
-                                cx.subdivision_depth, cx.space)
-    if cx.space == "empty" and cx.value == -1:
-        return IndexCertificate(cy.kind, cy.bound_type, cy.value, cy.evidence,
-                                cy.subdivision_depth, cy.space)
-    for c in (cx, cy):
-        if c.kind != "map_witness" or c.bound_type != "coind_lower":
-            raise ValidationError("join rule needs coind_lower map witnesses")
-    fmap: EquivariantMap = cx.evidence
-    gmap: EquivariantMap = cy.evidence
-    if fmap.source.p != gmap.source.p:
-        raise ValidationError("join rule needs matching primes")
-    x, y = fmap.target, gmap.target
-    est = (len(list(x.complex.simplices())) + 1) * (len(list(y.complex.simplices())) + 1)
-    if est > budget:
-        raise BudgetExceeded(
-            f"join would hold about {est} simplices, over budget {budget}", count=est)
-    joined = join(x, y)
-    src = join(fmap.source, gmap.source)
-    a = fmap.source.complex.vertex_count
-    nx = x.complex.vertex_count
-    vm = tuple(fmap.vertex_map) + tuple(nx + t for t in gmap.vertex_map)
-    assert len(vm) == src.complex.vertex_count == a + gmap.source.complex.vertex_count
-    witness = EquivariantMap(src, joined, vm)
-    return IndexCertificate(
-        "map_witness", "coind_lower", cx.value + cy.value + 1, witness,
-        max(cx.subdivision_depth, cy.subdivision_depth), content_key(joined))
-
-
-def iterate_action_coindex(cert: IndexCertificate, a: int) -> IndexCertificate:
-    """Transport a coind witness for (X, T) to one for (X, T^a).
-
-    The identical vertex map intertwines the a-th powers on both sides; the
-    round trip through b with a*b = 1 mod p is revalidated so the best known
-    bounds agree in both directions.
-    """
-    if cert.kind != "map_witness" or cert.bound_type != "coind_lower":
-        raise ValidationError("action-power transport needs a coind_lower map witness")
-    wit: EquivariantMap = cert.evidence
-    src_a = wit.source.with_action_power(a)
-    tgt_a = wit.target.with_action_power(a)
-    transported = EquivariantMap(src_a, tgt_a, wit.vertex_map)
-    b = pow(a, -1, wit.source.p)
-    # round trip revalidates
-    EquivariantMap(src_a.with_action_power(b), tgt_a.with_action_power(b), wit.vertex_map)
-    return IndexCertificate(
-        "map_witness", "coind_lower", cert.value, transported,
-        cert.subdivision_depth, content_key(tgt_a))
-
-
-def restrict_coindex_witness(cert: IndexCertificate, m: int) -> IndexCertificate:
-    """Monotonicity, constructively: a depth-0 witness from the n-model
-    restricts along the first m+1 join factors to a witness from the m-model."""
-    if cert.kind != "map_witness" or cert.bound_type != "coind_lower":
-        raise ValidationError("restriction needs a coind_lower map witness")
-    if cert.subdivision_depth != 0:
-        raise ValidationError("restriction implemented for depth-0 witnesses only")
-    wit: EquivariantMap = cert.evidence
-    p = wit.source.p
-    n = cert.value
-    if not 0 <= m <= n:
-        raise ValidationError(f"m={m} outside 0..{n}")
-    if wit.source != e_n_zp(n, p):
-        raise ValidationError("witness source is not the standard n-model")
-    em = e_n_zp(m, p)
-    restricted = EquivariantMap(em, wit.target, wit.vertex_map[: (m + 1) * p])
-    return IndexCertificate("map_witness", "coind_lower", m, restricted, 0, cert.space)
-
-
-class CertStore:
-    """Accumulates certificates, grouped by space label."""
-
-    def __init__(self):
-        self._by_space: dict[str, list[IndexCertificate]] = {}
-
-    def add(self, cert: IndexCertificate) -> IndexCertificate:
-        self._by_space.setdefault(cert.space, []).append(cert)
-        return cert
-
-    def spaces(self) -> list[str]:
-        return sorted(self._by_space)
-
-    def all(self) -> list[IndexCertificate]:
-        return [c for space in self.spaces() for c in self._by_space[space]]
-
-    def best_coind_lower(self, space: str):
-        vals = [c.value for c in self._by_space.get(space, [])
-                if c.established and c.bound_type == "coind_lower"]
-        return max(vals) if vals else None
-
-    def best_ind_upper(self, space: str):
-        vals = [c.value for c in self._by_space.get(space, [])
-                if c.established and c.bound_type == "ind_upper"]
-        return min(vals) if vals else None
-
-    def check_consistency(self) -> bool:
-        return all(coindex_le_index_check(certs) for certs in self._by_space.values())
-
-    def assert_consistent(self):
-        for certs in self._by_space.values():
-            assert_coindex_le_index(certs)
-
-
 # ---------------------------------------------------------------------------
 # Serialization.  Keys: {"kind", "bound_type", "value", "depth", "evidence"}.
 
 def _encode_evidence(ev):
-    if ev is None:
-        return None
     if isinstance(ev, EquivariantMap):
         return {"type": "map",
                 "vertex_map": list(ev.vertex_map),
@@ -411,17 +300,13 @@ def _encode_evidence(ev):
         return {"type": "homology", "p": ev.p, "betti": list(ev.betti),
                 "reduced": ev.reduced,
                 "connectivity": "inf" if conn == INFINITE_CONNECTIVITY else conn}
-    if isinstance(ev, IndexCertificate):
-        return {"type": "certificate", **certificate_to_json_dict(ev)}
     if isinstance(ev, dict):
-        return {"type": "note", "fields": {k: _encode_evidence(v) if isinstance(
-            v, (EquivariantMap, HomologyProfile, IndexCertificate, dict)) else v
-            for k, v in sorted(ev.items())}}
+        return {"type": "note", "fields": {k: _encode_evidence(v) for k, v in sorted(ev.items())}}
     return ev
 
 
 def _decode_evidence(data):
-    if data is None or not isinstance(data, dict):
+    if not isinstance(data, dict):
         return data
     t = data.get("type")
     if t == "map":
@@ -433,8 +318,6 @@ def _decode_evidence(data):
         conn = data["connectivity"]
         conn = INFINITE_CONNECTIVITY if conn == "inf" else conn
         return HomologyProfile(data["p"], tuple(data["betti"]), data["reduced"], conn)
-    if t == "certificate":
-        return certificate_from_json_dict(data)
     if t == "note":
         return {k: _decode_evidence(v) for k, v in data["fields"].items()}
     return data
@@ -452,7 +335,8 @@ def certificate_to_json_dict(cert: IndexCertificate) -> dict:
 
 
 def certificate_from_json_dict(data: dict) -> IndexCertificate:
-    """Rebuild a certificate; embedded maps re-validate on construction."""
+    """Rebuild a certificate; construction checks embedded maps and derives
+    the value again from the evidence."""
     try:
         return IndexCertificate(
             data["kind"], data["bound_type"], data["value"],

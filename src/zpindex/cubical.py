@@ -9,8 +9,11 @@ Y/Z), so the cells are listed by the one enumerator `subshifts.cyclic_words`.
 A window is forbidden unless the constraint holds at every point of its
 boxes, certified by exact integer interval arithmetic; the kept set is
 therefore automatically closed under faces and under the cyclic shift, and
-the shift acts freely on it.  Inner approximations certify map-into lower bounds only;
-upper bounds come from the ambient-sphere formula.
+the shift acts freely on it.  Inner approximations certify map-into lower
+bounds only.  An index upper bound on the true space comes from the
+ambient-sphere formula, which `certificates.ambient_sphere_bound` derives
+from an offset-gap complex in a cube; the dimension bound holds only for the
+approximation itself.
 """
 
 from __future__ import annotations

@@ -227,12 +227,6 @@ class FreeZpComplex:
     def is_empty(self) -> bool:
         return self.complex.is_empty()
 
-    def with_action_power(self, a: int) -> "FreeZpComplex":
-        """Same complex acted on by the a-th power of the generator."""
-        if not 1 <= a <= self.p - 1:
-            raise ValidationError(f"power a={a} outside 1..p-1")
-        return FreeZpComplex(self.complex, ZpAction(self.p, self.action.power(a)))
-
     def vertex_orbits(self) -> list[tuple[int, ...]]:
         """Orbits of the action on vertices of the complex, each starting at
         its smallest member, sorted by that member."""
@@ -450,15 +444,8 @@ def complex_from_json_dict(data: dict) -> FreeZpComplex:
     return FreeZpComplex(cx, ZpAction(p, perm))
 
 
-def complex_to_json(x: FreeZpComplex) -> str:
-    return json.dumps(complex_to_json_dict(x), sort_keys=True)
-
-
-def complex_from_json(text: str) -> FreeZpComplex:
-    return complex_from_json_dict(json.loads(text))
-
-
 def content_key(x: FreeZpComplex) -> str:
     """Stable content hash used to tie certificates to their space."""
-    digest = hashlib.sha256(complex_to_json(x).encode()).hexdigest()
+    text = json.dumps(complex_to_json_dict(x), sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
     return f"cpx:{digest[:16]}"

@@ -250,3 +250,13 @@ def brute_force_triangulation(cx):
                           for r in range(len(order) + 1)])
     perm = tuple(index[v[1:] + v[:1]] for v in verts)
     return brute_force_closure(paths), perm
+
+
+class AnyCell:
+    """A constraint every cell passes, so that validation turns on the
+    shift structure alone."""
+
+    offsets = (0, 1)
+
+    def forbidden_test(self, grid):
+        return lambda window: False

@@ -1,9 +1,14 @@
 import itertools
+import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import AnyCell
 from zpindex.certificates import (
-    CertStore,
+    DERIVE,
     EquivariantMap,
     IndexCertificate,
     ambient_sphere_bound,
@@ -12,23 +17,21 @@ from zpindex.certificates import (
     certificate_to_json_dict,
     coindex_le_index_check,
     coindex_lower,
-    empty_space_certificate,
     index_lower_from_connectivity,
     index_upper,
     index_upper_from_dimension,
-    inclusion_of_standard_models,
-    iterate_action_coindex,
-    join_coindex_certificate,
-    product_coindex_certificate,
-    restrict_coindex_witness,
     search_equivariant_map,
 )
+from zpindex.cubical import CubicalZpComplex, GridSpec, build_pp_xm, cubical_to_simplicial
 from zpindex.errors import BudgetExceeded, ConsistencyError, ValidationError
 from zpindex.simplicial import (
     FreeZpComplex,
     SimplicialComplex,
     ZpAction,
+    barycentric_subdivide,
+    content_key,
     e_n_zp,
+    homology,
     join,
     make_discrete_zp,
 )
@@ -142,11 +145,13 @@ class TestConsistency:
         assert coindex_le_index_check([lo, up])
 
     def test_contradiction_detected(self):
-        bad_lo = IndexCertificate("combined", "coind_lower", 1, {"rule": "test"}, 0, "s")
-        bad_up = IndexCertificate("combined", "ind_upper", 0, {"rule": "test"}, 0, "s")
-        assert not coindex_le_index_check([bad_lo, bad_up])
+        lo = coindex_lower(e_n_zp(1, 2), 1)
+        assert lo.kind == "map_witness"
+        # derivable, but a dimension the circle does not have
+        bad_up = IndexCertificate("dimension_bound", "ind_upper", 0, {"dim": 0}, 0, lo.space)
+        assert not coindex_le_index_check([lo, bad_up])
         with pytest.raises(ConsistencyError):
-            assert_coindex_le_index([bad_lo, bad_up])
+            assert_coindex_le_index([lo, bad_up])
 
     def test_empty_is_vacuous(self):
         assert coindex_le_index_check([])
@@ -169,136 +174,81 @@ class TestConsistency:
             coindex_le_index_check([a, b])
 
 
-class TestProductRule:
-    def test_min_rule(self):
-        cx = coindex_lower(e_n_zp(2, 2), 2)
-        cy = coindex_lower(e_n_zp(1, 2), 1)
-        cert = product_coindex_certificate(cx, cy)
-        assert cert.value == 1 and cert.kind == "combined"
-        assert cert.bound_type == "coind_lower"
-
-    def test_zero_zero(self):
-        c = coindex_lower(make_discrete_zp(2), 0)
-        assert product_coindex_certificate(c, c).value == 0
-
-    def test_embedded_maps_revalidate(self):
-        p = 3
-        x = join_periodic_sets(periodic_points(make_sigma(), p),
-                               periodic_points(make_sigma(), p), p)
-        cx = coindex_lower(x, 1)
-        cy = coindex_lower(e_n_zp(1, 3), 1)
-        cert = product_coindex_certificate(cx, cy)
-        for child in (cert.evidence["left"], cert.evidence["right"]):
-            wit = child.evidence
-            assert check_vertex_map(wit.source, wit.target, wit.vertex_map) == []
-        incl = cert.evidence["inclusion"]
-        assert check_vertex_map(incl.source, incl.target, incl.vertex_map) == []
-
-    def test_rejects_non_witness(self):
-        c = coindex_lower(make_discrete_zp(3), 1)  # exhaustion
-        ok = coindex_lower(make_discrete_zp(3), 0)
-        with pytest.raises(ValidationError):
-            product_coindex_certificate(c, ok)
-
-
 class TestJoinRule:
+    """coind(X * Y) >= coind X + coind Y + 1, checked by direct search."""
+
     def test_two_points_make_circle(self):
-        c = coindex_lower(make_discrete_zp(2), 0)
-        cert = join_coindex_certificate(c, c)
-        assert cert.value == 1 and cert.kind == "map_witness"
-        joined = cert.evidence.target
+        joined = join(make_discrete_zp(2), make_discrete_zp(2))
         assert joined == e_n_zp(1, 2)
-        up = index_upper(joined, 1, space=cert.space)
+        lo = coindex_lower(joined, 1)
+        assert lo.value == 1 and lo.kind == "map_witness"
+        up = index_upper(joined, 1, space=lo.space)
         assert up.kind == "map_witness"
-        assert coindex_le_index_check([cert, up])
+        assert coindex_le_index_check([lo, up])
 
     def test_empty_side_convention(self):
-        c = coindex_lower(e_n_zp(1, 2), 1)
-        e = empty_space_certificate(2)
-        assert join_coindex_certificate(c, e).value == c.value
-        assert join_coindex_certificate(e, c).value == c.value
+        empty = FreeZpComplex(SimplicialComplex(0, ()), ZpAction(2, ()))
+        assert index_lower_from_connectivity(empty).value == -1
+        x = e_n_zp(1, 2)
+        assert join(x, empty) == x and join(empty, x) == x
+        assert coindex_lower(join(x, empty), 1).kind == "map_witness"
 
     def test_sigma_orbits_join(self):
         pts = periodic_points(make_sigma(), 3)
         c = coindex_lower(as_free_zp_complex(pts), 0)
-        cert = join_coindex_certificate(c, c)
-        assert cert.value == 1
-        # oracle: direct search on the separately built join
+        assert c.kind == "map_witness" and c.value == 0
         direct = coindex_lower(join_periodic_sets(pts, pts, 3), 1)
         assert direct.kind == "map_witness"
-
-    def test_budget_guard(self):
-        c = coindex_lower(e_n_zp(1, 2), 1)
-        with pytest.raises(BudgetExceeded):
-            join_coindex_certificate(c, c, budget=3)
-
-
-class TestActionPowers:
-    def test_same_map_transports(self):
-        cert = coindex_lower(e_n_zp(1, 3), 1)
-        moved = iterate_action_coindex(cert, 2)
-        assert moved.value == 1
-        assert moved.evidence.vertex_map == cert.evidence.vertex_map
-
-    def test_identity_power(self):
-        cert = coindex_lower(e_n_zp(1, 3), 1)
-        same = iterate_action_coindex(cert, 1)
-        assert same.evidence.source == cert.evidence.source
-
-    def test_z5_power_three_round_trip(self):
-        x = make_discrete_zp(5)
-        cert = coindex_lower(x, 0)
-        moved = iterate_action_coindex(cert, 3)
-        assert moved.value == 0
-        # oracle: independent search against the tilted action
-        tilted = x.with_action_power(3)
-        assert coindex_lower(tilted, 0).kind == "map_witness"
-
-    def test_out_of_range(self):
-        cert = coindex_lower(e_n_zp(0, 3), 0)
-        with pytest.raises(ValidationError):
-            iterate_action_coindex(cert, 3)
 
 
 class TestMonotonicity:
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 3)])
     def test_restriction_gives_all_lower_targets(self, n, p):
         cert = coindex_lower(e_n_zp(n, p), n)
+        wit = cert.evidence
         for m in range(n + 1):
-            restricted = restrict_coindex_witness(cert, m)
-            assert restricted.value == m
-            wit = restricted.evidence
-            assert check_vertex_map(wit.source, wit.target, wit.vertex_map) == []
+            # the first m+1 join factors of the n-model are the m-model
+            restricted = EquivariantMap(e_n_zp(m, p), wit.target, wit.vertex_map[: (m + 1) * p])
+            back = IndexCertificate("map_witness", "coind_lower", m, restricted, 0, cert.space)
+            assert back.value == m
+            with pytest.raises(ValidationError):
+                IndexCertificate("map_witness", "coind_lower", m + 1, restricted, 0, cert.space)
 
     def test_inclusion_maps_validate(self):
         for m, n, p in [(0, 2, 2), (1, 3, 3)]:
-            incl = inclusion_of_standard_models(m, n, p)
+            incl = EquivariantMap(e_n_zp(m, p), e_n_zp(n, p), tuple(range((m + 1) * p)))
             assert check_vertex_map(incl.source, incl.target, incl.vertex_map) == []
+            space = content_key(e_n_zp(n, p))
+            assert IndexCertificate("map_witness", "coind_lower", m, incl, 0, space).established
+            assert IndexCertificate("map_witness", "ind_upper", n, incl, 0, space).established
+
+
+def offset_gap(N, p, m=1):
+    return build_pp_xm(N, Fraction(1, 2), m, p, GridSpec(N, 2))
 
 
 class TestAmbientBound:
     @pytest.mark.parametrize("N,p,expected", [(1, 3, 1), (2, 2, 1), (1, 2, 0), (1, 5, 3)])
     def test_formula(self, N, p, expected):
-        cert = ambient_sphere_bound(N, p)
+        cert = ambient_sphere_bound(offset_gap(N, p))
         assert cert.value == expected
         assert cert.kind == "ambient_bound" and cert.bound_type == "ind_upper"
+        assert cert.evidence == {"N": N, "p": p, "offset": 1}
 
     def test_offset_divisible_by_p_rejected(self):
         with pytest.raises(ValidationError):
-            ambient_sphere_bound(1, 3, m=3)
+            ambient_sphere_bound(offset_gap(1, 3, m=3))
 
+    def test_other_constraint_rejected(self):
+        cell = (((0, 0),), ((1, 0),))
+        cx = CubicalZpComplex(2, GridSpec(1, 1), AnyCell(), [cell, cell[::-1]])
+        with pytest.raises(ValidationError, match="offset-gap"):
+            ambient_sphere_bound(cx)
 
-class TestStore:
-    def test_best_bounds(self):
-        store = CertStore()
-        x = e_n_zp(1, 2)
-        lo = store.add(coindex_lower(x, 1))
-        store.add(restrict_coindex_witness(lo, 0))
-        store.add(index_upper_from_dimension(x, space=lo.space))
-        assert store.best_coind_lower(lo.space) == 1
-        assert store.best_ind_upper(lo.space) == 1
-        assert store.check_consistency()
-        store.assert_consistent()
+    def test_space_defaults_to_triangulation(self):
+        cx = offset_gap(1, 3)
+        lo = coindex_lower(cubical_to_simplicial(cx), 0)
+        assert ambient_sphere_bound(cx).space == lo.space
 
 
 class TestSerialization:
@@ -317,9 +267,116 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             certificate_from_json_dict(data)
 
-    def test_combined_round_trip(self):
-        c = coindex_lower(make_discrete_zp(2), 0)
-        cert = product_coindex_certificate(c, c)
-        back = certificate_from_json_dict(certificate_to_json_dict(cert))
-        assert back.value == 0
-        assert back.evidence["left"].value == 0
+    def test_evidence_free_combined_refused(self):
+        forged = {"kind": "combined", "bound_type": "coind_lower", "value": 99,
+                  "depth": 0, "evidence": None, "space": "s"}
+        with pytest.raises(ValidationError):
+            certificate_from_json_dict(forged)
+        with pytest.raises(ValidationError):
+            IndexCertificate("combined", "coind_lower", 99, None, 0, "s")
+
+
+def set_field(path, value):
+    def edit(data):
+        *keys, last = path
+        for key in keys:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+# (builder, edit of the JSON form): one derivable certificate per DERIVE
+# entry, each edited after encoding so that its evidence no longer derives it.
+FORGERIES = {
+    "witness-coind-value": (lambda: coindex_lower(e_n_zp(1, 3), 1), set_field(["value"], 2)),
+    "witness-coind-depth": (lambda: coindex_lower(e_n_zp(1, 3), 1), set_field(["depth"], 1)),
+    "witness-coind-bound-type": (
+        lambda: coindex_lower(as_free_zp_complex(periodic_points(make_sigma(), 3)), 0),
+        set_field(["bound_type"], "ind_upper")),
+    "witness-ind-value": (lambda: index_upper(e_n_zp(1, 2), 1), set_field(["value"], 0)),
+    "witness-ind-bound-type": (
+        lambda: index_upper(FreeZpComplex(SimplicialComplex(4, [[(0,), (1,), (2,), (3,)]]),
+                                          ZpAction(2, (1, 0, 3, 2))), 0),
+        set_field(["bound_type"], "coind_lower")),
+    "exhaustion-coind-value": (lambda: coindex_lower(make_discrete_zp(3), 1),
+                               set_field(["value"], 0)),
+    "exhaustion-ind-value": (lambda: index_upper(e_n_zp(1, 2), 0), set_field(["value"], 1)),
+    "connectivity-value": (lambda: index_lower_from_connectivity(e_n_zp(2, 2)),
+                           set_field(["value"], 3)),
+    "connectivity-bound-type": (lambda: index_lower_from_connectivity(e_n_zp(2, 2)),
+                                set_field(["bound_type"], "ind_upper")),
+    "dimension-value": (lambda: index_upper_from_dimension(e_n_zp(1, 2)),
+                        set_field(["value"], -5)),
+    "ambient-value": (lambda: ambient_sphere_bound(offset_gap(1, 3)), set_field(["value"], 0)),
+    "ambient-offset": (lambda: ambient_sphere_bound(offset_gap(1, 3)),
+                       set_field(["evidence", "fields", "offset"], 3)),
+}
+
+
+class TestForgeries:
+    def test_every_derivation_is_covered(self):
+        kinds = set()
+        for builder, _ in FORGERIES.values():
+            cert = builder()
+            kinds.add((cert.kind, cert.bound_type))
+        assert kinds == set(DERIVE)
+
+    @pytest.mark.parametrize("name", FORGERIES)
+    def test_edited_certificate_refused_on_load(self, name):
+        builder, edit = FORGERIES[name]
+        data = certificate_to_json_dict(builder())
+        certificate_from_json_dict(json.loads(json.dumps(data)))
+        edit(data)
+        with pytest.raises(ValidationError):
+            certificate_from_json_dict(data)
+
+    def test_dimension_below_its_evidence_refused(self):
+        with pytest.raises(ValidationError):
+            IndexCertificate("dimension_bound", "ind_upper", -5, {"dim": 3}, 0, "s")
+
+    def test_acyclic_homology_refused(self):
+        data = certificate_to_json_dict(index_lower_from_connectivity(e_n_zp(1, 2)))
+        data["evidence"]["fields"]["homology"]["betti"] = [0, 0]
+        with pytest.raises(ValidationError, match="acyclic"):
+            certificate_from_json_dict(data)
+
+
+FACTORS = {
+    "discrete": make_discrete_zp,
+    "periodic": lambda p: as_free_zp_complex(periodic_points(make_sigma(), p)),
+}
+
+
+@st.composite
+def small_free_complexes(draw):
+    """Joins of 1-3 discrete or periodic-orbit factors, maybe subdivided once."""
+    p = draw(st.sampled_from([2, 3]))
+    names = draw(st.lists(st.sampled_from(sorted(FACTORS)), min_size=1, max_size=3))
+    x = FACTORS[names[0]](p)
+    for name in names[1:]:
+        x = join(x, FACTORS[name](p))
+    return barycentric_subdivide(x) if draw(st.booleans()) else x
+
+
+class TestSoundnessProperties:
+    @settings(max_examples=25)
+    @given(small_free_complexes())
+    def test_established_bounds_agree_and_survive_json(self, x):
+        certs = [index_upper_from_dimension(x), index_lower_from_connectivity(x)]
+        space = certs[0].space
+        for n in range(x.dim + 1):
+            for bound in (coindex_lower, index_upper):
+                try:
+                    certs.append(bound(x, n, budget=20_000, space=space))
+                except BudgetExceeded:
+                    pass
+        assert coindex_le_index_check(certs)
+        for cert in certs:
+            back = certificate_from_json_dict(json.loads(json.dumps(certificate_to_json_dict(cert))))
+            assert ((back.kind, back.bound_type, back.value, back.subdivision_depth, back.space)
+                    == (cert.kind, cert.bound_type, cert.value, cert.subdivision_depth, cert.space))
+
+    @settings(max_examples=25)
+    @given(small_free_complexes())
+    def test_subdivision_keeps_homology(self, x):
+        assert homology(barycentric_subdivide(x).complex, x.p) == homology(x.complex, x.p)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
@@ -143,6 +145,19 @@ class TestSubcommands:
         assert row["gap_certified"] is False
 
 
+def forged_coind_artifact():
+    """A coind artifact, E_0 into X_1(N=1, p=2, G=4), whose value was edited
+    from 0 to 5."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main("coind --space Xm --N 1 --delta 3/5 --m 1 --p 2 --grid 4 "
+                    "--target 0".split()) == 0
+    art = json.loads(out.getvalue())
+    assert art["result"]["certificate"]["value"] == 0
+    art["result"]["certificate"]["value"] = 5
+    return json.dumps(art)
+
+
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path, capsys):
         code = main(["coind", "--space", "Xm", "--N", "1", "--delta", "1/2",
@@ -178,13 +193,16 @@ class TestExitCodes:
         (["obstruction-report", "--p-list", "3", "--x-cert"],
          json.dumps({"provenance": {"subcommand": "cubical-homology"},
                      "result": {"cells": 6, "homology": {"betti": [6]}}})),
+        (["obstruction-report", "--p-list", "2", "--z-cert", "{input}", "--x-cert"],
+         forged_coind_artifact),
     ], ids=["not-json", "string-prime", "non-rational-metric", "non-integer-T",
             "non-list-metric-row", "manifest-without-subcommand", "manifest-params-list",
-            "certificate-list", "certificate-betti-not-list", "artifact-without-certificate"])
+            "certificate-list", "certificate-betti-not-list", "artifact-without-certificate",
+            "forged-coind-value"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.json"
-        path.write_text(text, encoding="utf-8")
-        code = main(argv + [str(path)])
+        path.write_text(text() if callable(text) else text, encoding="utf-8")
+        code = main([str(path) if word == "{input}" else word for word in argv] + [str(path)])
         capsys.readouterr()
         assert code == 2
 
@@ -284,6 +302,18 @@ FROZEN = {
     "cubical-homology-xm-m2": (
         "cubical-homology --space Xm --N 1 --p 5 --grid 3 --delta 1/3 --m 2 --coeff 5",
         "5ec4d74f59023535b260f53fa5c9319d4c1268c8443eaea0c6bcc8d87dead22b"),
+    "coind-exhausted": (
+        "coind --space enzp --n 1 --p 3 --target 2",
+        "2925acaa94faa715b3633941fc3c5765f70a243faf4b9a9546d548e0352620a4"),
+    "ind-exhausted": (
+        "ind --space enzp --n 1 --p 2 --target 0",
+        "4a69fdb4813813f6b9931374f2fcf393adbd33a0f8e437756c526e4ebcd676f5"),
+    # Commands before the last write its inputs; the last one is hashed.
+    "obstruction-report": (
+        "coind --space Xm --N 1 --delta 3/5 --m 1 --p 2 --grid 4 --target 0 --out {d}/x.json"
+        " ; coind --space Z --p 2 --grid 4 --target 1 --out {d}/z.json"
+        " ; obstruction-report --p-list 2 --x-cert {d}/x.json --z-cert {d}/z.json",
+        "fc49847e4787bab35bbf0335fd6ef13be2ed02526d94d210e553da742d9b5123"),
 }
 
 
@@ -296,7 +326,10 @@ class TestFrozenResults:
         argv, sha256 = FROZEN[name]
         for stem, data in (("e0p2", E0P2), ("e0p3", E0P3), ("e1p2", E1P2), ("e1p3", E1P3)):
             (tmp_path / f"{stem}.json").write_text(json.dumps(data), encoding="utf-8")
-        code, art = run(capsys, *argv.format(d=tmp_path).split())
+        *setup, last = argv.format(d=tmp_path).split(" ; ")
+        for words in setup:
+            assert main(words.split()) == 0
+        code, art = run(capsys, *last.split())
         assert code == 0
         assert art["sha256"] == sha256
 

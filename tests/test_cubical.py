@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    AnyCell,
     brute_force_cells,
     brute_force_triangulation,
     cells_shift_closed_and_free,
@@ -82,8 +83,9 @@ class TestBuildXm:
         assert not cx.is_empty()
         tri = cubical_to_simplicial(cx)
         lo = coindex_lower(tri, 0)
-        up = ambient_sphere_bound(1, 3, space=lo.space)
+        up = ambient_sphere_bound(cx)
         assert lo.kind == "map_witness" and up.value == 1
+        assert up.space == lo.space
 
     def test_monotone_in_delta(self):
         grid = GridSpec(1, 4)
@@ -352,7 +354,7 @@ class TestDeskScaleLinearGrowth:
     def test_ambient_bound_at_most_p_minus_2(self, p, G, delta):
         cx = build_pp_xm(1, delta, 1, p, GridSpec(1, G))
         assert not cx.is_empty()
-        cert = ambient_sphere_bound(1, p)
+        cert = ambient_sphere_bound(cx)
         assert cert.value <= p - 2
 
 
@@ -376,16 +378,6 @@ class TestEnumerationProperties:
         cx = build_pp_yz(kind, p, GridSpec(1, G, circle_valued=True))
         expected = brute_force_cells(p, 1, G, True, lambda c: circle_cell_ok(c, G, kind))
         assert list(cx.cells) == sorted(expected)
-
-
-class AnyCell:
-    """A constraint every cell passes, so that validation turns on the
-    shift structure alone."""
-
-    offsets = (0, 1)
-
-    def forbidden_test(self, grid):
-        return lambda window: False
 
 
 class TestValidationProperties:

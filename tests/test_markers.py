@@ -230,12 +230,12 @@ class TestStoppingTime:
 
 class TestObstructionReport:
     def _certs(self):
-        from zpindex.certificates import ambient_sphere_bound, coindex_lower
+        from zpindex.certificates import coindex_lower, index_upper_from_dimension
         from zpindex.cubical import GridSpec, build_pp_xm, build_pp_yz, cubical_to_simplicial
         x2 = cubical_to_simplicial(build_pp_xm(1, F(3, 5), 1, 2, GridSpec(1, 4)))
         z2 = cubical_to_simplicial(build_pp_yz("Z", 2, GridSpec(1, 4, circle_valued=True)))
         x_lo = coindex_lower(x2, 0)
-        z_up = ambient_sphere_bound(1, 2, space="Z:p=2")
+        z_up = index_upper_from_dimension(z2)
         z_lo = coindex_lower(z2, 0)
         return {2: [x_lo]}, {2: [z_up, z_lo]}
 
@@ -244,9 +244,19 @@ class TestObstructionReport:
         rows = obstruction_report([2], x_certs, z_certs)
         assert rows[0].p == 2
         assert rows[0].x_coind_lower == 0
-        assert rows[0].z_coind_upper == 0
+        assert rows[0].z_coind_upper == 2  # the dimension of the triangulated Z
         assert not rows[0].gap_certified
         assert "not certified" in rows[0].verdict
+
+    def test_ambient_bound_refuses_z(self):
+        # Z(p=2, G=4) has coind >= 1 (depth-1 witness), so the ambient
+        # formula's 0 would contradict it; the circle-valued grid is refused.
+        from zpindex.certificates import ambient_sphere_bound, coindex_lower
+        from zpindex.cubical import GridSpec, build_pp_yz, cubical_to_simplicial
+        z = build_pp_yz("Z", 2, GridSpec(1, 4, circle_valued=True))
+        assert coindex_lower(cubical_to_simplicial(z), 1, subdivision_depth=1).kind == "map_witness"
+        with pytest.raises(ValidationError, match="circle"):
+            ambient_sphere_bound(z)
 
     def test_missing_prime_rejected(self):
         x_certs, z_certs = self._certs()
