@@ -320,12 +320,19 @@ def cmd_obstruction_report(args):
 
 
 def _prime_of_cert(artifact: dict, cert) -> int:
+    """The prime of the certificate's map when its evidence holds one (the
+    artifact's `space_params.p`, if given, must agree), else that
+    `space_params.p`."""
     params = artifact.get("result", {}).get("space_params") if "result" in artifact else None
-    if params and "p" in params:
-        return int(params["p"])
+    stated = params["p"] if params and "p" in params else None
     ev = cert.evidence
     if hasattr(ev, "source"):
+        if stated is not None and stated != ev.source.p:
+            raise ValidationError(f"space_params.p = {stated!r} disagrees with the prime "
+                                  f"{ev.source.p} of the certificate's map")
         return ev.source.p
+    if stated is not None:
+        return int(stated)
     raise ValidationError("cannot determine the prime of a certificate; "
                           "pass artifacts produced by the coind/ind commands")
 

@@ -6,6 +6,20 @@ ascending index and orbits in ascending representative order, so the first
 witness found is canonical and the search is deterministic.  A negative
 answer means full exhaustion of the assignment tree; running out of budget
 raises instead (an inconclusive run must never masquerade as a disproof).
+
+Each orbit's candidates are the set bits of an int bitset, its domain: the
+AND of the target closed neighbourhoods that the source edges to earlier
+orbits allow.  The target's edges are T-invariant, so placing T^i t next to
+a placed image a is the same as t lying in the closed neighbourhood of
+T^{-i} a.  Candidates in the domain are then checked against the remaining
+simplices (edges inside the orbit and every simplex of dimension 2 and up).
+
+`nodes` counts every (orbit, candidate) pair of the assignment tree,
+including the candidates a domain excludes: those are added arithmetically
+from the rank of each tried vertex among the target vertices.  So the node
+count, the first witness and the node at which a budget raises
+(count = budget + 1) are those of plain place-and-check backtracking over
+every target vertex.
 """
 
 from __future__ import annotations
@@ -36,54 +50,83 @@ def find_equivariant_vertex_map(
     target_vertices = [s[0] for s in target.complex.by_dim[0]] if not target.is_empty() else []
     if not target_vertices:
         return None, 0
+    width = len(target_vertices)
+    rank = {t: r for r, t in enumerate(target_vertices, 1)}
 
     orbits = source.vertex_orbits()
-    orbit_of = {}
+    orbit_of, slot_of = {}, {}
     for k, orbit in enumerate(orbits):
-        for v in orbit:
-            orbit_of[v] = k
+        for i, v in enumerate(orbit):
+            orbit_of[v], slot_of[v] = k, i
 
-    # Simplices become checkable once their last-assigned orbit is placed.
+    # Each source edge from orbit k to an earlier orbit becomes a pair
+    # (representative u of the earlier orbit, slot i): the vertex at slot m
+    # of u's orbit maps to T^m assignment[u], so the edge asks for t in
+    # N[T^{-i} assignment[u]] with i the slot difference.  Every other
+    # simplex becomes checkable once its last-assigned orbit is placed.
+    pairs: list[set[tuple[int, int]]] = [set() for _ in orbits]
     ready: list[list[tuple[int, ...]]] = [[] for _ in orbits]
     for s in source.complex.simplices():
-        ready[max(orbit_of[v] for v in s)].append(s)
+        k = max(orbit_of[v] for v in s)
+        if len(s) == 2 and orbit_of[s[0]] != orbit_of[s[1]]:
+            u, v = sorted(s, key=orbit_of.__getitem__)
+            pairs[k].add((orbits[orbit_of[u]][0], (slot_of[v] - slot_of[u]) % p))
+        elif len(s) > 1:
+            ready[k].append(s)
 
     tperm = target.action.perm
     tset = target.complex.simplex_set()
 
+    # shifted[i][a] = N[T^{-i} a], the closed 1-skeleton neighbourhood as a
+    # bitset over target vertex indices.
+    closed = [0] * len(tperm)
+    everything = 0
+    for t in target_vertices:
+        closed[t] = 1 << t
+        everything |= 1 << t
+    for a, b in target.complex.by_dim[1] if target.dim >= 1 else ():
+        closed[a] |= 1 << b
+        closed[b] |= 1 << a
+    shifted = [[closed[b] for b in target.action.power(-i)] for i in range(p)]
+
     assignment = [-1] * source.complex.vertex_count
     nodes = 0
 
-    def place(k: int, t: int) -> bool:
-        orbit = orbits[k]
-        cur = t
-        for v in orbit:
-            assignment[v] = cur
-            cur = tperm[cur]
-        for s in ready[k]:
-            image = tuple(sorted({assignment[v] for v in s}))
-            if image not in tset:
-                return False
-        return True
-
-    def unplace(k: int):
-        for v in orbits[k]:
-            assignment[v] = -1
+    def over_budget():
+        raise BudgetExceeded(
+            f"map search exceeded budget of {budget} assignments", count=budget + 1
+        )
 
     def extend(k: int) -> bool:
         nonlocal nodes
         if k == len(orbits):
             return True
-        for t in target_vertices:
-            nodes += 1
+        domain = everything
+        for u, i in pairs[k]:
+            domain &= shifted[i][assignment[u]]
+        orbit, checks = orbits[k], ready[k]
+        counted = 0
+        while domain:
+            low = domain & -domain
+            domain ^= low
+            t = low.bit_length() - 1
+            r = rank[t]
+            nodes += r - counted
+            counted = r
             if nodes > budget:
-                raise BudgetExceeded(
-                    f"map search exceeded budget of {budget} assignments", count=nodes
-                )
-            if place(k, t):
+                over_budget()
+            cur = t
+            for v in orbit:
+                assignment[v] = cur
+                cur = tperm[cur]
+            if all(tuple(sorted({assignment[v] for v in s})) in tset for s in checks):
                 if extend(k + 1):
                     return True
-            unplace(k)
+        for v in orbit:
+            assignment[v] = -1
+        nodes += width - counted
+        if nodes > budget:
+            over_budget()
         return False
 
     if extend(0):

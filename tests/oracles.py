@@ -7,8 +7,10 @@ library backtracks), simplicial closures and maximal simplices come from
 all subsets and all pairs (the library walks facets level by level), the
 triangulation of a cubical complex walks every cell with every corner built
 from scratch (the library walks maximal cells, moving one corner per step),
-and geometric constraints are re-checked with Fraction arithmetic straight
-from the definitions.
+equivariant maps come from plain place-and-check backtracking over every
+target vertex (the library intersects neighbourhood bitsets), and geometric
+constraints are re-checked with Fraction arithmetic straight from the
+definitions.
 """
 
 from fractions import Fraction
@@ -260,3 +262,70 @@ class AnyCell:
 
     def forbidden_test(self, grid):
         return lambda window: False
+
+
+class OverBudget(Exception):
+    """Raised by plain_vertex_map_search once its node count passes the
+    budget; `count` is the node count at that moment."""
+
+    def __init__(self, count):
+        super().__init__(count)
+        self.count = count
+
+
+def plain_vertex_map_search(source, target, budget):
+    """Plain backtracking for an equivariant simplicial vertex map.
+
+    Orbits of the source vertices, each listed from its smallest vertex
+    along the action and taken in order of that vertex, are placed one at
+    a time: the orbit's i-th vertex goes to T^i t for every target vertex t
+    in ascending order.  Each placement is one node; it is kept when every
+    source simplex whose vertices are all placed now maps onto a target
+    simplex.  Returns (vertex map, nodes) for the first full placement, or
+    (None, nodes) after every placement was tried; raises OverBudget when
+    the node count passes `budget`."""
+    present = sorted(s[0] for s in source.complex.simplices() if len(s) == 1)
+    if not present:
+        return (), 0
+    targets = sorted(s[0] for s in target.complex.simplices() if len(s) == 1)
+    if not targets:
+        return None, 0
+    orbits, seen = [], set()
+    for v in present:
+        if v not in seen:
+            orbit = [v]
+            while source.action.perm[orbit[-1]] != v:
+                orbit.append(source.action.perm[orbit[-1]])
+            seen.update(orbit)
+            orbits.append(orbit)
+    position = {v: k for k, orbit in enumerate(orbits) for v in orbit}
+    last_placed = [[] for _ in orbits]
+    for s in source.complex.simplices():
+        last_placed[max(position[v] for v in s)].append(s)
+    target_simplices = set(target.complex.simplices())
+    vertex_map = [-1] * source.complex.vertex_count
+    nodes = 0
+
+    def place(k):
+        nonlocal nodes
+        if k == len(orbits):
+            return True
+        for t in targets:
+            nodes += 1
+            if nodes > budget:
+                raise OverBudget(nodes)
+            image = t
+            for v in orbits[k]:
+                vertex_map[v] = image
+                image = target.action.perm[image]
+            if all(tuple(sorted({vertex_map[v] for v in s})) in target_simplices
+                   for s in last_placed[k]):
+                if place(k + 1):
+                    return True
+            for v in orbits[k]:
+                vertex_map[v] = -1
+        return False
+
+    if place(0):
+        return tuple(vertex_map), nodes
+    return None, nodes

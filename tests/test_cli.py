@@ -145,16 +145,33 @@ class TestSubcommands:
         assert row["gap_certified"] is False
 
 
-def forged_coind_artifact():
-    """A coind artifact, E_0 into X_1(N=1, p=2, G=4), whose value was edited
-    from 0 to 5."""
+def coind_artifact(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main("coind --space Xm --N 1 --delta 3/5 --m 1 --p 2 --grid 4 "
-                    "--target 0".split()) == 0
-    art = json.loads(out.getvalue())
+        assert main(argv.split()) == 0
+    return json.loads(out.getvalue())
+
+
+X1_P2_COIND = "coind --space Xm --N 1 --delta 3/5 --m 1 --p 2 --grid 4 --target 0"
+
+
+def forged_coind_artifact(directory):
+    """A coind artifact, E_0 into X_1(N=1, p=2, G=4), whose value was edited
+    from 0 to 5."""
+    art = coind_artifact(X1_P2_COIND)
     assert art["result"]["certificate"]["value"] == 0
     art["result"]["certificate"]["value"] = 5
+    return json.dumps(art)
+
+
+def forged_prime_artifact(directory):
+    """The same coind artifact with `space_params.p` edited from 2 to 3; a
+    genuine p = 3 coind artifact on Z is written beside it as z3.json."""
+    z3 = coind_artifact("coind --space Z --p 3 --grid 2 --target 0")
+    (directory / "z3.json").write_text(json.dumps(z3), encoding="utf-8")
+    art = coind_artifact(X1_P2_COIND)
+    assert art["result"]["space_params"]["p"] == 2
+    art["result"]["space_params"]["p"] = 3
     return json.dumps(art)
 
 
@@ -195,14 +212,16 @@ class TestExitCodes:
                      "result": {"cells": 6, "homology": {"betti": [6]}}})),
         (["obstruction-report", "--p-list", "2", "--z-cert", "{input}", "--x-cert"],
          forged_coind_artifact),
+        (["obstruction-report", "--p-list", "3", "--z-cert", "{dir}/z3.json", "--x-cert"],
+         forged_prime_artifact),
     ], ids=["not-json", "string-prime", "non-rational-metric", "non-integer-T",
             "non-list-metric-row", "manifest-without-subcommand", "manifest-params-list",
             "certificate-list", "certificate-betti-not-list", "artifact-without-certificate",
-            "forged-coind-value"])
+            "forged-coind-value", "forged-space-prime"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.json"
-        path.write_text(text() if callable(text) else text, encoding="utf-8")
-        code = main([str(path) if word == "{input}" else word for word in argv] + [str(path)])
+        path.write_text(text(tmp_path) if callable(text) else text, encoding="utf-8")
+        code = main([word.format(input=path, dir=tmp_path) for word in argv] + [str(path)])
         capsys.readouterr()
         assert code == 2
 
