@@ -77,6 +77,19 @@ def _circle_gap(a: AxisInterval, b: AxisInterval, two_g: int) -> int:
     return min((b[0] - a[0] - a[1]) % two_g, (a[0] - b[0] - b[1]) % two_g)
 
 
+def _judged_once(judge):
+    """`judge` with a table of its verdicts: each distinct window is judged
+    once per call of a constraint's `forbidden_test`."""
+    verdicts: dict[tuple[Box, ...], bool] = {}
+
+    def forbidden(window: tuple[Box, ...]) -> bool:
+        verdict = verdicts.get(window)
+        if verdict is None:
+            verdict = verdicts[window] = judge(window)
+        return verdict
+    return forbidden
+
+
 @dataclass(frozen=True)
 class OffsetGapConstraint:
     """Every pair of coordinates at the cyclic offset stays >= delta apart."""
@@ -100,9 +113,9 @@ class OffsetGapConstraint:
         threshold = s * s * grid.G * grid.G
         t2 = t * t
 
-        def forbidden(window: tuple[Box, Box]) -> bool:
+        def judge(window: tuple[Box, Box]) -> bool:
             return t2 * sum(_axis_gap(x, y) ** 2 for x, y in zip(*window)) < threshold
-        return forbidden
+        return _judged_once(judge)
 
 
 @dataclass(frozen=True)
@@ -128,17 +141,17 @@ class CirclePairConstraint:
         g, two_g = grid.G, 2 * grid.G
         if self.kind == "Z":
             # rho >= 1/2 on an arc pair iff 2*gap >= G in grid units.
-            def forbidden(window: tuple[Box, Box, Box]) -> bool:
+            def judge(window: tuple[Box, Box, Box]) -> bool:
                 (a,), (b,), (c,) = window
                 return (2 * _circle_gap(a, b, two_g) < g
                         and 2 * _circle_gap(b, c, two_g) < g)
         else:
             # Two grid points G arcs apart: an antipodal pair.
-            def forbidden(window: tuple[Box, Box, Box]) -> bool:
+            def judge(window: tuple[Box, Box, Box]) -> bool:
                 ((x, xl),), ((y, yl),), ((z, zl),) = window
                 return not (xl == yl == 0 and (x - y) % two_g == g
                             or yl == zl == 0 and (y - z) % two_g == g)
-        return forbidden
+        return _judged_once(judge)
 
 
 def cell_dim(cell: Cell) -> int:
@@ -171,9 +184,10 @@ def cell_faces(cell: Cell, grid: GridSpec) -> list[Cell]:
 
 class CubicalZpComplex:
     """Shift-closed, face-closed family of certified cells on which the
-    cyclic shift acts freely."""
+    cyclic shift acts freely.  The sorted cells are grouped by dimension
+    once, at construction."""
 
-    __slots__ = ("p", "grid", "constraint", "cells", "_cell_set")
+    __slots__ = ("p", "grid", "constraint", "cells", "_cell_set", "_by_dim")
 
     def __init__(self, p: int, grid: GridSpec, constraint, cells):
         self.p = p
@@ -182,6 +196,13 @@ class CubicalZpComplex:
         self.cells = tuple(sorted(cells))
         self._cell_set = frozenset(self.cells)
         self._validate()
+        by_dim: list[list[Cell]] = []
+        for cell in self.cells:
+            k = cell_dim(cell)
+            while len(by_dim) <= k:
+                by_dim.append([])
+            by_dim[k].append(cell)
+        self._by_dim = tuple(map(tuple, by_dim))
 
     def _validate(self):
         if not is_prime(self.p):
@@ -206,15 +227,15 @@ class CubicalZpComplex:
 
     @property
     def dim(self) -> int:
-        return max((cell_dim(c) for c in self.cells), default=-1)
+        return len(self._by_dim) - 1
 
     def is_empty(self) -> bool:
         return not self.cells
 
-    def cells_of_dim(self, k: int) -> list[Cell]:
-        return [c for c in self.cells if cell_dim(c) == k]
+    def cells_of_dim(self, k: int) -> tuple[Cell, ...]:
+        return self._by_dim[k] if 0 <= k < len(self._by_dim) else ()
 
-    def vertex_cells(self) -> list[Cell]:
+    def vertex_cells(self) -> tuple[Cell, ...]:
         return self.cells_of_dim(0)
 
     def __eq__(self, other):

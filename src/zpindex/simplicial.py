@@ -297,14 +297,17 @@ def boundary_columns(cx: SimplicialComplex, k: int) -> list[dict[int, int]]:
 def chain_homology(columns, dim: int, p: int, reduced: bool) -> HomologyProfile:
     """Betti numbers over F_p of a chain complex of dimension dim (-1 when
     empty) whose boundary operator C_k -> C_{k-1} has the columns columns(k);
-    columns(0) holds one empty column per vertex."""
+    columns(0) holds one empty column per vertex.  The ranks are taken with
+    clearing (`fplinalg.betti_numbers`), so the columns must form a chain
+    complex: every composite C_{k+1} -> C_k -> C_{k-1} is zero."""
     if not is_prime(p):
         raise ValidationError(f"coefficient prime p={p} is not prime")
     if dim < 0:
         return HomologyProfile(p, (), reduced, EMPTY_CONNECTIVITY)
     chain = [columns(k) for k in range(dim + 1)]
     if reduced:
-        # Augmentation C_0 -> F_p replaces the zero map in degree 0.
+        # Augmentation C_0 -> F_p replaces the zero map in degree 0; it
+        # composes to zero with d_1, so clearing holds there too.
         chain[0] = [{0: 1} for _ in chain[0]]
     betti = tuple(betti_numbers(chain, p))
     reduced_betti = betti if reduced else (betti[0] - 1,) + betti[1:]

@@ -8,9 +8,10 @@ all subsets and all pairs (the library walks facets level by level), the
 triangulation of a cubical complex walks every cell with every corner built
 from scratch (the library walks maximal cells, moving one corner per step),
 equivariant maps come from plain place-and-check backtracking over every
-target vertex (the library intersects neighbourhood bitsets), and geometric
-constraints are re-checked with Fraction arithmetic straight from the
-definitions.
+target vertex (the library intersects neighbourhood bitsets), Betti
+numbers come from every boundary column (the library clears those that
+must reduce to zero), and geometric constraints are re-checked with
+Fraction arithmetic straight from the definitions.
 """
 
 from fractions import Fraction
@@ -67,6 +68,37 @@ def betti_by_elimination(levels, p):
     return [len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels))]
 
 
+def cubical_betti_by_elimination(cells, G, circle_valued, p):
+    """Unreduced Betti numbers of a face-closed family of p-tuple cells of
+    N-axis boxes: the j-th unit interval of a cell, counted over all its
+    slots in order, gives (-1)^j * (upper face - lower face), each face
+    built from scratch, with ranks from dense elimination."""
+    def dim(cell):
+        return sum(ln for box in cell for _, ln in box)
+
+    top = max((dim(c) for c in cells), default=-1)
+    levels = [sorted(c for c in cells if dim(c) == k) for k in range(top + 1)]
+    ranks = [0]
+    for k in range(1, top + 1):
+        index = {c: i for i, c in enumerate(levels[k - 1])}
+        rows = [[0] * len(levels[k]) for _ in levels[k - 1]]
+        for j, cell in enumerate(levels[k]):
+            slots = [(n, axis) for n, box in enumerate(cell)
+                     for axis, (_, ln) in enumerate(box) if ln == 1]
+            for sign, (n, axis) in zip((1, -1) * k, slots):
+                lo = cell[n][axis][0]
+                hi = (lo + 1) % (2 * G) if circle_valued else lo + 1
+                for end, s in ((hi, sign), (lo, -sign)):
+                    face = tuple(
+                        tuple((end, 0) if (m, a) == (n, axis) else iv
+                              for a, iv in enumerate(box))
+                        for m, box in enumerate(cell))
+                    rows[index[face]][j] += s
+        ranks.append(dense_fp_rank(rows, p))
+    ranks.append(0)
+    return [len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)]
+
+
 def brute_force_periodic(alphabet_size, window, forbidden, n):
     """All cyclic words of length n avoiding the forbidden offset pairs."""
     words = []
@@ -107,15 +139,16 @@ def _interval_gap(a, b, G):
     return max(Fraction(0), lo_b - hi_a, lo_a - hi_b)
 
 
+def xm_window_ok(a, b, G, delta):
+    """Boxes a and b are >= delta apart in Euclidean distance at every pair
+    of points, i.e. at their nearest points."""
+    return sum(_interval_gap(x, y, G) ** 2 for x, y in zip(a, b)) >= delta * delta
+
+
 def xm_cell_ok(cell, G, delta, offset):
-    """Boxes at cyclic offset `offset` are >= delta apart in Euclidean
-    distance at every pair of points, i.e. at their nearest points."""
+    """Boxes at cyclic offset `offset` pass xm_window_ok."""
     p = len(cell)
-    for n in range(p):
-        a, b = cell[n], cell[(n + offset) % p]
-        if sum(_interval_gap(x, y, G) ** 2 for x, y in zip(a, b)) < delta * delta:
-            return False
-    return True
+    return all(xm_window_ok(cell[n], cell[(n + offset) % p], G, delta) for n in range(p))
 
 
 def _arc_gap(a, b, G):
@@ -133,21 +166,22 @@ def _arc_gap(a, b, G):
     return min(circle_distance(x, y) for x in ends_a for y in ends_b)
 
 
+def circle_window_ok(a, b, c, G, kind):
+    """The consecutive-pair rule on three consecutive one-axis boxes: for Z
+    the larger of the two consecutive distances is >= 1/2 at every point;
+    for Y it is identically 1, which needs two points at distance 1 (an arc
+    of positive length moves the distance)."""
+    pairs = ((a[0], b[0]), (b[0], c[0]))
+    if kind == "Z":
+        return any(_arc_gap(x, y, G) >= Fraction(1, 2) for x, y in pairs)
+    return any(x[1] == 0 and y[1] == 0 and _arc_gap(x, y, G) == 1 for x, y in pairs)
+
+
 def circle_cell_ok(cell, G, kind):
-    """The consecutive-pair rule on whole cells: for Z the larger of the two
-    consecutive distances is >= 1/2 at every point; for Y it is identically
-    1, which needs two points at distance 1 (an arc of positive length moves
-    the distance)."""
+    """Every three cyclically consecutive boxes pass circle_window_ok."""
     p = len(cell)
-    arcs = [box[0] for box in cell]
-    for n in range(p):
-        pairs = ((arcs[n], arcs[(n + 1) % p]), (arcs[(n + 1) % p], arcs[(n + 2) % p]))
-        if kind == "Z":
-            if all(_arc_gap(x, y, G) < Fraction(1, 2) for x, y in pairs):
-                return False
-        elif not any(x[1] == 0 and y[1] == 0 and _arc_gap(x, y, G) == 1 for x, y in pairs):
-            return False
-    return True
+    return all(circle_window_ok(cell[n], cell[(n + 1) % p], cell[(n + 2) % p], G, kind)
+               for n in range(p))
 
 
 def cube_tuple_ok(values, delta, offset):

@@ -13,11 +13,15 @@ from oracles import (
     cells_shift_closed_and_free,
     circle_cell_ok,
     circle_pair_ok,
+    circle_window_ok,
     cube_tuple_ok,
+    cubical_betti_by_elimination,
     xm_cell_ok,
+    xm_window_ok,
 )
 from zpindex.certificates import ambient_sphere_bound, coindex_lower, index_upper_from_dimension
 from zpindex.cubical import (
+    CirclePairConstraint,
     CubicalZpComplex,
     GridSpec,
     OffsetGapConstraint,
@@ -399,3 +403,85 @@ class TestValidationProperties:
             assert "shift" in str(exc)
             accepted = False
         assert accepted == cells_shift_closed_and_free(cells)
+
+
+@st.composite
+def small_complexes(draw):
+    """(complex, G, circle_valued): a small X_m, Y or Z complex."""
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["Y", "Z"]))
+        p, G = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3))
+        assume((4 * G) ** p <= 5000)
+        return build_pp_yz(kind, p, GridSpec(1, G, circle_valued=True)), G, True
+    N, p, G = draw(st.integers(1, 2)), draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    delta = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
+    assume((2 * G + 1) ** (p * N) <= 5000)
+    return build_pp_xm(N, delta, m, p, GridSpec(N, G)), G, False
+
+
+class TestHomologyProperties:
+    """Betti numbers with clearing equal dense elimination over every column."""
+
+    @settings(max_examples=40)
+    @given(small_complexes(), st.sampled_from([2, 3, 5]))
+    def test_matches_dense_elimination(self, complex_grid, coeff):
+        cx, G, circle_valued = complex_grid
+        assume(len(cx.cells) <= 400)
+        oracle = cubical_betti_by_elimination(cx.cells, G, circle_valued, coeff)
+        assert cubical_homology(cx, coeff).betti == tuple(oracle)
+
+
+class TestDimensionGroups:
+    @settings(max_examples=40)
+    @given(small_complexes())
+    def test_groups_match_filter(self, complex_grid):
+        cx = complex_grid[0]
+        assert cx.dim == max((cell_dim(c) for c in cx.cells), default=-1)
+        for k in range(-1, cx.dim + 2):
+            assert list(cx.cells_of_dim(k)) == [c for c in cx.cells if cell_dim(c) == k]
+
+    def test_empty(self):
+        cx = build_pp_xm(1, Fraction(2), 1, 2, GridSpec(1, 2))
+        assert cx.dim == -1
+        assert cx.cells_of_dim(-1) == cx.cells_of_dim(0) == cx.cells_of_dim(1) == ()
+
+
+class TestWindowTable:
+    """Each window's verdict, first judged and then read from the table,
+    equals the Fraction re-check of its constraint."""
+
+    @pytest.mark.parametrize("N,G", [(1, 1), (1, 3), (2, 2)])
+    @pytest.mark.parametrize("delta", [Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+    def test_offset_gap(self, N, G, delta):
+        grid = GridSpec(N, G)
+        forbidden = OffsetGapConstraint(delta, 1).forbidden_test(grid)
+        windows = list(itertools.product(grid.boxes(), repeat=2))
+        for _ in range(2):
+            for a, b in windows:
+                assert forbidden((a, b)) == (not xm_window_ok(a, b, G, delta))
+
+    @pytest.mark.parametrize("G", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["Y", "Z"])
+    def test_circle_pair(self, G, kind):
+        grid = GridSpec(1, G, circle_valued=True)
+        forbidden = CirclePairConstraint(kind).forbidden_test(grid)
+        windows = list(itertools.product(grid.boxes(), repeat=3))
+        for _ in range(2):
+            for a, b, c in windows:
+                assert forbidden((a, b, c)) == (not circle_window_ok(a, b, c, G, kind))
+
+    def test_each_window_judged_once_per_test(self, monkeypatch):
+        import zpindex.cubical
+        calls = []
+        gap = zpindex.cubical._axis_gap
+        monkeypatch.setattr(zpindex.cubical, "_axis_gap", lambda a, b: calls.append(1) or gap(a, b))
+        grid = GridSpec(2, 2)
+        constraint = OffsetGapConstraint(Fraction(1, 2), 1)
+        window = (((0, 0), (0, 1)), ((2, 0), (1, 1)))
+        first = constraint.forbidden_test(grid)
+        assert [first(window) for _ in range(3)] == [False] * 3
+        assert len(calls) == 2  # one gap per axis, once
+        # A fresh test starts from an empty table.
+        assert constraint.forbidden_test(grid)(window) is False
+        assert len(calls) == 4

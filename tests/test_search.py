@@ -119,3 +119,19 @@ REFUTE = {
 def test_refute_node_counts(name):
     source, target, nodes = REFUTE[name]
     assert find_equivariant_vertex_map(source(), target()) == (None, nodes)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_every_simplex_orbit_is_checked(p):
+    # E_2(Z_p) less one orbit of triangles keeps every edge, so it is not a
+    # flag complex and only the triangle checks tell a map into E_2(Z_p)
+    # from a map into it.  Leaving any orbit's check out finds a map there.
+    model = e_n_zp(2, p)
+    triangles = model.complex.by_dim[2]
+    for orbit in sorted({simplex_orbit(model, s) for s in triangles}):
+        cx = SimplicialComplex.from_simplices(
+            model.complex.vertex_count, [s for s in triangles if s not in orbit])
+        target = FreeZpComplex(cx, model.action)
+        assert cx.by_dim[1] == model.complex.by_dim[1]
+        assert (find_equivariant_vertex_map(model, target)
+                == plain_vertex_map_search(model, target, 5_000))

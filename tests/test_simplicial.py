@@ -321,3 +321,16 @@ class TestFaceRelationProperties:
         n, family = n_family
         cx = SimplicialComplex.from_simplices(n, family)
         assert SimplicialComplex.from_simplices(n, cx.maximal_simplices()) == cx
+
+
+class TestHomologyProperties:
+    """Betti numbers with clearing equal dense elimination over every column."""
+
+    @given(simplex_families(), st.sampled_from([2, 3, 5]), st.booleans())
+    def test_matches_dense_elimination(self, n_family, coeff, reduced):
+        n, family = n_family
+        cx = SimplicialComplex.from_simplices(n, family)
+        oracle = betti_by_elimination([list(level) for level in cx.by_dim], coeff)
+        if reduced and oracle:
+            oracle[0] -= 1
+        assert homology(cx, coeff, reduced=reduced).betti == tuple(oracle)
