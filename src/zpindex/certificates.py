@@ -30,7 +30,6 @@ from .simplicial import (
     barycentric_subdivide,
     complex_from_json_dict,
     complex_to_json_dict,
-    connectivity_from_reduced_betti,
     content_key,
     e_n_zp,
     homology,
@@ -81,9 +80,7 @@ def _connectivity(ev: dict, depth: int) -> int:
     prof: HomologyProfile = ev["homology"]
     if not prof.reduced:
         raise ValidationError("connectivity bound needs reduced homology")
-    if not prof.betti:
-        return -1
-    conn = connectivity_from_reduced_betti(prof.betti)
+    conn = prof.homological_connectivity
     if conn == INFINITE_CONNECTIVITY:
         # A free simplicial Z_p-complex has Euler characteristic divisible
         # by p, so it cannot be F_p-acyclic.
@@ -289,6 +286,11 @@ def assert_coindex_le_index(certs):
 # ---------------------------------------------------------------------------
 # Serialization.  Keys: {"kind", "bound_type", "value", "depth", "evidence"}.
 
+def _connectivity_json(prof: HomologyProfile):
+    conn = prof.homological_connectivity
+    return "inf" if conn == INFINITE_CONNECTIVITY else conn
+
+
 def _encode_evidence(ev):
     if isinstance(ev, EquivariantMap):
         return {"type": "map",
@@ -296,10 +298,8 @@ def _encode_evidence(ev):
                 "source": complex_to_json_dict(ev.source),
                 "target": complex_to_json_dict(ev.target)}
     if isinstance(ev, HomologyProfile):
-        conn = ev.homological_connectivity
         return {"type": "homology", "p": ev.p, "betti": list(ev.betti),
-                "reduced": ev.reduced,
-                "connectivity": "inf" if conn == INFINITE_CONNECTIVITY else conn}
+                "reduced": ev.reduced, "connectivity": _connectivity_json(ev)}
     if isinstance(ev, dict):
         return {"type": "note", "fields": {k: _encode_evidence(v) for k, v in sorted(ev.items())}}
     return ev
@@ -315,9 +315,12 @@ def _decode_evidence(data):
             complex_from_json_dict(data["target"]),
             tuple(data["vertex_map"]))
     if t == "homology":
-        conn = data["connectivity"]
-        conn = INFINITE_CONNECTIVITY if conn == "inf" else conn
-        return HomologyProfile(data["p"], tuple(data["betti"]), data["reduced"], conn)
+        prof = HomologyProfile(data["p"], tuple(data["betti"]), data["reduced"])
+        if data["connectivity"] != _connectivity_json(prof):
+            raise ValidationError(
+                f"stored connectivity {data['connectivity']!r} does not follow from "
+                f"the Betti numbers {list(prof.betti)}")
+        return prof
     if t == "note":
         return {k: _decode_evidence(v) for k, v in data["fields"].items()}
     return data

@@ -13,7 +13,8 @@ the shift acts freely on it.  Inner approximations certify map-into lower
 bounds only.  An index upper bound on the true space comes from the
 ambient-sphere formula, which `certificates.ambient_sphere_bound` derives
 from an offset-gap complex in a cube; the dimension bound holds only for the
-approximation itself.
+approximation itself.  Cubical homology is the driver `fplinalg.betti_numbers`
+with the cubical face rule of `cubical_homology`.
 """
 
 from __future__ import annotations
@@ -23,14 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .fplinalg import is_prime
-from .simplicial import (
-    FreeZpComplex,
-    HomologyProfile,
-    SimplicialComplex,
-    ZpAction,
-    chain_homology,
-)
+from .fplinalg import betti_numbers, is_prime
+from .simplicial import FreeZpComplex, HomologyProfile, SimplicialComplex, ZpAction
 from .subshifts import cyclic_words, satisfies
 
 AxisInterval = tuple[int, int]  # (lo, length), length in {0, 1}
@@ -284,26 +279,14 @@ def build_pp_yz(which: str, p: int, grid: GridSpec,
 # ---------------------------------------------------------------------------
 # Cubical homology.
 
-def cubical_boundary_columns(cx: CubicalZpComplex, k: int) -> list[dict[int, int]]:
-    """The j-th unit interval of a cell contributes (-1)^j * (top face -
-    bottom face); by the order of cell_faces, the face at position i has the
-    sign + for i = 0, 3 mod 4 and - for i = 1, 2 mod 4."""
-    if k == 0:
-        return [dict() for _ in cx.cells_of_dim(0)]
-    lower = {c: i for i, c in enumerate(cx.cells_of_dim(k - 1))}
-    cols = []
-    for cell in cx.cells_of_dim(k):
-        col = {}
-        for i, face in enumerate(cell_faces(cell, cx.grid)):
-            col[lower[face]] = 1 if i % 4 in (0, 3) else -1
-        cols.append(col)
-    return cols
-
-
-def cubical_homology(cx: CubicalZpComplex, p_coeff: int,
-                     reduced: bool = False) -> HomologyProfile:
-    """Betti numbers over F_{p_coeff} from the cubical boundary operators."""
-    return chain_homology(lambda k: cubical_boundary_columns(cx, k), cx.dim, p_coeff, reduced)
+def cubical_homology(cx: CubicalZpComplex, p_coeff: int) -> HomologyProfile:
+    """Betti numbers over F_{p_coeff}, not reduced.  The j-th unit interval
+    of a cell contributes (-1)^j * (top face - bottom face), so by the order
+    of cell_faces the faces have the signs + - - + repeating."""
+    def signed_faces(cell: Cell):
+        return zip(cell_faces(cell, cx.grid), itertools.cycle((1, -1, -1, 1)))
+    return HomologyProfile(p_coeff, betti_numbers(cx._by_dim, signed_faces, p_coeff, False),
+                           False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
-"""Sparse linear algebra over the prime field F_p.
+"""Sparse linear algebra over the prime field F_p, and the homology driver.
 
 Matrices are given column-wise as dicts {row_index: coefficient}. Rank is
 computed by left-to-right column reduction on the lowest nonzero row
 (persistence-style), which is deterministic for a fixed column order.
-
-Betti numbers use clearing (Chen & Kerber, "Persistent homology computation
-with a twist", 2011): the boundary matrices are reduced from the top degree
-down, and a cell that is the pivot row of a reduced column of d_{k+1} has a
-column of d_k that reduces to zero, since d_k d_{k+1} = 0, so it is skipped.
-The input must therefore be a chain complex.
+`betti_numbers` is the one homology driver: it builds boundary columns from a
+signed-face rule and reduces them with clearing, for simplicial and cubical
+complexes alike.
 """
 
 from __future__ import annotations
+
+from .errors import ValidationError
 
 
 def is_prime(n: int) -> bool:
@@ -56,22 +55,33 @@ def fp_rank(columns: list[dict[int, int]], p: int, pivot_rows: set[int] | None =
     return rank
 
 
-def betti_numbers(boundary_columns: list[list[dict[int, int]]], p: int) -> list[int]:
-    """Betti numbers over F_p of a chain complex, with clearing.
+def betti_numbers(by_dim, signed_faces, p: int, reduced: bool) -> tuple[int, ...]:
+    """Betti numbers over F_p of the chain complex whose k-chains have the
+    cells by_dim[k] as basis, and whose boundary sends a cell of dimension
+    k >= 1 to the sum of sign * face over the (face, sign) pairs of
+    signed_faces(cell), each face a cell of by_dim[k - 1].  In degree 0 the
+    boundary is zero, or with `reduced` the augmentation that sends every
+    cell to 1, which gives the reduced Betti numbers.
 
-    boundary_columns[k] holds the columns of the boundary operator
-    C_k -> C_{k-1}; boundary_columns[0] must be the columns of the zero map
-    (empty dicts), or of an augmentation, one per 0-chain generator, so chain
-    ranks can be read off.  The operators must compose to zero: a column of
-    C_k -> C_{k-1} whose index is a pivot row of C_{k+1} -> C_k is left out
-    of the rank, which is right only when d_k d_{k+1} = 0.  A cleared column
-    is a combination of earlier columns, so the rank does not change.
+    Clearing (Chen & Kerber, "Persistent homology computation with a twist",
+    2011): the degrees are reduced from the top down, and a k-cell that is
+    the pivot row of a reduced column of d_{k+1} gets no column of d_k, which
+    is never built.  Its column would be a combination of earlier columns,
+    so the rank does not change, but only when d_k d_{k+1} = 0: the signed
+    faces must form a chain complex, the augmentation included.
     """
-    dims = [len(cols) for cols in boundary_columns]
-    ranks = [0] * (len(dims) + 1)  # no boundaries coming from above the top degree
+    if not is_prime(p):
+        raise ValidationError(f"coefficient prime p={p} is not prime")
+    ranks = [0] * (len(by_dim) + 1)  # no boundaries coming from above the top degree
     cleared: set[int] = set()
-    for k in reversed(range(len(dims))):
-        kept = [col for j, col in enumerate(boundary_columns[k]) if j not in cleared]
+    for k in reversed(range(len(by_dim))):
+        kept = [cell for j, cell in enumerate(by_dim[k]) if j not in cleared]
+        if k:
+            row = {face: i for i, face in enumerate(by_dim[k - 1])}
+            columns = [{row[face]: sign for face, sign in signed_faces(cell)} for cell in kept]
+        else:
+            columns = [{0: 1} if reduced else {} for _ in kept]
         cleared = set()
-        ranks[k] = fp_rank(kept, p, cleared)
-    return [dims[k] - ranks[k] - ranks[k + 1] for k in range(len(dims))]
+        ranks[k] = fp_rank(columns, p, cleared)
+        del kept, columns  # freed before the next degree's columns are built
+    return tuple(len(cells) - ranks[k] - ranks[k + 1] for k, cells in enumerate(by_dim))

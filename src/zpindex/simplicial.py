@@ -4,7 +4,8 @@ A complex stores its simplices as sorted integer tuples grouped by dimension,
 so equality and hashing are canonical.  Actions are vertex permutations of
 prime order p; freeness is the setwise-fixed-simplex test, which is exact for
 simplicial actions of prime-order cyclic groups (a setwise-fixed simplex
-would fix its barycenter).
+would fix its barycenter).  Homology is the driver `fplinalg.betti_numbers`
+with the simplex face rule.
 """
 
 from __future__ import annotations
@@ -261,62 +262,28 @@ class HomologyProfile:
     p: int
     betti: tuple[int, ...]
     reduced: bool
-    homological_connectivity: int | float
 
     def __post_init__(self):
         if any(b < 0 for b in self.betti):
             raise ValidationError("negative betti number")
 
-
-def connectivity_from_reduced_betti(reduced_betti):
-    first_nonzero = None
-    for k, b in enumerate(reduced_betti):
-        if b != 0:
-            first_nonzero = k
-            break
-    if first_nonzero is None:
+    @property
+    def homological_connectivity(self) -> int | float:
+        if not self.betti:
+            return EMPTY_CONNECTIVITY
+        reduced_betti = self.betti if self.reduced else (self.betti[0] - 1,) + self.betti[1:]
+        for k, b in enumerate(reduced_betti):
+            if b != 0:
+                return k - 1
         return INFINITE_CONNECTIVITY
-    return first_nonzero - 1
-
-
-def boundary_columns(cx: SimplicialComplex, k: int) -> list[dict[int, int]]:
-    """Columns of the boundary operator C_k -> C_{k-1} with Z coefficients."""
-    if k <= 0 or k > cx.dim:
-        return [dict() for _ in (cx.by_dim[k] if 0 <= k <= cx.dim else ())]
-    index = {s: i for i, s in enumerate(cx.by_dim[k - 1])}
-    cols = []
-    for s in cx.by_dim[k]:
-        col: dict[int, int] = {}
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            col[index[face]] = 1 if i % 2 == 0 else -1
-        cols.append(col)
-    return cols
-
-
-def chain_homology(columns, dim: int, p: int, reduced: bool) -> HomologyProfile:
-    """Betti numbers over F_p of a chain complex of dimension dim (-1 when
-    empty) whose boundary operator C_k -> C_{k-1} has the columns columns(k);
-    columns(0) holds one empty column per vertex.  The ranks are taken with
-    clearing (`fplinalg.betti_numbers`), so the columns must form a chain
-    complex: every composite C_{k+1} -> C_k -> C_{k-1} is zero."""
-    if not is_prime(p):
-        raise ValidationError(f"coefficient prime p={p} is not prime")
-    if dim < 0:
-        return HomologyProfile(p, (), reduced, EMPTY_CONNECTIVITY)
-    chain = [columns(k) for k in range(dim + 1)]
-    if reduced:
-        # Augmentation C_0 -> F_p replaces the zero map in degree 0; it
-        # composes to zero with d_1, so clearing holds there too.
-        chain[0] = [{0: 1} for _ in chain[0]]
-    betti = tuple(betti_numbers(chain, p))
-    reduced_betti = betti if reduced else (betti[0] - 1,) + betti[1:]
-    return HomologyProfile(p, betti, reduced, connectivity_from_reduced_betti(reduced_betti))
 
 
 def homology(cx: SimplicialComplex, p: int, reduced: bool = True) -> HomologyProfile:
-    """Betti numbers of cx over F_p via boundary-matrix column reduction."""
-    return chain_homology(lambda k: boundary_columns(cx, k), cx.dim, p, reduced)
+    """Betti numbers of cx over F_p; the face of a simplex without its i-th
+    vertex has the sign (-1)^i."""
+    def signed_faces(s: Simplex):
+        return ((s[:i] + s[i + 1:], -1 if i % 2 else 1) for i in range(len(s)))
+    return HomologyProfile(p, betti_numbers(cx.by_dim, signed_faces, p, reduced), reduced)
 
 
 def make_discrete_zp(p: int) -> FreeZpComplex:

@@ -305,6 +305,8 @@ FORGERIES = {
                            set_field(["value"], 3)),
     "connectivity-bound-type": (lambda: index_lower_from_connectivity(e_n_zp(2, 2)),
                                 set_field(["bound_type"], "ind_upper")),
+    "connectivity-stored": (lambda: index_lower_from_connectivity(e_n_zp(1, 2)),
+                            set_field(["evidence", "fields", "homology", "connectivity"], 41)),
     "dimension-value": (lambda: index_upper_from_dimension(e_n_zp(1, 2)),
                         set_field(["value"], -5)),
     "ambient-value": (lambda: ambient_sphere_bound(offset_gap(1, 3)), set_field(["value"], 0)),
@@ -336,7 +338,7 @@ class TestForgeries:
 
     def test_acyclic_homology_refused(self):
         data = certificate_to_json_dict(index_lower_from_connectivity(e_n_zp(1, 2)))
-        data["evidence"]["fields"]["homology"]["betti"] = [0, 0]
+        data["evidence"]["fields"]["homology"].update(betti=[0, 0], connectivity="inf")
         with pytest.raises(ValidationError, match="acyclic"):
             certificate_from_json_dict(data)
 

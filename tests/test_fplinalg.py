@@ -1,8 +1,15 @@
+from fractions import Fraction
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import dense_fp_rank
+from zpindex import cli, fplinalg
+from zpindex.cubical import GridSpec, build_pp_xm, build_pp_yz, cubical_homology
+from zpindex.errors import ValidationError
 from zpindex.fplinalg import betti_numbers, fp_rank
+from zpindex.simplicial import barycentric_subdivide, e_n_zp, homology
 
 
 @st.composite
@@ -41,10 +48,73 @@ class TestRankProperties:
 class TestClearing:
     def test_filled_triangle(self):
         # Vertices 0..2, edges 01, 02, 12, one triangle: a point.
-        d1 = [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
-        d2 = [{0: 1, 1: -1, 2: 1}]
-        assert betti_numbers([[{}, {}, {}], d1, d2], 3) == [1, 0, 0]
+        by_dim = [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
+        faces = {(0, 1): [((0,), -1), ((1,), 1)], (0, 2): [((0,), -1), ((2,), 1)],
+                 (1, 2): [((1,), -1), ((2,), 1)],
+                 (0, 1, 2): [((0, 1), 1), ((0, 2), -1), ((1, 2), 1)]}
+        assert betti_numbers(by_dim, faces.get, 3, False) == (1, 0, 0)
         # Clearing skips the edge 12 and the augmentation columns of the
         # vertices 1 and 2; the reduced homology still vanishes.
-        augmented = [[{0: 1}, {0: 1}, {0: 1}], d1, d2]
-        assert betti_numbers(augmented, 5) == [0, 0, 0]
+        assert betti_numbers(by_dim, faces.get, 5, True) == (0, 0, 0)
+
+
+FRONT_ENDS = {
+    "E_2(p=3) reduced": lambda: homology(e_n_zp(2, 3).complex, 3),
+    "E_2(p=2) sd1 unreduced": lambda: homology(
+        barycentric_subdivide(e_n_zp(2, 2)).complex, 2, reduced=False),
+    "X_1(N=2, p=2, G=2)": lambda: cubical_homology(
+        build_pp_xm(2, Fraction(1, 2), 1, 2, GridSpec(2, 2)), 2),
+    "Z(p=3, G=2)": lambda: cubical_homology(
+        build_pp_yz("Z", 3, GridSpec(1, 2, circle_valued=True)), 3),
+}
+
+
+def counting_rank(monkeypatch):
+    """Patches zpindex.fplinalg.fp_rank, as the benchmark's rank probe does;
+    the returned list gets (column count, rank) of every call."""
+    handed = []
+    fp_rank = fplinalg.fp_rank
+
+    def counted(columns, p, pivot_rows=None):
+        rank = fp_rank(columns, p, pivot_rows)
+        handed.append((len(columns), rank))
+        return rank
+    monkeypatch.setattr(fplinalg, "fp_rank", counted)
+    return handed
+
+
+class TestDriver:
+    @pytest.mark.parametrize("name", FRONT_ENDS)
+    def test_builds_only_the_columns_it_reduces(self, name, driver_calls, monkeypatch):
+        # One rank call per degree, from the top down.  Clearing leaves out
+        # one cell per rank of the degree above, and in each degree >= 1 the
+        # face rule is asked once per column handed to fp_rank, so no
+        # cleared column is built.
+        handed = counting_rank(monkeypatch)
+        FRONT_ENDS[name]()
+        (call,) = driver_calls
+        by_dim = call["by_dim"]
+        degree = {cell: k for k, cells in enumerate(by_dim) for cell in cells}
+        asked = [0] * len(by_dim)
+        for cell in call["asked"]:
+            asked[degree[cell]] += 1
+        columns, ranks = zip(*handed[::-1])
+        assert len(columns) == len(by_dim)
+        assert list(columns) == [len(cells) - rank for cells, rank in zip(by_dim, ranks[1:] + (0,))]
+        assert asked[1:] == list(columns[1:])
+        assert any(ranks[1:])
+
+    def test_rank_probe_sees_both_front_ends(self, monkeypatch):
+        # The benchmark's fplinalg.rank probe patches this module attribute;
+        # the driver must look it up there at call time.
+        handed = counting_rank(monkeypatch)
+        x = e_n_zp(2, 2).complex
+        cli.homology(x, 2)
+        assert len(handed) == x.dim + 1
+        cx = build_pp_xm(1, Fraction(1, 3), 1, 3, GridSpec(1, 3))
+        cli.cubical_homology(cx, 3)
+        assert len(handed) == x.dim + 1 + cx.dim + 1
+
+    def test_non_prime_coefficients_rejected(self):
+        with pytest.raises(ValidationError):
+            betti_numbers([[(0,)]], lambda cell: (), 4, False)
