@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import ValidationError
 from .fplinalg import betti_numbers, is_prime
 from .simplicial import FreeZpComplex, HomologyProfile, SimplicialComplex, ZpAction
-from .subshifts import cyclic_words, satisfies
+from .subshifts import cyclic_words, satisfies, shift_orbits
 
 AxisInterval = tuple[int, int]  # (lo, length), length in {0, 1}
 Box = tuple[AxisInterval, ...]
@@ -154,15 +154,14 @@ def cell_dim(cell: Cell) -> int:
 
 
 def shift_cell(cell: Cell, a: int = 1) -> Cell:
-    p = len(cell)
-    return tuple(cell[(n + a) % p] for n in range(p))
+    a %= len(cell)
+    return cell[a:] + cell[:a]
 
 
 def cell_faces(cell: Cell, grid: GridSpec) -> list[Cell]:
     """Codimension-one faces: the top and then the bottom face of the j-th
     unit interval (coordinate-major order) sit at positions 2j and 2j + 1."""
     out = []
-    two_g = 2 * grid.G
     for n, box in enumerate(cell):
         for axis, (lo, ln) in enumerate(box):
             if ln == 0:
@@ -180,7 +179,14 @@ def cell_faces(cell: Cell, grid: GridSpec) -> list[Cell]:
 class CubicalZpComplex:
     """Shift-closed, face-closed family of certified cells on which the
     cyclic shift acts freely.  The sorted cells are grouped by dimension
-    once, at construction."""
+    once, at construction.
+
+    The box alphabet, the window constraint and the face relation commute
+    with the shift T (faces(T c) = T faces(c)), so they are checked on the
+    first cell of each orbit, and `shift_orbits` checks that every cell's
+    image is a cell; the faces of a first cell then give those of its whole
+    orbit.  p is prime, so an orbit has 1 or p members: the action is free
+    once each first cell differs from its image."""
 
     __slots__ = ("p", "grid", "constraint", "cells", "_cell_set", "_by_dim")
 
@@ -204,7 +210,8 @@ class CubicalZpComplex:
             raise ValidationError(f"p={self.p} is not prime")
         boxes = frozenset(self.grid.boxes())
         forbidden = self.constraint.forbidden_test(self.grid)
-        for cell in self.cells:
+
+        def check(cell):
             if len(cell) != self.p or not boxes.issuperset(cell):
                 raise ValidationError(f"cell {cell} is not a p-tuple of grid boxes")
             if not satisfies(cell, self.constraint.offsets, forbidden):
@@ -212,13 +219,10 @@ class CubicalZpComplex:
             for face in cell_faces(cell, self.grid):
                 if face not in self._cell_set:
                     raise ValidationError(f"face {face} of {cell} missing")
-            # p is prime, so a cell fixed by some shift^a is fixed by the
-            # shift, and closure under the shift gives closure under its powers.
-            shifted = shift_cell(cell)
-            if shifted == cell:
+            if shift_cell(cell) == cell:
                 raise ValidationError(f"cell {cell} is fixed by the shift")
-            if shifted not in self._cell_set:
-                raise ValidationError(f"shift image of {cell} missing")
+        for _ in shift_orbits(self.cells, shift_cell, check, "shift image of {} missing"):
+            pass
 
     @property
     def dim(self) -> int:
@@ -327,19 +331,6 @@ def cubical_to_simplicial(cx: CubicalZpComplex) -> FreeZpComplex:
     perm = tuple(index[shift_cell(v)] for v in verts)
     return FreeZpComplex(SimplicialComplex.from_simplices(len(verts), tops),
                          ZpAction(cx.p, perm))
-
-
-def close_cells(cells, grid: GridSpec):
-    """Downward face closure of a cell family."""
-    closed = set()
-    stack = list(cells)
-    while stack:
-        cell = stack.pop()
-        if cell in closed:
-            continue
-        closed.add(cell)
-        stack.extend(cell_faces(cell, grid))
-    return sorted(closed)
 
 
 # ---------------------------------------------------------------------------

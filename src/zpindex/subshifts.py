@@ -5,7 +5,8 @@ constraint says that for no i is the window of symbols at i + o (mod n), o
 in a fixed tuple of offsets, forbidden.  `cyclic_words` is the one
 enumerator of such words, over any alphabet: it backtracks and tests each
 window as soon as its last position is placed.  `satisfies` applies the
-same test to a whole word.  The cubical models in `cubical` are the
+same test to a whole word, and `shift_orbits` validates a family of such
+words one shift orbit at a time.  The cubical models in `cubical` are the
 p-periodic words of this kind over the alphabet of grid boxes.
 
 The basic examples here are the three-symbol shifts forbidding equal symbols
@@ -16,12 +17,12 @@ period m a self-pair (so that shift has no m-periodic points at all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, field
+from operator import eq, itemgetter
 
 from .errors import BudgetExceeded, ValidationError
 from .fplinalg import is_prime
-from .simplicial import FreeZpComplex, SimplicialComplex, ZpAction, cycles, join
+from .simplicial import FreeZpComplex, SimplicialComplex, ZpAction, join
 
 Word = tuple[int, ...]
 
@@ -119,27 +120,58 @@ def rotate(word: Word) -> Word:
     return word[1:] + word[:1]
 
 
+def shift_orbits(words, step, check, missing: str):
+    """Walk the orbits of `step` through the distinct `words`: run `check`
+    on the first member of each orbit in `words` order, then step it round,
+    raising ValidationError(missing.format(w)) when the image of w is not a
+    word.  Yields each orbit, listed from its first member, as a tuple of
+    the words' own objects (no stepped copies)."""
+    index = {w: i for i, w in enumerate(words)}
+    seen = bytearray(len(words))
+    for i, first in enumerate(words):
+        if seen[i]:
+            continue
+        check(first)
+        orbit = [first]
+        image = step(first)
+        while image != first:
+            j = index.get(image)
+            if j is None:
+                raise ValidationError(missing.format(orbit[-1]))
+            seen[j] = 1
+            orbit.append(words[j])
+            image = step(words[j])
+        yield tuple(orbit)
+
+
 @dataclass(frozen=True)
 class PeriodicOrbitSet:
-    """All period-n points of a subshift, closed under rotation."""
+    """All period-n points of a subshift, closed under rotation.
+
+    Length and window constraint are rotation invariant (a rotated word has
+    the same windows), so they are checked on the first word of each orbit,
+    and `shift_orbits` checks that every word's rotation is a point; the
+    orbits from that one walk are kept."""
 
     shift: Subshift
     period: int
     points: tuple[Word, ...]
+    _orbits: tuple[tuple[Word, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
-        pts = set(self.points)
-        if len(pts) != len(self.points):
+        points = tuple(sorted(self.points))
+        object.__setattr__(self, "points", points)
+        if any(map(eq, points, points[1:])):
             raise ValidationError("duplicate periodic words")
         offsets, forbidden = self.shift.offsets, self.shift.forbidden.__contains__
-        for w in self.points:
+
+        def check(w):
             if len(w) != self.period:
                 raise ValidationError(f"word {w} has wrong length")
             if not satisfies(w, offsets, forbidden):
                 raise ValidationError(f"word {w} violates the window constraint")
-            if rotate(w) not in pts:
-                raise ValidationError(f"orbit of {w} not closed under rotation")
+        object.__setattr__(self, "_orbits", tuple(shift_orbits(
+            points, rotate, check, "orbit of {} not closed under rotation")))
 
     def __len__(self):
         return len(self.points)
@@ -149,10 +181,10 @@ class PeriodicOrbitSet:
 
     def orbits(self) -> list[tuple[Word, ...]]:
         """Rotation orbits, each listed from its lexicographic minimum."""
-        return cycles(self.points, rotate)
+        return list(self._orbits)
 
     def rotation_is_free(self) -> bool:
-        return all(len(o) == self.period for o in self.orbits())
+        return all(len(o) == self.period for o in self._orbits)
 
 
 def periodic_points(shift: Subshift, n: int,

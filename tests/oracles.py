@@ -7,6 +7,8 @@ library backtracks), simplicial closures and maximal simplices come from
 all subsets and all pairs (the library walks facets level by level), the
 triangulation of a cubical complex walks every cell with every corner built
 from scratch (the library walks maximal cells, moving one corner per step),
+cell and word families are judged valid cell by cell and word by word (the
+library checks one member per shift orbit and walks the orbit),
 equivariant maps come from plain place-and-check backtracking over every
 target vertex (the library intersects neighbourhood bitsets), Betti
 numbers come from every boundary column (the library clears those that
@@ -129,6 +131,60 @@ def brute_force_cells(p, N, G, circle_valued, cell_ok):
     found by testing every candidate."""
     boxes = list(product(grid_intervals(G, circle_valued), repeat=N))
     return [cell for cell in product(boxes, repeat=p) if cell_ok(cell)]
+
+
+def cube_faces(cell, G, circle_valued):
+    """Codimension-one faces of a p-tuple cell of boxes, each built from
+    scratch: every unit interval replaced by its lower and by its upper end
+    point (mod 2G on the circle)."""
+    faces = []
+    for n, box in enumerate(cell):
+        for axis, (lo, ln) in enumerate(box):
+            if ln == 1:
+                for end in (lo, (lo + 1) % (2 * G) if circle_valued else lo + 1):
+                    faces.append(tuple(
+                        tuple((end, 0) if (m, a) == (n, axis) else iv for a, iv in enumerate(b))
+                        for m, b in enumerate(cell)))
+    return faces
+
+
+def face_closure(cells, G, circle_valued):
+    """The cells with every face of every face, and so on, sorted."""
+    closed, stack = set(), list(cells)
+    while stack:
+        cell = stack.pop()
+        if cell not in closed:
+            closed.add(cell)
+            stack.extend(cube_faces(cell, G, circle_valued))
+    return sorted(closed)
+
+
+def cell_family_ok(cells, p, N, G, circle_valued, cell_ok):
+    """True iff every cell of the family, checked on its own, is a p-tuple
+    of N-axis grid boxes, passes cell_ok, has all its faces in the family,
+    and has its shift image in the family and different from itself."""
+    family = set(cells)
+    boxes = set(product(grid_intervals(G, circle_valued), repeat=N))
+
+    def valid(cell):
+        image = tuple(cell[(n + 1) % len(cell)] for n in range(len(cell)))
+        return (len(cell) == p and all(box in boxes for box in cell) and cell_ok(cell)
+                and all(face in family for face in cube_faces(cell, G, circle_valued))
+                and image != cell and image in family)
+    return all(valid(cell) for cell in family)
+
+
+def word_family_ok(words, n, window, forbidden):
+    """True iff the words are distinct and each, checked on its own, has
+    length n, avoids the forbidden pairs at the window offset mod n, and has
+    its rotation among the words."""
+    family = set(words)
+
+    def valid(word):
+        return (len(word) == n
+                and all((word[i], word[(i + window) % n]) not in forbidden for i in range(n))
+                and tuple(word[(i + 1) % n] for i in range(n)) in family)
+    return len(family) == len(words) and all(valid(word) for word in family)
 
 
 def _interval_gap(a, b, G):

@@ -10,12 +10,15 @@ from oracles import (
     AnyCell,
     brute_force_cells,
     brute_force_triangulation,
+    cell_family_ok,
     cells_shift_closed_and_free,
     circle_cell_ok,
     circle_pair_ok,
     circle_window_ok,
     cube_tuple_ok,
     cubical_betti_by_elimination,
+    face_closure,
+    grid_intervals,
     xm_cell_ok,
     xm_window_ok,
 )
@@ -28,7 +31,6 @@ from zpindex.cubical import (
     build_pp_xm,
     build_pp_yz,
     cell_dim,
-    close_cells,
     cubical_homology,
     cubical_to_simplicial,
     relabel_isomorphism,
@@ -203,7 +205,6 @@ class TestCubicalHomology:
     def test_hollow_square_ring(self):
         # perimeter of the square [0,1] x [3,4] (four edges and four corners)
         # and its swap image: two disjoint circles
-        from zpindex.cubical import close_cells
         grid = GridSpec(1, 4)
         ring = [
             (((0, 1),), ((3, 0),)), (((0, 1),), ((4, 0),)),
@@ -211,7 +212,7 @@ class TestCubicalHomology:
         ]
         ring += [shift_cell(c) for c in ring]
         cx = CubicalZpComplex(2, grid, OffsetGapConstraint(Fraction(1, 2), 1),
-                              close_cells(ring, grid))
+                              face_closure(ring, 4, False))
         prof = cubical_homology(cx, 2)
         assert prof.betti == (2, 2)
 
@@ -251,7 +252,7 @@ class TestTriangulation:
         grid = GridSpec(1, 4)
         square = (((0, 1),), ((3, 1),))
         cx = CubicalZpComplex(2, grid, OffsetGapConstraint(Fraction(1, 2), 1),
-                              close_cells([square, shift_cell(square)], grid))
+                              face_closure([square, shift_cell(square)], 4, False))
         tri = cubical_to_simplicial(cx).complex
         assert tri.vertex_count == 8
         assert tri.f_vector() == (8, 10, 4)
@@ -395,7 +396,7 @@ class TestValidationProperties:
         for cell in seeds:
             powers = data.draw(st.sets(st.integers(0, p - 1)))
             cells.update(shift_cell(cell, a) for a in powers | {0})
-        cells = close_cells(cells, grid)
+        cells = face_closure(cells, G, False)
         try:
             CubicalZpComplex(p, grid, AnyCell(), cells)
             accepted = True
@@ -445,6 +446,51 @@ class TestDimensionGroups:
         cx = build_pp_xm(1, Fraction(2), 1, 2, GridSpec(1, 2))
         assert cx.dim == -1
         assert cx.cells_of_dim(-1) == cx.cells_of_dim(0) == cx.cells_of_dim(1) == ()
+
+
+class TestOrbitWalk:
+    """The constructor checks one cell per shift orbit and walks the orbit;
+    it must refuse exactly the damaged families that a check of every cell
+    on its own refuses."""
+
+    @settings(max_examples=80)
+    @given(small_complexes(), st.sampled_from(["drop", "drop orbit", "add", "add orbit"]),
+           st.data())
+    def test_refused_iff_some_cell_fails(self, complex_grid, damage, data):
+        cx, G, circle_valued = complex_grid
+        p, constraint = cx.p, cx.constraint
+        assume(0 < len(cx.cells) <= 1500)
+        cells = set(cx.cells)
+        if damage.startswith("drop"):
+            cell = data.draw(st.sampled_from(cx.cells))
+            cells -= {shift_cell(cell, a) for a in range(p if damage == "drop orbit" else 1)}
+        else:
+            # a vertex tuple has all its faces, so only its own checks can refuse it
+            pool = grid_intervals(G, circle_valued) + [(2 * G if circle_valued else G + 1, 0)]
+            if data.draw(st.booleans()):
+                pool = [iv for iv in pool if iv[1] == 0]
+            intervals = st.sampled_from(pool)
+            box = st.tuples(*[intervals] * cx.grid.N)
+            cell = data.draw(st.tuples(*[box] * p))
+            cells |= {shift_cell(cell, a) for a in range(p if damage == "add orbit" else 1)}
+        if isinstance(constraint, OffsetGapConstraint):
+            def cell_ok(c):
+                return xm_cell_ok(c, G, constraint.delta, constraint.offset)
+        else:
+            def cell_ok(c):
+                return circle_cell_ok(c, G, constraint.kind)
+        if cell_family_ok(cells, p, cx.grid.N, G, circle_valued, cell_ok):
+            assert CubicalZpComplex(p, cx.grid, constraint, cells).cells == tuple(sorted(cells))
+        else:
+            with pytest.raises(ValidationError):
+                CubicalZpComplex(p, cx.grid, constraint, cells)
+
+    def test_dropping_last_sorted_orbit_member_refused(self):
+        # a top cell's orbit: no face check can see the gap, only the walk
+        cx = build_pp_xm(2, Fraction(1, 2), 1, 3, GridSpec(2, 2))
+        orbit = sorted(shift_cell(cx.cells_of_dim(cx.dim)[0], a) for a in range(3))
+        with pytest.raises(ValidationError, match="shift image"):
+            CubicalZpComplex(3, cx.grid, cx.constraint, set(cx.cells) - {orbit[-1]})
 
 
 class TestWindowTable:

@@ -1,12 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_cyclic, brute_force_periodic
+from oracles import brute_force_cyclic, brute_force_periodic, word_family_ok
 from zpindex.errors import BudgetExceeded, ValidationError
-from zpindex.simplicial import homology
+from zpindex.simplicial import cycles, homology
 from zpindex.subshifts import (
     PeriodicOrbitSet,
     as_free_zp_complex,
@@ -207,6 +207,39 @@ class TestEnumerator:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValidationError):
             cyclic_words([1, 2], 3, (0, 1), frozenset().__contains__, budget=-1)
+
+
+class TestOrbitWalk:
+    """The constructor checks one word per rotation orbit and keeps the
+    orbits of that walk; it must refuse exactly the damaged sets that a
+    check of every word on its own refuses."""
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 3), st.integers(2, 3), st.integers(1, 8),
+           st.sampled_from(["none", "drop", "drop orbit", "add"]), st.data())
+    def test_refused_iff_some_word_fails(self, m, k, n, damage, data):
+        shift = make_sigma_m(m, k)
+        points = list(periodic_points(shift, n).points)
+        if damage.startswith("drop"):
+            assume(points)
+            word = data.draw(st.sampled_from(points))
+            gone = {word[a:] + word[:a] for a in range(n if damage == "drop orbit" else 1)}
+            points = [w for w in points if w not in gone]
+        elif damage == "add":
+            length = data.draw(st.sampled_from([n, n, n + 1]))
+            points.append(data.draw(st.tuples(*[st.integers(1, k)] * length)))
+        if word_family_ok(points, n, m, shift.forbidden):
+            pts = PeriodicOrbitSet(shift, n, tuple(points))
+            assert pts.orbits() == cycles(pts.points, rotate)
+            assert pts.rotation_is_free() == all(len(o) == n for o in cycles(pts.points, rotate))
+        else:
+            with pytest.raises(ValidationError):
+                PeriodicOrbitSet(shift, n, tuple(points))
+
+    def test_orbits_hold_the_points_themselves(self):
+        pts = periodic_points(make_sigma_m(2), 8)
+        point_ids = {id(w) for w in pts.points}
+        assert all(id(w) in point_ids for orbit in pts.orbits() for w in orbit)
 
 
 class TestTable:
