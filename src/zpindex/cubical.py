@@ -196,16 +196,14 @@ class CubicalZpComplex:
         self.constraint = constraint
         self.cells = tuple(sorted(cells))
         self._cell_set = frozenset(self.cells)
-        self._validate()
-        by_dim: list[list[Cell]] = []
-        for cell in self.cells:
-            k = cell_dim(cell)
-            while len(by_dim) <= k:
-                by_dim.append([])
+        dims = self._validate()
+        by_dim: list[list[Cell]] = [[] for _ in range(max(dims, default=-1) + 1)]
+        for cell, k in zip(self.cells, dims):
             by_dim[k].append(cell)
         self._by_dim = tuple(map(tuple, by_dim))
 
-    def _validate(self):
+    def _validate(self) -> bytearray:
+        """Check the family; return each cell's dimension, taken once per orbit."""
         if not is_prime(self.p):
             raise ValidationError(f"p={self.p} is not prime")
         boxes = frozenset(self.grid.boxes())
@@ -221,8 +219,12 @@ class CubicalZpComplex:
                     raise ValidationError(f"face {face} of {cell} missing")
             if shift_cell(cell) == cell:
                 raise ValidationError(f"cell {cell} is fixed by the shift")
-        for _ in shift_orbits(self.cells, shift_cell, check, "shift image of {} missing"):
-            pass
+        dims = bytearray(len(self.cells))
+        for orbit in shift_orbits(self.cells, shift_cell, check, "shift image of {} missing"):
+            k = cell_dim(self.cells[orbit[0]])
+            for i in orbit:
+                dims[i] = k
+        return dims
 
     @property
     def dim(self) -> int:

@@ -6,6 +6,13 @@ prime order p; freeness is the setwise-fixed-simplex test, which is exact for
 simplicial actions of prime-order cyclic groups (a setwise-fixed simplex
 would fix its barycenter).  Homology is the driver `fplinalg.betti_numbers`
 with the simplex face rule.
+
+Closure, validation and the maximal scan run once per level on its vertex
+columns (column j: vertex j of each simplex), so per-simplex work runs in C.
+Each column test decides its per-simplex rule: rows increase strictly iff
+each column is below the next; vertices are in range iff column 0's minimum
+and the last column's maximum are; dropping column j leaves the j-th facets.
+Action images are two tee'd streams read in step, so no list of them is kept.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from operator import and_, itemgetter, lt, ne, not_
 
 from .errors import ValidationError
 from .fplinalg import betti_numbers, is_prime
@@ -25,6 +33,16 @@ Simplex = tuple[int, ...]
 # reduced homology vanishes everywhere (connectivity is unbounded there).
 EMPTY_CONNECTIVITY = -2
 INFINITE_CONNECTIVITY = math.inf
+
+
+def _columns(level) -> list[tuple[int, ...]]:
+    """Column j holds vertex j of each simplex, in the level's iteration order."""
+    return [tuple(map(itemgetter(j), level)) for j in range(len(next(iter(level), ())))]
+
+
+def _facets(cols) -> list:
+    """Per column j, an iterator over the rows of the other columns: the j-th facets."""
+    return [zip(*cols[:j], *cols[j + 1:]) for j in range(len(cols))]
 
 
 class SimplicialComplex:
@@ -43,38 +61,40 @@ class SimplicialComplex:
         """Build the downward closure of an arbitrary simplex family: group
         the simplices by dimension, then from the top down add the facets
         of each level to the level below."""
-        levels: list[set[Simplex]] = []
-        for s in simplices:
-            s = tuple(sorted(set(s)))
-            if not s:
-                raise ValidationError("empty vertex tuple is not a simplex")
-            while len(levels) < len(s):
-                levels.append(set())
-            levels[len(s) - 1].add(s)
+        by_size = sorted(map(tuple, map(sorted, map(set, simplices))), key=len)
+        if by_size and not by_size[0]:
+            raise ValidationError("empty vertex tuple is not a simplex")
+        levels: list[set[Simplex]] = [set() for _ in range(len(by_size[-1]) if by_size else 0)]
+        for size, group in itertools.groupby(by_size, len):
+            levels[size - 1].update(group)
         for d in range(len(levels) - 1, 0, -1):
-            levels[d - 1].update(s[:i] + s[i + 1:] for s in levels[d] for i in range(d + 1))
+            levels[d - 1].update(*_facets(_columns(levels[d])))
         return cls(vertex_count, [sorted(level) for level in levels])
 
     def _validate(self):
-        seen: set[Simplex] = set()
+        n = self.vertex_count
         for d, level in enumerate(self.by_dim):
-            prev: Simplex | None = None
-            for s in level:
-                if len(s) != d + 1:
-                    raise ValidationError(f"simplex {s} filed under dimension {d}")
-                if list(s) != sorted(set(s)):
-                    raise ValidationError(f"simplex {s} is not a sorted duplicate-free tuple")
-                if s[-1] >= self.vertex_count or s[0] < 0:
-                    raise ValidationError(f"simplex {s} exceeds vertex range 0..{self.vertex_count - 1}")
-                if prev is not None and s <= prev:
-                    raise ValidationError(f"dimension {d} is not sorted/duplicate-free at {s}")
-                prev = s
-                seen.add(s)
-        for level in self.by_dim[1:]:
-            for s in level:
-                for i in range(len(s)):
-                    if s[:i] + s[i + 1:] not in seen:
-                        raise ValidationError(f"face {s[:i] + s[i + 1:]} of {s} missing (not downward closed)")
+            if set(map(type, level)) - {tuple}:
+                bad = next(s for s in level if type(s) is not tuple)
+                raise ValidationError(f"simplex {bad!r} is not a tuple")
+            if set(map(len, level)) - {d + 1}:
+                bad = next(s for s in level if len(s) != d + 1)
+                raise ValidationError(f"simplex {bad} filed under dimension {d}")
+            cols = _columns(level)
+            if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
+                bad = next(s for s in level if not all(map(lt, s, s[1:])))
+                raise ValidationError(f"simplex {bad} is not a sorted duplicate-free tuple")
+            if level and (min(cols[0]) < 0 or max(cols[-1]) >= n):
+                bad = next(s for s in level if s[0] < 0 or s[-1] >= n)
+                raise ValidationError(f"simplex {bad} exceeds vertex range 0..{n - 1}")
+            if not all(map(lt, level, level[1:])):
+                bad = next(b for a, b in zip(level, level[1:]) if a >= b)
+                raise ValidationError(f"dimension {d} is not sorted/duplicate-free at {bad}")
+            if d and not all(map(set(self.by_dim[d - 1]).issuperset, _facets(cols))):
+                below = set(self.by_dim[d - 1])
+                bad, face = next((s, f) for s in level
+                                 for f in (s[:i] + s[i + 1:] for i in range(d + 1)) if f not in below)
+                raise ValidationError(f"face {face} of {bad} missing (not downward closed)")
         if self.by_dim and not self.by_dim[-1]:
             raise ValidationError("top dimension level is empty; trim by_dim")
 
@@ -104,8 +124,8 @@ class SimplicialComplex:
         (dimension, lexicographic) order."""
         maximal = []
         for level, above in zip(self.by_dim, self.by_dim[1:] + ((),)):
-            facets = {s[:i] + s[i + 1:] for s in above for i in range(len(s))}
-            maximal.extend(s for s in level if s not in facets)
+            facets = set().union(*_facets(_columns(above)))
+            maximal.extend(itertools.filterfalse(facets.__contains__, level))
         return maximal
 
     def connected_components(self) -> int:
@@ -205,17 +225,20 @@ class FreeZpComplex:
         self._validate()
 
     def _validate(self):
-        if len(self.action.perm) != self.complex.vertex_count:
+        perm = self.action.perm
+        if len(perm) != self.complex.vertex_count:
             raise ValidationError("permutation length differs from vertex count")
-        sset = self.complex.simplex_set()
-        for s in self.complex.simplices():
-            image = self.action.apply(s)
-            if image not in sset:
-                raise ValidationError(f"action is not simplicial: image of {s} missing")
+        for d, level in enumerate(self.complex.by_dim):
+            images, again = itertools.tee(map(tuple, map(sorted, zip(
+                *[map(perm.__getitem__, map(itemgetter(j), level)) for j in range(d + 1)]))))
+            ok = map(and_, map(set(level).__contains__, images), map(ne, again, level))
+            bad = next(itertools.compress(level, map(not_, ok)), None)
+            if bad is not None and self.action.apply(bad) != bad:
+                raise ValidationError(f"action is not simplicial: image of {bad} missing")
             # Checking the generator suffices: p is prime, so T is a power of
             # any T^a with 0 < a < p, and a simplex fixed by T^a is fixed by T.
-            if image == s:
-                raise ValidationError(f"action is not free: {s} is setwise fixed")
+            if bad is not None:
+                raise ValidationError(f"action is not free: {bad} is setwise fixed")
 
     @property
     def p(self) -> int:
@@ -296,7 +319,8 @@ def make_discrete_zp(p: int) -> FreeZpComplex:
 
 def join(x: FreeZpComplex, y: FreeZpComplex) -> FreeZpComplex:
     """Combinatorial join: simplices are disjoint unions of a simplex from
-    each side (either side may contribute nothing), acted on simultaneously.
+    each side (either side may contribute nothing), acted on simultaneously;
+    so the complex is the closure of the unions of two maximal simplices.
 
     An empty factor is the identity for the join.
     """
@@ -307,18 +331,9 @@ def join(x: FreeZpComplex, y: FreeZpComplex) -> FreeZpComplex:
     if x.is_empty():
         return y
     nx = x.complex.vertex_count
-    xs = [()] + list(x.complex.simplices())
-    ys = [()] + list(y.complex.simplices())
-    by_dim: dict[int, list[Simplex]] = {}
-    for sx in xs:
-        for sy in ys:
-            if not sx and not sy:
-                continue
-            s = sx + tuple(v + nx for v in sy)
-            by_dim.setdefault(len(s) - 1, []).append(s)
-    top = max(by_dim)
-    levels = [sorted(by_dim.get(d, [])) for d in range(top + 1)]
-    cx = SimplicialComplex(nx + y.complex.vertex_count, levels)
+    ys = [tuple(v + nx for v in sy) for sy in y.complex.maximal_simplices()]
+    cx = SimplicialComplex.from_simplices(
+        nx + y.complex.vertex_count, (sx + sy for sx in x.complex.maximal_simplices() for sy in ys))
     perm = tuple(x.action.perm) + tuple(v + nx for v in y.action.perm)
     x_connected = (not x.is_empty()) and x.complex.connected_components() == 1
     y_connected = (not y.is_empty()) and y.complex.connected_components() == 1
@@ -404,14 +419,14 @@ def complex_from_json_dict(data: dict) -> FreeZpComplex:
         p = data["p"]
         vertices = data["vertices"]
         perm = tuple(data["perm"])
-        simplices = [tuple(s) for s in data["simplices"]]
+        simplices = list(map(tuple, data["simplices"]))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed complex JSON: {exc}") from exc
-    if not all(isinstance(v, int) for v in (p, vertices, *perm, *itertools.chain(*simplices))):
+    # type, not isinstance: JSON true/false load as bool, a subclass of int
+    if not set(map(type, itertools.chain((p, vertices), perm, *simplices))) <= {int}:
         raise ValidationError(
             "malformed complex JSON: p, vertices, perm and simplices must hold integers")
-    cx = SimplicialComplex.from_simplices(vertices, simplices) if simplices else SimplicialComplex(vertices, ())
-    return FreeZpComplex(cx, ZpAction(p, perm))
+    return FreeZpComplex(SimplicialComplex.from_simplices(vertices, simplices), ZpAction(p, perm))
 
 
 def content_key(x: FreeZpComplex) -> str:

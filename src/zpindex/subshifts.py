@@ -125,21 +125,21 @@ def shift_orbits(words, step, check, missing: str):
     on the first member of each orbit in `words` order, then step it round,
     raising ValidationError(missing.format(w)) when the image of w is not a
     word.  Yields each orbit, listed from its first member, as a tuple of
-    the words' own objects (no stepped copies)."""
+    positions in `words`."""
     index = {w: i for i, w in enumerate(words)}
     seen = bytearray(len(words))
     for i, first in enumerate(words):
         if seen[i]:
             continue
         check(first)
-        orbit = [first]
+        orbit = [i]
         image = step(first)
         while image != first:
             j = index.get(image)
             if j is None:
-                raise ValidationError(missing.format(orbit[-1]))
+                raise ValidationError(missing.format(words[orbit[-1]]))
             seen[j] = 1
-            orbit.append(words[j])
+            orbit.append(j)
             image = step(words[j])
         yield tuple(orbit)
 
@@ -170,8 +170,8 @@ class PeriodicOrbitSet:
                 raise ValidationError(f"word {w} has wrong length")
             if not satisfies(w, offsets, forbidden):
                 raise ValidationError(f"word {w} violates the window constraint")
-        object.__setattr__(self, "_orbits", tuple(shift_orbits(
-            points, rotate, check, "orbit of {} not closed under rotation")))
+        orbits = shift_orbits(points, rotate, check, "orbit of {} not closed under rotation")
+        object.__setattr__(self, "_orbits", tuple(tuple(map(points.__getitem__, o)) for o in orbits))
 
     def __len__(self):
         return len(self.points)

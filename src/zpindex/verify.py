@@ -3,9 +3,14 @@
 Deliberately independent of the search engine: it rebuilds the target
 simplex table from the raw level data and walks every source simplex and
 vertex from scratch.  Certificates are only trusted after passing this.
+Source images are built per level from its columns, inline, as `simplicial`
+explains; each simplex with no target image is reported in level order.
 """
 
 from __future__ import annotations
+
+import itertools
+from operator import itemgetter, not_
 
 from .simplicial import FreeZpComplex
 
@@ -24,21 +29,19 @@ def check_vertex_map(source: FreeZpComplex, target: FreeZpComplex,
         return problems
     n_target = target.complex.vertex_count
     for v, t in enumerate(vertex_map):
-        if not 0 <= t < n_target:
-            problems.append(f"vertex {v} mapped outside target range: {t}")
+        # type, not isinstance: a bool is no vertex index
+        if type(t) is not int or not 0 <= t < n_target:
+            problems.append(f"vertex {v} mapped outside target range: {t!r}")
     if problems:
         return problems
 
-    table = set()
-    for level in target.complex.by_dim:
-        for s in level:
-            table.add(tuple(s))
-
-    for level in source.complex.by_dim:
-        for s in level:
-            image = tuple(sorted({vertex_map[v] for v in s}))
-            if image not in table:
-                problems.append(f"image {image} of simplex {s} is not a target simplex")
+    table = set(itertools.chain.from_iterable(target.complex.by_dim))
+    for d, level in enumerate(source.complex.by_dim):
+        images, again = itertools.tee(map(tuple, map(sorted, map(set, zip(
+            *[map(vertex_map.__getitem__, map(itemgetter(j), level)) for j in range(d + 1)])))))
+        missing = map(not_, map(table.__contains__, images))
+        problems.extend(f"image {image} of simplex {s} is not a target simplex"
+                        for s, image in itertools.compress(zip(level, again), missing))
 
     sp = source.action.perm
     tp = target.action.perm

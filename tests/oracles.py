@@ -10,7 +10,9 @@ from scratch (the library walks maximal cells, moving one corner per step),
 cell and word families are judged valid cell by cell and word by word (the
 library checks one member per shift orbit and walks the orbit),
 equivariant maps come from plain place-and-check backtracking over every
-target vertex (the library intersects neighbourhood bitsets), Betti
+target vertex (the library intersects neighbourhood bitsets), simplicial
+complexes, their actions and vertex maps are checked simplex by simplex
+(the library tests a level's vertex columns at once), Betti
 numbers come from every boundary column (the library clears those that
 must reduce to zero), and geometric constraints are re-checked with
 Fraction arithmetic straight from the definitions.
@@ -294,6 +296,70 @@ def fixed_by_some_power(perm, p, simplices):
         if any({power[v] for v in s} == set(s) for s in simplices):
             return True
     return False
+
+
+def complex_ok(vertex_count, by_dim):
+    """True iff every simplex, checked on its own, is a tuple of distinct
+    vertices in 0..vertex_count-1, listed in increasing order, filed under
+    its dimension after every smaller simplex of that dimension, with each
+    of its faces one vertex smaller present; and the top dimension is not
+    empty."""
+    present = set()
+    for d, level in enumerate(by_dim):
+        for i, s in enumerate(level):
+            if (type(s) is not tuple or len(s) != d + 1 or list(s) != sorted(set(s))
+                    or min(s) < 0 or max(s) >= vertex_count or (i and level[i - 1] >= s)):
+                return False
+            present.add(tuple(s))
+    faces = (tuple(v for v in s if v != w) for level in by_dim[1:] for s in level for w in s)
+    return all(face in present for face in faces) and not (by_dim and not by_dim[-1])
+
+
+def action_ok(vertex_count, by_dim, perm):
+    """True iff perm has one entry per vertex and moves every simplex, with
+    its vertices moved one at a time, onto another simplex of the family."""
+    if len(perm) != vertex_count:
+        return False
+    family = {frozenset(s) for level in by_dim for s in level}
+    for s in family:
+        image = frozenset(perm[v] for v in s)
+        if image not in family or image == s:
+            return False
+    return True
+
+
+def vertex_map_problems(source, target, vertex_map):
+    """The problems `check_vertex_map` reports, found one vertex and one
+    simplex at a time: a prime mismatch; a map of the wrong length (and
+    nothing more); entries that are not integers (bools included) in the
+    target's vertex range (and nothing more); every source simplex, in
+    level order, whose image vertex set is no target simplex; every vertex
+    at which the map fails to intertwine the two permutations."""
+    problems = []
+    if source.action.p != target.action.p:
+        problems.append(f"prime mismatch: {source.action.p} vs {target.action.p}")
+    n_source, n_target = source.complex.vertex_count, target.complex.vertex_count
+    if len(vertex_map) != n_source:
+        return problems + [f"vertex_map length {len(vertex_map)} != source vertex count {n_source}"]
+    for v, t in enumerate(vertex_map):
+        if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < n_target:
+            problems.append(f"vertex {v} mapped outside target range: {t!r}")
+    if problems:
+        return problems
+    targets = {frozenset(s) for level in target.complex.by_dim for s in level}
+    for level in source.complex.by_dim:
+        for s in level:
+            image = {vertex_map[v] for v in s}
+            if frozenset(image) not in targets:
+                problems.append(f"image {tuple(sorted(image))} of simplex {s} "
+                                "is not a target simplex")
+    sp, tp = source.action.perm, target.action.perm
+    for v in range(n_source):
+        moved_then_mapped, mapped_then_moved = vertex_map[sp[v]], tp[vertex_map[v]]
+        if moved_then_mapped != mapped_then_moved:
+            problems.append(f"equivariance fails at vertex {v}: map(perm({v}))="
+                            f"{moved_then_mapped} but perm(map({v}))={mapped_then_moved}")
+    return problems
 
 
 def brute_force_closure(simplices):

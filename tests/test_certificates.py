@@ -267,6 +267,20 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             certificate_from_json_dict(data)
 
+    @pytest.mark.parametrize("edit", [
+        lambda ev: ev.update(vertex_map=[False, True, 2, 3]),
+        lambda ev: ev["source"].update(simplices=[[False, 2], [False, 3], [True, 2], [True, 3]]),
+        lambda ev: ev["target"].update(perm=[True, False, 3, 2]),
+    ], ids=["map", "source-simplices", "target-perm"])
+    def test_json_booleans_refused_on_load(self, edit):
+        data = json.loads(json.dumps(certificate_to_json_dict(index_upper(e_n_zp(1, 2), 1))))
+        assert data["evidence"]["vertex_map"] == [0, 1, 2, 3]
+        assert data["evidence"]["source"]["simplices"] == [[0, 2], [0, 3], [1, 2], [1, 3]]
+        certificate_from_json_dict(data)
+        edit(data["evidence"])
+        with pytest.raises(ValidationError):
+            certificate_from_json_dict(data)
+
     def test_evidence_free_combined_refused(self):
         forged = {"kind": "combined", "bound_type": "coind_lower", "value": 99,
                   "depth": 0, "evidence": None, "space": "s"}

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from zpindex.certificates import certificate_to_json_dict, index_upper
 from zpindex.cli import main
 from zpindex.markers import FiniteDynSys
+from zpindex.simplicial import e_n_zp
 
 
 def run(capsys, *argv):
@@ -175,6 +177,24 @@ def forged_prime_artifact(directory):
     return json.dumps(art)
 
 
+def ind_certificate_with_booleans(directory, fields):
+    """An ind <= 1 certificate on E_1(Z_2), whose map is the identity, with
+    0 and 1 written as false and true in the named evidence `fields`
+    (`vertex_map`, `source`); a p = 2 coind artifact is written beside it
+    as x.json, so that obstruction-report has both sides."""
+    (directory / "x.json").write_text(json.dumps(coind_artifact(X1_P2_COIND)), encoding="utf-8")
+    data = certificate_to_json_dict(index_upper(e_n_zp(1, 2), 1))
+    evidence = data["evidence"]
+
+    def booleans(values):
+        return [bool(v) if v in (0, 1) else v for v in values]
+    if "vertex_map" in fields:
+        evidence["vertex_map"] = booleans(evidence["vertex_map"])
+    if "source" in fields:
+        evidence["source"]["simplices"] = [booleans(s) for s in evidence["source"]["simplices"]]
+    return json.dumps(data)
+
+
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path, capsys):
         code = main(["coind", "--space", "Xm", "--N", "1", "--delta", "1/2",
@@ -194,6 +214,9 @@ class TestExitCodes:
         (["homology", "--coeff", "2", "--input"],
          json.dumps({"p": "3", "vertices": 3, "perm": [1, 2, 0],
                      "simplices": [[0], [1], [2]]})),
+        (["homology", "--coeff", "2", "--input"],
+         json.dumps({"p": 2, "vertices": 2, "perm": [True, False],
+                     "simplices": [[False], [True]]})),
         (["marker-check", "--N", "1", "--U", "0", "--system"],
          json.dumps({"points": 2, "metric": [["0", "x"], ["x", "0"]], "T": [1, 0]})),
         (["marker-check", "--N", "1", "--U", "0", "--system"],
@@ -214,7 +237,7 @@ class TestExitCodes:
          forged_coind_artifact),
         (["obstruction-report", "--p-list", "3", "--z-cert", "{dir}/z3.json", "--x-cert"],
          forged_prime_artifact),
-    ], ids=["not-json", "string-prime", "non-rational-metric", "non-integer-T",
+    ], ids=["not-json", "string-prime", "boolean-complex", "non-rational-metric", "non-integer-T",
             "non-list-metric-row", "manifest-without-subcommand", "manifest-params-list",
             "certificate-list", "certificate-betti-not-list", "artifact-without-certificate",
             "forged-coind-value", "forged-space-prime"])
@@ -259,6 +282,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("validation error") and needle in err
+
+    @pytest.mark.parametrize("fields", [(), ("vertex_map",), ("source",), ("vertex_map", "source")],
+                             ids=["integers", "boolean-map", "boolean-source", "boolean-both"])
+    def test_json_booleans_in_certificate_are_2(self, tmp_path, capsys, fields):
+        path = tmp_path / "z.json"
+        path.write_text(ind_certificate_with_booleans(tmp_path, fields), encoding="utf-8")
+        code = main(["obstruction-report", "--p-list", "2", "--x-cert", str(tmp_path / "x.json"),
+                     "--z-cert", str(path)])
+        err = capsys.readouterr().err
+        assert code == (2 if fields else 0)
+        assert ("validation error" in err) == bool(fields)
 
     def test_unknown_subcommand_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

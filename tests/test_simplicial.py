@@ -1,15 +1,19 @@
 import json
 import math
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    action_ok,
     betti_by_elimination,
     brute_force_closure,
     brute_force_maximal,
+    complex_ok,
     fixed_by_some_power,
+    vertex_map_problems,
 )
 from zpindex.errors import ValidationError
 from zpindex.simplicial import (
@@ -26,6 +30,7 @@ from zpindex.simplicial import (
     make_discrete_zp,
     subdivide_complex,
 )
+from zpindex.verify import check_vertex_map
 
 
 def assert_valid(x: FreeZpComplex):
@@ -223,6 +228,166 @@ class TestValidation:
             ZpAction(2, (1, 2, 0))  # 3-cycle has order 3, not 2
 
 
+class TestLevelChecks:
+    """Each check of the two constructors refuses its input on its own and
+    names the first offending simplex."""
+
+    @pytest.mark.parametrize("vertex_count,by_dim,message", [
+        (3, [[(0,), (1,)], [[0, 1]]], "simplex [0, 1] is not a tuple"),
+        (3, [[(0,), (1,), (2,)], [(0, 1), (2,)]], "simplex (2,) filed under dimension 1"),
+        (3, [[(0,), (1,), (2,)], [(0, 1), (2, 1)]],
+         "simplex (2, 1) is not a sorted duplicate-free tuple"),
+        (3, [[(0,), (1,), (2,)], [(0, 1), (1, 1)]],
+         "simplex (1, 1) is not a sorted duplicate-free tuple"),
+        (3, [[(-1,), (0,), (1,)]], "simplex (-1,) exceeds vertex range 0..2"),
+        (3, [[(0,), (1,)], [(0, 1), (1, 3)]], "simplex (1, 3) exceeds vertex range 0..2"),
+        (3, [[(0,), (2,), (1,)]], "dimension 0 is not sorted/duplicate-free at (1,)"),
+        (3, [[(0,), (1,), (1,)]], "dimension 0 is not sorted/duplicate-free at (1,)"),
+        (3, [[(0,), (1,)], [(0, 1), (0, 2)]], "face (2,) of (0, 2) missing"),
+        (3, [[(0,), (1,)], []], "top dimension level is empty"),
+    ], ids=["list-simplex", "misfiled-dimension", "unsorted-tuple", "repeated-vertex",
+            "negative-vertex", "vertex-beyond-count", "unsorted-level", "repeated-level-entry",
+            "missing-facet", "empty-top-level"])
+    def test_complex_check_refuses(self, vertex_count, by_dim, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SimplicialComplex(vertex_count, by_dim)
+
+    @pytest.mark.parametrize("vertex_count,simplices,p,perm,message", [
+        (2, [(0, 1)], 2, (1, 0, 3, 2), "permutation length differs from vertex count"),
+        (4, [(0, 1), (2,), (3,)], 2, (2, 3, 0, 1),
+         "action is not simplicial: image of (0, 1) missing"),
+        (4, [(0, 2), (1, 2), (3,)], 2, (1, 0, 3, 2),
+         "action is not simplicial: image of (0, 2) missing"),
+        (2, [(0, 1)], 2, (1, 0), "action is not free: (0, 1) is setwise fixed"),
+        (3, [(0,), (1,), (2,)], 2, (1, 0, 2), "action is not free: (2,) is setwise fixed"),
+    ], ids=["perm-length", "non-simplicial-vertex-image", "non-simplicial-edge-image",
+            "fixed-edge", "fixed-vertex"])
+    def test_action_check_refuses(self, vertex_count, simplices, p, perm, message):
+        cx = SimplicialComplex.from_simplices(vertex_count, simplices)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            FreeZpComplex(cx, ZpAction(p, perm))
+
+
+@st.composite
+def damaged_complexes(draw):
+    """(vertex_count, by_dim): a valid complex with at most one drawn change,
+    often one that only a single check can see."""
+    n, family = draw(simplex_families())
+    by_dim = [list(level) for level in SimplicialComplex.from_simplices(n, family).by_dim]
+    change = draw(st.sampled_from(["none", "replace", "insert", "add face", "unsort", "out of range",
+                                   "drop", "swap", "empty top", "vertex count"]))
+    event(f"change: {change}, dimension {len(by_dim) - 1}")
+    vertex_tuple = st.lists(st.integers(-1, n), max_size=n + 1).map(tuple)
+    if change in ("replace", "drop", "swap") and by_dim:
+        level = by_dim[draw(st.integers(0, len(by_dim) - 1))]
+        i = draw(st.integers(0, len(level) - 1))
+        if change == "replace":
+            level[i] = draw(vertex_tuple | vertex_tuple.map(list) | st.just(list(level[i])))
+        elif change == "drop":
+            del level[i]
+        elif i + 1 < len(level):
+            level[i], level[i + 1] = level[i + 1], level[i]
+    elif change == "insert":
+        d = draw(st.integers(0, len(by_dim)))
+        if d == len(by_dim):
+            by_dim.append([])
+        by_dim[d].insert(draw(st.integers(0, len(by_dim[d]))), draw(vertex_tuple))
+    elif change == "add face":
+        # a well-formed simplex filed in order: only the face check can see it
+        s = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        while len(by_dim) < len(s):
+            by_dim.append([])
+        by_dim[len(s) - 1] = sorted(set(by_dim[len(s) - 1]) | {s})
+    elif change == "unsort" and len(by_dim) > 1:
+        # a copy of an edge, reversed or with a repeated vertex, filed in
+        # order: only the increasing-vertices check can see it
+        level = by_dim[1]
+        s = level[draw(st.integers(0, len(level) - 1))]
+        level.append(s[::-1] if draw(st.booleans()) else s[:1] + s[:-1])
+        level.sort()
+    elif change == "out of range":
+        # a vertex below 0 or at n filed in order: only the range check can see it
+        if not by_dim:
+            by_dim.append([])
+        if draw(st.booleans()):
+            by_dim[0].insert(0, (-1,))
+        else:
+            by_dim[0].append((n,))
+    elif change == "empty top":
+        by_dim.append([])
+    elif change == "vertex count":
+        n += draw(st.integers(-2, 1))
+    return n, by_dim
+
+
+@st.composite
+def acted_complexes(draw, closed=False):
+    """(complex, p, perm): seed simplices with some of their images under a
+    prime-order permutation, closed downward, on len(perm) vertices or one
+    more.  `closed`: a permutation without fixed points, every image and
+    len(perm) vertices, so that only a setwise-fixed seed can spoil it."""
+    p, perm = draw(free_perms() if closed else prime_order_perms())
+    seeds = draw(st.lists(st.sets(st.integers(0, len(perm) - 1), min_size=1, max_size=3),
+                          max_size=4))
+    steps = p if closed else draw(st.integers(1, p))
+    family = set()
+    for s in seeds:
+        for _ in range(steps):
+            family.add(tuple(sorted(s)))
+            s = {perm[v] for v in s}
+    extra = 0 if closed else draw(st.sampled_from([0, 0, 0, 1]))
+    return SimplicialComplex.from_simplices(len(perm) + extra, family), p, perm
+
+
+class TestLevelChecksMatchOracle:
+    """The per-level column checks refuse exactly what a check of every
+    simplex on its own refuses, and report the same vertex-map problems."""
+
+    @settings(max_examples=400)
+    @given(damaged_complexes())
+    def test_complex_refused_iff_oracle_refuses(self, case):
+        n, by_dim = case
+        if complex_ok(n, by_dim):
+            assert SimplicialComplex(n, by_dim).by_dim == tuple(map(tuple, by_dim))
+        else:
+            with pytest.raises(ValidationError):
+                SimplicialComplex(n, by_dim)
+
+    @settings(max_examples=300)
+    @given(acted_complexes())
+    def test_action_refused_iff_oracle_refuses(self, case):
+        cx, p, perm = case
+        if action_ok(cx.vertex_count, cx.by_dim, perm):
+            FreeZpComplex(cx, ZpAction(p, perm))
+        else:
+            with pytest.raises(ValidationError):
+                FreeZpComplex(cx, ZpAction(p, perm))
+
+    @settings(max_examples=300)
+    @given(acted_complexes(closed=True), acted_complexes(closed=True), st.data())
+    def test_vertex_map_problems_match_oracle(self, source_case, target_case, data):
+        (scx, sp, sperm), (tcx, tp, tperm) = source_case, target_case
+        assume(action_ok(scx.vertex_count, scx.by_dim, sperm))
+        assume(action_ok(tcx.vertex_count, tcx.by_dim, tperm))
+        source = FreeZpComplex(scx, ZpAction(sp, sperm))
+        target = FreeZpComplex(tcx, ZpAction(tp, tperm))
+        n_source, n_target = len(sperm), len(tperm)
+        if data.draw(st.booleans()):
+            # equivariant on the source orbits, so that the image checks decide
+            vertex_map = [0] * n_source
+            for orbit in cycles(range(n_source), sperm.__getitem__):
+                t = data.draw(st.integers(0, n_target - 1))
+                for v in orbit:
+                    vertex_map[v], t = t, tperm[t]
+        else:
+            entry = st.integers(-1, n_target) | st.booleans()
+            size = n_source + data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+            vertex_map = data.draw(st.lists(entry, min_size=max(size, 0), max_size=max(size, 0)))
+        vertex_map = tuple(vertex_map)
+        assert check_vertex_map(source, target, vertex_map) == \
+            vertex_map_problems(source, target, vertex_map)
+
+
 class TestJsonInterchange:
     @pytest.mark.parametrize("builder", [
         lambda: make_discrete_zp(3),
@@ -240,6 +405,17 @@ class TestJsonInterchange:
     def test_maximal_simplices_only(self):
         data = complex_to_json_dict(e_n_zp(2, 2))
         assert sorted(len(s) for s in data["simplices"]) == [3] * 8
+
+    @pytest.mark.parametrize("field,value", [
+        ("perm", [True, False]), ("simplices", [[False], [True]]), ("p", 2.0),
+        ("vertices", True), ("simplices", [[0], [1.0]]),
+    ], ids=["bool-perm", "bool-simplices", "float-prime", "bool-vertices", "float-simplex"])
+    def test_non_integers_refused(self, field, value):
+        data = {"p": 2, "vertices": 2, "perm": [1, 0], "simplices": [[0], [1]]}
+        complex_from_json_dict(data)
+        data[field] = value
+        with pytest.raises(ValidationError, match="must hold integers"):
+            complex_from_json_dict(data)
 
 
 @st.composite
@@ -291,6 +467,18 @@ class TestActionProperties:
             assert "not free" in str(exc)
             rejected = True
         assert rejected == expect_fixed
+
+
+@st.composite
+def free_perms(draw):
+    """(p, perm): a random permutation made of p-cycles only."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    labels = draw(st.permutations(range(draw(st.integers(1, 3)) * p)))
+    perm = list(range(len(labels)))
+    for c in range(0, len(labels), p):
+        for i in range(p):
+            perm[labels[c + i]] = labels[c + (i + 1) % p]
+    return p, tuple(perm)
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Before/after ladder of `cubical-homology` instances, one process per run.
+"""Before/after ladder of CLI instances, one process per run.
 
     python3 tools/cubical_ladder.py --parent OLD_SRC --change NEW_SRC \
         --repeats 3 --out BENCH.json
@@ -6,27 +6,36 @@
 OLD_SRC and NEW_SRC are `src/` directories of two checkouts.  Every
 instance is run `--repeats` times per side, alternating parent and change,
 each run in a fresh interpreter that imports `zpindex` from its side's
-source and calls `zpindex.cli.main` on the instance's argv.  A run reports
-its wall seconds, peak RSS and its split into stages, timed by wrapping
-module attributes the way `perfbench/probes.py` does, so either side's code
-is measured unchanged:
+source and calls `zpindex.cli.main` on the instance's argv.  A reload rung
+then loads the complex of its artifact again (`complex_from_json_dict`), as
+a certificate load does.  A run reports its wall seconds, peak RSS and its
+split into stages, timed by wrapping module attributes the way
+`perfbench/probes.py` does, so either side's code is measured unchanged.
+Each stage's time is its own, less the stages called inside it:
 
 - enumerate: `cubical.cyclic_words`, the cell enumerator;
 - validate: the `CubicalZpComplex` constructor (sorting, grouping and the
   face, shift and constraint checks);
-- homology: `cli.cubical_homology` less the time in `rank`, that is the
-  boundary columns and the driver's bookkeeping;
-- rank: `fplinalg.fp_rank`, with the number of columns it was given.
+- homology: `cli.cubical_homology`, that is the boundary columns and the
+  driver's bookkeeping;
+- rank: `fplinalg.fp_rank`, with the number of columns it was given;
+- close: `SimplicialComplex.from_simplices`, the downward closure;
+- complex_validation: `SimplicialComplex._validate`;
+- action_validation: `FreeZpComplex._validate`;
+- maximal: `SimplicialComplex.maximal_simplices`;
+- verify: `certificates.check_vertex_map`, the witness checker.
 
 The output holds the median of each timed field over the repeats (wall
-seconds, not scaled to a host speed), the cells, columns and Betti numbers
-(which must agree across sides), and each side's `src/` line count.
+seconds, not scaled to a host speed), the SHA-256 of the artifact's result
+and the cells, columns and Betti numbers when it has them (all of which
+must agree across sides), and each side's `src/` line count.
 `--instance NAME --src DIR` runs one instance once and prints its JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import resource
@@ -39,36 +48,51 @@ from pathlib import Path
 
 
 def _xm(N: int, p: int, G: int) -> str:
-    return f"--space Xm --N {N} --p {p} --grid {G} --delta 1/{G} --coeff {p}"
+    return f"--space Xm --N {N} --p {p} --grid {G} --delta 1/{G}"
 
 
 INSTANCES = {
-    "x1-n2p3g2": _xm(2, 3, 2),
-    "x1-n2p3g3": _xm(2, 3, 3),
-    "x1-n2p3g4": _xm(2, 3, 4),
-    "z-p5g3": "--space Z --p 5 --grid 3 --coeff 5",
-    "x1-n1p5g4": _xm(1, 5, 4),
-    "x1-n1p7g2": _xm(1, 7, 2),
+    "x1-n2p3g2": f"cubical-homology {_xm(2, 3, 2)} --coeff 3",
+    "x1-n2p3g3": f"cubical-homology {_xm(2, 3, 3)} --coeff 3",
+    "x1-n2p3g4": f"cubical-homology {_xm(2, 3, 4)} --coeff 3",
+    "z-p5g3": "cubical-homology --space Z --p 5 --grid 3 --coeff 5",
+    "x1-n1p5g4": f"cubical-homology {_xm(1, 5, 4)} --coeff 5",
+    "x1-n1p7g2": f"cubical-homology {_xm(1, 7, 2)} --coeff 7",
+    # the certify workload's jobs on these two spaces
+    "ind-x1-n2p3g2": f"ind {_xm(2, 3, 2)} --target 2",
+    "coind-x1-n2p3g2": f"coind {_xm(2, 3, 2)} --target 0",
+    "coind-z-p3g4": "coind --space Z --p 3 --grid 4 --target 0",
+    # 1,257,120 simplices, triangulated, written and loaded again
+    "reload-x1-n2p3g3": f"config-space {_xm(2, 3, 3)}",
 }
-STAGES = ("enumerate", "validate", "homology", "rank")
+RELOADED = {"reload-x1-n2p3g3"}
+STAGES = ("enumerate", "validate", "homology", "rank", "close", "complex_validation",
+          "action_validation", "maximal", "verify")
 
 
 def run_one(name: str, src: str) -> dict:
     sys.path.insert(0, src)
+    import zpindex.certificates
     import zpindex.cli
     import zpindex.cubical
     import zpindex.fplinalg
+    import zpindex.simplicial
 
     spent = dict.fromkeys(STAGES, 0.0)
     columns = [0]
+    inner = []  # per open stage, the seconds spent in stages inside it
 
     def timed(stage, fn):
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
+            inner.append(0.0)
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent[stage] += time.perf_counter() - start
+                elapsed = time.perf_counter() - start
+                spent[stage] += elapsed - inner.pop()
+                if inner:
+                    inner[-1] += elapsed
         return wrapper
 
     def counted(fn):
@@ -82,21 +106,39 @@ def run_one(name: str, src: str) -> dict:
     zpindex.cubical.cyclic_words = timed("enumerate", zpindex.cubical.cyclic_words)
     zpindex.cli.cubical_homology = timed("homology", zpindex.cli.cubical_homology)
     zpindex.fplinalg.fp_rank = timed("rank", counted(zpindex.fplinalg.fp_rank))
+    simplicial = zpindex.simplicial.SimplicialComplex
+    simplicial.from_simplices = classmethod(timed("close", simplicial.from_simplices.__func__))
+    simplicial._validate = timed("complex_validation", simplicial._validate)
+    simplicial.maximal_simplices = timed("maximal", simplicial.maximal_simplices)
+    acted = zpindex.simplicial.FreeZpComplex
+    acted._validate = timed("action_validation", acted._validate)
+    zpindex.certificates.check_vertex_map = timed("verify", zpindex.certificates.check_vertex_map)
 
     with tempfile.TemporaryDirectory() as out:
         artifact = Path(out) / "result.json"
-        argv = ["cubical-homology", *INSTANCES[name].split(), "--out", str(artifact)]
+        argv = [*INSTANCES[name].split(), "--out", str(artifact)]
         start = time.perf_counter()
         code = zpindex.cli.main(argv)
-        total = time.perf_counter() - start
         result = json.loads(artifact.read_text())["result"]
+        if name in RELOADED:
+            zpindex.simplicial.complex_from_json_dict(result["complex"])
+        total = time.perf_counter() - start
     if code != 0:
         raise SystemExit(f"{name}: exit {code}")
-    spent["homology"] -= spent["rank"]
+    facts = {"result_sha256": hashlib.sha256(
+        json.dumps(result, sort_keys=True).encode()).hexdigest()}
+    if "cells" in result:
+        facts["cells"] = result["cells"]
+    if "homology" in result:
+        facts.update(columns_reduced=columns[0], betti=result["homology"]["betti"])
     return {"seconds": total, **{f"{s}_s": spent[s] for s in STAGES},
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "cells": result["cells"], "columns_reduced": columns[0],
-            "betti": result["homology"]["betti"]}
+            **facts}
+
+
+def measured(key: str) -> bool:
+    """Whether a run's field is a time or a size (else an output)."""
+    return key.endswith(("_s", "_mb")) or key == "seconds"
 
 
 def src_lines(src: str) -> int:
@@ -126,14 +168,12 @@ def main() -> None:
                     [sys.executable, __file__, "--instance", name, "--src", src],
                     check=True, capture_output=True, text=True).stdout
                 runs[side].append(json.loads(line))
-        entry = {}
-        for side, rs in runs.items():
-            entry[side] = {key: round(statistics.median(r[key] for r in rs), 3)
-                           for key in rs[0] if key.endswith(("_s", "_mb")) or key == "seconds"}
-            entry[side].update({key: rs[0][key] for key in ("cells", "columns_reduced", "betti")})
-        if entry["parent"]["betti"] != entry["change"]["betti"]:
-            raise SystemExit(f"{name}: Betti numbers differ")
-        ladder[name] = {"argv": f"cubical-homology {INSTANCES[name]}", **entry}
+        entry = {side: {key: round(statistics.median(r[key] for r in rs), 3) if measured(key)
+                        else rs[0][key] for key in rs[0]} for side, rs in runs.items()}
+        facts = [{key: v for key, v in entry[side].items() if not measured(key)} for side in sides]
+        if facts[0] != facts[1]:
+            raise SystemExit(f"{name}: outputs differ")
+        ladder[name] = {"argv": INSTANCES[name], "reloaded": name in RELOADED, **entry}
         print(name, json.dumps(ladder[name]), file=sys.stderr)
     report = {"about": "wall seconds and peak RSS are medians over the repeats, "
                         "one process per run, not scaled to a host speed",
