@@ -1,6 +1,5 @@
 """Free Z_p-complexes, certified index/coindex bounds, periodic points of
-window-constrained subshifts, cubical models of periodic-point spaces, and
-marker-function experiments on finite dynamical systems."""
+window-constrained subshifts, and cubical models of periodic-point spaces."""
 
 __version__ = "0.1.0"
 
@@ -13,7 +12,7 @@ from .certificates import (
     coindex_lower,
     index_lower_from_connectivity,
     index_upper,
-    index_upper_from_dimension,
+    obstruction_report,
     search_equivariant_map,
 )
 from .cubical import (
@@ -26,15 +25,6 @@ from .cubical import (
     relabel_isomorphism,
 )
 from .errors import BudgetExceeded, ConsistencyError, ValidationError
-from .markers import (
-    FiniteDynSys,
-    MarkerWitness,
-    check_marker,
-    epsilon_embedding,
-    lindenstrauss_phi,
-    obstruction_report,
-    universality_map,
-)
 from .simplicial import (
     FreeZpComplex,
     HomologyProfile,

@@ -2,8 +2,7 @@
 
 Every bound is carried by an IndexCertificate whose value is derived from its
 evidence: an explicit equivariant simplicial map, a homology profile, an
-exhausted search trace, the dimension, or the parameters of the ambient-sphere
-formula.  Each (kind, bound type) pair has one derivation, listed in DERIVE,
+exhausted search trace, or the parameters of the ambient-sphere formula.  Each (kind, bound type) pair has one derivation, listed in DERIVE,
 and the constructor refuses a certificate whose value the derivation does not
 reproduce.  Loading goes through the constructor, so a certificate read from
 disk is derived again before it is trusted.  Witness maps are checked by the
@@ -109,7 +108,6 @@ DERIVE = {
     ("exhaustion", "coind_lower"): lambda ev, depth: ev["attempted"],
     ("exhaustion", "ind_upper"): lambda ev, depth: ev["attempted"],
     ("connectivity_bound", "ind_lower"): _connectivity,
-    ("dimension_bound", "ind_upper"): lambda ev, depth: ev["dim"],
     ("ambient_bound", "ind_upper"): _ambient,
 }
 
@@ -239,14 +237,6 @@ def index_lower_from_connectivity(
                             evidence, 0, space or content_key(x))
 
 
-def index_upper_from_dimension(x: FreeZpComplex, space: str | None = None) -> IndexCertificate:
-    """ind <= dim: an n-dimensional free complex maps equivariantly into the
-    n-dimensional (n-1)-connected standard model by skeleton induction."""
-    return IndexCertificate(
-        "dimension_bound", "ind_upper", x.dim,
-        {"dim": x.dim}, 0, space or content_key(x))
-
-
 def ambient_sphere_bound(cx: CubicalZpComplex, space: str | None = None) -> IndexCertificate:
     """ind <= N*p - N - 1 on an offset-gap complex of p-tuples in [0,1]^N.
 
@@ -281,6 +271,53 @@ def assert_coindex_le_index(certs):
         raise ConsistencyError(
             "coindex lower bound exceeds index upper bound on "
             f"{certs[0].space}: " + "; ".join(c.describe() for c in certs))
+
+
+@dataclass(frozen=True)
+class ObstructionRow:
+    p: int
+    x_coind_lower: int | None
+    x_exhausted_at: int | None
+    z_coind_upper: int | None
+    z_exhausted_at: int | None
+    gap_certified: bool
+    verdict: str
+
+
+def obstruction_report(p_list, x_certs, z_certs) -> list[ObstructionRow]:
+    """Per prime: the best certified coindex lower bound on the offset-gap
+    side, the best certified upper bound on the consecutive-pair side
+    (through coind <= ind), and whether the strict gap lower > upper is
+    certified at this discretization.
+
+    x_certs and z_certs map primes to certificate lists.  Exhausted searches
+    are reported but never used as bounds.
+    """
+    rows = []
+    for p in p_list:
+        xs = list(x_certs.get(p, ()))
+        zs = list(z_certs.get(p, ()))
+        if not xs or not zs:
+            raise ValidationError(f"missing certificates for p={p}")
+        x_low = _best(xs, "coind_lower", max)
+        z_up = _best(zs, "ind_upper", min)
+        x_ex = _max_attempted(xs, "coind_lower")
+        z_ex = _max_attempted(zs, "coind_lower")
+        gap = x_low is not None and z_up is not None and x_low >= z_up + 1
+        verdict = ("gap certified: coind lower bound exceeds the other side"
+                   if gap else "gap not certified at this resolution")
+        rows.append(ObstructionRow(p, x_low, x_ex, z_up, z_ex, gap, verdict))
+    return rows
+
+
+def _best(certs, bound_type, pick):
+    vals = [c.value for c in certs if c.established and c.bound_type == bound_type]
+    return pick(vals) if vals else None
+
+
+def _max_attempted(certs, bound_type):
+    vals = [c.value for c in certs if c.kind == "exhaustion" and c.bound_type == bound_type]
+    return max(vals) if vals else None
 
 
 # ---------------------------------------------------------------------------

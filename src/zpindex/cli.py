@@ -26,6 +26,7 @@ from .certificates import (
     certificate_to_json_dict,
     coindex_lower,
     index_upper,
+    obstruction_report,
     search_equivariant_map,
 )
 from .cubical import (
@@ -38,15 +39,6 @@ from .cubical import (
     relabel_isomorphism,
 )
 from .errors import BudgetExceeded, ConsistencyError, ValidationError
-from .markers import (
-    FiniteDynSys,
-    _frac,
-    check_marker,
-    epsilon_embedding,
-    lindenstrauss_phi,
-    obstruction_report,
-    universality_map,
-)
 from .search import DEFAULT_BUDGET
 from .simplicial import (
     barycentric_subdivide,
@@ -77,6 +69,13 @@ def _load_json(path: str):
 
 def _load_complex(path: str):
     return complex_from_json_dict(_load_json(path))
+
+
+def _frac(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"expected exact rational, got {text!r}") from exc
 
 
 def _int_list(text: str) -> list[int]:
@@ -242,53 +241,6 @@ def cmd_relabel(args):
             "offset_one_cells": len(pair.offset_one.cells)}
 
 
-def cmd_marker_check(args):
-    sys_ = FiniteDynSys.from_json_dict(_load_json(args.system))
-    witness = check_marker(sys_, args.N, _int_list(args.U))
-    return {"N": witness.N, "U": sorted(witness.U),
-            "return_times_ok": witness.return_times_ok,
-            "covering_ok": witness.covering_ok}
-
-
-def cmd_eps_embed(args):
-    sys_ = FiniteDynSys.from_json_dict(_load_json(args.system))
-    emb = epsilon_embedding(sys_, _frac(args.eps))
-    return {"N": emb.N, "centers": list(emb.centers),
-            "delta_sq": str(emb.delta_sq),
-            "images": [[str(v) for v in row] for row in emb.images]}
-
-
-def cmd_universality(args):
-    sys_ = FiniteDynSys.from_json_dict(_load_json(args.system))
-    res = universality_map(sys_)
-    return {"N": res.N, "delta_sq": str(res.delta_sq),
-            "trajectories": [[[str(v) for v in coord] for coord in word]
-                             for word in res.trajectories]}
-
-
-def cmd_phi(args):
-    sys_ = FiniteDynSys.from_json_dict(_load_json(args.system))
-    if args.w_json:
-        raw = _load_json(args.w_json)
-        try:
-            w = [raw[str(x)] for x in sys_.points()]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(
-                f"{args.w_json} must map every point to a rational: {exc!r}") from exc
-    elif args.w_indicator is not None:
-        marked = set(_int_list(args.w_indicator))
-        w = [Fraction(1 if x in marked else 0) for x in sys_.points()]
-    else:
-        raise ValidationError("provide --w-json or --w-indicator")
-    U = _int_list(args.U) if args.U else None
-    res = lindenstrauss_phi(sys_, w, args.M, U=U, N=args.N)
-    hyp = {k: (sorted(v) if isinstance(v, frozenset) else v)
-           for k, v in res.hypotheses.items()}
-    return {"M": res.M, "phi": [str(v) for v in res.phi],
-            "E": sorted(res.E), "stop_mass": [str(v) for v in res.stop_mass],
-            "hypotheses": hyp}
-
-
 def cmd_obstruction_report(args):
     p_list = _int_list(args.p_list)
     by_space: dict[str, list] = {}
@@ -350,10 +302,6 @@ HANDLERS = {
     "config-space": cmd_config_space,
     "cubical-homology": cmd_cubical_homology,
     "relabel": cmd_relabel,
-    "marker-check": cmd_marker_check,
-    "eps-embed": cmd_eps_embed,
-    "universality": cmd_universality,
-    "phi": cmd_phi,
     "obstruction-report": cmd_obstruction_report,
 }
 
@@ -361,8 +309,7 @@ HANDLERS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zpindex",
-        description="Certified index/coindex bounds, periodic points, and "
-                    "marker-function experiments.")
+        description="Certified index/coindex bounds and periodic points.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, **kwargs):
@@ -447,26 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
                    help="most boxes the cell enumerator may try, plus p per cell it emits")
-
-    p = add("marker-check", help="no-quick-return and covering flags")
-    p.add_argument("--system", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--U", required=True, help="comma-separated point indices")
-
-    p = add("eps-embed", help="distance-profile embedding into a cube")
-    p.add_argument("--system", required=True)
-    p.add_argument("--eps", required=True, help="rational a/b")
-
-    p = add("universality", help="trajectory map into the gap-constrained shift")
-    p.add_argument("--system", required=True)
-
-    p = add("phi", help="expected stopping time of the backward walk")
-    p.add_argument("--system", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--w-json", help="JSON map point->rational")
-    p.add_argument("--w-indicator", help="comma-separated set where w=1")
-    p.add_argument("--U", help="comma-separated marker set")
-    p.add_argument("--N", type=int, help="return-time horizon")
 
     p = add("obstruction-report", help="per-prime certified bound comparison")
     p.add_argument("--p-list", required=True)

@@ -12,9 +12,8 @@ therefore automatically closed under faces and under the cyclic shift, and
 the shift acts freely on it.  Inner approximations certify map-into lower
 bounds only.  An index upper bound on the true space comes from the
 ambient-sphere formula, which `certificates.ambient_sphere_bound` derives
-from an offset-gap complex in a cube; the dimension bound holds only for the
-approximation itself.  Cubical homology is the driver `fplinalg.betti_numbers`
-with the cubical face rule of `cubical_homology`.
+from an offset-gap complex in a cube.  Cubical homology is the driver
+`fplinalg.betti_numbers` with the cubical face rule of `cubical_homology`.
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ with the simplex face rule.
 
 Closure, validation and the maximal scan run once per level on its vertex
 columns (column j: vertex j of each simplex), so per-simplex work runs in C.
-Each column test decides its per-simplex rule: rows increase strictly iff
-each column is below the next; vertices are in range iff column 0's minimum
-and the last column's maximum are; dropping column j leaves the j-th facets.
+Each column test decides its per-simplex rule: rows hold only ints iff each
+column does; rows increase strictly iff each column is below the next;
+vertices are in range iff column 0's minimum and the last column's maximum
+are; dropping column j leaves the j-th facets.
 Action images are two tee'd streams read in step, so no list of them is kept.
 """
 
@@ -81,6 +82,10 @@ class SimplicialComplex:
                 bad = next(s for s in level if len(s) != d + 1)
                 raise ValidationError(f"simplex {bad} filed under dimension {d}")
             cols = _columns(level)
+            # type, not isinstance: bool is a subclass of int
+            if any(set(map(type, col)) - {int} for col in cols):
+                bad = next(s for s in level if set(map(type, s)) - {int})
+                raise ValidationError(f"simplex {bad} must hold integers")
             if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
                 bad = next(s for s in level if not all(map(lt, s, s[1:])))
                 raise ValidationError(f"simplex {bad} is not a sorted duplicate-free tuple")
@@ -114,9 +119,6 @@ class SimplicialComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.by_dim)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(level) for d, level in enumerate(self.by_dim))
 
     def maximal_simplices(self) -> list[Simplex]:
         """Simplices that are no facet of a simplex one dimension up (so, the
@@ -194,6 +196,8 @@ class ZpAction:
         if not is_prime(self.p):
             raise ValidationError(f"p={self.p} is not prime")
         n = len(self.perm)
+        if set(map(type, self.perm)) - {int}:
+            raise ValidationError("perm must hold integers")
         if sorted(self.perm) != list(range(n)):
             raise ValidationError("perm is not a permutation of 0..n-1")
         # perm^p = perm o perm^(p-1)
@@ -420,13 +424,15 @@ def complex_from_json_dict(data: dict) -> FreeZpComplex:
         vertices = data["vertices"]
         perm = tuple(data["perm"])
         simplices = list(map(tuple, data["simplices"]))
+        # type, not isinstance: JSON true/false load as bool, a subclass of int
+        if not {type(p), type(vertices)} <= {int}:
+            raise ValidationError("malformed complex JSON: p and vertices must hold integers")
+        # The constructors refuse vertices that are not ints, but a string or
+        # a list among them already fails to sort or hash in from_simplices.
+        return FreeZpComplex(SimplicialComplex.from_simplices(vertices, simplices),
+                             ZpAction(p, perm))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed complex JSON: {exc}") from exc
-    # type, not isinstance: JSON true/false load as bool, a subclass of int
-    if not set(map(type, itertools.chain((p, vertices), perm, *simplices))) <= {int}:
-        raise ValidationError(
-            "malformed complex JSON: p, vertices, perm and simplices must hold integers")
-    return FreeZpComplex(SimplicialComplex.from_simplices(vertices, simplices), ZpAction(p, perm))
 
 
 def content_key(x: FreeZpComplex) -> str:

@@ -19,10 +19,14 @@ from zpindex.certificates import (
     coindex_lower,
     index_lower_from_connectivity,
     index_upper,
-    index_upper_from_dimension,
     search_equivariant_map,
 )
-from zpindex.cubical import CubicalZpComplex, GridSpec, build_pp_xm, cubical_to_simplicial
+from zpindex.cubical import (
+    CubicalZpComplex,
+    GridSpec,
+    build_pp_xm,
+    cubical_to_simplicial,
+)
 from zpindex.errors import BudgetExceeded, ConsistencyError, ValidationError
 from zpindex.simplicial import (
     FreeZpComplex,
@@ -100,9 +104,9 @@ class TestCoindexLower:
     def test_periodic_orbit_space_has_coindex_zero(self):
         x = as_free_zp_complex(periodic_points(make_sigma(), 3))
         lo = coindex_lower(x, 0)
-        up = index_upper_from_dimension(x, space=lo.space)
+        up = index_upper(x, 0, space=lo.space)
         assert lo.kind == "map_witness" and lo.value == 0
-        assert up.value == 0
+        assert up.kind == "map_witness" and up.value == 0
         assert coindex_le_index_check([lo, up])
 
 
@@ -141,14 +145,18 @@ class TestConsistency:
     def test_consistent_pair(self):
         x = e_n_zp(2, 2)
         lo = coindex_lower(x, 2)
-        up = index_upper_from_dimension(x, space=lo.space)
+        up = index_upper(x, 2, space=lo.space)
+        assert up.kind == "map_witness"
         assert coindex_le_index_check([lo, up])
 
     def test_contradiction_detected(self):
         lo = coindex_lower(e_n_zp(1, 2), 1)
         assert lo.kind == "map_witness"
-        # derivable, but a dimension the circle does not have
-        bad_up = IndexCertificate("dimension_bound", "ind_upper", 0, {"dim": 0}, 0, lo.space)
+        # Derivable from its own evidence, the parameters of X_m(N=1, p=2),
+        # but filed under the circle's label: the derivation does not check
+        # that the labelled space is an offset-gap space with these parameters.
+        bad_up = IndexCertificate("ambient_bound", "ind_upper", 0,
+                                  {"N": 1, "p": 2, "offset": 1}, 0, lo.space)
         assert not coindex_le_index_check([lo, bad_up])
         with pytest.raises(ConsistencyError):
             assert_coindex_le_index([lo, bad_up])
@@ -161,7 +169,8 @@ class TestConsistency:
         lo = coindex_lower(x, 0)
         fake_tight = coindex_lower(x, 5)  # exhausts
         assert fake_tight.kind == "exhaustion"
-        up = index_upper_from_dimension(x, space=lo.space)
+        up = index_upper(x, 0, space=lo.space)
+        assert up.kind == "map_witness"
         certs = [lo, IndexCertificate(fake_tight.kind, fake_tight.bound_type,
                                       fake_tight.value, fake_tight.evidence,
                                       0, lo.space), up]
@@ -321,8 +330,6 @@ FORGERIES = {
                                 set_field(["bound_type"], "ind_upper")),
     "connectivity-stored": (lambda: index_lower_from_connectivity(e_n_zp(1, 2)),
                             set_field(["evidence", "fields", "homology", "connectivity"], 41)),
-    "dimension-value": (lambda: index_upper_from_dimension(e_n_zp(1, 2)),
-                        set_field(["value"], -5)),
     "ambient-value": (lambda: ambient_sphere_bound(offset_gap(1, 3)), set_field(["value"], 0)),
     "ambient-offset": (lambda: ambient_sphere_bound(offset_gap(1, 3)),
                        set_field(["evidence", "fields", "offset"], 3)),
@@ -345,10 +352,6 @@ class TestForgeries:
         edit(data)
         with pytest.raises(ValidationError):
             certificate_from_json_dict(data)
-
-    def test_dimension_below_its_evidence_refused(self):
-        with pytest.raises(ValidationError):
-            IndexCertificate("dimension_bound", "ind_upper", -5, {"dim": 3}, 0, "s")
 
     def test_acyclic_homology_refused(self):
         data = certificate_to_json_dict(index_lower_from_connectivity(e_n_zp(1, 2)))
@@ -378,7 +381,7 @@ class TestSoundnessProperties:
     @settings(max_examples=25)
     @given(small_free_complexes())
     def test_established_bounds_agree_and_survive_json(self, x):
-        certs = [index_upper_from_dimension(x), index_lower_from_connectivity(x)]
+        certs = [index_lower_from_connectivity(x)]
         space = certs[0].space
         for n in range(x.dim + 1):
             for bound in (coindex_lower, index_upper):

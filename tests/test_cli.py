@@ -1,13 +1,12 @@
+import argparse
 import contextlib
 import io
 import json
-from fractions import Fraction as F
 
 import pytest
 
 from zpindex.certificates import certificate_to_json_dict, index_upper
-from zpindex.cli import main
-from zpindex.markers import FiniteDynSys
+from zpindex.cli import HANDLERS, build_parser, main
 from zpindex.simplicial import e_n_zp
 
 
@@ -17,13 +16,18 @@ def run(capsys, *argv):
     return code, json.loads(out) if out else None
 
 
-def write_system(path, n=12):
-    half = n // 2
-    metric = [[str(F(min(abs(i - j), n - abs(i - j)), half)) for j in range(n)]
-              for i in range(n)]
-    data = {"points": n, "metric": metric, "T": [(i + 1) % n for i in range(n)]}
-    path.write_text(json.dumps(data), encoding="utf-8")
-    return path
+CERTIFIED_PIPELINE = {"enzp", "join", "subdivide", "homology", "search-map", "coind", "ind",
+                      "periodic", "join-periodic", "config-space", "cubical-homology",
+                      "relabel", "obstruction-report"}
+
+
+class TestSubcommandTable:
+    """The parser and the handler table name the same subcommands."""
+
+    def test_parser_matches_handlers(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(HANDLERS) | {"run"}
+        assert set(sub.choices) == CERTIFIED_PIPELINE | {"run"}
 
 
 class TestSubcommands:
@@ -105,30 +109,6 @@ class TestSubcommands:
                         "--copies", "2")
         assert code == 0
         assert art["result"]["complex"]["vertices"] == 12
-
-    def test_marker_check(self, tmp_path, capsys):
-        sysfile = write_system(tmp_path / "sys.json", 10)
-        code, art = run(capsys, "marker-check", "--system", str(sysfile),
-                        "--N", "3", "--U", "0")
-        assert code == 0
-        assert art["result"]["return_times_ok"] and art["result"]["covering_ok"]
-
-    def test_eps_embed_and_universality(self, tmp_path, capsys):
-        sysfile = write_system(tmp_path / "sys.json", 6)
-        code, art = run(capsys, "eps-embed", "--system", str(sysfile), "--eps", "1/3")
-        assert code == 0 and art["result"]["N"] >= 1
-        code, art = run(capsys, "universality", "--system", str(sysfile))
-        assert code == 0
-        assert len(art["result"]["trajectories"]) == 6
-
-    def test_phi(self, tmp_path, capsys):
-        sysfile = write_system(tmp_path / "sys.json", 12)
-        code, art = run(capsys, "phi", "--system", str(sysfile), "--M", "11",
-                        "--w-indicator", "0", "--U", "0,1", "--N", "2")
-        assert code == 0
-        assert art["result"]["E"] == [11]
-        assert art["result"]["phi"][:3] == ["0", "1", "2"]
-        assert art["result"]["hypotheses"]["E_no_return"]
 
     def test_obstruction_report(self, tmp_path, capsys):
         x_art = tmp_path / "x.json"
@@ -217,14 +197,11 @@ class TestExitCodes:
         (["homology", "--coeff", "2", "--input"],
          json.dumps({"p": 2, "vertices": 2, "perm": [True, False],
                      "simplices": [[False], [True]]})),
-        (["marker-check", "--N", "1", "--U", "0", "--system"],
-         json.dumps({"points": 2, "metric": [["0", "x"], ["x", "0"]], "T": [1, 0]})),
-        (["marker-check", "--N", "1", "--U", "0", "--system"],
-         json.dumps({"points": 2, "metric": [["0", "1"], ["1", "0"]], "T": ["a", 0]})),
-        (["marker-check", "--N", "1", "--U", "0", "--system"],
-         json.dumps({"points": 1, "metric": [0], "T": [0]})),
+        (["homology", "--coeff", "2", "--input"],
+         json.dumps({"p": 2, "vertices": 2, "perm": [1, 0], "simplices": [["a"], [0]]})),
         (["run", "--manifest"], json.dumps({})),
         (["run", "--manifest"], json.dumps({"subcommand": "enzp", "params": ["n"]})),
+        (["run", "--manifest"], json.dumps({"subcommand": "phi", "params": {"M": 2}})),
         (["obstruction-report", "--p-list", "3", "--x-cert"], json.dumps([])),
         (["obstruction-report", "--p-list", "3", "--x-cert"],
          json.dumps({"kind": "connectivity_bound", "bound_type": "ind_lower", "value": 1,
@@ -237,8 +214,8 @@ class TestExitCodes:
          forged_coind_artifact),
         (["obstruction-report", "--p-list", "3", "--z-cert", "{dir}/z3.json", "--x-cert"],
          forged_prime_artifact),
-    ], ids=["not-json", "string-prime", "boolean-complex", "non-rational-metric", "non-integer-T",
-            "non-list-metric-row", "manifest-without-subcommand", "manifest-params-list",
+    ], ids=["not-json", "string-prime", "boolean-complex", "string-vertex",
+            "manifest-without-subcommand", "manifest-params-list", "manifest-removed-subcommand",
             "certificate-list", "certificate-betti-not-list", "artifact-without-certificate",
             "forged-coind-value", "forged-space-prime"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, argv, text):
@@ -248,36 +225,24 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.parametrize("argv,w_json,needle", [
-        ("coind --space Xm --delta x --target 0", None, "'x'"),
-        ("ind --space Xm --delta 1/0 --target 0", None, "'1/0'"),
-        ("config-space --space Xm --delta x", None, "'x'"),
-        ("cubical-homology --space Xm --delta 1/0 --coeff 2", None, "'1/0'"),
-        ("relabel --N 1 --delta x --m 2 --p 3 --grid 3 --l 2", None, "'x'"),
-        ("eps-embed --system {d}/sys.json --eps x", None, "'x'"),
-        ("phi --system {d}/sys.json --M 2 --w-json {d}/w.json",
-         {"0": "x", "1": "0", "2": "0", "3": "0"}, "'x'"),
-        ("phi --system {d}/sys.json --M 2 --w-json {d}/w.json",
-         {"0": "1", "1": "0", "2": "0"}, "'3'"),
-        ("phi --system {d}/sys.json --M 2 --w-indicator 0,x", None, "'0,x'"),
-        ("marker-check --system {d}/sys.json --N 1 --U 0,x", None, "'0,x'"),
-        ("periodic --shift sigma --n 3,x", None, "'3,x'"),
-        ("obstruction-report --p-list 2,x", None, "'2,x'"),
-        ("subdivide --input {d}/e0p2.json --depth -1", None, "depth -1"),
-        ("search-map --source {d}/e0p2.json --target {d}/e0p2.json --budget -1", None,
-         "budget -1"),
-        ("cubical-homology --space Xm --coeff 2 --cell-budget -1", None, "budget -1"),
-        ("coind --space file --target 0", None, "--input"),
+    @pytest.mark.parametrize("argv,needle", [
+        ("coind --space Xm --delta x --target 0", "'x'"),
+        ("ind --space Xm --delta 1/0 --target 0", "'1/0'"),
+        ("config-space --space Xm --delta x", "'x'"),
+        ("cubical-homology --space Xm --delta 1/0 --coeff 2", "'1/0'"),
+        ("relabel --N 1 --delta x --m 2 --p 3 --grid 3 --l 2", "'x'"),
+        ("periodic --shift sigma --n 3,x", "'3,x'"),
+        ("obstruction-report --p-list 2,x", "'2,x'"),
+        ("subdivide --input {d}/e0p2.json --depth -1", "depth -1"),
+        ("search-map --source {d}/e0p2.json --target {d}/e0p2.json --budget -1", "budget -1"),
+        ("cubical-homology --space Xm --coeff 2 --cell-budget -1", "budget -1"),
+        ("coind --space file --target 0", "--input"),
     ], ids=["coind-delta", "ind-delta-zero-denominator", "config-space-delta",
-            "cubical-homology-delta-zero-denominator", "relabel-delta", "eps",
-            "w-json-value", "w-json-missing-point", "w-indicator", "U", "periods",
+            "cubical-homology-delta-zero-denominator", "relabel-delta", "periods",
             "p-list", "subdivide-depth", "search-map-budget", "cell-budget",
             "file-space-without-input"])
-    def test_malformed_argument_is_2(self, tmp_path, capsys, argv, w_json, needle):
-        write_system(tmp_path / "sys.json", 4)
+    def test_malformed_argument_is_2(self, tmp_path, capsys, argv, needle):
         (tmp_path / "e0p2.json").write_text(json.dumps(E0P2), encoding="utf-8")
-        if w_json is not None:
-            (tmp_path / "w.json").write_text(json.dumps(w_json), encoding="utf-8")
         code = main(argv.format(d=tmp_path).split())
         err = capsys.readouterr().err
         assert code == 2

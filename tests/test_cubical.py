@@ -22,7 +22,7 @@ from oracles import (
     xm_cell_ok,
     xm_window_ok,
 )
-from zpindex.certificates import ambient_sphere_bound, coindex_lower, index_upper_from_dimension
+from zpindex.certificates import ambient_sphere_bound, coindex_lower
 from zpindex.cubical import (
     CirclePairConstraint,
     CubicalZpComplex,

@@ -42,7 +42,7 @@ def assert_valid(x: FreeZpComplex):
 def euler_matches_betti(cx, p):
     prof = homology(cx, p, reduced=False)
     chi = sum((-1) ** k * b for k, b in enumerate(prof.betti))
-    assert chi == cx.euler_characteristic()
+    assert chi == sum((-1) ** k * f for k, f in enumerate(cx.f_vector()))
 
 
 class TestDiscrete:
@@ -245,9 +245,12 @@ class TestLevelChecks:
         (3, [[(0,), (1,), (1,)]], "dimension 0 is not sorted/duplicate-free at (1,)"),
         (3, [[(0,), (1,)], [(0, 1), (0, 2)]], "face (2,) of (0, 2) missing"),
         (3, [[(0,), (1,)], []], "top dimension level is empty"),
+        (2, [[(0.5,), (1,)]], "simplex (0.5,) must hold integers"),
+        (2, [[(False,), (True,)], [(False, True)]],
+         "simplex (False,) must hold integers"),
     ], ids=["list-simplex", "misfiled-dimension", "unsorted-tuple", "repeated-vertex",
             "negative-vertex", "vertex-beyond-count", "unsorted-level", "repeated-level-entry",
-            "missing-facet", "empty-top-level"])
+            "missing-facet", "empty-top-level", "float-vertex", "bool-vertices"])
     def test_complex_check_refuses(self, vertex_count, by_dim, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             SimplicialComplex(vertex_count, by_dim)
@@ -260,8 +263,9 @@ class TestLevelChecks:
          "action is not simplicial: image of (0, 2) missing"),
         (2, [(0, 1)], 2, (1, 0), "action is not free: (0, 1) is setwise fixed"),
         (3, [(0,), (1,), (2,)], 2, (1, 0, 2), "action is not free: (2,) is setwise fixed"),
+        (2, [(0,), (1,)], 2, (True, False), "perm must hold integers"),
     ], ids=["perm-length", "non-simplicial-vertex-image", "non-simplicial-edge-image",
-            "fixed-edge", "fixed-vertex"])
+            "fixed-edge", "fixed-vertex", "bool-perm"])
     def test_action_check_refuses(self, vertex_count, simplices, p, perm, message):
         cx = SimplicialComplex.from_simplices(vertex_count, simplices)
         with pytest.raises(ValidationError, match=re.escape(message)):
