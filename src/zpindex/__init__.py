@@ -8,7 +8,6 @@ from .certificates import (
     IndexCertificate,
     ambient_sphere_bound,
     assert_coindex_le_index,
-    coindex_le_index_check,
     coindex_lower,
     index_lower_from_connectivity,
     index_upper,
@@ -34,16 +33,13 @@ from .simplicial import (
     e_n_zp,
     homology,
     join,
+    join_power,
     make_discrete_zp,
 )
 from .subshifts import (
     PeriodicOrbitSet,
     Subshift,
     as_free_zp_complex,
-    join_periodic_sets,
-    join_power,
-    make_sigma,
     make_sigma_m,
-    odd_period_witness,
     periodic_points,
 )

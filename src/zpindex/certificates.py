@@ -251,23 +251,17 @@ def ambient_sphere_bound(cx: CubicalZpComplex, space: str | None = None) -> Inde
                             space or content_key(cubical_to_simplicial(cx)))
 
 
-def coindex_le_index_check(certs) -> bool:
-    """True iff every established coind lower bound is <= every established
-    ind upper bound.  All certificates must concern one space."""
+def assert_coindex_le_index(certs):
+    """Raise ConsistencyError unless every established coind lower bound is
+    <= every established ind upper bound.  All certificates must concern one
+    space."""
     certs = list(certs)
-    if not certs:
-        return True
     spaces = {c.space for c in certs}
     if len(spaces) > 1:
         raise ValidationError(f"certificates reference different spaces: {sorted(spaces)}")
     lows = [c.value for c in certs if c.established and c.bound_type == "coind_lower"]
     ups = [c.value for c in certs if c.established and c.bound_type == "ind_upper"]
-    return all(lo <= up for lo in lows for up in ups)
-
-
-def assert_coindex_le_index(certs):
-    if not coindex_le_index_check(certs):
-        certs = list(certs)
+    if any(lo > up for lo in lows for up in ups):
         raise ConsistencyError(
             "coindex lower bound exceeds index upper bound on "
             f"{certs[0].space}: " + "; ".join(c.describe() for c in certs))

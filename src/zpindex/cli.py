@@ -47,8 +47,9 @@ from .simplicial import (
     e_n_zp,
     homology,
     join,
+    join_power,
 )
-from .subshifts import join_power, make_sigma_m, periodic_points, periodic_table
+from .subshifts import as_free_zp_complex, make_sigma_m, periodic_points, periodic_table
 
 
 def canonical_json(obj) -> str:
@@ -207,7 +208,7 @@ def cmd_periodic(args):
 def cmd_join_periodic(args):
     shift = _shift_from_args(args)
     pts = periodic_points(shift, args.p)
-    x = join_power(pts, args.copies)
+    x = join_power(as_free_zp_complex(pts), args.copies)
     return {"complex": complex_to_json_dict(x), "points": len(pts),
             "copies": args.copies}
 

@@ -5,7 +5,9 @@ circle of circumference 2 split into 2G arcs).  A box is an axis-aligned box
 whose axis intervals have grid length 0 or 1, and a cell is a p-periodic
 word over the alphabet of boxes.  The defining constraint is a window
 constraint on such words (pairs at offset m for X_m, consecutive triples for
-Y/Z), so the cells are listed by the one enumerator `subshifts.cyclic_words`.
+Y/Z), so the cells are listed by the one enumerator `subshifts.cyclic_words`,
+shifted by `subshifts.rotate` and walked one orbit at a time by
+`simplicial.shift_orbits`.
 A window is forbidden unless the constraint holds at every point of its
 boxes, certified by exact integer interval arithmetic; the kept set is
 therefore automatically closed under faces and under the cyclic shift, and
@@ -18,14 +20,15 @@ from an offset-gap complex in a cube.  Cubical homology is the driver
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
 from .fplinalg import betti_numbers, is_prime
-from .simplicial import FreeZpComplex, HomologyProfile, SimplicialComplex, ZpAction
-from .subshifts import cyclic_words, satisfies, shift_orbits
+from .simplicial import FreeZpComplex, HomologyProfile, SimplicialComplex, ZpAction, shift_orbits
+from .subshifts import cyclic_words, rotate, satisfies
 
 AxisInterval = tuple[int, int]  # (lo, length), length in {0, 1}
 Box = tuple[AxisInterval, ...]
@@ -71,19 +74,6 @@ def _circle_gap(a: AxisInterval, b: AxisInterval, two_g: int) -> int:
     return min((b[0] - a[0] - a[1]) % two_g, (a[0] - b[0] - b[1]) % two_g)
 
 
-def _judged_once(judge):
-    """`judge` with a table of its verdicts: each distinct window is judged
-    once per call of a constraint's `forbidden_test`."""
-    verdicts: dict[tuple[Box, ...], bool] = {}
-
-    def forbidden(window: tuple[Box, ...]) -> bool:
-        verdict = verdicts.get(window)
-        if verdict is None:
-            verdict = verdicts[window] = judge(window)
-        return verdict
-    return forbidden
-
-
 @dataclass(frozen=True)
 class OffsetGapConstraint:
     """Every pair of coordinates at the cyclic offset stays >= delta apart."""
@@ -102,14 +92,15 @@ class OffsetGapConstraint:
         return (0, self.offset)
 
     def forbidden_test(self, grid: GridSpec):
-        """forbidden((a, b)): the boxes' squared gap is < delta^2, in grid units."""
+        """forbidden((a, b)): the boxes' squared gap is < delta^2, in grid units.
+        Each distinct window is judged once per call (`functools.cache`)."""
         s, t = self.delta.numerator, self.delta.denominator
         threshold = s * s * grid.G * grid.G
         t2 = t * t
 
         def judge(window: tuple[Box, Box]) -> bool:
             return t2 * sum(_axis_gap(x, y) ** 2 for x, y in zip(*window)) < threshold
-        return _judged_once(judge)
+        return functools.cache(judge)
 
 
 @dataclass(frozen=True)
@@ -131,7 +122,8 @@ class CirclePairConstraint:
             raise ValidationError("kind must be 'Y' or 'Z'")
 
     def forbidden_test(self, grid: GridSpec):
-        """forbidden((a, b, c)) on three consecutive one-axis boxes."""
+        """forbidden((a, b, c)) on three consecutive one-axis boxes, each
+        distinct window judged once per call."""
         g, two_g = grid.G, 2 * grid.G
         if self.kind == "Z":
             # rho >= 1/2 on an arc pair iff 2*gap >= G in grid units.
@@ -145,16 +137,11 @@ class CirclePairConstraint:
                 ((x, xl),), ((y, yl),), ((z, zl),) = window
                 return not (xl == yl == 0 and (x - y) % two_g == g
                             or yl == zl == 0 and (y - z) % two_g == g)
-        return _judged_once(judge)
+        return functools.cache(judge)
 
 
 def cell_dim(cell: Cell) -> int:
     return sum(iv[1] for box in cell for iv in box)
-
-
-def shift_cell(cell: Cell, a: int = 1) -> Cell:
-    a %= len(cell)
-    return cell[a:] + cell[:a]
 
 
 def cell_faces(cell: Cell, grid: GridSpec) -> list[Cell]:
@@ -216,10 +203,10 @@ class CubicalZpComplex:
             for face in cell_faces(cell, self.grid):
                 if face not in self._cell_set:
                     raise ValidationError(f"face {face} of {cell} missing")
-            if shift_cell(cell) == cell:
+            if rotate(cell) == cell:
                 raise ValidationError(f"cell {cell} is fixed by the shift")
         dims = bytearray(len(self.cells))
-        for orbit in shift_orbits(self.cells, shift_cell, check, "shift image of {} missing"):
+        for orbit in shift_orbits(self.cells, rotate, check, "shift image of {} missing"):
             k = cell_dim(self.cells[orbit[0]])
             for i in orbit:
                 dims[i] = k
@@ -234,9 +221,6 @@ class CubicalZpComplex:
 
     def cells_of_dim(self, k: int) -> tuple[Cell, ...]:
         return self._by_dim[k] if 0 <= k < len(self._by_dim) else ()
-
-    def vertex_cells(self) -> tuple[Cell, ...]:
-        return self.cells_of_dim(0)
 
     def __eq__(self, other):
         return (isinstance(other, CubicalZpComplex) and self.p == other.p
@@ -309,7 +293,7 @@ def cubical_to_simplicial(cx: CubicalZpComplex) -> FreeZpComplex:
     grid = cx.grid
     if grid.circle_valued and grid.G < 2:
         raise ValidationError("circle triangulation needs G >= 2 (distinct arc endpoints)")
-    verts = cx.vertex_cells()
+    verts = cx.cells_of_dim(0)
     index = {v: i for i, v in enumerate(verts)}
     faces = {face for cell in cx.cells for face in cell_faces(cell, grid)}
     tops = []
@@ -329,7 +313,7 @@ def cubical_to_simplicial(cx: CubicalZpComplex) -> FreeZpComplex:
             if len(set(path)) != len(path):
                 raise ValidationError("degenerate corner path; refine the grid")
             tops.append(path)
-    perm = tuple(index[shift_cell(v)] for v in verts)
+    perm = tuple(index[rotate(v)] for v in verts)
     return FreeZpComplex(SimplicialComplex.from_simplices(len(verts), tops),
                          ZpAction(cx.p, perm))
 
@@ -376,7 +360,7 @@ def relabel_isomorphism(cx: CubicalZpComplex, l: int) -> RelabelResult:
             raise ValidationError("relabeled offset-1 cell missing from offset-m complex")
         if g[image] != cell:
             raise ValidationError("g(f(cell)) != cell")
-        if f[shift_cell(cell)] != shift_cell(image, m):
+        if f[rotate(cell)] != rotate(image, m):
             raise ValidationError("relabeling does not intertwine the shift")
     for cell, image in g.items():
         if image not in one._cell_set:

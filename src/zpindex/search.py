@@ -12,8 +12,9 @@ AND of the target closed neighbourhoods that the source edges to earlier
 orbits allow.  The target's edges are T-invariant, so placing T^i t next to
 a placed image a is the same as t lying in the closed neighbourhood of
 T^{-i} a.  Candidates in the domain are then checked against the remaining
-simplices (edges inside the orbit and every simplex of dimension 2 and up),
-one simplex per source orbit.
+simplices (edges inside the orbit and every simplex of dimension 2 and up).
+Of each simplex orbit only the members that hold the representative of their
+last-placed vertex orbit are checked, so no action is applied to a simplex.
 
 `nodes` counts every (orbit, candidate) pair of the assignment tree,
 including the candidates a domain excludes: those are added arithmetically
@@ -64,23 +65,19 @@ def find_equivariant_vertex_map(
     # (representative u of the earlier orbit, slot i): the vertex at slot m
     # of u's orbit maps to T^m assignment[u], so the edge asks for t in
     # N[T^{-i} assignment[u]] with i the slot difference.  Every other
-    # simplex becomes checkable once its last-assigned orbit is placed, and
-    # one simplex per source orbit is checked: the assignment is equivariant
-    # and the target T-invariant, so T s maps onto a target simplex iff s does.
+    # simplex becomes checkable once its last-assigned orbit k is placed.  It
+    # is checked when it holds orbits[k][0]; each simplex orbit has such a
+    # member, and the assignment is equivariant and the target T-invariant,
+    # so T s maps onto a target simplex iff s does.
     pairs: list[set[tuple[int, int]]] = [set() for _ in orbits]
     ready: list[list[tuple[int, ...]]] = [[] for _ in orbits]
-    images: set[tuple[int, ...]] = set()  # T^a s for each kept s, 0 < a < p
     for s in source.complex.simplices():
-        k = max(orbit_of[v] for v in s)
+        k = max(map(orbit_of.__getitem__, s))
         if len(s) == 2 and orbit_of[s[0]] != orbit_of[s[1]]:
             u, v = sorted(s, key=orbit_of.__getitem__)
             pairs[k].add((orbits[orbit_of[u]][0], (slot_of[v] - slot_of[u]) % p))
-        elif len(s) > 1 and s not in images:
+        elif len(s) > 1 and orbits[k][0] in s:
             ready[k].append(s)
-            image = s
-            for _ in range(p - 1):
-                image = source.action.apply(image)
-                images.add(image)
 
     tperm = target.action.perm
     tset = target.complex.simplex_set()

@@ -14,6 +14,10 @@ column does; rows increase strictly iff each column is below the next;
 vertices are in range iff column 0's minimum and the last column's maximum
 are; dropping column j leaves the j-th facets.
 Action images are two tee'd streams read in step, so no list of them is kept.
+
+Every free Z_p-set of the package (vertices here, periodic words in
+`subshifts`, cells in `cubical`) is walked orbit by orbit with the one
+`shift_orbits`, and every iterated join, E_n(Z_p) included, is `join_power`.
 """
 
 from __future__ import annotations
@@ -52,7 +56,10 @@ class SimplicialComplex:
     __slots__ = ("vertex_count", "by_dim", "_hash")
 
     def __init__(self, vertex_count: int, by_dim):
-        self.vertex_count = int(vertex_count)
+        # type, not isinstance: bool is a subclass of int
+        if type(vertex_count) is not int or vertex_count < 0:
+            raise ValidationError(f"vertex count {vertex_count!r} must be a nonnegative integer")
+        self.vertex_count = vertex_count
         self.by_dim = tuple(tuple(level) for level in by_dim)
         self._hash = None
         self._validate()
@@ -61,16 +68,21 @@ class SimplicialComplex:
     def from_simplices(cls, vertex_count: int, simplices) -> "SimplicialComplex":
         """Build the downward closure of an arbitrary simplex family: group
         the simplices by dimension, then from the top down add the facets
-        of each level to the level below."""
-        by_size = sorted(map(tuple, map(sorted, map(set, simplices))), key=len)
-        if by_size and not by_size[0]:
-            raise ValidationError("empty vertex tuple is not a simplex")
-        levels: list[set[Simplex]] = [set() for _ in range(len(by_size[-1]) if by_size else 0)]
-        for size, group in itertools.groupby(by_size, len):
-            levels[size - 1].update(group)
-        for d in range(len(levels) - 1, 0, -1):
-            levels[d - 1].update(*_facets(_columns(levels[d])))
-        return cls(vertex_count, [sorted(level) for level in levels])
+        of each level to the level below.  Vertices that do not sort
+        against each other are refused here; `__init__` refuses the rest."""
+        try:
+            by_size = sorted(map(tuple, map(sorted, map(set, simplices))), key=len)
+            if by_size and not by_size[0]:
+                raise ValidationError("empty vertex tuple is not a simplex")
+            levels: list[set[Simplex]] = [set() for _ in range(len(by_size[-1]) if by_size else 0)]
+            for size, group in itertools.groupby(by_size, len):
+                levels[size - 1].update(group)
+            for d in range(len(levels) - 1, 0, -1):
+                levels[d - 1].update(*_facets(_columns(levels[d])))
+            levels = [sorted(level) for level in levels]
+        except TypeError as exc:
+            raise ValidationError(f"simplices must hold integers: {exc}") from exc
+        return cls(vertex_count, levels)
 
     def _validate(self):
         n = self.vertex_count
@@ -167,22 +179,28 @@ class SimplicialComplex:
         return f"SimplicialComplex(vertices={self.vertex_count}, f={self.f_vector()})"
 
 
-def cycles(items, step) -> list[tuple]:
-    """Cycles of the bijection `step` through `items`, each listed from its
-    first member in `items` order, in that order."""
-    seen = set()
-    out = []
-    for x in items:
-        if x in seen:
+def shift_orbits(words, step, check, missing: str):
+    """Walk the orbits of `step` through the distinct `words`: run `check`
+    on the first member of each orbit in `words` order, then step it round,
+    raising ValidationError(missing.format(w)) when the image of w is not a
+    word.  Yields each orbit, listed from its first member, as a tuple of
+    positions in `words`."""
+    index = {w: i for i, w in enumerate(words)}
+    seen = bytearray(len(words))
+    for i, first in enumerate(words):
+        if seen[i]:
             continue
-        cycle = [x]
-        cur = step(x)
-        while cur != x:
-            cycle.append(cur)
-            cur = step(cur)
-        seen.update(cycle)
-        out.append(tuple(cycle))
-    return out
+        check(first)
+        orbit = [i]
+        image = step(first)
+        while image != first:
+            j = index.get(image)
+            if j is None:
+                raise ValidationError(missing.format(words[orbit[-1]]))
+            seen[j] = 1
+            orbit.append(j)
+            image = step(words[j])
+        yield tuple(orbit)
 
 
 @dataclass(frozen=True)
@@ -193,8 +211,8 @@ class ZpAction:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValidationError(f"p={self.p} is not prime")
+        if type(self.p) is not int or not is_prime(self.p):
+            raise ValidationError(f"p={self.p!r} is not prime")
         n = len(self.perm)
         if set(map(type, self.perm)) - {int}:
             raise ValidationError("perm must hold integers")
@@ -259,7 +277,9 @@ class FreeZpComplex:
         """Orbits of the action on vertices of the complex, each starting at
         its smallest member, sorted by that member."""
         present = [s[0] for s in self.complex.by_dim[0]] if not self.complex.is_empty() else []
-        return cycles(present, self.action.perm.__getitem__)
+        orbits = shift_orbits(present, self.action.perm.__getitem__, lambda v: None,
+                              "action image of vertex {} missing")
+        return [tuple(map(present.__getitem__, orbit)) for orbit in orbits]
 
     def __eq__(self, other):
         return (
@@ -339,13 +359,23 @@ def join(x: FreeZpComplex, y: FreeZpComplex) -> FreeZpComplex:
     cx = SimplicialComplex.from_simplices(
         nx + y.complex.vertex_count, (sx + sy for sx in x.complex.maximal_simplices() for sy in ys))
     perm = tuple(x.action.perm) + tuple(v + nx for v in y.action.perm)
-    x_connected = (not x.is_empty()) and x.complex.connected_components() == 1
-    y_connected = (not y.is_empty()) and y.complex.connected_components() == 1
     return FreeZpComplex(
         cx,
         ZpAction(x.p, perm),
-        simply_connected_verified=x_connected and y_connected,
+        simply_connected_verified=(x.complex.connected_components() == 1
+                                   and y.complex.connected_components() == 1),
     )
+
+
+def join_power(x: FreeZpComplex, copies: int) -> FreeZpComplex:
+    """The join of `copies` copies of x, each new copy joined on the right:
+    vertex i*n + v is vertex v of copy i, where x has n vertices."""
+    if copies < 1:
+        raise ValidationError("need at least one copy")
+    out = x
+    for _ in range(copies - 1):
+        out = join(out, x)
+    return out
 
 
 def e_n_zp(n: int, p: int) -> FreeZpComplex:
@@ -358,11 +388,7 @@ def e_n_zp(n: int, p: int) -> FreeZpComplex:
     """
     if n < 0:
         raise ValidationError(f"n={n} must be nonnegative")
-    discrete = make_discrete_zp(p)
-    model = discrete
-    for _ in range(n):
-        model = join(model, discrete)
-    return model
+    return join_power(make_discrete_zp(p), n + 1)
 
 
 def subdivide_complex(cx: SimplicialComplex) -> tuple[SimplicialComplex, dict[Simplex, int]]:
@@ -427,8 +453,6 @@ def complex_from_json_dict(data: dict) -> FreeZpComplex:
         # type, not isinstance: JSON true/false load as bool, a subclass of int
         if not {type(p), type(vertices)} <= {int}:
             raise ValidationError("malformed complex JSON: p and vertices must hold integers")
-        # The constructors refuse vertices that are not ints, but a string or
-        # a list among them already fails to sort or hash in from_simplices.
         return FreeZpComplex(SimplicialComplex.from_simplices(vertices, simplices),
                              ZpAction(p, perm))
     except (KeyError, TypeError) as exc:

@@ -5,9 +5,11 @@ constraint says that for no i is the window of symbols at i + o (mod n), o
 in a fixed tuple of offsets, forbidden.  `cyclic_words` is the one
 enumerator of such words, over any alphabet: it backtracks and tests each
 window as soon as its last position is placed.  `satisfies` applies the
-same test to a whole word, and `shift_orbits` validates a family of such
-words one shift orbit at a time.  The cubical models in `cubical` are the
-p-periodic words of this kind over the alphabet of grid boxes.
+same test to a whole word, and `rotate` is the shift on periodic words and
+cubical cells alike.  Such families are walked one shift orbit at a time by
+`simplicial.shift_orbits` and joined by `simplicial.join_power`.  The cubical
+models in `cubical` are the p-periodic words of this kind over the alphabet
+of grid boxes.
 
 The basic examples here are the three-symbol shifts forbidding equal symbols
 at offset 1 (adjacent symbols differ) and at a general offset m.  Offsets
@@ -22,7 +24,7 @@ from operator import eq, itemgetter
 
 from .errors import BudgetExceeded, ValidationError
 from .fplinalg import is_prime
-from .simplicial import FreeZpComplex, SimplicialComplex, ZpAction, join
+from .simplicial import FreeZpComplex, SimplicialComplex, ZpAction, shift_orbits
 
 Word = tuple[int, ...]
 
@@ -111,37 +113,10 @@ def make_sigma_m(m: int, alphabet_size: int = 3) -> Subshift:
                     frozenset((a, a) for a in range(1, alphabet_size + 1)))
 
 
-def make_sigma() -> Subshift:
-    return make_sigma_m(1)
-
-
-def rotate(word: Word) -> Word:
-    """One application of the shift to a periodic word."""
-    return word[1:] + word[:1]
-
-
-def shift_orbits(words, step, check, missing: str):
-    """Walk the orbits of `step` through the distinct `words`: run `check`
-    on the first member of each orbit in `words` order, then step it round,
-    raising ValidationError(missing.format(w)) when the image of w is not a
-    word.  Yields each orbit, listed from its first member, as a tuple of
-    positions in `words`."""
-    index = {w: i for i, w in enumerate(words)}
-    seen = bytearray(len(words))
-    for i, first in enumerate(words):
-        if seen[i]:
-            continue
-        check(first)
-        orbit = [i]
-        image = step(first)
-        while image != first:
-            j = index.get(image)
-            if j is None:
-                raise ValidationError(missing.format(words[orbit[-1]]))
-            seen[j] = 1
-            orbit.append(j)
-            image = step(words[j])
-        yield tuple(orbit)
+def rotate(word: Word, a: int = 1) -> Word:
+    """The shift applied a times to a periodic word."""
+    a %= len(word)
+    return word[a:] + word[:a]
 
 
 @dataclass(frozen=True)
@@ -196,19 +171,6 @@ def periodic_points(shift: Subshift, n: int,
     return PeriodicOrbitSet(shift, n, tuple(words))
 
 
-def odd_period_witness(m: int) -> Word:
-    """The explicit odd-period point of the adjacent-symbols-differ shift:
-    l alternating pairs 1,2 followed by a single 3, for m = 2l + 1."""
-    if m < 3 or m % 2 == 0:
-        raise ValidationError(f"m={m} must be odd and >= 3")
-    l = (m - 1) // 2
-    word = (1, 2) * l + (3,)
-    sigma = make_sigma()
-    if not satisfies(word, sigma.offsets, sigma.forbidden.__contains__):
-        raise ValidationError("constructed word failed the cyclic check")
-    return word
-
-
 def as_free_zp_complex(a: PeriodicOrbitSet) -> FreeZpComplex:
     """The periodic points as a discrete free Z_p-set (p = period prime)."""
     if a.is_empty():
@@ -222,28 +184,6 @@ def as_free_zp_complex(a: PeriodicOrbitSet) -> FreeZpComplex:
     perm = tuple(index[rotate(w)] for w in a.points)
     cx = SimplicialComplex(len(a.points), [[(i,) for i in range(len(a.points))]])
     return FreeZpComplex(cx, ZpAction(p, perm))
-
-
-def join_periodic_sets(a: PeriodicOrbitSet, b: PeriodicOrbitSet, p: int) -> FreeZpComplex:
-    """Simplicial join of two discrete periodic-point sets of prime period p,
-    with the simultaneous rotation action.  An empty side is the join unit."""
-    if b.is_empty():
-        return as_free_zp_complex(a)
-    if a.is_empty():
-        return as_free_zp_complex(b)
-    if a.period != p or b.period != p:
-        raise ValidationError(f"periods {a.period}, {b.period} must equal p={p}")
-    return join(as_free_zp_complex(a), as_free_zp_complex(b))
-
-
-def join_power(a: PeriodicOrbitSet, copies: int) -> FreeZpComplex:
-    """Join of `copies` copies of the periodic-point set."""
-    if copies < 1:
-        raise ValidationError("need at least one copy")
-    out = as_free_zp_complex(a)
-    for _ in range(copies - 1):
-        out = join(out, as_free_zp_complex(a))
-    return out
 
 
 def periodic_table(shift: Subshift, periods,

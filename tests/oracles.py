@@ -8,7 +8,9 @@ all subsets and all pairs (the library walks facets level by level), the
 triangulation of a cubical complex walks every cell with every corner built
 from scratch (the library walks maximal cells, moving one corner per step),
 cell and word families are judged valid cell by cell and word by word (the
-library checks one member per shift orbit and walks the orbit),
+library checks one member per shift orbit and walks the orbit), orbits are
+listed by following the map with a set of the members seen (the library
+indexes the family and marks positions),
 equivariant maps come from plain place-and-check backtracking over every
 target vertex (the library intersects neighbourhood bitsets), simplicial
 complexes, their actions and vertex maps are checked simplex by simplex
@@ -274,6 +276,20 @@ def circle_pair_ok(values, kind):
     return True
 
 
+def cycles(items, step):
+    """Cycles of the bijection `step` through `items`, each listed from its
+    first member in `items` order, in that order."""
+    seen, out = set(), []
+    for x in items:
+        if x not in seen:
+            cycle = [x]
+            while step(cycle[-1]) != x:
+                cycle.append(step(cycle[-1]))
+            seen.update(cycle)
+            out.append(tuple(cycle))
+    return out
+
+
 def cells_shift_closed_and_free(cells):
     """True iff every power shift^a, 0 < a < p, of every p-tuple cell is
     another cell of the family, with every power checked explicitly."""
@@ -299,11 +315,13 @@ def fixed_by_some_power(perm, p, simplices):
 
 
 def complex_ok(vertex_count, by_dim):
-    """True iff every simplex, checked on its own, is a tuple of distinct
-    vertices in 0..vertex_count-1, listed in increasing order, filed under
-    its dimension after every smaller simplex of that dimension, with each
-    of its faces one vertex smaller present; and the top dimension is not
-    empty."""
+    """True iff the vertex count is not negative; every simplex, checked on
+    its own, is a tuple of distinct vertices in 0..vertex_count-1, listed in
+    increasing order, filed under its dimension after every smaller simplex
+    of that dimension, with each of its faces one vertex smaller present;
+    and the top dimension is not empty."""
+    if vertex_count < 0:
+        return False
     present = set()
     for d, level in enumerate(by_dim):
         for i, s in enumerate(level):

@@ -15,16 +15,17 @@ from zpindex.certificates import (
     assert_coindex_le_index,
     certificate_from_json_dict,
     certificate_to_json_dict,
-    coindex_le_index_check,
     coindex_lower,
     index_lower_from_connectivity,
     index_upper,
+    obstruction_report,
     search_equivariant_map,
 )
 from zpindex.cubical import (
     CubicalZpComplex,
     GridSpec,
     build_pp_xm,
+    build_pp_yz,
     cubical_to_simplicial,
 )
 from zpindex.errors import BudgetExceeded, ConsistencyError, ValidationError
@@ -37,9 +38,10 @@ from zpindex.simplicial import (
     e_n_zp,
     homology,
     join,
+    join_power,
     make_discrete_zp,
 )
-from zpindex.subshifts import as_free_zp_complex, join_periodic_sets, make_sigma, periodic_points
+from zpindex.subshifts import as_free_zp_complex, make_sigma_m, periodic_points
 from zpindex.verify import check_vertex_map
 
 
@@ -102,12 +104,12 @@ class TestCoindexLower:
         assert coindex_lower(x, 0).kind == "map_witness"
 
     def test_periodic_orbit_space_has_coindex_zero(self):
-        x = as_free_zp_complex(periodic_points(make_sigma(), 3))
+        x = as_free_zp_complex(periodic_points(make_sigma_m(1), 3))
         lo = coindex_lower(x, 0)
         up = index_upper(x, 0, space=lo.space)
         assert lo.kind == "map_witness" and lo.value == 0
         assert up.kind == "map_witness" and up.value == 0
-        assert coindex_le_index_check([lo, up])
+        assert_coindex_le_index([lo, up])
 
 
 class TestIndexUpper:
@@ -147,7 +149,7 @@ class TestConsistency:
         lo = coindex_lower(x, 2)
         up = index_upper(x, 2, space=lo.space)
         assert up.kind == "map_witness"
-        assert coindex_le_index_check([lo, up])
+        assert_coindex_le_index([lo, up])
 
     def test_contradiction_detected(self):
         lo = coindex_lower(e_n_zp(1, 2), 1)
@@ -157,12 +159,11 @@ class TestConsistency:
         # that the labelled space is an offset-gap space with these parameters.
         bad_up = IndexCertificate("ambient_bound", "ind_upper", 0,
                                   {"N": 1, "p": 2, "offset": 1}, 0, lo.space)
-        assert not coindex_le_index_check([lo, bad_up])
         with pytest.raises(ConsistencyError):
             assert_coindex_le_index([lo, bad_up])
 
     def test_empty_is_vacuous(self):
-        assert coindex_le_index_check([])
+        assert_coindex_le_index([])
 
     def test_exhaustion_never_counts_as_bound(self):
         x = make_discrete_zp(3)
@@ -174,13 +175,13 @@ class TestConsistency:
         certs = [lo, IndexCertificate(fake_tight.kind, fake_tight.bound_type,
                                       fake_tight.value, fake_tight.evidence,
                                       0, lo.space), up]
-        assert coindex_le_index_check(certs)
+        assert_coindex_le_index(certs)
 
     def test_mixed_spaces_rejected(self):
         a = coindex_lower(make_discrete_zp(2), 0)
         b = coindex_lower(make_discrete_zp(3), 0)
         with pytest.raises(ValidationError):
-            coindex_le_index_check([a, b])
+            assert_coindex_le_index([a, b])
 
 
 class TestJoinRule:
@@ -193,7 +194,7 @@ class TestJoinRule:
         assert lo.value == 1 and lo.kind == "map_witness"
         up = index_upper(joined, 1, space=lo.space)
         assert up.kind == "map_witness"
-        assert coindex_le_index_check([lo, up])
+        assert_coindex_le_index([lo, up])
 
     def test_empty_side_convention(self):
         empty = FreeZpComplex(SimplicialComplex(0, ()), ZpAction(2, ()))
@@ -203,10 +204,10 @@ class TestJoinRule:
         assert coindex_lower(join(x, empty), 1).kind == "map_witness"
 
     def test_sigma_orbits_join(self):
-        pts = periodic_points(make_sigma(), 3)
+        pts = periodic_points(make_sigma_m(1), 3)
         c = coindex_lower(as_free_zp_complex(pts), 0)
         assert c.kind == "map_witness" and c.value == 0
-        direct = coindex_lower(join_periodic_sets(pts, pts, 3), 1)
+        direct = coindex_lower(join_power(as_free_zp_complex(pts), 2), 1)
         assert direct.kind == "map_witness"
 
 
@@ -234,6 +235,47 @@ class TestMonotonicity:
 
 def offset_gap(N, p, m=1):
     return build_pp_xm(N, Fraction(1, 2), m, p, GridSpec(N, 2))
+
+
+class TestObstructionReport:
+    """For each prime p, the certified lower bound on the coindex of the
+    periodic points of X against the certified upper bound on that of Z: the
+    gap that rules out an equivariant map and so the marker property."""
+
+    def _certs(self):
+        x2 = cubical_to_simplicial(build_pp_xm(1, Fraction(3, 5), 1, 2, GridSpec(1, 4)))
+        z2 = cubical_to_simplicial(build_pp_yz("Z", 2, GridSpec(1, 4, circle_valued=True)))
+        x_lo = coindex_lower(x2, 0)
+        z_up = index_upper(z2, 2)
+        z_lo = coindex_lower(z2, 0)
+        return {2: [x_lo]}, {2: [z_up, z_lo]}
+
+    def test_rows(self):
+        x_certs, z_certs = self._certs()
+        assert z_certs[2][0].kind == "map_witness"
+        rows = obstruction_report([2], x_certs, z_certs)
+        assert rows[0].p == 2
+        assert rows[0].x_coind_lower == 0
+        assert rows[0].z_coind_upper == 2  # a map of the triangulated Z into E_2
+        assert not rows[0].gap_certified
+        assert "not certified" in rows[0].verdict
+
+    def test_ambient_bound_refuses_z(self):
+        # Z(p=2, G=4) has coind >= 1 (depth-1 witness), so the ambient
+        # formula's 0 would contradict it; the circle-valued grid is refused.
+        z = build_pp_yz("Z", 2, GridSpec(1, 4, circle_valued=True))
+        assert coindex_lower(cubical_to_simplicial(z), 1, subdivision_depth=1).kind == "map_witness"
+        with pytest.raises(ValidationError, match="circle"):
+            ambient_sphere_bound(z)
+
+    def test_missing_prime_rejected(self):
+        x_certs, z_certs = self._certs()
+        with pytest.raises(ValidationError):
+            obstruction_report([2, 3], x_certs, z_certs)
+
+    def test_empty_store_rejected(self):
+        with pytest.raises(ValidationError):
+            obstruction_report([2], {}, {})
 
 
 class TestAmbientBound:
@@ -314,7 +356,7 @@ FORGERIES = {
     "witness-coind-value": (lambda: coindex_lower(e_n_zp(1, 3), 1), set_field(["value"], 2)),
     "witness-coind-depth": (lambda: coindex_lower(e_n_zp(1, 3), 1), set_field(["depth"], 1)),
     "witness-coind-bound-type": (
-        lambda: coindex_lower(as_free_zp_complex(periodic_points(make_sigma(), 3)), 0),
+        lambda: coindex_lower(as_free_zp_complex(periodic_points(make_sigma_m(1), 3)), 0),
         set_field(["bound_type"], "ind_upper")),
     "witness-ind-value": (lambda: index_upper(e_n_zp(1, 2), 1), set_field(["value"], 0)),
     "witness-ind-bound-type": (
@@ -362,7 +404,7 @@ class TestForgeries:
 
 FACTORS = {
     "discrete": make_discrete_zp,
-    "periodic": lambda p: as_free_zp_complex(periodic_points(make_sigma(), p)),
+    "periodic": lambda p: as_free_zp_complex(periodic_points(make_sigma_m(1), p)),
 }
 
 
@@ -389,7 +431,7 @@ class TestSoundnessProperties:
                     certs.append(bound(x, n, budget=20_000, space=space))
                 except BudgetExceeded:
                     pass
-        assert coindex_le_index_check(certs)
+        assert_coindex_le_index(certs)
         for cert in certs:
             back = certificate_from_json_dict(json.loads(json.dumps(certificate_to_json_dict(cert))))
             assert ((back.kind, back.bound_type, back.value, back.subdivision_depth, back.space)

@@ -34,10 +34,10 @@ from zpindex.cubical import (
     cubical_homology,
     cubical_to_simplicial,
     relabel_isomorphism,
-    shift_cell,
 )
 from zpindex.errors import BudgetExceeded, ValidationError
 from zpindex.simplicial import homology
+from zpindex.subshifts import rotate
 
 
 def vertex_values(cell, grid):
@@ -49,7 +49,7 @@ class TestBuildXm:
     def test_p2_grid4_vertex_set_matches_direct_enumeration(self):
         grid = GridSpec(1, 4)
         cx = build_pp_xm(1, Fraction(3, 5), 1, 2, grid)
-        got = {tuple(box[0][0] for box in cell) for cell in cx.vertex_cells()}
+        got = {tuple(box[0][0] for box in cell) for cell in cx.cells_of_dim(0)}
         expected = set()
         for a, b in itertools.product(range(5), repeat=2):
             vals = ((Fraction(a, 4),), (Fraction(b, 4),))
@@ -103,8 +103,8 @@ class TestBuildXm:
         # each coarse included cell's points are covered by fine included cells
         coarse = build_pp_xm(1, Fraction(1, 2), 1, 2, GridSpec(1, 2))
         fine = build_pp_xm(1, Fraction(1, 2), 1, 2, GridSpec(1, 4))
-        fine_vertices = {tuple(box[0][0] for box in cell) for cell in fine.vertex_cells()}
-        for cell in coarse.vertex_cells():
+        fine_vertices = {tuple(box[0][0] for box in cell) for cell in fine.cells_of_dim(0)}
+        for cell in coarse.cells_of_dim(0):
             doubled = tuple(2 * box[0][0] for box in cell)
             assert doubled in fine_vertices
 
@@ -210,7 +210,7 @@ class TestCubicalHomology:
             (((0, 1),), ((3, 0),)), (((0, 1),), ((4, 0),)),
             (((0, 0),), ((3, 1),)), (((1, 0),), ((3, 1),)),
         ]
-        ring += [shift_cell(c) for c in ring]
+        ring += [rotate(c) for c in ring]
         cx = CubicalZpComplex(2, grid, OffsetGapConstraint(Fraction(1, 2), 1),
                               face_closure(ring, 4, False))
         prof = cubical_homology(cx, 2)
@@ -252,7 +252,7 @@ class TestTriangulation:
         grid = GridSpec(1, 4)
         square = (((0, 1),), ((3, 1),))
         cx = CubicalZpComplex(2, grid, OffsetGapConstraint(Fraction(1, 2), 1),
-                              face_closure([square, shift_cell(square)], 4, False))
+                              face_closure([square, rotate(square)], 4, False))
         tri = cubical_to_simplicial(cx).complex
         assert tri.vertex_count == 8
         assert tri.f_vector() == (8, 10, 4)
@@ -318,7 +318,7 @@ class TestShiftStructure:
         cells = set(cx.cells)
         for cell in cx.cells:
             for a in range(1, 3):
-                image = shift_cell(cell, a)
+                image = rotate(cell, a)
                 assert image in cells and image != cell
 
 
@@ -395,7 +395,7 @@ class TestValidationProperties:
         cells = set()
         for cell in seeds:
             powers = data.draw(st.sets(st.integers(0, p - 1)))
-            cells.update(shift_cell(cell, a) for a in powers | {0})
+            cells.update(rotate(cell, a) for a in powers | {0})
         cells = face_closure(cells, G, False)
         try:
             CubicalZpComplex(p, grid, AnyCell(), cells)
@@ -480,7 +480,7 @@ class TestOrbitWalk:
         cells = set(cx.cells)
         if damage.startswith("drop"):
             cell = data.draw(st.sampled_from(cx.cells))
-            cells -= {shift_cell(cell, a) for a in range(p if damage == "drop orbit" else 1)}
+            cells -= {rotate(cell, a) for a in range(p if damage == "drop orbit" else 1)}
         else:
             # a vertex tuple has all its faces, so only its own checks can refuse it
             pool = grid_intervals(G, circle_valued) + [(2 * G if circle_valued else G + 1, 0)]
@@ -489,7 +489,7 @@ class TestOrbitWalk:
             intervals = st.sampled_from(pool)
             box = st.tuples(*[intervals] * cx.grid.N)
             cell = data.draw(st.tuples(*[box] * p))
-            cells |= {shift_cell(cell, a) for a in range(p if damage == "add orbit" else 1)}
+            cells |= {rotate(cell, a) for a in range(p if damage == "add orbit" else 1)}
         if isinstance(constraint, OffsetGapConstraint):
             def cell_ok(c):
                 return xm_cell_ok(c, G, constraint.delta, constraint.offset)
@@ -505,7 +505,7 @@ class TestOrbitWalk:
     def test_dropping_last_sorted_orbit_member_refused(self):
         # a top cell's orbit: no face check can see the gap, only the walk
         cx = build_pp_xm(2, Fraction(1, 2), 1, 3, GridSpec(2, 2))
-        orbit = sorted(shift_cell(cx.cells_of_dim(cx.dim)[0], a) for a in range(3))
+        orbit = sorted(rotate(cx.cells_of_dim(cx.dim)[0], a) for a in range(3))
         with pytest.raises(ValidationError, match="shift image"):
             CubicalZpComplex(3, cx.grid, cx.constraint, set(cx.cells) - {orbit[-1]})
 

@@ -24,7 +24,7 @@ from zpindex.simplicial import (
     join,
     make_discrete_zp,
 )
-from zpindex.subshifts import as_free_zp_complex, make_sigma, periodic_points
+from zpindex.subshifts import as_free_zp_complex, make_sigma_m, periodic_points
 
 
 def x1(N, p, G):
@@ -35,7 +35,18 @@ def z(p, G):
     return cubical_to_simplicial(build_pp_yz("Z", p, GridSpec(1, G, True)))
 
 
-FACTORS = (make_discrete_zp, lambda p: as_free_zp_complex(periodic_points(make_sigma(), p)))
+def triangle_boundary(p):
+    """The 3-cycle on one vertex orbit: free for p = 3, with every edge inside
+    the orbit, so each edge meets its last-placed orbit twice."""
+    return FreeZpComplex(SimplicialComplex.from_simplices(3, [(0, 1), (1, 2), (0, 2)]),
+                         ZpAction(p, (1, 2, 0)))
+
+
+def periodic(p):
+    return as_free_zp_complex(periodic_points(make_sigma_m(1), p))
+
+
+FACTORS = {2: (make_discrete_zp, periodic), 3: (make_discrete_zp, periodic, triangle_boundary)}
 TRIANGULATIONS = {2: [lambda: x1(1, 2, 2), lambda: x1(1, 2, 3), lambda: z(2, 2), lambda: z(2, 3)],
                   3: [lambda: x1(1, 3, 3), lambda: z(3, 2)]}
 
@@ -49,12 +60,12 @@ def simplex_orbit(x, s):
 
 @st.composite
 def spaces(draw, p):
-    """A join of 1-3 discrete or periodic-orbit factors, maybe subdivided
-    once, or a small X_1 or Z triangulation; then maybe cut down to a random
-    invariant subcomplex (which leaves vertex labels unused) and maybe
-    relabelled at random."""
+    """A join of 1-3 discrete, periodic-orbit or (p = 3) triangle-boundary
+    factors, maybe subdivided once, or a small X_1 or Z triangulation; then
+    maybe cut down to a random invariant subcomplex (which leaves vertex
+    labels unused) and maybe relabelled at random."""
     if draw(st.booleans()):
-        factors = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3))
+        factors = draw(st.lists(st.sampled_from(FACTORS[p]), min_size=1, max_size=3))
         x = factors[0](p)
         for factor in factors[1:]:
             x = join(x, factor(p))

@@ -12,6 +12,7 @@ from oracles import (
     brute_force_closure,
     brute_force_maximal,
     complex_ok,
+    cycles,
     fixed_by_some_power,
     vertex_map_problems,
 )
@@ -23,11 +24,12 @@ from zpindex.simplicial import (
     barycentric_subdivide,
     complex_from_json_dict,
     complex_to_json_dict,
-    cycles,
     e_n_zp,
     homology,
     join,
+    join_power,
     make_discrete_zp,
+    shift_orbits,
     subdivide_complex,
 )
 from zpindex.verify import check_vertex_map
@@ -102,6 +104,12 @@ class TestJoin:
     def test_join_of_models_is_bigger_model(self, m, n, p):
         # the vertex numbering makes the identification literal
         assert join(e_n_zp(m, p), e_n_zp(n, p)) == e_n_zp(m + n + 1, p)
+
+    def test_join_power_joins_copies_on_the_right(self):
+        circle = e_n_zp(1, 3)
+        assert join_power(circle, 3) == join(join(circle, circle), circle)
+        with pytest.raises(ValidationError, match="at least one copy"):
+            join_power(circle, 0)
 
     def test_join_of_connected_factors_flags_simple_connectivity(self):
         circle = e_n_zp(1, 2)
@@ -248,12 +256,20 @@ class TestLevelChecks:
         (2, [[(0.5,), (1,)]], "simplex (0.5,) must hold integers"),
         (2, [[(False,), (True,)], [(False, True)]],
          "simplex (False,) must hold integers"),
+        (2.7, [[(0,), (1,)]], "vertex count 2.7 must be a nonnegative integer"),
+        (True, [[(0,)]], "vertex count True must be a nonnegative integer"),
+        (-1, [], "vertex count -1 must be a nonnegative integer"),
     ], ids=["list-simplex", "misfiled-dimension", "unsorted-tuple", "repeated-vertex",
             "negative-vertex", "vertex-beyond-count", "unsorted-level", "repeated-level-entry",
-            "missing-facet", "empty-top-level", "float-vertex", "bool-vertices"])
+            "missing-facet", "empty-top-level", "float-vertex", "bool-vertices",
+            "float-vertex-count", "bool-vertex-count", "negative-vertex-count"])
     def test_complex_check_refuses(self, vertex_count, by_dim, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             SimplicialComplex(vertex_count, by_dim)
+
+    def test_closure_refuses_vertices_that_do_not_sort(self):
+        with pytest.raises(ValidationError, match="simplices must hold integers"):
+            SimplicialComplex.from_simplices(2, [("a",), (0,)])
 
     @pytest.mark.parametrize("vertex_count,simplices,p,perm,message", [
         (2, [(0, 1)], 2, (1, 0, 3, 2), "permutation length differs from vertex count"),
@@ -264,8 +280,9 @@ class TestLevelChecks:
         (2, [(0, 1)], 2, (1, 0), "action is not free: (0, 1) is setwise fixed"),
         (3, [(0,), (1,), (2,)], 2, (1, 0, 2), "action is not free: (2,) is setwise fixed"),
         (2, [(0,), (1,)], 2, (True, False), "perm must hold integers"),
+        (2, [(0,), (1,)], 2.0, (1, 0), "p=2.0 is not prime"),
     ], ids=["perm-length", "non-simplicial-vertex-image", "non-simplicial-edge-image",
-            "fixed-edge", "fixed-vertex", "bool-perm"])
+            "fixed-edge", "fixed-vertex", "bool-perm", "float-prime"])
     def test_action_check_refuses(self, vertex_count, simplices, p, perm, message):
         cx = SimplicialComplex.from_simplices(vertex_count, simplices)
         with pytest.raises(ValidationError, match=re.escape(message)):
@@ -439,11 +456,14 @@ def prime_order_perms(draw):
 class TestActionProperties:
     @given(prime_order_perms())
     def test_cycles_partition_and_close(self, p_perm):
+        # the orbit walk lists the oracle's cycles, which partition and close
         _, perm = p_perm
         found = cycles(range(len(perm)), perm.__getitem__)
         assert sorted(v for c in found for v in c) == list(range(len(perm)))
         for c in found:
             assert all(perm[c[i]] == c[(i + 1) % len(c)] for i in range(len(c)))
+        walked = shift_orbits(range(len(perm)), perm.__getitem__, lambda v: None, "{}")
+        assert list(walked) == found
 
     @given(prime_order_perms(), st.integers(0, 20), st.integers(0, 20))
     def test_powers_compose(self, p_perm, a, b):

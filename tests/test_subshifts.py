@@ -4,18 +4,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_cyclic, brute_force_periodic, word_family_ok
+from oracles import brute_force_cyclic, brute_force_periodic, cycles, word_family_ok
 from zpindex.errors import BudgetExceeded, ValidationError
-from zpindex.simplicial import cycles, homology
+from zpindex.simplicial import (
+    FreeZpComplex,
+    SimplicialComplex,
+    ZpAction,
+    homology,
+    join,
+    join_power,
+)
 from zpindex.subshifts import (
     PeriodicOrbitSet,
+    Subshift,
     as_free_zp_complex,
     cyclic_words,
-    join_periodic_sets,
-    join_power,
-    make_sigma,
     make_sigma_m,
-    odd_period_witness,
     periodic_points,
     periodic_table,
     rotate,
@@ -23,26 +27,26 @@ from zpindex.subshifts import (
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13]
+SIGMA = make_sigma_m(1)  # adjacent symbols differ
 
 
 class TestSigma:
     def test_sigma_m_1_is_sigma(self):
-        assert make_sigma_m(1) == make_sigma()
+        assert SIGMA == Subshift(3, 1, frozenset({(1, 1), (2, 2), (3, 3)}))
 
     def test_no_fixed_points(self):
-        assert periodic_points(make_sigma(), 1).is_empty()
+        assert periodic_points(SIGMA, 1).is_empty()
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_counts_against_brute_force(self, n):
-        sigma = make_sigma()
-        expected = brute_force_periodic(3, 1, sigma.forbidden, n)
-        got = periodic_points(sigma, n)
+        expected = brute_force_periodic(3, 1, SIGMA.forbidden, n)
+        got = periodic_points(SIGMA, n)
         assert list(got.points) == sorted(expected)
         assert len(got) == 2 ** n + 2 * (-1) ** n
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_closed_form(self, n):
-        assert len(periodic_points(make_sigma(), n)) == 2 ** n + 2 * (-1) ** n
+        assert len(periodic_points(SIGMA, n)) == 2 ** n + 2 * (-1) ** n
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_general_alphabet_cycle_colorings(self, k):
@@ -52,13 +56,13 @@ class TestSigma:
             assert len(periodic_points(shift, n)) == (k - 1) ** n + (k - 1) * (-1) ** n
 
     def test_two_periodic_points(self):
-        pts = periodic_points(make_sigma(), 2)
+        pts = periodic_points(SIGMA, 2)
         assert len(pts) == 6
         assert len(pts.orbits()) == 3
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
-            periodic_points(make_sigma(), 12, budget=50)
+            periodic_points(SIGMA, 12, budget=50)
 
 
 class TestSigmaM:
@@ -83,73 +87,65 @@ class TestSigmaM:
 
 
 class TestOddWitness:
+    # l alternating pairs 1, 2 and a single 3: a point of odd period 2l + 1
     @pytest.mark.parametrize("m,expected", [(3, (1, 2, 3)), (5, (1, 2, 1, 2, 3)),
                                             (7, (1, 2, 1, 2, 1, 2, 3))])
     def test_construction(self, m, expected):
-        word = odd_period_witness(m)
-        assert word == expected
-        assert satisfies(word, make_sigma().offsets, make_sigma().forbidden.__contains__)
-        assert word in periodic_points(make_sigma(), m).points
-
-    @pytest.mark.parametrize("bad", [1, 2, 4, 6])
-    def test_rejects_even_or_small(self, bad):
-        with pytest.raises(ValidationError):
-            odd_period_witness(bad)
+        assert expected in periodic_points(SIGMA, m).points
 
 
 class TestFreeness:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_prime_periods_rotate_freely(self, p):
-        pts = periodic_points(make_sigma(), p)
+        pts = periodic_points(SIGMA, p)
         assert pts.rotation_is_free()
         assert all(len(orbit) == p for orbit in pts.orbits())
 
     def test_orbit_canonical_representatives(self):
-        pts = periodic_points(make_sigma(), 3)
+        pts = periodic_points(SIGMA, 3)
         for orbit in pts.orbits():
             assert orbit[0] == min(orbit)
 
     def test_composite_period_not_free(self):
-        pts = periodic_points(make_sigma(), 4)
+        pts = periodic_points(SIGMA, 4)
         assert not pts.rotation_is_free()  # 1212 has orbit size 2
 
 
 class TestAsComplex:
     def test_p3_two_orbits(self):
-        x = as_free_zp_complex(periodic_points(make_sigma(), 3))
+        x = as_free_zp_complex(periodic_points(SIGMA, 3))
         assert x.complex.vertex_count == 6
         assert len(x.vertex_orbits()) == 2
 
     def test_p2_three_orbits(self):
-        x = as_free_zp_complex(periodic_points(make_sigma(), 2))
+        x = as_free_zp_complex(periodic_points(SIGMA, 2))
         assert x.complex.vertex_count == 6
         assert len(x.vertex_orbits()) == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            as_free_zp_complex(periodic_points(make_sigma(), 1))
+            as_free_zp_complex(periodic_points(SIGMA, 1))
 
     def test_composite_period_rejected(self):
         with pytest.raises(ValidationError):
-            as_free_zp_complex(periodic_points(make_sigma(), 4))
+            as_free_zp_complex(periodic_points(SIGMA, 4))
 
 
 class TestJoins:
     def test_p3_join_is_bipartite_36_edges(self):
-        pts = periodic_points(make_sigma(), 3)
-        x = join_periodic_sets(pts, pts, 3)
+        pts = periodic_points(SIGMA, 3)
+        x = join_power(as_free_zp_complex(pts), 2)
         assert x.complex.f_vector() == (12, 36)
         assert len(x.complex.by_dim[1]) == len(pts) * len(pts)
 
     def test_empty_side_gives_discrete(self):
-        pts = periodic_points(make_sigma(), 3)
-        empty = PeriodicOrbitSet(make_sigma(), 3, ())
-        x = join_periodic_sets(pts, empty, 3)
-        assert x.complex.f_vector() == (6,)
+        x = as_free_zp_complex(periodic_points(SIGMA, 3))
+        empty = FreeZpComplex(SimplicialComplex(0, ()), ZpAction(3, ()))
+        assert join(x, empty).complex.f_vector() == (6,)
 
     def test_join_power_dimension(self):
         pts = periodic_points(make_sigma_m(2), 3)
-        x = join_power(pts, 2)
+        x = join_power(as_free_zp_complex(pts), 2)
         assert x.dim == 1
         assert homology(x.complex, 3, reduced=True).betti[0] == 0  # connected
 
@@ -157,10 +153,11 @@ class TestJoins:
 class TestRotation:
     def test_rotation_matches_shift(self):
         assert rotate((1, 2, 3)) == (2, 3, 1)
+        assert rotate((1, 2, 3), 2) == rotate((1, 2, 3), -1) == (3, 1, 2)
 
     def test_validation_catches_bad_word(self):
         with pytest.raises(ValidationError):
-            PeriodicOrbitSet(make_sigma(), 2, ((1, 1), (1, 2), (2, 1)))
+            PeriodicOrbitSet(SIGMA, 2, ((1, 1), (1, 2), (2, 1)))
 
 
 @st.composite
@@ -202,7 +199,7 @@ class TestEnumerator:
 
     def test_budget_bounds_a_long_period(self):
         with pytest.raises(BudgetExceeded):
-            periodic_points(make_sigma(), 1200, budget=10 ** 5)
+            periodic_points(SIGMA, 1200, budget=10 ** 5)
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValidationError):
@@ -244,5 +241,5 @@ class TestOrbitWalk:
 
 class TestTable:
     def test_rows(self):
-        rows = periodic_table(make_sigma(), [1, 2, 3])
+        rows = periodic_table(SIGMA, [1, 2, 3])
         assert rows == [(1, 0, 0), (2, 6, 3), (3, 6, 2)]
