@@ -9,7 +9,6 @@ from .certificates import (
     ambient_sphere_bound,
     assert_coindex_le_index,
     coindex_lower,
-    index_lower_from_connectivity,
     index_upper,
     obstruction_report,
     search_equivariant_map,

@@ -1,11 +1,12 @@
 """Certified upper/lower bounds for the Z_p-index and coindex.
 
 Every bound is carried by an IndexCertificate whose value is derived from its
-evidence: an explicit equivariant simplicial map, a homology profile, an
-exhausted search trace, or the parameters of the ambient-sphere formula.  Each (kind, bound type) pair has one derivation, listed in DERIVE,
-and the constructor refuses a certificate whose value the derivation does not
-reproduce.  Loading goes through the constructor, so a certificate read from
-disk is derived again before it is trusted.  Witness maps are checked by the
+evidence: an explicit equivariant simplicial map, an exhausted search trace,
+or the parameters of the ambient-sphere formula.  Each (kind, bound type)
+pair has one derivation, listed in DERIVE, and the constructor refuses a
+certificate whose value the derivation does not reproduce.  Loading goes
+through the constructor, so a certificate read from disk is derived again
+before it is trusted.  Witness maps are checked by the
 standalone verifier on construction, never trusted from the search alone.
 
 Searches subdivide the source only (the simplicial-approximation direction),
@@ -23,16 +24,14 @@ from .errors import ConsistencyError, ValidationError
 from .fplinalg import is_prime
 from .search import DEFAULT_BUDGET, find_equivariant_vertex_map
 from .simplicial import (
-    INFINITE_CONNECTIVITY,
     FreeZpComplex,
-    HomologyProfile,
     barycentric_subdivide,
     complex_from_json_dict,
     complex_to_json_dict,
     content_key,
     e_n_zp,
-    homology,
 )
+from .simplicial import homology  # noqa: F401  perfbench/probes.py times homology here
 from .verify import check_vertex_map
 
 
@@ -73,20 +72,6 @@ def _model_target(ev: EquivariantMap, depth: int) -> int:
     return n
 
 
-def _connectivity(ev: dict, depth: int) -> int:
-    """ind >= homological connectivity + 1, read off the reduced Betti
-    numbers; -1 on the empty complex."""
-    prof: HomologyProfile = ev["homology"]
-    if not prof.reduced:
-        raise ValidationError("connectivity bound needs reduced homology")
-    conn = prof.homological_connectivity
-    if conn == INFINITE_CONNECTIVITY:
-        # A free simplicial Z_p-complex has Euler characteristic divisible
-        # by p, so it cannot be F_p-acyclic.
-        raise ValidationError("free complex reported acyclic; invariant violated")
-    return conn + 1
-
-
 def _ambient(ev: dict, depth: int) -> int:
     """ind <= N*p - N - 1: coordinates at an offset prime to p never all
     agree, so the p-tuples avoid the diagonal of ([0,1]^N)^p, whose
@@ -107,7 +92,6 @@ DERIVE = {
     ("map_witness", "ind_upper"): _model_target,
     ("exhaustion", "coind_lower"): lambda ev, depth: ev["attempted"],
     ("exhaustion", "ind_upper"): lambda ev, depth: ev["attempted"],
-    ("connectivity_bound", "ind_lower"): _connectivity,
     ("ambient_bound", "ind_upper"): _ambient,
 }
 
@@ -138,8 +122,7 @@ class IndexCertificate:
         return self.kind != "exhaustion"
 
     def describe(self) -> str:
-        rel = {"ind_upper": "ind <=", "ind_lower": "ind >=",
-               "coind_lower": "coind >="}[self.bound_type]
+        rel = {"ind_upper": "ind <=", "coind_lower": "coind >="}[self.bound_type]
         status = "" if self.established else " [inconclusive: exhausted search, not a disproof]"
         return f"[{self.kind}] {rel} {self.value} on {self.space} (depth {self.subdivision_depth}){status}"
 
@@ -211,30 +194,6 @@ def index_upper(
 ) -> IndexCertificate:
     """Try to witness ind <= n by mapping x (subdivided) into the n-model."""
     return _model_bound("ind_upper", x, n, subdivision_depth, budget, space)
-
-
-def index_lower_from_connectivity(
-    x: FreeZpComplex,
-    coefficients: int | None = None,
-    assert_simply_connected: bool = False,
-    space: str | None = None,
-) -> IndexCertificate:
-    """ind >= homological connectivity + 1.
-
-    The caveat flag records whether the homological connectivity provably
-    agrees with homotopy connectivity (Hurewicz needs simple connectivity,
-    which we only certify for joins of connected factors or by caller
-    assertion).
-    """
-    p_coeff = coefficients if coefficients is not None else x.p
-    evidence = {
-        "homology": homology(x.complex, p_coeff, reduced=True),
-        "coefficients": p_coeff,
-        "simply_connected_verified": bool(x.simply_connected_verified or assert_simply_connected),
-        "caveat": "homological connectivity; equals homotopy connectivity "
-                  "only when the space is simply connected (Hurewicz)"}
-    return IndexCertificate("connectivity_bound", "ind_lower", _connectivity(evidence, 0),
-                            evidence, 0, space or content_key(x))
 
 
 def ambient_sphere_bound(cx: CubicalZpComplex, space: str | None = None) -> IndexCertificate:
@@ -317,22 +276,14 @@ def _max_attempted(certs, bound_type):
 # ---------------------------------------------------------------------------
 # Serialization.  Keys: {"kind", "bound_type", "value", "depth", "evidence"}.
 
-def _connectivity_json(prof: HomologyProfile):
-    conn = prof.homological_connectivity
-    return "inf" if conn == INFINITE_CONNECTIVITY else conn
-
-
 def _encode_evidence(ev):
     if isinstance(ev, EquivariantMap):
         return {"type": "map",
                 "vertex_map": list(ev.vertex_map),
                 "source": complex_to_json_dict(ev.source),
                 "target": complex_to_json_dict(ev.target)}
-    if isinstance(ev, HomologyProfile):
-        return {"type": "homology", "p": ev.p, "betti": list(ev.betti),
-                "reduced": ev.reduced, "connectivity": _connectivity_json(ev)}
     if isinstance(ev, dict):
-        return {"type": "note", "fields": {k: _encode_evidence(v) for k, v in sorted(ev.items())}}
+        return {"type": "note", "fields": dict(sorted(ev.items()))}
     return ev
 
 
@@ -345,15 +296,11 @@ def _decode_evidence(data):
             complex_from_json_dict(data["source"]),
             complex_from_json_dict(data["target"]),
             tuple(data["vertex_map"]))
-    if t == "homology":
-        prof = HomologyProfile(data["p"], tuple(data["betti"]), data["reduced"])
-        if data["connectivity"] != _connectivity_json(prof):
-            raise ValidationError(
-                f"stored connectivity {data['connectivity']!r} does not follow from "
-                f"the Betti numbers {list(prof.betti)}")
-        return prof
     if t == "note":
-        return {k: _decode_evidence(v) for k, v in data["fields"].items()}
+        fields = data["fields"]
+        if not isinstance(fields, dict):
+            raise ValidationError(f"note fields must be a JSON object, got {fields!r}")
+        return dict(fields)
     return data
 
 

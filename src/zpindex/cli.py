@@ -41,6 +41,7 @@ from .cubical import (
 from .errors import BudgetExceeded, ConsistencyError, ValidationError
 from .search import DEFAULT_BUDGET
 from .simplicial import (
+    INFINITE_CONNECTIVITY,
     barycentric_subdivide,
     complex_from_json_dict,
     complex_to_json_dict,
@@ -125,7 +126,7 @@ def _cubical_provenance(args) -> dict:
 def _homology_result(profile) -> dict:
     conn = profile.homological_connectivity
     return {"p": profile.p, "betti": list(profile.betti), "reduced": profile.reduced,
-            "homological_connectivity": "inf" if conn == float("inf") else conn}
+            "homological_connectivity": "inf" if conn == INFINITE_CONNECTIVITY else conn}
 
 
 def _certificate_result(cert) -> dict:
@@ -442,16 +443,21 @@ def _provenance(args) -> dict:
             "subcommand": args.subcommand, "params": params}
 
 
-def _update_index(out_path: Path, provenance: dict, artifact_sha: str):
+def _read_index(out_path: Path) -> dict:
+    """The index.json beside out_path ({} if absent), refused unless a JSON object."""
     index_path = out_path.parent / "index.json"
-    index = {}
-    if index_path.exists():
-        index = json.loads(index_path.read_text(encoding="utf-8"))
+    index = _load_json(index_path) if index_path.exists() else {}
+    if not isinstance(index, dict):
+        raise ValidationError(f"{index_path} is not a JSON object")
+    return index
+
+
+def _update_index(out_path: Path, index: dict, provenance: dict, artifact_sha: str):
     key = sha256_of({"subcommand": provenance["subcommand"],
                      "params": provenance["params"]})
     index[key] = {"subcommand": provenance["subcommand"],
                   "output": out_path.name, "sha256": artifact_sha}
-    index_path.write_text(canonical_json(index), encoding="utf-8")
+    (out_path.parent / "index.json").write_text(canonical_json(index), encoding="utf-8")
 
 
 def main(argv=None) -> int:
@@ -467,6 +473,7 @@ def main(argv=None) -> int:
         return main(argv2)
     handler = HANDLERS[args.subcommand]
     try:
+        index = _read_index(Path(args.out)) if args.out else None
         result = handler(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
@@ -487,7 +494,7 @@ def main(argv=None) -> int:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(text, encoding="utf-8")
-        _update_index(out_path, artifact["provenance"], artifact["sha256"])
+        _update_index(out_path, index, artifact["provenance"], artifact["sha256"])
     else:
         sys.stdout.write(text)
     return 0

@@ -142,27 +142,6 @@ class SimplicialComplex:
             maximal.extend(itertools.filterfalse(facets.__contains__, level))
         return maximal
 
-    def connected_components(self) -> int:
-        """Number of connected components of the underlying 1-skeleton."""
-        if self.is_empty():
-            return 0
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (v,) in self.by_dim[0]:
-            parent[v] = v
-        if self.dim >= 1:
-            for a, b in self.by_dim[1]:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        return len({find(v) for v in parent})
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialComplex)
@@ -235,15 +214,11 @@ class ZpAction:
 class FreeZpComplex:
     """A simplicial complex together with a free simplicial Z_p-action."""
 
-    __slots__ = ("complex", "action", "simply_connected_verified")
+    __slots__ = ("complex", "action")
 
-    def __init__(self, complex: SimplicialComplex, action: ZpAction, *,
-                 simply_connected_verified: bool = False):
+    def __init__(self, complex: SimplicialComplex, action: ZpAction):
         self.complex = complex
         self.action = action
-        # Metadata only (set by join() or by explicit caller assertion);
-        # not part of equality.
-        self.simply_connected_verified = simply_connected_verified
         self._validate()
 
     def _validate(self):
@@ -301,9 +276,7 @@ class HomologyProfile:
 
     homological_connectivity is the largest c with vanishing reduced homology
     in all degrees <= c: -2 for the empty complex, math.inf when reduced
-    homology vanishes everywhere, otherwise a finite integer.  This is a
-    homological surrogate; it matches homotopy connectivity only on spaces
-    where Hurewicz applies (joins, spheres), see index_lower_from_connectivity.
+    homology vanishes everywhere, otherwise a finite integer.
     """
 
     p: int
@@ -359,12 +332,7 @@ def join(x: FreeZpComplex, y: FreeZpComplex) -> FreeZpComplex:
     cx = SimplicialComplex.from_simplices(
         nx + y.complex.vertex_count, (sx + sy for sx in x.complex.maximal_simplices() for sy in ys))
     perm = tuple(x.action.perm) + tuple(v + nx for v in y.action.perm)
-    return FreeZpComplex(
-        cx,
-        ZpAction(x.p, perm),
-        simply_connected_verified=(x.complex.connected_components() == 1
-                                   and y.complex.connected_components() == 1),
-    )
+    return FreeZpComplex(cx, ZpAction(x.p, perm))
 
 
 def join_power(x: FreeZpComplex, copies: int) -> FreeZpComplex:

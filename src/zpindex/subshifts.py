@@ -40,10 +40,11 @@ class Subshift:
     forbidden: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.alphabet_size < 1:
-            raise ValidationError("alphabet_size must be >= 1")
-        if self.window < 1:
-            raise ValidationError("window must be >= 1")
+        for name in ("alphabet_size", "window"):
+            value = getattr(self, name)
+            # type, not isinstance: bool is a subclass of int
+            if type(value) is not int or value < 1:
+                raise ValidationError(f"{name} {value!r} must be an integer >= 1")
         for a, b in self.forbidden:
             if not (1 <= a <= self.alphabet_size and 1 <= b <= self.alphabet_size):
                 raise ValidationError(f"forbidden pair ({a},{b}) outside alphabet")
@@ -134,6 +135,8 @@ class PeriodicOrbitSet:
     _orbits: tuple[tuple[Word, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.period) is not int or self.period < 1:
+            raise ValidationError(f"period {self.period!r} must be an integer >= 1")
         points = tuple(sorted(self.points))
         object.__setattr__(self, "points", points)
         if any(map(eq, points, points[1:])):

@@ -16,7 +16,6 @@ from zpindex.certificates import (
     certificate_from_json_dict,
     certificate_to_json_dict,
     coindex_lower,
-    index_lower_from_connectivity,
     index_upper,
     obstruction_report,
     search_equivariant_map,
@@ -126,23 +125,6 @@ class TestIndexUpper:
         assert cert.kind == "map_witness" and cert.value == 0
 
 
-class TestConnectivityBound:
-    @pytest.mark.parametrize("n,p,expected", [(2, 2, 2), (0, 3, 0), (1, 2, 1)])
-    def test_model_values(self, n, p, expected):
-        cert = index_lower_from_connectivity(e_n_zp(n, p))
-        assert cert.kind == "connectivity_bound"
-        assert cert.bound_type == "ind_lower"
-        assert cert.value == expected
-        assert "caveat" in cert.evidence
-
-    def test_caveat_flag_follows_join_provenance(self):
-        circle = e_n_zp(1, 2)
-        flagged = index_lower_from_connectivity(join(circle, circle))
-        assert flagged.evidence["simply_connected_verified"]
-        plain = index_lower_from_connectivity(e_n_zp(2, 2))
-        assert not plain.evidence["simply_connected_verified"]
-
-
 class TestConsistency:
     def test_consistent_pair(self):
         x = e_n_zp(2, 2)
@@ -198,7 +180,6 @@ class TestJoinRule:
 
     def test_empty_side_convention(self):
         empty = FreeZpComplex(SimplicialComplex(0, ()), ZpAction(2, ()))
-        assert index_lower_from_connectivity(empty).value == -1
         x = e_n_zp(1, 2)
         assert join(x, empty) == x and join(empty, x) == x
         assert coindex_lower(join(x, empty), 1).kind == "map_witness"
@@ -366,12 +347,6 @@ FORGERIES = {
     "exhaustion-coind-value": (lambda: coindex_lower(make_discrete_zp(3), 1),
                                set_field(["value"], 0)),
     "exhaustion-ind-value": (lambda: index_upper(e_n_zp(1, 2), 0), set_field(["value"], 1)),
-    "connectivity-value": (lambda: index_lower_from_connectivity(e_n_zp(2, 2)),
-                           set_field(["value"], 3)),
-    "connectivity-bound-type": (lambda: index_lower_from_connectivity(e_n_zp(2, 2)),
-                                set_field(["bound_type"], "ind_upper")),
-    "connectivity-stored": (lambda: index_lower_from_connectivity(e_n_zp(1, 2)),
-                            set_field(["evidence", "fields", "homology", "connectivity"], 41)),
     "ambient-value": (lambda: ambient_sphere_bound(offset_gap(1, 3)), set_field(["value"], 0)),
     "ambient-offset": (lambda: ambient_sphere_bound(offset_gap(1, 3)),
                        set_field(["evidence", "fields", "offset"], 3)),
@@ -395,10 +370,22 @@ class TestForgeries:
         with pytest.raises(ValidationError):
             certificate_from_json_dict(data)
 
-    def test_acyclic_homology_refused(self):
-        data = certificate_to_json_dict(index_lower_from_connectivity(e_n_zp(1, 2)))
-        data["evidence"]["fields"]["homology"].update(betti=[0, 0], connectivity="inf")
-        with pytest.raises(ValidationError, match="acyclic"):
+    @pytest.mark.parametrize("value,betti", [(0, [2]), (5, [0, 0, 0, 0, 0, 1])],
+                             ids=["true-ind-0", "forged-ind-5"])
+    def test_connectivity_bound_refused(self, value, betti):
+        """The JSON form of the deleted connectivity bound on three points,
+        whose index is 0, is no certificate kind: neither its true ind >= 0
+        nor the ind >= 5 of Betti numbers edited to match."""
+        data = {"kind": "connectivity_bound", "bound_type": "ind_lower", "value": value,
+                "depth": 0, "space": content_key(make_discrete_zp(3)),
+                "evidence": {"type": "note", "fields": {
+                    "caveat": "homological connectivity; equals homotopy connectivity "
+                              "only when the space is simply connected (Hurewicz)",
+                    "coefficients": 3,
+                    "homology": {"type": "homology", "p": 3, "betti": betti, "reduced": True,
+                                 "connectivity": value - 1},
+                    "simply_connected_verified": False}}}
+        with pytest.raises(ValidationError, match="no 'connectivity_bound' certificate"):
             certificate_from_json_dict(data)
 
 
@@ -423,8 +410,8 @@ class TestSoundnessProperties:
     @settings(max_examples=25)
     @given(small_free_complexes())
     def test_established_bounds_agree_and_survive_json(self, x):
-        certs = [index_lower_from_connectivity(x)]
-        space = certs[0].space
+        certs = []
+        space = content_key(x)
         for n in range(x.dim + 1):
             for bound in (coindex_lower, index_upper):
                 try:

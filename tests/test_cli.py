@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from zpindex.certificates import certificate_to_json_dict, index_upper
+from zpindex.certificates import certificate_to_json_dict, coindex_lower, index_upper
 from zpindex.cli import HANDLERS, build_parser, main
-from zpindex.simplicial import e_n_zp
+from zpindex.simplicial import content_key, e_n_zp, make_discrete_zp
 
 
 def run(capsys, *argv):
@@ -157,6 +157,33 @@ def forged_prime_artifact(directory):
     return json.dumps(art)
 
 
+def forged_connectivity_artifact(directory):
+    """A coind-style artifact wrapping the JSON form of the deleted
+    connectivity bound on three points, edited from ind >= 0 (true) to
+    ind >= 5 (false); a genuine p = 3 coind artifact on Z is written beside
+    it as z3.json."""
+    z3 = coind_artifact("coind --space Z --p 3 --grid 2 --target 0")
+    (directory / "z3.json").write_text(json.dumps(z3), encoding="utf-8")
+    cert = {"kind": "connectivity_bound", "bound_type": "ind_lower", "value": 5, "depth": 0,
+            "space": content_key(make_discrete_zp(3)),
+            "evidence": {"type": "note", "fields": {
+                "caveat": "homological connectivity; equals homotopy connectivity "
+                          "only when the space is simply connected (Hurewicz)",
+                "coefficients": 3,
+                "homology": {"type": "homology", "p": 3, "betti": [0, 0, 0, 0, 0, 1],
+                             "reduced": True, "connectivity": 4},
+                "simply_connected_verified": False}}}
+    return json.dumps({"result": {"certificate": cert, "space_params": {"p": 3}}})
+
+
+def exhaustion_with_note_fields(fields):
+    """An exhausted coind search on three points whose note evidence holds
+    `fields` in place of a JSON object."""
+    data = certificate_to_json_dict(coindex_lower(make_discrete_zp(3), 1))
+    data["evidence"]["fields"] = fields
+    return json.dumps(data)
+
+
 def ind_certificate_with_booleans(directory, fields):
     """An ind <= 1 certificate on E_1(Z_2), whose map is the identity, with
     0 and 1 written as false and true in the named evidence `fields`
@@ -214,10 +241,15 @@ class TestExitCodes:
          forged_coind_artifact),
         (["obstruction-report", "--p-list", "3", "--z-cert", "{dir}/z3.json", "--x-cert"],
          forged_prime_artifact),
+        (["obstruction-report", "--p-list", "3", "--z-cert", "{dir}/z3.json", "--x-cert"],
+         forged_connectivity_artifact),
+        *((["obstruction-report", "--p-list", "3", "--x-cert"], exhaustion_with_note_fields(f))
+          for f in ([1], "x", None, 5)),
     ], ids=["not-json", "string-prime", "boolean-complex", "string-vertex",
             "manifest-without-subcommand", "manifest-params-list", "manifest-removed-subcommand",
             "certificate-list", "certificate-betti-not-list", "artifact-without-certificate",
-            "forged-coind-value", "forged-space-prime"])
+            "forged-coind-value", "forged-space-prime", "forged-connectivity-bound",
+            "note-fields-list", "note-fields-string", "note-fields-null", "note-fields-number"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.json"
         path.write_text(text(tmp_path) if callable(text) else text, encoding="utf-8")
@@ -395,6 +427,15 @@ class TestManifests:
         (entry,) = index.values()
         assert entry["subcommand"] == "enzp"
         assert entry["output"] == "out.json"
+
+    @pytest.mark.parametrize("text", ["not json", "[1,2]"], ids=["not-json", "list"])
+    def test_malformed_index_is_2_before_writing(self, tmp_path, capsys, text):
+        (tmp_path / "index.json").write_text(text, encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main(["enzp", "--n", "1", "--p", "3", "--out", str(out)]) == 2
+        assert "validation error:" in capsys.readouterr().err
+        assert not out.exists()
+        assert (tmp_path / "index.json").read_text(encoding="utf-8") == text
 
     def test_bad_manifest_is_2(self, tmp_path, capsys):
         mf = tmp_path / "m.json"

@@ -111,11 +111,6 @@ class TestJoin:
         with pytest.raises(ValidationError, match="at least one copy"):
             join_power(circle, 0)
 
-    def test_join_of_connected_factors_flags_simple_connectivity(self):
-        circle = e_n_zp(1, 2)
-        assert join(circle, circle).simply_connected_verified
-        assert not join(make_discrete_zp(2), make_discrete_zp(2)).simply_connected_verified
-
 
 class TestStandardModels:
     def test_n0_is_discrete(self, ):

@@ -65,6 +65,27 @@ class TestSigma:
             periodic_points(SIGMA, 12, budget=50)
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("alphabet_size,window", [
+        (3, 1.5), (3, True), (3, 0), (2.0, 1), (True, 1), (0, 1),
+    ], ids=["float-window", "bool-window", "zero-window",
+            "float-alphabet", "bool-alphabet", "zero-alphabet"])
+    def test_subshift_needs_positive_integers(self, alphabet_size, window):
+        with pytest.raises(ValidationError, match="must be an integer >= 1"):
+            Subshift(alphabet_size, window, frozenset())
+
+    def test_sigma_m_needs_an_integer_window(self):
+        with pytest.raises(ValidationError, match="window 1.5"):
+            make_sigma_m(1.5)
+
+    @pytest.mark.parametrize("period,points", [
+        (0, ((),)), (-1, ()), (2.0, ()), (True, ()),
+    ], ids=["zero", "negative", "float", "bool"])
+    def test_period_must_be_a_positive_integer(self, period, points):
+        with pytest.raises(ValidationError, match="must be an integer >= 1"):
+            PeriodicOrbitSet(SIGMA, period, points)
+
+
 class TestSigmaM:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_no_m_periodic_points(self, m):
