@@ -85,13 +85,21 @@ def _ambient(ev: dict, depth: int) -> int:
     return N * p - N - 1
 
 
+def _exhausted(ev: dict, depth: int) -> int:
+    """The target of a search that visited `nodes` nodes and found nothing."""
+    # type, not isinstance: bool is a subclass of int
+    if any(type(ev[k]) is not int or ev[k] < 0 for k in ("attempted", "nodes")):
+        raise ValidationError(f"exhaustion needs integers attempted, nodes >= 0, not {ev!r}")
+    return ev["attempted"]
+
+
 # (kind, bound type) -> derive(evidence, depth) -> value.  Exhaustion records
 # the target of a search that found nothing; it is never established.
 DERIVE = {
     ("map_witness", "coind_lower"): _model_source,
     ("map_witness", "ind_upper"): _model_target,
-    ("exhaustion", "coind_lower"): lambda ev, depth: ev["attempted"],
-    ("exhaustion", "ind_upper"): lambda ev, depth: ev["attempted"],
+    ("exhaustion", "coind_lower"): _exhausted,
+    ("exhaustion", "ind_upper"): _exhausted,
     ("ambient_bound", "ind_upper"): _ambient,
 }
 
@@ -109,11 +117,13 @@ class IndexCertificate:
         derive = DERIVE.get((self.kind, self.bound_type))
         if derive is None:
             raise ValidationError(f"no {self.kind!r} certificate of type {self.bound_type!r}")
+        if type(self.subdivision_depth) is not int or self.subdivision_depth < 0:
+            raise ValidationError(f"depth {self.subdivision_depth!r} must be an integer >= 0")
         try:
             derived = derive(self.evidence, self.subdivision_depth)
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValidationError(f"malformed {self.kind} evidence: {exc!r}") from exc
-        if derived != self.value:
+        if derived != self.value or type(self.value) is not int:  # True == 1 == 1.0
             raise ValidationError(
                 f"{self.kind} evidence derives {derived}, not the claimed {self.value!r}")
 

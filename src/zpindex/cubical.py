@@ -58,8 +58,8 @@ class GridSpec:
                [(lo, 1) for lo in range(self.G)]
 
     def boxes(self) -> list[Box]:
-        """The alphabet of cells: every choice of one interval per axis."""
-        return list(itertools.product(self.axis_intervals(), repeat=self.N))
+        """The alphabet of cells, sorted: every choice of one interval per axis."""
+        return sorted(itertools.product(self.axis_intervals(), repeat=self.N))
 
 
 def _axis_gap(a: AxisInterval, b: AxisInterval) -> int:
@@ -144,22 +144,21 @@ def cell_dim(cell: Cell) -> int:
     return sum(iv[1] for box in cell for iv in box)
 
 
+@functools.cache
+def _box_faces(grid: GridSpec) -> dict[Box, tuple[Box, ...]]:
+    """Each box to the top and then the bottom face of each unit interval, in axis order."""
+    two_g = 2 * grid.G if grid.circle_valued else None
+    return {box: tuple(box[:axis] + ((pos, 0),) + box[axis + 1:]
+                       for axis, (lo, ln) in enumerate(box) if ln
+                       for pos in ((lo + 1) % two_g if two_g else lo + 1, lo))
+            for box in grid.boxes()}
+
+
 def cell_faces(cell: Cell, grid: GridSpec) -> list[Cell]:
     """Codimension-one faces: the top and then the bottom face of the j-th
     unit interval (coordinate-major order) sit at positions 2j and 2j + 1."""
-    out = []
-    for n, box in enumerate(cell):
-        for axis, (lo, ln) in enumerate(box):
-            if ln == 0:
-                continue
-            hi = (lo + 1) % (2 * grid.G) if grid.circle_valued else lo + 1
-            for pos in (hi, lo):
-                nb = list(box)
-                nb[axis] = (pos, 0)
-                nc = list(cell)
-                nc[n] = tuple(nb)
-                out.append(tuple(nc))
-    return out
+    table = _box_faces(grid)
+    return [cell[:n] + (face,) + cell[n + 1:] for n, box in enumerate(cell) for face in table[box]]
 
 
 class CubicalZpComplex:
@@ -192,6 +191,8 @@ class CubicalZpComplex:
         """Check the family; return each cell's dimension, taken once per orbit."""
         if not is_prime(self.p):
             raise ValidationError(f"p={self.p} is not prime")
+        if len(self._cell_set) != len(self.cells):
+            raise ValidationError("duplicate cells")
         boxes = frozenset(self.grid.boxes())
         forbidden = self.constraint.forbidden_test(self.grid)
 

@@ -3,13 +3,13 @@
 A period-n point of a shift is a cyclic word of length n; a window
 constraint says that for no i is the window of symbols at i + o (mod n), o
 in a fixed tuple of offsets, forbidden.  `cyclic_words` is the one
-enumerator of such words, over any alphabet: it backtracks and tests each
-window as soon as its last position is placed.  `satisfies` applies the
-same test to a whole word, and `rotate` is the shift on periodic words and
-cubical cells alike.  Such families are walked one shift orbit at a time by
-`simplicial.shift_orbits` and joined by `simplicial.join_power`.  The cubical
-models in `cubical` are the p-periodic words of this kind over the alphabet
-of grid boxes.
+enumerator of such words, over any alphabet: a depth-first search whose
+domains are bitsets over the alphabet, the AND of one table entry per window
+closing at the position.  `satisfies` applies the same test to a whole word,
+and `rotate` is the shift on periodic words and cubical cells alike.  Such
+families are walked one shift orbit at a time by `simplicial.shift_orbits`
+and joined by `simplicial.join_power`.  The cubical models in `cubical` are
+the p-periodic words of this kind over the alphabet of grid boxes.
 
 The basic examples here are the three-symbol shifts forbidding equal symbols
 at offset 1 (adjacent symbols differ) and at a general offset m.  Offsets
@@ -20,7 +20,8 @@ period m a self-pair (so that shift has no m-periodic points at all).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import eq, itemgetter
+from itertools import compress, repeat
+from operator import add, and_, eq, itemgetter
 
 from .errors import BudgetExceeded, ValidationError
 from .fplinalg import is_prime
@@ -59,47 +60,83 @@ def cyclic_words(alphabet, n: int, offsets, forbidden, budget: int) -> list[tupl
     """Every length-n word over `alphabet` none of whose windows, the tuples
     (word[(i + o) % n] for o in offsets) for each i, is forbidden(window), in
     the lexicographic order of `alphabet`.  A window spans two or more
-    offsets.  The words are built by backtracking, and each window is tested
-    as soon as its last position is placed.  Each position entered counts
-    len(alphabet) against `budget`, and each word found counts its n symbols."""
+    offsets.  The search is depth first over bitset domains, bit k standing
+    for the k-th symbol.  A window closing at position i (its largest one)
+    has a table from the symbols at its other positions to the bitset it
+    allows at i, each entry judged symbol by symbol when its key is first
+    met.  The domain of i is the AND of its windows' entries (all symbols if
+    none closes there), taken lowest bit first.  Each position entered counts
+    len(alphabet) against `budget`, and each word found its n symbols."""
     if n < 1:
         raise ValidationError("period must be >= 1")
     if len(offsets) < 2:
         raise ValidationError("a window needs two or more offsets")
     if budget < 0:
         raise ValidationError(f"budget {budget} must be nonnegative")
-    closing: list[list[itemgetter]] = [[] for _ in range(n)]
-    for i in range(n):
-        window = [(i + o) % n for o in offsets]
-        closing[max(window)].append(itemgetter(*window))
     symbols = tuple(alphabet)
     size = len(symbols)
-    found: list[tuple] = []
-    word = [None] * n
-    tried = [0] * n  # tried[i]: how many symbols position i has taken so far
+    full, bits, singles = (1 << size) - 1, [1 << k for k in range(size)], [(s,) for s in symbols]
+
+    def table(layout: tuple) -> _Table:
+        """Earlier symbols -> allowed bitset; the window is key + (symbol,) in `layout` order."""
+        arrange, single = itemgetter(*layout), max(layout) == 1
+        return _Table(lambda key: full - sum(compress(bits, map(forbidden, map(
+            arrange, map(add, repeat((key,) if single else key, size), singles))))))
+
+    closing: list[list[tuple]] = [[] for _ in range(n)]
+    for i in range(n):
+        window = [(i + o) % n for o in offsets]
+        last = max(window)
+        earlier = [q for q in window if q != last]  # none: a constant entry, key ()
+        layout = tuple(earlier.index(q) if q != last else len(earlier) for q in window)
+        closing[last].append((table(layout), itemgetter(*earlier) if earlier else lambda w: ()))
+    spelled = _Table(lambda mask: tuple(compress(symbols, map(and_, bits, repeat(mask)))))
+
+    def domain(i: int) -> tuple:
+        mask = full
+        for entries, key_of in closing[i]:
+            mask &= entries[key_of(word)]
+        return spelled[mask]
+
+    exceeded = f"enumeration of length-{n} words exceeded budget {budget}"
+    found, word = [], [None] * n
+    if n == 1:  # position 0 is the last: a word per symbol it allows
+        words = [(s,) for s in domain(0)]
+        if size + len(words) > budget:
+            raise BudgetExceeded(exceeded, count=max(size, budget + 1))
+        return words
+    if size > budget:
+        raise BudgetExceeded(exceeded, count=size)
+    left = [iter(domain(0))] * n  # left[i]: the symbols position i has still to take
     i, nodes = 0, size
     while i >= 0:
-        if nodes > budget:
-            raise BudgetExceeded(
-                f"enumeration of length-{n} words exceeded budget {budget}", count=nodes)
-        k = tried[i]
-        if k == size:
-            i -= 1
-            continue
-        tried[i] = k + 1
-        word[i] = symbols[k]
-        for window in closing[i]:
-            if forbidden(window(word)):
-                break
-        else:
-            if i == n - 1:
-                found.append(tuple(word))
-                nodes += n
-            else:
+        for word[i] in left[i]:
+            nodes += size  # entering position i + 1
+            if nodes > budget:
+                raise BudgetExceeded(exceeded, count=nodes)
+            if i < n - 2:
                 i += 1
-                tried[i] = 0
-                nodes += size
+                left[i] = iter(domain(i))
+                break
+            for word[-1] in domain(n - 1):  # the words of this prefix, in one loop
+                nodes += n
+                if nodes > budget:
+                    raise BudgetExceeded(exceeded, count=nodes)
+                found.append(tuple(word))
+        else:
+            i -= 1
     return found
+
+
+class _Table(dict):
+    """A dict that fills a missing entry with fill(key)."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def satisfies(word, offsets, forbidden) -> bool:

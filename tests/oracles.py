@@ -3,8 +3,11 @@
 Deliberately share no code with the library: ranks use dense row-echelon
 Gaussian elimination (the library uses sparse column reduction), periodic
 words and cubical cells come from brute force over all candidates (the
-library backtracks), simplicial closures and maximal simplices come from
-all subsets and all pairs (the library walks facets level by level), the
+library searches over ANDed bitset domains), the enumerator's node counts
+come from place-and-check backtracking (the library charges the same nodes
+but never tries a symbol its domain excludes), simplicial closures and
+maximal simplices come from all subsets and all pairs (the library walks
+facets level by level), the
 triangulation of a cubical complex walks every cell with every corner built
 from scratch (the library walks maximal cells, moving one corner per step),
 cell and word families are judged valid cell by cell and word by word (the
@@ -121,6 +124,44 @@ def brute_force_cyclic(alphabet, n, offsets, forbidden):
     return [word for word in product(alphabet, repeat=n)
             if all(tuple(word[(i + o) % n] for o in offsets) not in forbidden
                    for i in range(n))]
+
+
+def place_and_check_words(alphabet, n, offsets, forbidden, budget):
+    """The enumerator's words, order and node count by plain place-and-check
+    backtracking: each position tries every symbol in turn and tests each
+    window as soon as its last position is placed.  Entering a position
+    costs len(alphabet) nodes and each word found n; returns (words, nodes),
+    or raises OverBudget with the node count at the first charge that
+    passes `budget`."""
+    closing = [[] for _ in range(n)]
+    for i in range(n):
+        window = [(i + o) % n for o in offsets]
+        closing[max(window)].append(window)
+    symbols = tuple(alphabet)
+    size = len(symbols)
+    found = []
+    word = [None] * n
+    tried = [0] * n  # tried[i]: how many symbols position i has taken so far
+    i, nodes = 0, size
+    while i >= 0:
+        if nodes > budget:
+            raise OverBudget(nodes)
+        k = tried[i]
+        if k == size:
+            i -= 1
+            continue
+        tried[i] = k + 1
+        word[i] = symbols[k]
+        if any(forbidden(tuple(word[q] for q in window)) for window in closing[i]):
+            continue
+        if i == n - 1:
+            found.append(tuple(word))
+            nodes += n
+        else:
+            i += 1
+            tried[i] = 0
+            nodes += size
+    return found, nodes
 
 
 def grid_intervals(G, circle_valued):

@@ -353,7 +353,42 @@ FORGERIES = {
 }
 
 
+# The exhaustion certificate of coind >= 1 on three points, edited after encoding.
+NON_INTEGERS = {
+    "all-at-once": {"value": 1.5, "depth": -3, "attempted": 1.5, "nodes": "x"},
+    "value-float": {"value": 1.0},
+    "value-bool": {"value": True},
+    "depth-negative": {"depth": -1},
+    "depth-float": {"depth": 0.0},
+    "attempted-float": {"value": 1.5, "attempted": 1.5},
+    "attempted-negative": {"value": -1, "attempted": -1},
+    "nodes-string": {"nodes": "x"},
+    "nodes-bool": {"nodes": False},
+    "nodes-negative": {"nodes": -2},
+}
+
+
 class TestForgeries:
+    @pytest.mark.parametrize("name", NON_INTEGERS)
+    def test_non_integer_exhaustion_refused(self, name):
+        data = json.loads(json.dumps(certificate_to_json_dict(
+            coindex_lower(make_discrete_zp(3), 1))))
+        assert (data["kind"], data["value"], data["depth"]) == ("exhaustion", 1, 0)
+        assert certificate_from_json_dict(data).describe().startswith("[exhaustion] coind >= 1")
+        for key, value in NON_INTEGERS[name].items():
+            fields = data["evidence"]["fields"]
+            (fields if key in fields else data)[key] = value
+        with pytest.raises(ValidationError):
+            certificate_from_json_dict(data)
+
+    def test_non_integer_value_refused_on_construction(self):
+        evidence = {"attempted": 1, "nodes": 4}
+        assert IndexCertificate("exhaustion", "coind_lower", 1, evidence).value == 1
+        for value, depth in [(1.0, 0), (True, 0), (1, -1), (1, 1.0), (1, False)]:
+            with pytest.raises(ValidationError):
+                IndexCertificate("exhaustion", "coind_lower", value, evidence, depth)
+
+
     def test_every_derivation_is_covered(self):
         kinds = set()
         for builder, _ in FORGERIES.values():

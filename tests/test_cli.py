@@ -216,6 +216,12 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 3
 
+    def test_long_period_budget_is_3(self, capsys):
+        # sigma has 2^1200 + 2 points of period 1200: the default budget runs out first
+        code = main(["periodic", "--shift", "sigma", "--n", "1200"])
+        assert "budget exceeded" in capsys.readouterr().err
+        assert code == 3
+
     @pytest.mark.parametrize("argv,text", [
         (["homology", "--coeff", "2", "--input"], "not json"),
         (["homology", "--coeff", "2", "--input"],

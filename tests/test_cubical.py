@@ -16,6 +16,7 @@ from oracles import (
     circle_pair_ok,
     circle_window_ok,
     cube_tuple_ok,
+    cube_faces,
     cubical_betti_by_elimination,
     face_closure,
     grid_intervals,
@@ -31,13 +32,14 @@ from zpindex.cubical import (
     build_pp_xm,
     build_pp_yz,
     cell_dim,
+    cell_faces,
     cubical_homology,
     cubical_to_simplicial,
     relabel_isomorphism,
 )
 from zpindex.errors import BudgetExceeded, ValidationError
 from zpindex.simplicial import homology
-from zpindex.subshifts import rotate
+from zpindex.subshifts import cyclic_words, rotate
 
 
 def vertex_values(cell, grid):
@@ -450,6 +452,29 @@ class TestHomologyProperties:
         assert cubical_homology(cx, coeff).betti == tuple(oracle)
 
 
+class TestFaces:
+    @settings(max_examples=40)
+    @given(small_complexes(max_cells=1500))
+    def test_top_then_bottom_of_each_unit_interval(self, complex_grid):
+        """The oracle lists the bottom and then the top face of each unit
+        interval; the library the top and then the bottom."""
+        cx, G, circle_valued = complex_grid
+        for cell in cx.cells:
+            oracle = cube_faces(cell, G, circle_valued)
+            swapped = [face for bottom, top in zip(oracle[::2], oracle[1::2])
+                       for face in (top, bottom)]
+            assert cell_faces(cell, cx.grid) == swapped
+
+    @pytest.mark.parametrize("grid", [GridSpec(2, 3), GridSpec(1, 3, circle_valued=True)])
+    def test_sorted_alphabet_gives_sorted_cells(self, grid):
+        boxes = grid.boxes()
+        assert boxes == sorted(boxes)
+        constraint = (CirclePairConstraint("Z") if grid.circle_valued
+                      else OffsetGapConstraint(Fraction(1, 3), 1))
+        cells = cyclic_words(boxes, 3, constraint.offsets, constraint.forbidden_test(grid), 10 ** 7)
+        assert cells == sorted(cells) and cells
+
+
 class TestDimensionGroups:
     @settings(max_examples=40)
     @given(small_complexes())
@@ -501,6 +526,13 @@ class TestOrbitWalk:
         else:
             with pytest.raises(ValidationError):
                 CubicalZpComplex(p, cx.grid, constraint, cells)
+
+    def test_duplicate_cell_refused(self):
+        # X_1(N=1, p=3, G=2) has 6 cells and Betti numbers (6,)
+        cx = build_pp_xm(1, Fraction(1, 2), 1, 3, GridSpec(1, 2))
+        assert len(cx.cells) == 6 and cubical_homology(cx, 3).betti == (6,)
+        with pytest.raises(ValidationError, match="duplicate"):
+            CubicalZpComplex(3, cx.grid, cx.constraint, cx.cells + cx.cells[2:3])
 
     def test_dropping_last_sorted_orbit_member_refused(self):
         # a top cell's orbit: no face check can see the gap, only the walk

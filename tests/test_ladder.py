@@ -18,6 +18,7 @@ EXERCISED = {
     "x1-n2p3g2": ("enumerate", "validate", "homology", "rank"),
     "ind-x1-n2p3g2": ("enumerate", "validate", "close", "complex_validation",
                       "action_validation", "maximal", "verify"),
+    "periodic-sigma2-n3to16": ("enumerate",),
 }
 
 

@@ -1,10 +1,17 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_cyclic, brute_force_periodic, cycles, word_family_ok
+from oracles import (
+    OverBudget,
+    brute_force_cyclic,
+    brute_force_periodic,
+    cycles,
+    place_and_check_words,
+    word_family_ok,
+)
 from zpindex.errors import BudgetExceeded, ValidationError
 from zpindex.simplicial import (
     FreeZpComplex,
@@ -183,10 +190,15 @@ class TestRotation:
 
 @st.composite
 def window_problems(draw):
-    """(alphabet, n, offsets, forbidden windows) with at most 4^6 words."""
+    """(alphabet, n, offsets, forbidden windows) with at most 4^6 words.
+    Period 1, a repeated offset and offsets equal mod n are drawn often:
+    they give windows with coinciding positions."""
     alphabet = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
-    n = draw(st.integers(1, 6))
-    offsets = tuple(draw(st.lists(st.integers(0, 8), min_size=2, max_size=3)))
+    n = draw(st.sampled_from([1, 1, 2, 3, 4, 5, 6]))
+    offsets = draw(st.lists(st.integers(0, 8), min_size=2, max_size=3))
+    if draw(st.booleans()):
+        offsets[-1] = draw(st.sampled_from(offsets[:-1])) + n * draw(st.integers(0, 1))
+    offsets = tuple(offsets)
     windows = st.tuples(*[st.sampled_from(alphabet)] * len(offsets))
     forbidden = draw(st.frozensets(windows, max_size=2 * len(alphabet)))
     return alphabet, n, offsets, forbidden
@@ -202,6 +214,25 @@ class TestEnumerator:
         assert cyclic_words(alphabet, n, offsets, test, budget=10 ** 6) == expected
         assert [w for w in itertools.product(alphabet, repeat=n)
                 if satisfies(w, offsets, test)] == expected
+
+    @settings(max_examples=300)
+    @given(window_problems(), st.floats(0, 1))
+    @example(((0, 1), 1, (3, 3), frozenset({(0, 0)})), 0.0)  # n = 1, size > budget
+    @example(((0, 1), 1, (0, 2, 2), frozenset({(0, 0, 0)})), 0.9)
+    def test_same_tree_as_place_and_check(self, problem, share):
+        """The words, their order and the node count at every budget are
+        those of place-and-check: the smallest passing budget is the node
+        count, and below it both raise with the same count."""
+        alphabet, n, offsets, forbidden = problem
+        test = forbidden.__contains__
+        words, nodes = place_and_check_words(alphabet, n, offsets, test, 10 ** 9)
+        assert cyclic_words(alphabet, n, offsets, test, nodes) == words
+        for budget in {nodes - 1, int(share * (nodes - 1))}:
+            with pytest.raises(OverBudget) as expected:
+                place_and_check_words(alphabet, n, offsets, test, budget)
+            with pytest.raises(BudgetExceeded) as raised:
+                cyclic_words(alphabet, n, offsets, test, budget)
+            assert raised.value.count == expected.value.count
 
     def test_window_needs_two_offsets(self):
         with pytest.raises(ValidationError):

@@ -13,7 +13,9 @@ split into stages, timed by wrapping module attributes the way
 `perfbench/probes.py` does, so either side's code is measured unchanged.
 Each stage's time is its own, less the stages called inside it:
 
-- enumerate: `cubical.cyclic_words`, the cell enumerator;
+- enumerate: `cyclic_words`, the one enumerator, wrapped where `cubical`
+  calls it for cells and where `subshifts.periodic_points` calls it for
+  periodic words;
 - validate: the `CubicalZpComplex` constructor (sorting, grouping and the
   face, shift and constraint checks);
 - homology: `cli.cubical_homology`, that is the boundary columns and the
@@ -62,6 +64,9 @@ INSTANCES = {
     "ind-x1-n2p3g2": f"ind {_xm(2, 3, 2)} --target 2",
     "coind-x1-n2p3g2": f"coind {_xm(2, 3, 2)} --target 0",
     "coind-z-p3g4": "coind --space Z --p 3 --grid 4 --target 0",
+    # the topology workload's periodic-point job: 131,766 words
+    "periodic-sigma2-n3to16": "periodic --shift sigma_m --m 2 --n "
+                              + ",".join(map(str, range(3, 17))),
     # 1,257,120 simplices, triangulated, written and loaded again
     "reload-x1-n2p3g3": f"config-space {_xm(2, 3, 3)}",
 }
@@ -77,6 +82,7 @@ def run_one(name: str, src: str) -> dict:
     import zpindex.cubical
     import zpindex.fplinalg
     import zpindex.simplicial
+    import zpindex.subshifts
 
     spent = dict.fromkeys(STAGES, 0.0)
     columns = [0]
@@ -104,6 +110,7 @@ def run_one(name: str, src: str) -> dict:
     cx_class = zpindex.cubical.CubicalZpComplex
     cx_class.__init__ = timed("validate", cx_class.__init__)
     zpindex.cubical.cyclic_words = timed("enumerate", zpindex.cubical.cyclic_words)
+    zpindex.subshifts.cyclic_words = timed("enumerate", zpindex.subshifts.cyclic_words)
     zpindex.cli.cubical_homology = timed("homology", zpindex.cli.cubical_homology)
     zpindex.fplinalg.fp_rank = timed("rank", counted(zpindex.fplinalg.fp_rank))
     simplicial = zpindex.simplicial.SimplicialComplex
