@@ -36,7 +36,6 @@ from .simplicial import (
     make_discrete_zp,
 )
 from .subshifts import (
-    PeriodicOrbitSet,
     Subshift,
     as_free_zp_complex,
     make_sigma_m,

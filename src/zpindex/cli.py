@@ -188,6 +188,9 @@ def cmd_bound(args):
 
 def _shift_from_args(args):
     if args.shift == "sigma":
+        if args.m != 1:
+            raise ValidationError(f"--shift sigma is sigma_m with m = 1, not --m {args.m}; "
+                                  "use --shift sigma_m")
         return make_sigma_m(1)
     if args.shift == "sigma_m":
         return make_sigma_m(args.m)
@@ -274,21 +277,24 @@ def cmd_obstruction_report(args):
 
 
 def _prime_of_cert(artifact: dict, cert) -> int:
-    """The prime of the certificate's map when its evidence holds one (the
-    artifact's `space_params.p`, if given, must agree), else that
+    """The prime the certificate's evidence holds, that of its map or the `p`
+    of its ambient note, which the artifact's `space_params.p`, if given,
+    must agree with; else (exhaustion evidence holds no prime) that
     `space_params.p`."""
     params = artifact.get("result", {}).get("space_params") if "result" in artifact else None
     stated = params["p"] if params and "p" in params else None
     ev = cert.evidence
-    if hasattr(ev, "source"):
-        if stated is not None and stated != ev.source.p:
-            raise ValidationError(f"space_params.p = {stated!r} disagrees with the prime "
-                                  f"{ev.source.p} of the certificate's map")
-        return ev.source.p
-    if stated is not None:
+    held = (ev.source.p if hasattr(ev, "source")
+            else ev["p"] if cert.kind == "ambient_bound" else None)
+    if held is None:
+        if stated is None:
+            raise ValidationError("cannot determine the prime of a certificate; "
+                                  "pass artifacts produced by the coind/ind commands")
         return int(stated)
-    raise ValidationError("cannot determine the prime of a certificate; "
-                          "pass artifacts produced by the coind/ind commands")
+    if stated is not None and stated != held:
+        raise ValidationError(f"space_params.p = {stated!r} disagrees with the prime "
+                              f"{held} of the certificate's evidence")
+    return held
 
 
 HANDLERS = {

@@ -15,9 +15,10 @@ vertices are in range iff column 0's minimum and the last column's maximum
 are; dropping column j leaves the j-th facets.
 Action images are two tee'd streams read in step, so no list of them is kept.
 
-Every free Z_p-set of the package (vertices here, periodic words in
-`subshifts`, cells in `cubical`) is walked orbit by orbit with the one
-`shift_orbits`, and every iterated join, E_n(Z_p) included, is `join_power`.
+Every free Z_p-set of the package that is walked orbit by orbit (vertices
+here, cells in `cubical`) is walked with the one `shift_orbits`; periodic
+words in `subshifts` become vertices, so their orbits are vertex orbits.
+Every iterated join, E_n(Z_p) included, is `join_power`.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ in a fixed tuple of offsets, forbidden.  `cyclic_words` is the one
 enumerator of such words, over any alphabet: a depth-first search whose
 domains are bitsets over the alphabet, the AND of one table entry per window
 closing at the position.  `satisfies` applies the same test to a whole word,
-and `rotate` is the shift on periodic words and cubical cells alike.  Such
-families are walked one shift orbit at a time by `simplicial.shift_orbits`
-and joined by `simplicial.join_power`.  The cubical models in `cubical` are
-the p-periodic words of this kind over the alphabet of grid boxes.
+and `rotate` is the shift on periodic words and cubical cells alike.  A
+shift's periodic points are the enumerator's word list: `periodic_table`
+counts their orbits by Burnside's lemma, with no orbit walked, and
+`as_free_zp_complex` makes a prime-period list a discrete free Z_p-set, for
+`simplicial.join_power` to join.  The cubical models in `cubical` are the
+p-periodic words of this kind over the alphabet of grid boxes.
 
 The basic examples here are the three-symbol shifts forbidding equal symbols
 at offset 1 (adjacent symbols differ) and at a general offset m.  Offsets
@@ -19,13 +21,14 @@ period m a self-pair (so that shift has no m-periodic points at all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, and_, eq, itemgetter
+from math import gcd
+from operator import add, and_, itemgetter
 
 from .errors import BudgetExceeded, ValidationError
 from .fplinalg import is_prime
-from .simplicial import FreeZpComplex, SimplicialComplex, ZpAction, shift_orbits
+from .simplicial import FreeZpComplex, SimplicialComplex, ZpAction
 
 Word = tuple[int, ...]
 
@@ -67,8 +70,9 @@ def cyclic_words(alphabet, n: int, offsets, forbidden, budget: int) -> list[tupl
     met.  The domain of i is the AND of its windows' entries (all symbols if
     none closes there), taken lowest bit first.  Each position entered counts
     len(alphabet) against `budget`, and each word found its n symbols."""
-    if n < 1:
-        raise ValidationError("period must be >= 1")
+    # type, not isinstance: bool is a subclass of int
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"period {n!r} must be an integer >= 1")
     if len(offsets) < 2:
         raise ValidationError("a window needs two or more offsets")
     if budget < 0:
@@ -157,80 +161,52 @@ def rotate(word: Word, a: int = 1) -> Word:
     return word[a:] + word[:a]
 
 
-@dataclass(frozen=True)
-class PeriodicOrbitSet:
-    """All period-n points of a subshift, closed under rotation.
-
-    Length and window constraint are rotation invariant (a rotated word has
-    the same windows), so they are checked on the first word of each orbit,
-    and `shift_orbits` checks that every word's rotation is a point; the
-    orbits from that one walk are kept."""
-
-    shift: Subshift
-    period: int
-    points: tuple[Word, ...]
-    _orbits: tuple[tuple[Word, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if type(self.period) is not int or self.period < 1:
-            raise ValidationError(f"period {self.period!r} must be an integer >= 1")
-        points = tuple(sorted(self.points))
-        object.__setattr__(self, "points", points)
-        if any(map(eq, points, points[1:])):
-            raise ValidationError("duplicate periodic words")
-        offsets, forbidden = self.shift.offsets, self.shift.forbidden.__contains__
-
-        def check(w):
-            if len(w) != self.period:
-                raise ValidationError(f"word {w} has wrong length")
-            if not satisfies(w, offsets, forbidden):
-                raise ValidationError(f"word {w} violates the window constraint")
-        orbits = shift_orbits(points, rotate, check, "orbit of {} not closed under rotation")
-        object.__setattr__(self, "_orbits", tuple(tuple(map(points.__getitem__, o)) for o in orbits))
-
-    def __len__(self):
-        return len(self.points)
-
-    def is_empty(self) -> bool:
-        return not self.points
-
-    def orbits(self) -> list[tuple[Word, ...]]:
-        """Rotation orbits, each listed from its lexicographic minimum."""
-        return list(self._orbits)
-
-    def rotation_is_free(self) -> bool:
-        return all(len(o) == self.period for o in self._orbits)
+def periodic_points(shift: Subshift, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[Word]:
+    """The period-n points of the shift, in lexicographic order: the cyclic
+    words of length n avoiding the forbidden pairs at the window offset
+    taken mod n."""
+    return cyclic_words(range(1, shift.alphabet_size + 1), n, shift.offsets,
+                        shift.forbidden.__contains__, budget)
 
 
-def periodic_points(shift: Subshift, n: int,
-                    budget: int = DEFAULT_ENUM_BUDGET) -> PeriodicOrbitSet:
-    """Complete enumeration of cyclic words of length n avoiding the
-    forbidden pairs at the window offset taken mod n."""
-    words = cyclic_words(range(1, shift.alphabet_size + 1), n, shift.offsets,
-                         shift.forbidden.__contains__, budget)
-    return PeriodicOrbitSet(shift, n, tuple(words))
-
-
-def as_free_zp_complex(a: PeriodicOrbitSet) -> FreeZpComplex:
-    """The periodic points as a discrete free Z_p-set (p = period prime)."""
-    if a.is_empty():
+def as_free_zp_complex(words) -> FreeZpComplex:
+    """Distinct words of one prime length p, closed under `rotate`, as a
+    discrete free Z_p-set: vertex i is the i-th word and T rotates it.
+    `FreeZpComplex` refuses a word that T fixes."""
+    words = list(words)
+    if not words:
         raise ValidationError("empty periodic-point set carries no free action")
-    p = a.period
+    lengths = set(map(len, words))
+    if len(lengths) != 1:
+        raise ValidationError(f"words of lengths {sorted(lengths)}, not of one period")
+    (p,) = lengths
     if not is_prime(p):
         raise ValidationError(f"period {p} is not prime")
-    if not a.rotation_is_free():
-        raise ValidationError("rotation has fixed points; action is not free")
-    index = {w: i for i, w in enumerate(a.points)}
-    perm = tuple(index[rotate(w)] for w in a.points)
-    cx = SimplicialComplex(len(a.points), [[(i,) for i in range(len(a.points))]])
+    index = {w: i for i, w in enumerate(words)}
+    if len(index) != len(words):
+        raise ValidationError("duplicate periodic words")
+    perm = tuple(map(index.get, map(rotate, words)))
+    if None in perm:
+        raise ValidationError(f"rotation of {words[perm.index(None)]} is not a word of the set")
+    cx = SimplicialComplex(len(words), [[(i,) for i in range(len(words))]])
     return FreeZpComplex(cx, ZpAction(p, perm))
 
 
 def periodic_table(shift: Subshift, periods,
                    budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, int, int]]:
-    """Rows (period, count, orbit_count) for the CSV interface."""
+    """Rows (period, count, orbit_count) for the CSV interface.
+
+    The orbits are counted by Burnside's lemma: orbit_count is the mean over
+    j in range(n) of the number of period-n points fixed by T^j.  A word
+    fixed by T^j is a repetition of its first d = gcd(j, n) symbols, and,
+    since d divides n, its windows read mod n are those of that d-word read
+    mod d; so the fixed words are the period-d points repeated.  Each n is
+    enumerated first, so that its refusals and budget raise before any
+    divisor is counted (and a cached 1 never stands for a period True); the
+    divisors' counts are kept over the period list."""
+    count = _Table(lambda d: len(periodic_points(shift, d, budget)))
     rows = []
     for n in periods:
-        pts = periodic_points(shift, n, budget)
-        rows.append((n, len(pts), len(pts.orbits())))
+        count[n] = len(periodic_points(shift, n, budget))
+        rows.append((n, count[n], sum(count[gcd(j, n)] for j in range(n)) // n))
     return rows

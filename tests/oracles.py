@@ -219,17 +219,17 @@ def cell_family_ok(cells, p, N, G, circle_valued, cell_ok):
     return all(valid(cell) for cell in family)
 
 
-def word_family_ok(words, n, window, forbidden):
-    """True iff the words are distinct and each, checked on its own, has
-    length n, avoids the forbidden pairs at the window offset mod n, and has
-    its rotation among the words."""
+def free_word_family_ok(words):
+    """True iff the words are distinct, there is one or more, all have one
+    prime length, and each word's rotation by one, checked on its own, is
+    another word of the family."""
     family = set(words)
-
-    def valid(word):
-        return (len(word) == n
-                and all((word[i], word[(i + window) % n]) not in forbidden for i in range(n))
-                and tuple(word[(i + 1) % n] for i in range(n)) in family)
-    return len(family) == len(words) and all(valid(word) for word in family)
+    lengths = {len(word) for word in family}
+    if not words or len(family) != len(words) or len(lengths) != 1:
+        return False
+    (p,) = lengths
+    return (p > 1 and all(p % q for q in range(2, p))
+            and all(word[1:] + word[:1] in family - {word} for word in family))
 
 
 def _interval_gap(a, b, G):

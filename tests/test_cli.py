@@ -2,11 +2,18 @@ import argparse
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from zpindex.certificates import certificate_to_json_dict, coindex_lower, index_upper
+from zpindex.certificates import (
+    ambient_sphere_bound,
+    certificate_to_json_dict,
+    coindex_lower,
+    index_upper,
+)
 from zpindex.cli import HANDLERS, build_parser, main
+from zpindex.cubical import GridSpec, build_pp_xm
 from zpindex.simplicial import content_key, e_n_zp, make_discrete_zp
 
 
@@ -126,6 +133,20 @@ class TestSubcommands:
         assert row["x_coind_lower"] == 0
         assert row["gap_certified"] is False
 
+    def test_obstruction_report_takes_the_ambient_prime(self, tmp_path, capsys):
+        """A raw ambient certificate has no space_params; its prime is the
+        `p` of its evidence."""
+        (tmp_path / "x.json").write_text(json.dumps(coind_artifact(X1_P2_COIND)), encoding="utf-8")
+        (tmp_path / "amb.json").write_text(json.dumps(x1_p2_ambient()), encoding="utf-8")
+        assert main(["coind", "--space", "Z", "--p", "2", "--grid", "4", "--target", "0",
+                     "--out", str(tmp_path / "z.json")]) == 0
+        capsys.readouterr()
+        code, art = run(capsys, "obstruction-report", "--p-list", "2",
+                        "--x-cert", str(tmp_path / "x.json"), "--x-cert", str(tmp_path / "amb.json"),
+                        "--z-cert", str(tmp_path / "z.json"))
+        assert code == 0
+        assert art["result"]["rows"][0]["x_coind_lower"] == 0
+
 
 def coind_artifact(argv):
     out = io.StringIO()
@@ -155,6 +176,23 @@ def forged_prime_artifact(directory):
     assert art["result"]["space_params"]["p"] == 2
     art["result"]["space_params"]["p"] = 3
     return json.dumps(art)
+
+
+def x1_p2_ambient():
+    """The JSON form of the ambient bound ind <= 0 on the space of
+    X1_P2_COIND (evidence N = 1, p = 2, offset 1), labelled as that
+    artifact's certificate is."""
+    cx = build_pp_xm(1, Fraction(3, 5), 1, 2, GridSpec(1, 4))
+    return certificate_to_json_dict(ambient_sphere_bound(cx))
+
+
+def forged_ambient_prime_artifact(directory):
+    """The ambient bound of x1_p2_ambient in an artifact whose
+    `space_params.p` says 3; a genuine p = 3 coind artifact on Z is written
+    beside it as z3.json."""
+    z3 = coind_artifact("coind --space Z --p 3 --grid 2 --target 0")
+    (directory / "z3.json").write_text(json.dumps(z3), encoding="utf-8")
+    return json.dumps({"result": {"certificate": x1_p2_ambient(), "space_params": {"p": 3}}})
 
 
 def forged_connectivity_artifact(directory):
@@ -248,13 +286,16 @@ class TestExitCodes:
         (["obstruction-report", "--p-list", "3", "--z-cert", "{dir}/z3.json", "--x-cert"],
          forged_prime_artifact),
         (["obstruction-report", "--p-list", "3", "--z-cert", "{dir}/z3.json", "--x-cert"],
+         forged_ambient_prime_artifact),
+        (["obstruction-report", "--p-list", "3", "--z-cert", "{dir}/z3.json", "--x-cert"],
          forged_connectivity_artifact),
         *((["obstruction-report", "--p-list", "3", "--x-cert"], exhaustion_with_note_fields(f))
           for f in ([1], "x", None, 5)),
     ], ids=["not-json", "string-prime", "boolean-complex", "string-vertex",
             "manifest-without-subcommand", "manifest-params-list", "manifest-removed-subcommand",
             "certificate-list", "certificate-betti-not-list", "artifact-without-certificate",
-            "forged-coind-value", "forged-space-prime", "forged-connectivity-bound",
+            "forged-coind-value", "forged-space-prime", "forged-ambient-prime",
+            "forged-connectivity-bound",
             "note-fields-list", "note-fields-string", "note-fields-null", "note-fields-number"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.json"
@@ -270,6 +311,8 @@ class TestExitCodes:
         ("cubical-homology --space Xm --delta 1/0 --coeff 2", "'1/0'"),
         ("relabel --N 1 --delta x --m 2 --p 3 --grid 3 --l 2", "'x'"),
         ("periodic --shift sigma --n 3,x", "'3,x'"),
+        ("periodic --shift sigma --m 3 --n 3", "--m 3"),
+        ("join-periodic --shift sigma --m 2 --p 3", "--m 2"),
         ("obstruction-report --p-list 2,x", "'2,x'"),
         ("subdivide --input {d}/e0p2.json --depth -1", "depth -1"),
         ("search-map --source {d}/e0p2.json --target {d}/e0p2.json --budget -1", "budget -1"),
@@ -277,6 +320,7 @@ class TestExitCodes:
         ("coind --space file --target 0", "--input"),
     ], ids=["coind-delta", "ind-delta-zero-denominator", "config-space-delta",
             "cubical-homology-delta-zero-denominator", "relabel-delta", "periods",
+            "sigma-with-m", "join-sigma-with-m",
             "p-list", "subdivide-depth", "search-map-budget", "cell-budget",
             "file-space-without-input"])
     def test_malformed_argument_is_2(self, tmp_path, capsys, argv, needle):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,9 +10,10 @@ from oracles import (
     brute_force_cyclic,
     brute_force_periodic,
     cycles,
+    free_word_family_ok,
     place_and_check_words,
-    word_family_ok,
 )
+from zpindex.cubical import GridSpec, build_pp_xm
 from zpindex.errors import BudgetExceeded, ValidationError
 from zpindex.simplicial import (
     FreeZpComplex,
@@ -22,7 +24,6 @@ from zpindex.simplicial import (
     join_power,
 )
 from zpindex.subshifts import (
-    PeriodicOrbitSet,
     Subshift,
     as_free_zp_complex,
     cyclic_words,
@@ -42,13 +43,13 @@ class TestSigma:
         assert SIGMA == Subshift(3, 1, frozenset({(1, 1), (2, 2), (3, 3)}))
 
     def test_no_fixed_points(self):
-        assert periodic_points(SIGMA, 1).is_empty()
+        assert periodic_points(SIGMA, 1) == []
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_counts_against_brute_force(self, n):
         expected = brute_force_periodic(3, 1, SIGMA.forbidden, n)
         got = periodic_points(SIGMA, n)
-        assert list(got.points) == sorted(expected)
+        assert got == sorted(expected)
         assert len(got) == 2 ** n + 2 * (-1) ** n
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -65,7 +66,8 @@ class TestSigma:
     def test_two_periodic_points(self):
         pts = periodic_points(SIGMA, 2)
         assert len(pts) == 6
-        assert len(pts.orbits()) == 3
+        assert len(cycles(pts, rotate)) == 3
+        assert periodic_table(SIGMA, [2]) == [(2, 6, 3)]
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
@@ -85,33 +87,41 @@ class TestRefusals:
         with pytest.raises(ValidationError, match="window 1.5"):
             make_sigma_m(1.5)
 
-    @pytest.mark.parametrize("period,points", [
-        (0, ((),)), (-1, ()), (2.0, ()), (True, ()),
-    ], ids=["zero", "negative", "float", "bool"])
-    def test_period_must_be_a_positive_integer(self, period, points):
+    @pytest.mark.parametrize("call", [
+        lambda: periodic_points(SIGMA, 0),
+        lambda: periodic_points(SIGMA, -1),
+        lambda: periodic_points(SIGMA, 2.0),
+        lambda: periodic_points(SIGMA, True),
+        lambda: build_pp_xm(1, Fraction(1, 2), 1, 3.0, GridSpec(1, 2)),
+        # the counts are cached, and True == 1, 2.0 == 2 as dict keys
+        lambda: periodic_table(SIGMA, [1, True]),
+        lambda: periodic_table(SIGMA, [2, 2.0]),
+    ], ids=["zero", "negative", "float", "bool", "xm-float-p", "table-bool-after-1",
+            "table-float-after-2"])
+    def test_period_must_be_a_positive_integer(self, call):
         with pytest.raises(ValidationError, match="must be an integer >= 1"):
-            PeriodicOrbitSet(SIGMA, period, points)
+            call()
 
 
 class TestSigmaM:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_no_m_periodic_points(self, m):
-        assert periodic_points(make_sigma_m(m), m).is_empty()
+        assert periodic_points(make_sigma_m(m), m) == []
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_nonempty_for_primes_above_m(self, m):
         for p in PRIMES:
             if p > m:
-                assert not periodic_points(make_sigma_m(m), p).is_empty()
+                assert periodic_points(make_sigma_m(m), p)
 
     def test_p5_m2_nonempty(self):
-        assert not periodic_points(make_sigma_m(2), 5).is_empty()
+        assert periodic_points(make_sigma_m(2), 5)
 
     @pytest.mark.parametrize("m,n", [(2, 4), (3, 6), (2, 6)])
     def test_against_brute_force(self, m, n):
         shift = make_sigma_m(m)
         expected = brute_force_periodic(3, m, shift.forbidden, n)
-        assert list(periodic_points(shift, n).points) == sorted(expected)
+        assert periodic_points(shift, n) == sorted(expected)
 
 
 class TestOddWitness:
@@ -119,24 +129,24 @@ class TestOddWitness:
     @pytest.mark.parametrize("m,expected", [(3, (1, 2, 3)), (5, (1, 2, 1, 2, 3)),
                                             (7, (1, 2, 1, 2, 1, 2, 3))])
     def test_construction(self, m, expected):
-        assert expected in periodic_points(SIGMA, m).points
+        assert expected in periodic_points(SIGMA, m)
 
 
 class TestFreeness:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_prime_periods_rotate_freely(self, p):
-        pts = periodic_points(SIGMA, p)
-        assert pts.rotation_is_free()
-        assert all(len(orbit) == p for orbit in pts.orbits())
+        orbits = as_free_zp_complex(periodic_points(SIGMA, p)).vertex_orbits()
+        assert all(len(orbit) == p for orbit in orbits)
 
     def test_orbit_canonical_representatives(self):
         pts = periodic_points(SIGMA, 3)
-        for orbit in pts.orbits():
-            assert orbit[0] == min(orbit)
+        for orbit in as_free_zp_complex(pts).vertex_orbits():
+            words = [pts[i] for i in orbit]
+            assert words[0] == min(words)
 
     def test_composite_period_not_free(self):
-        pts = periodic_points(SIGMA, 4)
-        assert not pts.rotation_is_free()  # 1212 has orbit size 2
+        # 1212 has orbit size 2, so 18 points make more than 18 / 4 orbits
+        assert periodic_table(SIGMA, [4]) == [(4, 18, 6)]
 
 
 class TestAsComplex:
@@ -184,8 +194,8 @@ class TestRotation:
         assert rotate((1, 2, 3), 2) == rotate((1, 2, 3), -1) == (3, 1, 2)
 
     def test_validation_catches_bad_word(self):
-        with pytest.raises(ValidationError):
-            PeriodicOrbitSet(SIGMA, 2, ((1, 1), (1, 2), (2, 1)))
+        with pytest.raises(ValidationError, match="not free"):  # rotation fixes 11
+            as_free_zp_complex(((1, 1), (1, 2), (2, 1)))
 
 
 @st.composite
@@ -259,39 +269,65 @@ class TestEnumerator:
 
 
 class TestOrbitWalk:
-    """The constructor checks one word per rotation orbit and keeps the
-    orbits of that walk; it must refuse exactly the damaged sets that a
-    check of every word on its own refuses."""
+    """`as_free_zp_complex` checks a word family and leaves the permutation
+    and freeness of the rotation to `ZpAction` and `FreeZpComplex`; it must
+    refuse exactly the damaged families that a check of every word on its
+    own refuses, and keep the rotation orbits otherwise."""
 
     @settings(max_examples=150)
     @given(st.integers(1, 3), st.integers(2, 3), st.integers(1, 8),
            st.sampled_from(["none", "drop", "drop orbit", "add"]), st.data())
     def test_refused_iff_some_word_fails(self, m, k, n, damage, data):
-        shift = make_sigma_m(m, k)
-        points = list(periodic_points(shift, n).points)
+        words = periodic_points(make_sigma_m(m, k), n)
         if damage.startswith("drop"):
-            assume(points)
-            word = data.draw(st.sampled_from(points))
+            assume(words)
+            word = data.draw(st.sampled_from(words))
             gone = {word[a:] + word[:a] for a in range(n if damage == "drop orbit" else 1)}
-            points = [w for w in points if w not in gone]
+            words = [w for w in words if w not in gone]
         elif damage == "add":
             length = data.draw(st.sampled_from([n, n, n + 1]))
-            points.append(data.draw(st.tuples(*[st.integers(1, k)] * length)))
-        if word_family_ok(points, n, m, shift.forbidden):
-            pts = PeriodicOrbitSet(shift, n, tuple(points))
-            assert pts.orbits() == cycles(pts.points, rotate)
-            assert pts.rotation_is_free() == all(len(o) == n for o in cycles(pts.points, rotate))
+            words.append(data.draw(st.tuples(*[st.integers(1, k)] * length)))
+        if free_word_family_ok(words):
+            x = as_free_zp_complex(words)
+            orbits = [tuple(words[i] for i in orbit) for orbit in x.vertex_orbits()]
+            assert orbits == cycles(words, lambda w: w[1:] + w[:1])
         else:
             with pytest.raises(ValidationError):
-                PeriodicOrbitSet(shift, n, tuple(points))
+                as_free_zp_complex(words)
 
-    def test_orbits_hold_the_points_themselves(self):
-        pts = periodic_points(make_sigma_m(2), 8)
-        point_ids = {id(w) for w in pts.points}
-        assert all(id(w) in point_ids for orbit in pts.orbits() for w in orbit)
+
+@st.composite
+def shifts_and_periods(draw):
+    """A Subshift (alphabet 1-4, window 1-5, random forbidden pairs) and
+    periods 1-9; a divisor of the window, where the window offset read mod
+    the period is 0 and every pair is a self-pair, is drawn often."""
+    k, window = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    pairs = st.tuples(st.integers(1, k), st.integers(1, k))
+    shift = Subshift(k, window, draw(st.frozensets(pairs, max_size=k * k)))
+    divisors = [d for d in range(1, window + 1) if window % d == 0]
+    periods = draw(st.lists(st.integers(1, 9) | st.sampled_from(divisors),
+                            min_size=1, max_size=4))
+    return shift, periods
 
 
 class TestTable:
     def test_rows(self):
         rows = periodic_table(SIGMA, [1, 2, 3])
         assert rows == [(1, 0, 0), (2, 6, 3), (3, 6, 2)]
+
+    @settings(max_examples=100)
+    @given(shifts_and_periods())
+    def test_burnside_matches_walked_orbits(self, problem):
+        """Each row is the period, its point count and the number of its
+        rotation cycles, walked one by one."""
+        shift, periods = problem
+        expected = []
+        for n in periods:
+            words = periodic_points(shift, n)
+            expected.append((n, len(words), len(cycles(words, rotate))))
+        assert periodic_table(shift, periods) == expected
+
+    def test_budget_raises_before_divisors_are_counted(self):
+        with pytest.raises(BudgetExceeded) as raised:
+            periodic_table(SIGMA, [1200], budget=10 ** 5)
+        assert "length-1200" in str(raised.value)
