@@ -20,7 +20,6 @@ from .cubical import (
     build_pp_yz,
     cubical_homology,
     cubical_to_simplicial,
-    relabel_isomorphism,
 )
 from .errors import BudgetExceeded, ConsistencyError, ValidationError
 from .simplicial import (

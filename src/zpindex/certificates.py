@@ -169,8 +169,8 @@ def _model_bound(bound_type: str, x: FreeZpComplex, n: int, subdivision_depth: i
     """Search for the map between x and the standard n-model that witnesses
     the bound: the model into x for coind_lower, x into the model for
     ind_upper.  The map's source is subdivided."""
-    if n < 0:
-        raise ValidationError(f"target n={n} must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValidationError(f"target n={n!r} must be an integer >= 0")
     space = space or content_key(x)
     model = e_n_zp(n, x.p)
     source, target = (model, x) if bound_type == "coind_lower" else (x, model)

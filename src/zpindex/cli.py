@@ -36,7 +36,6 @@ from .cubical import (
     build_pp_yz,
     cubical_homology,
     cubical_to_simplicial,
-    relabel_isomorphism,
 )
 from .errors import BudgetExceeded, ConsistencyError, ValidationError
 from .search import DEFAULT_BUDGET
@@ -236,16 +235,6 @@ def cmd_cubical_homology(args):
             "homology": _homology_result(cubical_homology(cubical, args.coeff))}
 
 
-def cmd_relabel(args):
-    grid = GridSpec(args.N, args.grid, circle_valued=False)
-    offset_m = build_pp_xm(args.N, _frac(args.delta), args.m, args.p, grid,
-                           budget=args.cell_budget)
-    pair = relabel_isomorphism(offset_m, args.l)
-    return {"m": pair.m, "l": pair.l,
-            "offset_m_cells": len(pair.offset_m.cells),
-            "offset_one_cells": len(pair.offset_one.cells)}
-
-
 def cmd_obstruction_report(args):
     p_list = _int_list(args.p_list)
     by_space: dict[str, list] = {}
@@ -309,7 +298,6 @@ HANDLERS = {
     "join-periodic": cmd_join_periodic,
     "config-space": cmd_config_space,
     "cubical-homology": cmd_cubical_homology,
-    "relabel": cmd_relabel,
     "obstruction-report": cmd_obstruction_report,
 }
 
@@ -392,16 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cubical-homology", help="betti numbers of the cubical model")
     add_space_flags(p, with_target=False)
     p.add_argument("--coeff", type=int, required=True)
-
-    p = add("relabel", help="offset-m vs offset-1 relabeling isomorphism")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--delta", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
-                   help="most boxes the cell enumerator may try, plus p per cell it emits")
 
     p = add("obstruction-report", help="per-prime certified bound comparison")
     p.add_argument("--p-list", required=True)

@@ -16,6 +16,14 @@ bounds only.  An index upper bound on the true space comes from the
 ambient-sphere formula, which `certificates.ambient_sphere_bound` derives
 from an offset-gap complex in a cube.  Cubical homology is the driver
 `fplinalg.betti_numbers` with the cubical face rule of `cubical_homology`.
+
+Only X_1 needs bounds of its own.  For p not dividing m, take l with
+l*m = 1 mod p; the relabelling (x_n) -> (x_{l n}) maps X_1 onto X_m, cell by
+cell on matching grids, and turns the shift T into T^m.  T^m also generates
+Z_p, and E_n with its generator replaced by a power is isomorphic to E_n
+(permute the p points of each join factor), so X_m and X_1 have the same
+index and coindex, on the true spaces and on matching inner approximations.
+`tests/test_cubical.py::TestRelabel` checks the cell-level half.
 """
 
 from __future__ import annotations
@@ -48,8 +56,10 @@ class GridSpec:
     circle_valued: bool = False
 
     def __post_init__(self):
-        if self.N < 1 or self.G < 1:
-            raise ValidationError("grid needs N >= 1 and G >= 1")
+        if type(self.N) is not int or type(self.G) is not int or self.N < 1 or self.G < 1:
+            raise ValidationError(f"grid needs integers N, G >= 1, not {self.N!r}, {self.G!r}")
+        if type(self.circle_valued) is not bool:
+            raise ValidationError(f"circle_valued must be a bool, not {self.circle_valued!r}")
 
     def axis_intervals(self) -> list[AxisInterval]:
         if self.circle_valued:
@@ -84,8 +94,8 @@ class OffsetGapConstraint:
     def __post_init__(self):
         if self.delta <= 0:
             raise ValidationError("delta must be positive")
-        if self.offset < 1:
-            raise ValidationError("offset must be >= 1")
+        if type(self.offset) is not int or self.offset < 1:
+            raise ValidationError(f"offset must be an integer >= 1, not {self.offset!r}")
 
     @property
     def offsets(self) -> tuple[int, int]:
@@ -245,8 +255,8 @@ def build_pp_xm(N: int, delta: Fraction, m: int, p: int, grid: GridSpec,
     at cyclic offset m differ by at least delta."""
     if grid.circle_valued:
         raise ValidationError("offset-gap spaces live on the cube grid")
-    if grid.N != N:
-        raise ValidationError(f"grid dimension {grid.N} != N={N}")
+    if type(N) is not int or grid.N != N:
+        raise ValidationError(f"grid dimension {grid.N} != N={N!r}")
     if not is_prime(p):
         raise ValidationError(f"p={p} is not prime")
     if p > MAX_P or N > MAX_N:
@@ -317,55 +327,3 @@ def cubical_to_simplicial(cx: CubicalZpComplex) -> FreeZpComplex:
     perm = tuple(index[rotate(v)] for v in verts)
     return FreeZpComplex(SimplicialComplex.from_simplices(len(verts), tops),
                          ZpAction(cx.p, perm))
-
-
-# ---------------------------------------------------------------------------
-# Coordinate relabeling between offset-m and offset-1 spaces.
-
-@dataclass(frozen=True)
-class RelabelResult:
-    """Cell-level isomorphism pair between offset-1 and offset-m complexes.
-
-    to_offset_m is n -> x_{l n} on offset-1 cells; to_offset_one is
-    n -> y_{m n} on offset-m cells.  Construction verifies the two maps are
-    mutually inverse bijections and that to_offset_m intertwines the shift
-    with its m-th power.
-    """
-
-    offset_one: CubicalZpComplex
-    offset_m: CubicalZpComplex
-    m: int
-    l: int
-    to_offset_m: dict
-    to_offset_one: dict
-
-
-def relabel_isomorphism(cx: CubicalZpComplex, l: int) -> RelabelResult:
-    constraint = cx.constraint
-    if not isinstance(constraint, OffsetGapConstraint):
-        raise ValidationError("relabeling applies to offset-gap complexes")
-    m, p = constraint.offset, cx.p
-    if m % p == 0:
-        raise ValidationError(f"offset m={m} is divisible by p={p}")
-    if (l * m) % p != 1:
-        raise ValidationError(f"l={l} is not inverse to m={m} mod p={p}")
-    one = build_pp_xm(cx.grid.N, constraint.delta, 1, p, cx.grid)
-
-    def relabel(cell: Cell, mult: int) -> Cell:
-        return tuple(cell[(mult * n) % p] for n in range(p))
-
-    f = {cell: relabel(cell, l) for cell in one.cells}
-    g = {cell: relabel(cell, m) for cell in cx.cells}
-    for cell, image in f.items():
-        if image not in cx._cell_set:
-            raise ValidationError("relabeled offset-1 cell missing from offset-m complex")
-        if g[image] != cell:
-            raise ValidationError("g(f(cell)) != cell")
-        if f[rotate(cell)] != rotate(image, m):
-            raise ValidationError("relabeling does not intertwine the shift")
-    for cell, image in g.items():
-        if image not in one._cell_set:
-            raise ValidationError("relabeled offset-m cell missing from offset-1 complex")
-        if f[image] != cell:
-            raise ValidationError("f(g(cell)) != cell")
-    return RelabelResult(one, cx, m, l, f, g)

@@ -339,8 +339,8 @@ def join(x: FreeZpComplex, y: FreeZpComplex) -> FreeZpComplex:
 def join_power(x: FreeZpComplex, copies: int) -> FreeZpComplex:
     """The join of `copies` copies of x, each new copy joined on the right:
     vertex i*n + v is vertex v of copy i, where x has n vertices."""
-    if copies < 1:
-        raise ValidationError("need at least one copy")
+    if type(copies) is not int or copies < 1:
+        raise ValidationError(f"need at least one copy, as an int, not {copies!r}")
     out = x
     for _ in range(copies - 1):
         out = join(out, x)
@@ -355,8 +355,8 @@ def e_n_zp(n: int, p: int) -> FreeZpComplex:
     per copy.  The discrete factors are disconnected, so the result is not
     flagged as simply connected.
     """
-    if n < 0:
-        raise ValidationError(f"n={n} must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValidationError(f"n={n!r} must be an integer >= 0")
     return join_power(make_discrete_zp(p), n + 1)
 
 

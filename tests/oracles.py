@@ -11,7 +11,9 @@ facets level by level), the
 triangulation of a cubical complex walks every cell with every corner built
 from scratch (the library walks maximal cells, moving one corner per step),
 cell and word families are judged valid cell by cell and word by word (the
-library checks one member per shift orbit and walks the orbit), orbits are
+library checks one member per shift orbit and walks the orbit), offset-m
+cells are offset-1 cells with their coordinates relabelled (the library
+enumerates each offset on its own), orbits are
 listed by following the map with a set of the members seen (the library
 indexes the family and marks positions),
 equivariant maps come from plain place-and-check backtracking over every
@@ -329,6 +331,12 @@ def cycles(items, step):
             seen.update(cycle)
             out.append(tuple(cycle))
     return out
+
+
+def relabel(cell, l):
+    """The p-tuple (x_0, x_l, x_2l, ...) of (x_0, ..., x_{p-1}), indices mod p."""
+    p = len(cell)
+    return tuple(cell[l * n % p] for n in range(p))
 
 
 def cells_shift_closed_and_free(cells):

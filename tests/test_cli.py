@@ -25,7 +25,7 @@ def run(capsys, *argv):
 
 CERTIFIED_PIPELINE = {"enzp", "join", "subdivide", "homology", "search-map", "coind", "ind",
                       "periodic", "join-periodic", "config-space", "cubical-homology",
-                      "relabel", "obstruction-report"}
+                      "obstruction-report"}
 
 
 class TestSubcommandTable:
@@ -104,12 +104,6 @@ class TestSubcommands:
                         "--grid", "4", "--coeff", "2")
         assert code == 0
         assert art["result"]["homology"]["betti"] == [1, 1, 0]
-
-    def test_relabel(self, capsys):
-        code, art = run(capsys, "relabel", "--N", "1", "--delta", "1/3", "--m", "2",
-                        "--p", "3", "--grid", "3", "--l", "2")
-        assert code == 0
-        assert art["result"]["offset_m_cells"] == art["result"]["offset_one_cells"]
 
     def test_join_periodic(self, capsys):
         code, art = run(capsys, "join-periodic", "--shift", "sigma", "--p", "3",
@@ -273,6 +267,8 @@ class TestExitCodes:
         (["run", "--manifest"], json.dumps({})),
         (["run", "--manifest"], json.dumps({"subcommand": "enzp", "params": ["n"]})),
         (["run", "--manifest"], json.dumps({"subcommand": "phi", "params": {"M": 2}})),
+        (["run", "--manifest"], json.dumps({"subcommand": "relabel", "params": {
+            "N": 1, "delta": "1/3", "m": 2, "p": 3, "grid": 3, "l": 2}})),
         (["obstruction-report", "--p-list", "3", "--x-cert"], json.dumps([])),
         (["obstruction-report", "--p-list", "3", "--x-cert"],
          json.dumps({"kind": "connectivity_bound", "bound_type": "ind_lower", "value": 1,
@@ -293,6 +289,7 @@ class TestExitCodes:
           for f in ([1], "x", None, 5)),
     ], ids=["not-json", "string-prime", "boolean-complex", "string-vertex",
             "manifest-without-subcommand", "manifest-params-list", "manifest-removed-subcommand",
+            "manifest-removed-subcommand-relabel",
             "certificate-list", "certificate-betti-not-list", "artifact-without-certificate",
             "forged-coind-value", "forged-space-prime", "forged-ambient-prime",
             "forged-connectivity-bound",
@@ -309,7 +306,6 @@ class TestExitCodes:
         ("ind --space Xm --delta 1/0 --target 0", "'1/0'"),
         ("config-space --space Xm --delta x", "'x'"),
         ("cubical-homology --space Xm --delta 1/0 --coeff 2", "'1/0'"),
-        ("relabel --N 1 --delta x --m 2 --p 3 --grid 3 --l 2", "'x'"),
         ("periodic --shift sigma --n 3,x", "'3,x'"),
         ("periodic --shift sigma --m 3 --n 3", "--m 3"),
         ("join-periodic --shift sigma --m 2 --p 3", "--m 2"),
@@ -319,7 +315,7 @@ class TestExitCodes:
         ("cubical-homology --space Xm --coeff 2 --cell-budget -1", "budget -1"),
         ("coind --space file --target 0", "--input"),
     ], ids=["coind-delta", "ind-delta-zero-denominator", "config-space-delta",
-            "cubical-homology-delta-zero-denominator", "relabel-delta", "periods",
+            "cubical-homology-delta-zero-denominator", "periods",
             "sigma-with-m", "join-sigma-with-m",
             "p-list", "subdivide-depth", "search-map-budget", "cell-budget",
             "file-space-without-input"])
@@ -390,9 +386,6 @@ FROZEN = {
     "join-periodic": (
         "join-periodic --shift sigma --p 3 --copies 2",
         "b69c907c58d08e1d59c8c91940c223bd6e2a08af40d75d72724501c41df8b0bb"),
-    "relabel": (
-        "relabel --N 1 --delta 1/3 --m 2 --p 3 --grid 3 --l 2",
-        "9a8192b2a635109e4f02151405c8aa9651b502905308e088a677a7402d236c10"),
     "cubical-homology-y": (
         "cubical-homology --space Y --p 5 --grid 3 --coeff 5",
         "442b33c02ff619691fe1d8b2b118b6b0bae774ee7b45458c8c18b6c2b5272e33"),

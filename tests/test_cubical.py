@@ -20,10 +20,11 @@ from oracles import (
     cubical_betti_by_elimination,
     face_closure,
     grid_intervals,
+    relabel,
     xm_cell_ok,
     xm_window_ok,
 )
-from zpindex.certificates import ambient_sphere_bound, coindex_lower
+from zpindex.certificates import ambient_sphere_bound, coindex_lower, index_upper
 from zpindex.cubical import (
     CirclePairConstraint,
     CubicalZpComplex,
@@ -35,10 +36,9 @@ from zpindex.cubical import (
     cell_faces,
     cubical_homology,
     cubical_to_simplicial,
-    relabel_isomorphism,
 )
 from zpindex.errors import BudgetExceeded, ValidationError
-from zpindex.simplicial import homology
+from zpindex.simplicial import e_n_zp, homology, join_power
 from zpindex.subshifts import cyclic_words, rotate
 
 
@@ -324,34 +324,30 @@ class TestShiftStructure:
                 assert image in cells and image != cell
 
 
-class TestRelabel:
-    @pytest.mark.parametrize("p,m,l", [(5, 2, 3), (3, 2, 2)])
-    def test_isomorphism_verified(self, p, m, l):
-        cx = build_pp_xm(1, Fraction(1, 3), m, p, GridSpec(1, 3))
-        pair = relabel_isomorphism(cx, l)
-        assert len(pair.offset_one.cells) == len(pair.offset_m.cells)
-        # spot-check the defining formulas on every cell
-        for cell, image in pair.to_offset_m.items():
-            assert image == tuple(cell[(l * n) % p] for n in range(p))
-            assert pair.to_offset_one[image] == cell
+class TestIntegerArguments:
+    """Sizes, offsets, dimensions and copy counts must be ints, and the
+    circle flag a bool: True and 2.0 are refused, never taken as 1 and 2."""
 
-    def test_identity_offset(self):
-        cx = build_pp_xm(1, Fraction(1, 2), 1, 3, GridSpec(1, 2))
-        pair = relabel_isomorphism(cx, 1)
-        assert all(c == i for c, i in pair.to_offset_m.items())
-
-    def test_coindex_agrees_across_relabel(self):
-        cx = build_pp_xm(1, Fraction(1, 3), 2, 3, GridSpec(1, 3))
-        pair = relabel_isomorphism(cx, 2)
-        for n in (0, 1):
-            a = coindex_lower(cubical_to_simplicial(pair.offset_one), n)
-            b = coindex_lower(cubical_to_simplicial(pair.offset_m), n)
-            assert a.kind == b.kind
-
-    def test_wrong_inverse_rejected(self):
-        cx = build_pp_xm(1, Fraction(1, 2), 2, 5, GridSpec(1, 2))
+    @pytest.mark.parametrize("call", [
+        lambda: GridSpec(True, 2),
+        lambda: GridSpec(1, True),
+        lambda: GridSpec(2, 2.0),
+        lambda: GridSpec(1, 2, circle_valued="yes"),
+        lambda: OffsetGapConstraint(Fraction(1, 2), True),
+        lambda: build_pp_xm(1, Fraction(1, 2), 1.0, 3, GridSpec(1, 2)),
+        lambda: build_pp_xm(True, Fraction(1, 2), 1, 3, GridSpec(1, 2)),
+        lambda: e_n_zp(True, 2),
+        lambda: e_n_zp(1.0, 2),
+        lambda: join_power(e_n_zp(0, 2), True),
+        lambda: join_power(e_n_zp(0, 2), 2.0),
+        lambda: index_upper(e_n_zp(1, 2), 1.0),
+        lambda: coindex_lower(e_n_zp(1, 2), 1.0),
+    ], ids=["grid-bool-N", "grid-bool-G", "grid-float-G", "grid-string-circle", "offset-bool",
+            "xm-float-m", "xm-bool-N", "enzp-bool-n", "enzp-float-n", "join-power-bool",
+            "join-power-float", "index-upper-float", "coindex-lower-float"])
+    def test_refused(self, call):
         with pytest.raises(ValidationError):
-            relabel_isomorphism(cx, 2)  # 2*2 = 4 != 1 mod 5
+            call()
 
 
 class TestDeskScaleLinearGrowth:
@@ -408,6 +404,14 @@ class TestValidationProperties:
         assert accepted == cells_shift_closed_and_free(cells)
 
 
+# (N, p, G, m, delta) of each admissible X_m: at most 5,000 candidate cells
+# ((2G+1)^(pN)), G <= 4, m prime to p.
+XM_PARAMS = [(N, p, G, m, delta) for N, p, G, m, delta in itertools.product(
+                 (1, 2), (2, 3, 5), (1, 2, 3, 4), (1, 2, 3),
+                 (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)))
+             if (2 * G + 1) ** (p * N) <= 5000 and m % p]
+
+
 def _admissible_complexes():
     """(complex, G, circle_valued) for each distinct X_m, Y or Z complex with
     G <= 4 and at most 5,000 candidate cells ((4G)^p on the circle,
@@ -417,11 +421,9 @@ def _admissible_complexes():
         if (4 * G) ** p <= 5000:
             cx = build_pp_yz(kind, p, GridSpec(1, G, circle_valued=True))
             found.setdefault((p, cx.grid, cx.cells), (cx, G, True))
-    deltas = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1))
-    for N, p, G, m, delta in itertools.product((1, 2), (2, 3, 5), (1, 2, 3, 4), (1, 2, 3), deltas):
-        if (2 * G + 1) ** (p * N) <= 5000 and m % p:
-            cx = build_pp_xm(N, delta, m, p, GridSpec(N, G))
-            found.setdefault((p, cx.grid, cx.cells), (cx, G, False))
+    for N, p, G, m, delta in XM_PARAMS:
+        cx = build_pp_xm(N, delta, m, p, GridSpec(N, G))
+        found.setdefault((p, cx.grid, cx.cells), (cx, G, False))
     return sorted(found.values(), key=lambda entry: len(entry[0].cells))
 
 
@@ -439,6 +441,40 @@ def small_complexes(draw, max_cells=5000):
     event("cells: " + ("0" if not size else "1-49" if size < 50 else "50-399" if size < 400
                        else "400-1500" if size <= 1500 else "over 1500"))
     return entry
+
+
+class TestRelabel:
+    """For p not dividing m, relabelling by n -> l*n (l*m = 1 mod p) carries
+    X_1 onto X_m cell by cell and turns the shift into its m-th power."""
+
+    @staticmethod
+    def assert_relabelled(N, p, G, m, delta):
+        l = pow(m, -1, p)
+        one = build_pp_xm(N, delta, 1, p, GridSpec(N, G))
+        offset_m = build_pp_xm(N, delta, m, p, GridSpec(N, G))
+        assert {relabel(cell, l) for cell in one.cells} == set(offset_m.cells)
+        for cell in one.cells:
+            assert relabel(rotate(cell), l) == rotate(relabel(cell, l), m)
+        assert cubical_homology(one, p).betti == cubical_homology(offset_m, p).betti
+
+    @settings(max_examples=40)
+    @given(st.sampled_from([params for params in XM_PARAMS if params[3] > 1]))
+    def test_relabelled_offset_one_is_offset_m(self, params):
+        self.assert_relabelled(*params)
+
+    @pytest.mark.parametrize("p,m,l", [(5, 2, 3), (3, 2, 2)])
+    def test_isomorphism_verified(self, p, m, l):
+        """Past the property's 5,000 candidate cells at p = 5."""
+        assert l * m % p == 1
+        self.assert_relabelled(1, p, 3, m, Fraction(1, 3))
+
+    def test_coindex_agrees_across_relabel(self):
+        one = build_pp_xm(1, Fraction(1, 3), 1, 3, GridSpec(1, 3))
+        offset_m = build_pp_xm(1, Fraction(1, 3), 2, 3, GridSpec(1, 3))
+        for n in (0, 1):
+            a = coindex_lower(cubical_to_simplicial(one), n)
+            b = coindex_lower(cubical_to_simplicial(offset_m), n)
+            assert (a.kind, a.value) == (b.kind, b.value)
 
 
 class TestHomologyProperties:
