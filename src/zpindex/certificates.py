@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .cubical import CubicalZpComplex, OffsetGapConstraint, cubical_to_simplicial
-from .errors import ConsistencyError, ValidationError
-from .fplinalg import is_prime
+from .errors import ConsistencyError, ValidationError, whole
+from .fplinalg import prime
 from .search import DEFAULT_BUDGET, find_equivariant_vertex_map
 from .simplicial import (
     FreeZpComplex,
@@ -77,9 +77,7 @@ def _ambient(ev: dict, depth: int) -> int:
     agree, so the p-tuples avoid the diagonal of ([0,1]^N)^p, whose
     complement retracts equivariantly onto a (Np-N-1)-sphere carrying a
     standard free action."""
-    N, p, offset = ev["N"], ev["p"], ev["offset"]
-    if N < 1 or not is_prime(p):
-        raise ValidationError(f"ambient bound needs N >= 1 and a prime p, got N={N}, p={p}")
+    N, p, offset = whole(ev["N"], "N", 1), prime(ev["p"]), whole(ev["offset"], "offset", 1)
     if offset % p == 0:
         raise ValidationError("offset divisible by p never avoids the diagonal")
     return N * p - N - 1
@@ -87,10 +85,8 @@ def _ambient(ev: dict, depth: int) -> int:
 
 def _exhausted(ev: dict, depth: int) -> int:
     """The target of a search that visited `nodes` nodes and found nothing."""
-    # type, not isinstance: bool is a subclass of int
-    if any(type(ev[k]) is not int or ev[k] < 0 for k in ("attempted", "nodes")):
-        raise ValidationError(f"exhaustion needs integers attempted, nodes >= 0, not {ev!r}")
-    return ev["attempted"]
+    whole(ev["nodes"], "nodes")
+    return whole(ev["attempted"], "attempted")
 
 
 # (kind, bound type) -> derive(evidence, depth) -> value.  Exhaustion records
@@ -117,8 +113,9 @@ class IndexCertificate:
         derive = DERIVE.get((self.kind, self.bound_type))
         if derive is None:
             raise ValidationError(f"no {self.kind!r} certificate of type {self.bound_type!r}")
-        if type(self.subdivision_depth) is not int or self.subdivision_depth < 0:
-            raise ValidationError(f"depth {self.subdivision_depth!r} must be an integer >= 0")
+        whole(self.subdivision_depth, "depth")
+        if type(self.space) is not str:
+            raise ValidationError(f"space {self.space!r} must be a string")
         try:
             derived = derive(self.evidence, self.subdivision_depth)
         except (AttributeError, KeyError, TypeError) as exc:
@@ -138,9 +135,7 @@ class IndexCertificate:
 
 
 def subdivide_times(x: FreeZpComplex, depth: int) -> FreeZpComplex:
-    if depth < 0:
-        raise ValidationError(f"subdivision depth {depth} must be nonnegative")
-    for _ in range(depth):
+    for _ in range(whole(depth, "subdivision depth")):
         x = barycentric_subdivide(x)
     return x
 
@@ -169,10 +164,8 @@ def _model_bound(bound_type: str, x: FreeZpComplex, n: int, subdivision_depth: i
     """Search for the map between x and the standard n-model that witnesses
     the bound: the model into x for coind_lower, x into the model for
     ind_upper.  The map's source is subdivided."""
-    if type(n) is not int or n < 0:
-        raise ValidationError(f"target n={n!r} must be an integer >= 0")
+    model = e_n_zp(n, x.p)  # refuses an n that is not an int >= 0
     space = space or content_key(x)
-    model = e_n_zp(n, x.p)
     source, target = (model, x) if bound_type == "coind_lower" else (x, model)
     found, nodes = _search(source, target, subdivision_depth, budget)
     if found is None:
@@ -284,34 +277,28 @@ def _max_attempted(certs, bound_type):
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  Keys: {"kind", "bound_type", "value", "depth", "evidence"}.
+# Serialization.  Keys: {"kind", "bound_type", "value", "depth", "evidence", "space"}.
 
-def _encode_evidence(ev):
+def _encode_evidence(ev: Evidence) -> dict:
     if isinstance(ev, EquivariantMap):
         return {"type": "map",
                 "vertex_map": list(ev.vertex_map),
                 "source": complex_to_json_dict(ev.source),
                 "target": complex_to_json_dict(ev.target)}
-    if isinstance(ev, dict):
-        return {"type": "note", "fields": dict(sorted(ev.items()))}
-    return ev
+    return {"type": "note", "fields": dict(sorted(ev.items()))}
 
 
-def _decode_evidence(data):
-    if not isinstance(data, dict):
-        return data
-    t = data.get("type")
+def _decode_evidence(data) -> Evidence:
+    """The evidence of `_encode_evidence`'s two forms; anything else is refused."""
+    t = data.get("type") if isinstance(data, dict) else None
     if t == "map":
         return EquivariantMap(
             complex_from_json_dict(data["source"]),
             complex_from_json_dict(data["target"]),
             tuple(data["vertex_map"]))
-    if t == "note":
-        fields = data["fields"]
-        if not isinstance(fields, dict):
-            raise ValidationError(f"note fields must be a JSON object, got {fields!r}")
-        return dict(fields)
-    return data
+    if t == "note" and isinstance(data["fields"], dict):
+        return dict(data["fields"])
+    raise ValidationError(f"evidence is neither a map nor a note with object fields: {data!r}")
 
 
 def certificate_to_json_dict(cert: IndexCertificate) -> dict:
@@ -332,7 +319,7 @@ def certificate_from_json_dict(data: dict) -> IndexCertificate:
         return IndexCertificate(
             data["kind"], data["bound_type"], data["value"],
             _decode_evidence(data["evidence"]),
-            data["depth"], data.get("space", ""))
+            data["depth"], data["space"])
     except KeyError as exc:
         raise ValidationError(f"malformed certificate JSON: missing {exc}") from exc
     except TypeError as exc:

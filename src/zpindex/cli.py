@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation failure, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -37,7 +38,8 @@ from .cubical import (
     cubical_homology,
     cubical_to_simplicial,
 )
-from .errors import BudgetExceeded, ConsistencyError, ValidationError
+from .errors import BudgetExceeded, ConsistencyError, ValidationError, whole
+from .fplinalg import prime
 from .search import DEFAULT_BUDGET
 from .simplicial import (
     INFINITE_CONNECTIVITY,
@@ -153,10 +155,8 @@ def cmd_join(args):
 
 
 def cmd_subdivide(args):
-    if args.depth < 0:
-        raise ValidationError(f"subdivision depth {args.depth} must be nonnegative")
     x = _load_complex(args.input)
-    for _ in range(args.depth):
+    for _ in range(whole(args.depth, "subdivision depth")):
         x = barycentric_subdivide(x)
     return {"complex": complex_to_json_dict(x), "depth": args.depth}
 
@@ -257,12 +257,7 @@ def cmd_obstruction_report(args):
     for certs in by_space.values():
         assert_coindex_le_index(certs)
     rows = obstruction_report(p_list, x_certs, z_certs)
-    return {"rows": [{"p": r.p, "x_coind_lower": r.x_coind_lower,
-                      "x_exhausted_at": r.x_exhausted_at,
-                      "z_coind_upper": r.z_coind_upper,
-                      "z_exhausted_at": r.z_exhausted_at,
-                      "gap_certified": r.gap_certified,
-                      "verdict": r.verdict} for r in rows]}
+    return {"rows": [dataclasses.asdict(row) for row in rows]}
 
 
 def _prime_of_cert(artifact: dict, cert) -> int:
@@ -271,7 +266,7 @@ def _prime_of_cert(artifact: dict, cert) -> int:
     must agree with; else (exhaustion evidence holds no prime) that
     `space_params.p`."""
     params = artifact.get("result", {}).get("space_params") if "result" in artifact else None
-    stated = params["p"] if params and "p" in params else None
+    stated = prime(params["p"], "space_params.p") if params and "p" in params else None
     ev = cert.evidence
     held = (ev.source.p if hasattr(ev, "source")
             else ev["p"] if cert.kind == "ambient_bound" else None)
@@ -279,7 +274,7 @@ def _prime_of_cert(artifact: dict, cert) -> int:
         if stated is None:
             raise ValidationError("cannot determine the prime of a certificate; "
                                   "pass artifacts produced by the coind/ind commands")
-        return int(stated)
+        return stated
     if stated is not None and stated != held:
         raise ValidationError(f"space_params.p = {stated!r} disagrees with the prime "
                               f"{held} of the certificate's evidence")
@@ -395,6 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _manifest_to_argv(manifest: dict) -> list[str]:
     if not isinstance(manifest, dict):
         raise ValidationError("malformed manifest: expected a JSON object")
+    unknown = sorted(set(manifest) - {"subcommand", "params", "output"})
+    if unknown:
+        raise ValidationError(f"malformed manifest: unknown top-level keys {unknown}")
     sub = manifest.get("subcommand")
     params = manifest.get("params", {})
     if not isinstance(sub, str) or sub not in HANDLERS:
@@ -415,8 +413,6 @@ def _manifest_to_argv(manifest: dict) -> list[str]:
             argv.extend([flag, str(value)])
     if manifest.get("output"):
         argv.extend(["--out", str(manifest["output"])])
-    if "budget" in manifest and "budget" not in params:
-        argv.extend(["--budget", str(manifest["budget"])])
     return argv
 
 

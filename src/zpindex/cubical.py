@@ -33,8 +33,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
-from .fplinalg import betti_numbers, is_prime
+from .errors import ValidationError, whole
+from .fplinalg import betti_numbers, prime
 from .simplicial import FreeZpComplex, HomologyProfile, SimplicialComplex, ZpAction, shift_orbits
 from .subshifts import cyclic_words, rotate, satisfies
 
@@ -56,8 +56,8 @@ class GridSpec:
     circle_valued: bool = False
 
     def __post_init__(self):
-        if type(self.N) is not int or type(self.G) is not int or self.N < 1 or self.G < 1:
-            raise ValidationError(f"grid needs integers N, G >= 1, not {self.N!r}, {self.G!r}")
+        whole(self.N, "N", 1)
+        whole(self.G, "G", 1)
         if type(self.circle_valued) is not bool:
             raise ValidationError(f"circle_valued must be a bool, not {self.circle_valued!r}")
 
@@ -88,14 +88,13 @@ def _circle_gap(a: AxisInterval, b: AxisInterval, two_g: int) -> int:
 class OffsetGapConstraint:
     """Every pair of coordinates at the cyclic offset stays >= delta apart."""
 
-    delta: Fraction
+    delta: int | Fraction
     offset: int
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValidationError("delta must be positive")
-        if type(self.offset) is not int or self.offset < 1:
-            raise ValidationError(f"offset must be an integer >= 1, not {self.offset!r}")
+        if type(self.delta) not in (int, Fraction) or self.delta <= 0:
+            raise ValidationError(f"delta {self.delta!r} must be a positive int or Fraction")
+        whole(self.offset, "offset", 1)
 
     @property
     def offsets(self) -> tuple[int, int]:
@@ -199,8 +198,7 @@ class CubicalZpComplex:
 
     def _validate(self) -> bytearray:
         """Check the family; return each cell's dimension, taken once per orbit."""
-        if not is_prime(self.p):
-            raise ValidationError(f"p={self.p} is not prime")
+        prime(self.p)
         if len(self._cell_set) != len(self.cells):
             raise ValidationError("duplicate cells")
         boxes = frozenset(self.grid.boxes())
@@ -249,19 +247,17 @@ def _enumerate_cells(p: int, grid: GridSpec, constraint, budget: int) -> Cubical
     return CubicalZpComplex(p, grid, constraint, cells)
 
 
-def build_pp_xm(N: int, delta: Fraction, m: int, p: int, grid: GridSpec,
+def build_pp_xm(N: int, delta: int | Fraction, m: int, p: int, grid: GridSpec,
                 budget: int = DEFAULT_CELL_BUDGET) -> CubicalZpComplex:
     """Certified cells of the space of p-tuples in [0,1]^N whose coordinates
     at cyclic offset m differ by at least delta."""
     if grid.circle_valued:
         raise ValidationError("offset-gap spaces live on the cube grid")
-    if type(N) is not int or grid.N != N:
-        raise ValidationError(f"grid dimension {grid.N} != N={N!r}")
-    if not is_prime(p):
-        raise ValidationError(f"p={p} is not prime")
-    if p > MAX_P or N > MAX_N:
+    if whole(N, "N", 1) != grid.N:
+        raise ValidationError(f"grid dimension {grid.N} != N={N}")
+    if prime(p) > MAX_P or N > MAX_N:
         raise ValidationError(f"instances beyond p={MAX_P}, N={MAX_N} are unsupported")
-    return _enumerate_cells(p, grid, OffsetGapConstraint(Fraction(delta), m), budget)
+    return _enumerate_cells(p, grid, OffsetGapConstraint(delta, m), budget)
 
 
 def build_pp_yz(which: str, p: int, grid: GridSpec,
@@ -269,9 +265,7 @@ def build_pp_yz(which: str, p: int, grid: GridSpec,
     """Certified cells of the circle-valued consecutive-pair spaces."""
     if not grid.circle_valued or grid.N != 1:
         raise ValidationError("Y/Z spaces need a circle-valued grid with N=1")
-    if not is_prime(p):
-        raise ValidationError(f"p={p} is not prime")
-    if p > MAX_P:
+    if prime(p) > MAX_P:
         raise ValidationError(f"instances beyond p={MAX_P} are unsupported")
     return _enumerate_cells(p, grid, CirclePairConstraint(which), budget)
 

@@ -1,8 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer policy.
+
+Numbers: every size, count, dimension, offset, period, depth and budget is
+an `int` no smaller than its least value, decided by `whole`.  A bool is
+refused although it is an int subclass, and so is a float even when it is
+whole.  A prime is such an int that is prime, decided by `fplinalg.prime`.
+The gap delta of the offset-gap spaces is an `int` or a `Fraction`, never a
+float (which would be taken at its binary value) or a bool.
+"""
 
 
 class ValidationError(ValueError):
     """Input violates a documented precondition or structural invariant."""
+
+
+def whole(value, name: str, least: int = 0) -> int:
+    """Return value, or raise ValidationError unless it is an int >= least."""
+    if type(value) is not int or value < least:
+        raise ValidationError(f"{name} {value!r} must be an integer >= {least}")
+    return value
 
 
 class BudgetExceeded(RuntimeError):

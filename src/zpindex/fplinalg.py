@@ -13,8 +13,8 @@ from __future__ import annotations
 from .errors import ValidationError
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
+def is_prime(n) -> bool:
+    if type(n) is not int or n < 2:
         return False
     if n < 4:
         return True
@@ -26,6 +26,13 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def prime(p, name: str = "p") -> int:
+    """Return p, or raise ValidationError unless p is an int that is prime."""
+    if not is_prime(p):
+        raise ValidationError(f"{name}={p!r} is not prime")
+    return p
 
 
 def fp_rank(columns: list[dict[int, int]], p: int, pivot_rows: set[int] | None = None) -> int:
@@ -70,8 +77,7 @@ def betti_numbers(by_dim, signed_faces, p: int, reduced: bool) -> tuple[int, ...
     so the rank does not change, but only when d_k d_{k+1} = 0: the signed
     faces must form a chain complex, the augmentation included.
     """
-    if not is_prime(p):
-        raise ValidationError(f"coefficient prime p={p} is not prime")
+    prime(p)
     ranks = [0] * (len(by_dim) + 1)  # no boundaries coming from above the top degree
     cleared: set[int] = set()
     for k in reversed(range(len(by_dim))):

@@ -26,7 +26,7 @@ every target vertex.
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded, ValidationError
+from .errors import BudgetExceeded, ValidationError, whole
 from .simplicial import FreeZpComplex
 
 DEFAULT_BUDGET = 5_000_000
@@ -44,8 +44,7 @@ def find_equivariant_vertex_map(
     """
     if source.p != target.p:
         raise ValidationError(f"mismatched primes {source.p} != {target.p}")
-    if budget < 0:
-        raise ValidationError(f"budget {budget} must be nonnegative")
+    whole(budget, "budget")
     p = source.p
     if source.is_empty():
         return (), 0

@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 from operator import and_, itemgetter, lt, ne, not_
 
-from .errors import ValidationError
-from .fplinalg import betti_numbers, is_prime
+from .errors import ValidationError, whole
+from .fplinalg import betti_numbers, prime
 
 Simplex = tuple[int, ...]
 
@@ -57,10 +57,7 @@ class SimplicialComplex:
     __slots__ = ("vertex_count", "by_dim", "_hash")
 
     def __init__(self, vertex_count: int, by_dim):
-        # type, not isinstance: bool is a subclass of int
-        if type(vertex_count) is not int or vertex_count < 0:
-            raise ValidationError(f"vertex count {vertex_count!r} must be a nonnegative integer")
-        self.vertex_count = vertex_count
+        self.vertex_count = whole(vertex_count, "vertex count")
         self.by_dim = tuple(tuple(level) for level in by_dim)
         self._hash = None
         self._validate()
@@ -191,8 +188,7 @@ class ZpAction:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.p) is not int or not is_prime(self.p):
-            raise ValidationError(f"p={self.p!r} is not prime")
+        prime(self.p)
         n = len(self.perm)
         if set(map(type, self.perm)) - {int}:
             raise ValidationError("perm must hold integers")
@@ -309,9 +305,7 @@ def homology(cx: SimplicialComplex, p: int, reduced: bool = True) -> HomologyPro
 
 def make_discrete_zp(p: int) -> FreeZpComplex:
     """p isolated vertices cyclically permuted: the 0-dimensional model."""
-    if not is_prime(p):
-        raise ValidationError(f"p={p} is not prime")
-    cx = SimplicialComplex(p, [[(v,) for v in range(p)]])
+    cx = SimplicialComplex(prime(p), [[(v,) for v in range(p)]])
     return FreeZpComplex(cx, ZpAction(p, tuple((v + 1) % p for v in range(p))))
 
 
@@ -339,8 +333,7 @@ def join(x: FreeZpComplex, y: FreeZpComplex) -> FreeZpComplex:
 def join_power(x: FreeZpComplex, copies: int) -> FreeZpComplex:
     """The join of `copies` copies of x, each new copy joined on the right:
     vertex i*n + v is vertex v of copy i, where x has n vertices."""
-    if type(copies) is not int or copies < 1:
-        raise ValidationError(f"need at least one copy, as an int, not {copies!r}")
+    whole(copies, "need at least one copy: copies", 1)
     out = x
     for _ in range(copies - 1):
         out = join(out, x)
@@ -355,9 +348,7 @@ def e_n_zp(n: int, p: int) -> FreeZpComplex:
     per copy.  The discrete factors are disconnected, so the result is not
     flagged as simply connected.
     """
-    if type(n) is not int or n < 0:
-        raise ValidationError(f"n={n!r} must be an integer >= 0")
-    return join_power(make_discrete_zp(p), n + 1)
+    return join_power(make_discrete_zp(p), whole(n, "n") + 1)
 
 
 def subdivide_complex(cx: SimplicialComplex) -> tuple[SimplicialComplex, dict[Simplex, int]]:

@@ -26,8 +26,8 @@ from itertools import compress, repeat
 from math import gcd
 from operator import add, and_, itemgetter
 
-from .errors import BudgetExceeded, ValidationError
-from .fplinalg import is_prime
+from .errors import BudgetExceeded, ValidationError, whole
+from .fplinalg import prime
 from .simplicial import FreeZpComplex, SimplicialComplex, ZpAction
 
 Word = tuple[int, ...]
@@ -45,10 +45,7 @@ class Subshift:
 
     def __post_init__(self):
         for name in ("alphabet_size", "window"):
-            value = getattr(self, name)
-            # type, not isinstance: bool is a subclass of int
-            if type(value) is not int or value < 1:
-                raise ValidationError(f"{name} {value!r} must be an integer >= 1")
+            whole(getattr(self, name), name, 1)
         for a, b in self.forbidden:
             if not (1 <= a <= self.alphabet_size and 1 <= b <= self.alphabet_size):
                 raise ValidationError(f"forbidden pair ({a},{b}) outside alphabet")
@@ -70,13 +67,10 @@ def cyclic_words(alphabet, n: int, offsets, forbidden, budget: int) -> list[tupl
     met.  The domain of i is the AND of its windows' entries (all symbols if
     none closes there), taken lowest bit first.  Each position entered counts
     len(alphabet) against `budget`, and each word found its n symbols."""
-    # type, not isinstance: bool is a subclass of int
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"period {n!r} must be an integer >= 1")
+    whole(n, "period", 1)
     if len(offsets) < 2:
         raise ValidationError("a window needs two or more offsets")
-    if budget < 0:
-        raise ValidationError(f"budget {budget} must be nonnegative")
+    whole(budget, "budget")
     symbols = tuple(alphabet)
     size = len(symbols)
     full, bits, singles = (1 << size) - 1, [1 << k for k in range(size)], [(s,) for s in symbols]
@@ -180,8 +174,7 @@ def as_free_zp_complex(words) -> FreeZpComplex:
     if len(lengths) != 1:
         raise ValidationError(f"words of lengths {sorted(lengths)}, not of one period")
     (p,) = lengths
-    if not is_prime(p):
-        raise ValidationError(f"period {p} is not prime")
+    prime(p, "period")
     index = {w: i for i, w in enumerate(words)}
     if len(index) != len(words):
         raise ValidationError("duplicate periodic words")

@@ -331,8 +331,16 @@ def set_field(path, value):
     return edit
 
 
+def unwrap(data):
+    """Take the evidence out of its note wrapper."""
+    data["evidence"] = data["evidence"]["fields"]
+
+
 # (builder, edit of the JSON form): one derivable certificate per DERIVE
-# entry, each edited after encoding so that its evidence no longer derives it.
+# entry, each edited after encoding so that its evidence no longer derives it;
+# then evidence holding a float or a bool where an int belongs (each derives
+# the same value as the int), evidence not in the form it is written in, and
+# a certificate without its space or with one that is not a string.
 FORGERIES = {
     "witness-coind-value": (lambda: coindex_lower(e_n_zp(1, 3), 1), set_field(["value"], 2)),
     "witness-coind-depth": (lambda: coindex_lower(e_n_zp(1, 3), 1), set_field(["depth"], 1)),
@@ -350,6 +358,21 @@ FORGERIES = {
     "ambient-value": (lambda: ambient_sphere_bound(offset_gap(1, 3)), set_field(["value"], 0)),
     "ambient-offset": (lambda: ambient_sphere_bound(offset_gap(1, 3)),
                        set_field(["evidence", "fields", "offset"], 3)),
+    "ambient-float-p": (lambda: ambient_sphere_bound(offset_gap(1, 3)),
+                        set_field(["evidence", "fields", "p"], 3.0)),
+    "ambient-float-N": (lambda: ambient_sphere_bound(offset_gap(1, 3)),
+                        set_field(["evidence", "fields", "N"], 1.0)),
+    "ambient-bool-N": (lambda: ambient_sphere_bound(offset_gap(1, 3)),
+                       set_field(["evidence", "fields", "N"], True)),
+    "ambient-bool-offset": (lambda: ambient_sphere_bound(offset_gap(1, 3)),
+                            set_field(["evidence", "fields", "offset"], True)),
+    "ambient-unwrapped": (lambda: ambient_sphere_bound(offset_gap(1, 3)), unwrap),
+    "ambient-other-type": (
+        lambda: ambient_sphere_bound(offset_gap(1, 3)),
+        lambda data: data.update(evidence={"type": "homology", **data["evidence"]["fields"]})),
+    "exhaustion-unwrapped": (lambda: coindex_lower(make_discrete_zp(3), 1), unwrap),
+    "witness-without-space": (lambda: index_upper(e_n_zp(1, 2), 1), lambda data: data.pop("space")),
+    "witness-list-space": (lambda: index_upper(e_n_zp(1, 2), 1), set_field(["space"], [])),
 }
 
 

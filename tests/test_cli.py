@@ -172,6 +172,18 @@ def forged_prime_artifact(directory):
     return json.dumps(art)
 
 
+def fractional_prime_artifact(directory):
+    """An exhausted coind search, E_1 into the three points E_0(Z_3), in an
+    artifact whose `space_params.p` says 3.5, which `int` would read as 3; a
+    genuine p = 3 coind artifact on Z is written beside it as z3.json."""
+    z3 = coind_artifact("coind --space Z --p 3 --grid 2 --target 0")
+    (directory / "z3.json").write_text(json.dumps(z3), encoding="utf-8")
+    art = coind_artifact("coind --space enzp --n 0 --p 3 --target 1")
+    assert art["result"]["certificate"]["kind"] == "exhaustion"
+    art["result"]["space_params"]["p"] = 3.5
+    return json.dumps(art)
+
+
 def x1_p2_ambient():
     """The JSON form of the ambient bound ind <= 0 on the space of
     X1_P2_COIND (evidence N = 1, p = 2, offset 1), labelled as that
@@ -269,6 +281,8 @@ class TestExitCodes:
         (["run", "--manifest"], json.dumps({"subcommand": "phi", "params": {"M": 2}})),
         (["run", "--manifest"], json.dumps({"subcommand": "relabel", "params": {
             "N": 1, "delta": "1/3", "m": 2, "p": 3, "grid": 3, "l": 2}})),
+        (["run", "--manifest"], json.dumps({"subcommand": "coind", "budget": 100, "params": {
+            "space": "enzp", "n": 0, "p": 2, "target": 0}})),
         (["obstruction-report", "--p-list", "3", "--x-cert"], json.dumps([])),
         (["obstruction-report", "--p-list", "3", "--x-cert"],
          json.dumps({"kind": "connectivity_bound", "bound_type": "ind_lower", "value": 1,
@@ -282,6 +296,8 @@ class TestExitCodes:
         (["obstruction-report", "--p-list", "3", "--z-cert", "{dir}/z3.json", "--x-cert"],
          forged_prime_artifact),
         (["obstruction-report", "--p-list", "3", "--z-cert", "{dir}/z3.json", "--x-cert"],
+         fractional_prime_artifact),
+        (["obstruction-report", "--p-list", "3", "--z-cert", "{dir}/z3.json", "--x-cert"],
          forged_ambient_prime_artifact),
         (["obstruction-report", "--p-list", "3", "--z-cert", "{dir}/z3.json", "--x-cert"],
          forged_connectivity_artifact),
@@ -289,10 +305,10 @@ class TestExitCodes:
           for f in ([1], "x", None, 5)),
     ], ids=["not-json", "string-prime", "boolean-complex", "string-vertex",
             "manifest-without-subcommand", "manifest-params-list", "manifest-removed-subcommand",
-            "manifest-removed-subcommand-relabel",
+            "manifest-removed-subcommand-relabel", "manifest-top-level-budget",
             "certificate-list", "certificate-betti-not-list", "artifact-without-certificate",
-            "forged-coind-value", "forged-space-prime", "forged-ambient-prime",
-            "forged-connectivity-bound",
+            "forged-coind-value", "forged-space-prime", "fractional-space-prime",
+            "forged-ambient-prime", "forged-connectivity-bound",
             "note-fields-list", "note-fields-string", "note-fields-null", "note-fields-number"])
     def test_malformed_input_file_is_2(self, tmp_path, capsys, argv, text):
         path = tmp_path / "input.json"

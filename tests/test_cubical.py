@@ -38,7 +38,7 @@ from zpindex.cubical import (
     cubical_to_simplicial,
 )
 from zpindex.errors import BudgetExceeded, ValidationError
-from zpindex.simplicial import e_n_zp, homology, join_power
+from zpindex.simplicial import e_n_zp, homology, join_power, make_discrete_zp
 from zpindex.subshifts import cyclic_words, rotate
 
 
@@ -325,8 +325,9 @@ class TestShiftStructure:
 
 
 class TestIntegerArguments:
-    """Sizes, offsets, dimensions and copy counts must be ints, and the
-    circle flag a bool: True and 2.0 are refused, never taken as 1 and 2."""
+    """Sizes, offsets, dimensions, copy counts and primes must be ints, delta
+    an int or a Fraction, and the circle flag a bool: True and 2.0 are
+    refused, never taken as 1 and 2."""
 
     @pytest.mark.parametrize("call", [
         lambda: GridSpec(True, 2),
@@ -342,9 +343,18 @@ class TestIntegerArguments:
         lambda: join_power(e_n_zp(0, 2), 2.0),
         lambda: index_upper(e_n_zp(1, 2), 1.0),
         lambda: coindex_lower(e_n_zp(1, 2), 1.0),
+        lambda: e_n_zp(1, 2.0),
+        lambda: make_discrete_zp(2.0),
+        lambda: homology(e_n_zp(1, 2).complex, 2.0),
+        lambda: build_pp_xm(1, 0.3, 1, 3, GridSpec(1, 3)),
+        lambda: build_pp_xm(1, True, 1, 3, GridSpec(1, 3)),
+        lambda: OffsetGapConstraint(0.5, 1),
+        lambda: OffsetGapConstraint(True, 1),
     ], ids=["grid-bool-N", "grid-bool-G", "grid-float-G", "grid-string-circle", "offset-bool",
             "xm-float-m", "xm-bool-N", "enzp-bool-n", "enzp-float-n", "join-power-bool",
-            "join-power-float", "index-upper-float", "coindex-lower-float"])
+            "join-power-float", "index-upper-float", "coindex-lower-float", "enzp-float-p",
+            "discrete-float-p", "homology-float-p", "xm-float-delta", "xm-bool-delta",
+            "offset-float-delta", "offset-bool-delta"])
     def test_refused(self, call):
         with pytest.raises(ValidationError):
             call()

@@ -251,9 +251,9 @@ class TestLevelChecks:
         (2, [[(0.5,), (1,)]], "simplex (0.5,) must hold integers"),
         (2, [[(False,), (True,)], [(False, True)]],
          "simplex (False,) must hold integers"),
-        (2.7, [[(0,), (1,)]], "vertex count 2.7 must be a nonnegative integer"),
-        (True, [[(0,)]], "vertex count True must be a nonnegative integer"),
-        (-1, [], "vertex count -1 must be a nonnegative integer"),
+        (2.7, [[(0,), (1,)]], "vertex count 2.7 must be an integer >= 0"),
+        (True, [[(0,)]], "vertex count True must be an integer >= 0"),
+        (-1, [], "vertex count -1 must be an integer >= 0"),
     ], ids=["list-simplex", "misfiled-dimension", "unsorted-tuple", "repeated-vertex",
             "negative-vertex", "vertex-beyond-count", "unsorted-level", "repeated-level-entry",
             "missing-facet", "empty-top-level", "float-vertex", "bool-vertices",

@@ -87,19 +87,19 @@ class TestRefusals:
         with pytest.raises(ValidationError, match="window 1.5"):
             make_sigma_m(1.5)
 
-    @pytest.mark.parametrize("call", [
-        lambda: periodic_points(SIGMA, 0),
-        lambda: periodic_points(SIGMA, -1),
-        lambda: periodic_points(SIGMA, 2.0),
-        lambda: periodic_points(SIGMA, True),
-        lambda: build_pp_xm(1, Fraction(1, 2), 1, 3.0, GridSpec(1, 2)),
+    @pytest.mark.parametrize("call,match", [
+        (lambda: periodic_points(SIGMA, 0), "must be an integer >= 1"),
+        (lambda: periodic_points(SIGMA, -1), "must be an integer >= 1"),
+        (lambda: periodic_points(SIGMA, 2.0), "must be an integer >= 1"),
+        (lambda: periodic_points(SIGMA, True), "must be an integer >= 1"),
+        (lambda: build_pp_xm(1, Fraction(1, 2), 1, 3.0, GridSpec(1, 2)), "p=3.0 is not prime"),
         # the counts are cached, and True == 1, 2.0 == 2 as dict keys
-        lambda: periodic_table(SIGMA, [1, True]),
-        lambda: periodic_table(SIGMA, [2, 2.0]),
+        (lambda: periodic_table(SIGMA, [1, True]), "must be an integer >= 1"),
+        (lambda: periodic_table(SIGMA, [2, 2.0]), "must be an integer >= 1"),
     ], ids=["zero", "negative", "float", "bool", "xm-float-p", "table-bool-after-1",
             "table-float-after-2"])
-    def test_period_must_be_a_positive_integer(self, call):
-        with pytest.raises(ValidationError, match="must be an integer >= 1"):
+    def test_period_must_be_a_positive_integer(self, call, match):
+        with pytest.raises(ValidationError, match=match):
             call()
 
 
