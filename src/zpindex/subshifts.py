@@ -2,13 +2,14 @@
 
 A period-n point of a shift is a cyclic word of length n; a window
 constraint says that for no i is the window of symbols at i + o (mod n), o
-in a fixed tuple of offsets, forbidden.  `cyclic_words` is the one
-enumerator of such words, over any alphabet: a depth-first search whose
-domains are bitsets over the alphabet, the AND of one table entry per window
-closing at the position.  `satisfies` applies the same test to a whole word,
-and `rotate` is the shift on periodic words and cubical cells alike.  A
-shift's periodic points are the enumerator's word list: `periodic_table`
-counts their orbits by Burnside's lemma, with no orbit walked, and
+in a fixed tuple of offsets, forbidden.  `each_cyclic_word` is the one
+enumerator of such words, over any alphabet, and `cyclic_words` its list: a
+depth-first search whose domains are bitsets over the alphabet, the AND of
+one table entry per window closing at the position.  `satisfies` applies the
+same test to a whole word, and `rotate` is the shift on periodic words and
+cubical cells alike.  A shift's periodic points are the enumerator's word
+list: `periodic_table` counts them as they are found, never holding them,
+and their orbits by Burnside's lemma, with no orbit walked, and
 `as_free_zp_complex` makes a prime-period list a discrete free Z_p-set, for
 `simplicial.join_power` to join.  The cubical models in `cubical` are the
 p-periodic words of this kind over the alphabet of grid boxes.
@@ -57,16 +58,22 @@ class Subshift:
 
 
 def cyclic_words(alphabet, n: int, offsets, forbidden, budget: int) -> list[tuple]:
-    """Every length-n word over `alphabet` none of whose windows, the tuples
-    (word[(i + o) % n] for o in offsets) for each i, is forbidden(window), in
-    the lexicographic order of `alphabet`.  A window spans two or more
-    offsets.  The search is depth first over bitset domains, bit k standing
-    for the k-th symbol.  A window closing at position i (its largest one)
-    has a table from the symbols at its other positions to the bitset it
-    allows at i, each entry judged symbol by symbol when its key is first
-    met.  The domain of i is the AND of its windows' entries (all symbols if
-    none closes there), taken lowest bit first.  Each position entered counts
-    len(alphabet) against `budget`, and each word found its n symbols."""
+    """The words of `each_cyclic_word`, as a list."""
+    return list(each_cyclic_word(alphabet, n, offsets, forbidden, budget))
+
+
+def each_cyclic_word(alphabet, n: int, offsets, forbidden, budget: int):
+    """Yield every length-n word over `alphabet` none of whose windows, the
+    tuples (word[(i + o) % n] for o in offsets) for each i, is
+    forbidden(window), in the lexicographic order of `alphabet`.  A window
+    spans two or more offsets.  The search is depth first over bitset domains,
+    bit k standing for the k-th symbol.  A window closing at position i (its
+    largest one) has a table from the symbols at its other positions to the
+    bitset it allows at i, each entry judged symbol by symbol when its key is
+    first met.  The domain of i is the AND of its windows' entries (all symbols
+    if none closes there), taken lowest bit first.  Each position entered
+    counts len(alphabet) against `budget`, and each word found its n symbols.
+    The checks run when the first word is asked for."""
     whole(n, "period", 1)
     if len(offsets) < 2:
         raise ValidationError("a window needs two or more offsets")
@@ -97,12 +104,13 @@ def cyclic_words(alphabet, n: int, offsets, forbidden, budget: int) -> list[tupl
         return spelled[mask]
 
     exceeded = f"enumeration of length-{n} words exceeded budget {budget}"
-    found, word = [], [None] * n
+    word = [None] * n
     if n == 1:  # position 0 is the last: a word per symbol it allows
         words = [(s,) for s in domain(0)]
         if size + len(words) > budget:
             raise BudgetExceeded(exceeded, count=max(size, budget + 1))
-        return words
+        yield from words
+        return
     if size > budget:
         raise BudgetExceeded(exceeded, count=size)
     left = [iter(domain(0))] * n  # left[i]: the symbols position i has still to take
@@ -120,10 +128,9 @@ def cyclic_words(alphabet, n: int, offsets, forbidden, budget: int) -> list[tupl
                 nodes += n
                 if nodes > budget:
                     raise BudgetExceeded(exceeded, count=nodes)
-                found.append(tuple(word))
+                yield tuple(word)
         else:
             i -= 1
-    return found
 
 
 class _Table(dict):
@@ -196,10 +203,13 @@ def periodic_table(shift: Subshift, periods,
     mod d; so the fixed words are the period-d points repeated.  Each n is
     enumerated first, so that its refusals and budget raise before any
     divisor is counted (and a cached 1 never stands for a period True); the
-    divisors' counts are kept over the period list."""
-    count = _Table(lambda d: len(periodic_points(shift, d, budget)))
+    divisors' counts are kept over the period list.  Words are counted as
+    they are found, never held."""
+    symbols, test = range(1, shift.alphabet_size + 1), shift.forbidden.__contains__
+    count = _Table(lambda d: sum(1 for _ in each_cyclic_word(
+        symbols, d, shift.offsets, test, budget)))
     rows = []
     for n in periods:
-        count[n] = len(periodic_points(shift, n, budget))
+        count[n] = count.fill(n)
         rows.append((n, count[n], sum(count[gcd(j, n)] for j in range(n)) // n))
     return rows
