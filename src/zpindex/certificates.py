@@ -8,6 +8,12 @@ certificate whose value the derivation does not reproduce.  Loading goes
 through the constructor, so a certificate read from disk is derived again
 before it is trusted.  Witness maps are checked by the
 standalone verifier on construction, never trusted from the search alone.
+Every kind of evidence holds its prime p: a map's complexes carry it, and
+the exhaustion and ambient notes hold a `p` field, checked with the note's
+other fields, which must be exactly the ones their derivation reads.  So a
+certificate states its own prime (`IndexCertificate.p`), and
+`obstruction_report` files certificates by it and checks the bounds on each
+space against each other before it compares primes.
 
 Searches subdivide the source only (the simplicial-approximation direction),
 and an exhausted search at finite depth is recorded as one-sided evidence:
@@ -72,11 +78,18 @@ def _model_target(ev: EquivariantMap, depth: int) -> int:
     return n
 
 
+def _note(ev: dict, fields: set) -> None:
+    """Refuse a note whose fields are not exactly `fields`."""
+    if set(ev) != fields:
+        raise ValidationError(f"note fields {sorted(ev)} are not {sorted(fields)}")
+
+
 def _ambient(ev: dict, depth: int) -> int:
     """ind <= N*p - N - 1: coordinates at an offset prime to p never all
     agree, so the p-tuples avoid the diagonal of ([0,1]^N)^p, whose
     complement retracts equivariantly onto a (Np-N-1)-sphere carrying a
     standard free action."""
+    _note(ev, {"N", "p", "offset"})
     N, p, offset = whole(ev["N"], "N", 1), prime(ev["p"]), whole(ev["offset"], "offset", 1)
     if offset % p == 0:
         raise ValidationError("offset divisible by p never avoids the diagonal")
@@ -85,7 +98,9 @@ def _ambient(ev: dict, depth: int) -> int:
 
 def _exhausted(ev: dict, depth: int) -> int:
     """The target of a search that visited `nodes` nodes and found nothing."""
+    _note(ev, {"nodes", "attempted", "note", "p"})
     whole(ev["nodes"], "nodes")
+    prime(ev["p"])
     return whole(ev["attempted"], "attempted")
 
 
@@ -123,6 +138,12 @@ class IndexCertificate:
         if derived != self.value or type(self.value) is not int:  # True == 1 == 1.0
             raise ValidationError(
                 f"{self.kind} evidence derives {derived}, not the claimed {self.value!r}")
+
+    @property
+    def p(self) -> int:
+        """The prime of the evidence: that of a map's complexes, else the note's `p`."""
+        ev = self.evidence
+        return ev.source.p if isinstance(ev, EquivariantMap) else ev["p"]
 
     @property
     def established(self) -> bool:
@@ -171,7 +192,7 @@ def _model_bound(bound_type: str, x: FreeZpComplex, n: int, subdivision_depth: i
     if found is None:
         return IndexCertificate(
             "exhaustion", bound_type, n,
-            {"nodes": nodes, "attempted": n,
+            {"nodes": nodes, "attempted": n, "p": x.p,
              "note": "no equivariant simplicial map at this depth; not a disproof"},
             subdivision_depth, space)
     return IndexCertificate("map_witness", bound_type, n, found, subdivision_depth, space)
@@ -246,13 +267,25 @@ def obstruction_report(p_list, x_certs, z_certs) -> list[ObstructionRow]:
     (through coind <= ind), and whether the strict gap lower > upper is
     certified at this discretization.
 
-    x_certs and z_certs map primes to certificate lists.  Exhausted searches
-    are reported but never used as bounds.
+    x_certs and z_certs are iterables of certificates, each filed under its
+    own prime `cert.p`.  Before any row is built, the certificates on each
+    space (both sides together) must agree: `assert_coindex_le_index` raises
+    ConsistencyError on a coind lower bound above an ind upper bound.
+    Exhausted searches are reported but never used as bounds.
     """
+    sides = ({}, {})
+    by_space: dict[str, list] = {}
+    for side, certs in zip(sides, (x_certs, z_certs)):
+        for cert in certs:
+            side.setdefault(cert.p, []).append(cert)
+            by_space.setdefault(cert.space, []).append(cert)
+    if not by_space:
+        raise ValidationError("no certificates given")
+    for certs in by_space.values():
+        assert_coindex_le_index(certs)
     rows = []
     for p in p_list:
-        xs = list(x_certs.get(p, ()))
-        zs = list(z_certs.get(p, ()))
+        xs, zs = (side.get(p) for side in sides)
         if not xs or not zs:
             raise ValidationError(f"missing certificates for p={p}")
         x_low = _best(xs, "coind_lower", max)

@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import __version__
 from .certificates import (
-    assert_coindex_le_index,
     certificate_from_json_dict,
     certificate_to_json_dict,
     coindex_lower,
@@ -39,7 +38,6 @@ from .cubical import (
     cubical_to_simplicial,
 )
 from .errors import BudgetExceeded, ConsistencyError, ValidationError, whole
-from .fplinalg import prime
 from .search import DEFAULT_BUDGET
 from .simplicial import (
     INFINITE_CONNECTIVITY,
@@ -235,50 +233,31 @@ def cmd_cubical_homology(args):
             "homology": _homology_result(cubical_homology(cubical, args.coeff))}
 
 
+def _load_certificate(path: str):
+    """The certificate of a coind/ind artifact or of a raw certificate file.
+    An artifact's `space_params`, if given, must be an object, and its `p`,
+    if given, the certificate's own prime."""
+    data = _load_json(path)
+    artifact = isinstance(data, dict) and "result" in data
+    result = data["result"] if artifact else {"certificate": data}
+    if not isinstance(result, dict) or "certificate" not in result:
+        raise ValidationError(f"{path} is neither a certificate nor a coind/ind artifact")
+    cert = certificate_from_json_dict(result["certificate"])
+    params = result.get("space_params", {})
+    if not isinstance(params, dict):
+        raise ValidationError(f"{path}: space_params {params!r} is not an object")
+    stated = params.get("p", cert.p)
+    if type(stated) is not int or stated != cert.p:
+        raise ValidationError(f"{path}: space_params.p = {stated!r} is not the prime "
+                              f"{cert.p} of the certificate")
+    return cert
+
+
 def cmd_obstruction_report(args):
-    p_list = _int_list(args.p_list)
-    by_space: dict[str, list] = {}
-    x_certs: dict[int, list] = {}
-    z_certs: dict[int, list] = {}
-    for side, paths, sink in (("X", args.x_cert, x_certs), ("Z", args.z_cert, z_certs)):
-        for path in paths or ():
-            data = _load_json(path)
-            try:
-                cert_data = data["result"]["certificate"] if "result" in data else data
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(
-                    f"{path} is neither a certificate nor a coind/ind artifact: {exc!r}") from exc
-            cert = certificate_from_json_dict(cert_data)
-            p = _prime_of_cert(data, cert)
-            sink.setdefault(p, []).append(cert)
-            by_space.setdefault(cert.space, []).append(cert)
-    if not by_space:
-        raise ValidationError("no certificates given")
-    for certs in by_space.values():
-        assert_coindex_le_index(certs)
-    rows = obstruction_report(p_list, x_certs, z_certs)
+    rows = obstruction_report(_int_list(args.p_list),
+                              map(_load_certificate, args.x_cert or ()),
+                              map(_load_certificate, args.z_cert or ()))
     return {"rows": [dataclasses.asdict(row) for row in rows]}
-
-
-def _prime_of_cert(artifact: dict, cert) -> int:
-    """The prime the certificate's evidence holds, that of its map or the `p`
-    of its ambient note, which the artifact's `space_params.p`, if given,
-    must agree with; else (exhaustion evidence holds no prime) that
-    `space_params.p`."""
-    params = artifact.get("result", {}).get("space_params") if "result" in artifact else None
-    stated = prime(params["p"], "space_params.p") if params and "p" in params else None
-    ev = cert.evidence
-    held = (ev.source.p if hasattr(ev, "source")
-            else ev["p"] if cert.kind == "ambient_bound" else None)
-    if held is None:
-        if stated is None:
-            raise ValidationError("cannot determine the prime of a certificate; "
-                                  "pass artifacts produced by the coind/ind commands")
-        return stated
-    if stated is not None and stated != held:
-        raise ValidationError(f"space_params.p = {stated!r} disagrees with the prime "
-                              f"{held} of the certificate's evidence")
-    return held
 
 
 HANDLERS = {

@@ -351,44 +351,27 @@ def e_n_zp(n: int, p: int) -> FreeZpComplex:
     return join_power(make_discrete_zp(p), whole(n, "n") + 1)
 
 
-def subdivide_complex(cx: SimplicialComplex) -> tuple[SimplicialComplex, dict[Simplex, int]]:
-    """Barycentric subdivision; returns the new complex and the map sending
-    each old simplex to its barycenter's vertex index."""
-    if cx.is_empty():
-        return cx, {}
-    verts = sorted(cx.simplices(), key=lambda s: (len(s), s))
-    index = {s: i for i, s in enumerate(verts)}
-    # Chains of proper faces; dimensions strictly increase along a chain.
-    chains_ending_at: dict[Simplex, list[tuple[int, ...]]] = {}
-    for s in verts:
-        own = (index[s],)
-        ending = [own]
-        if len(s) > 1:
-            for face in _proper_faces(s):
-                for c in chains_ending_at[face]:
-                    ending.append(c + (index[s],))
-        chains_ending_at[s] = ending
-    by_dim: dict[int, set[Simplex]] = {}
-    for ending in chains_ending_at.values():
-        for c in ending:
-            by_dim.setdefault(len(c) - 1, set()).add(tuple(sorted(c)))
-    top = max(by_dim)
-    levels = [sorted(by_dim.get(d, ())) for d in range(top + 1)]
-    return SimplicialComplex(len(verts), levels), index
-
-
-def _proper_faces(s: Simplex):
-    for r in range(1, len(s)):
-        yield from itertools.combinations(s, r)
-
-
 def barycentric_subdivide(x: FreeZpComplex) -> FreeZpComplex:
-    """Barycentric subdivision with the induced (still free) action."""
-    sd, index = subdivide_complex(x.complex)
-    perm = [0] * sd.vertex_count
+    """Barycentric subdivision with the induced (still free) action.
+
+    Vertex i is the barycenter of the i-th simplex in (dimension,
+    lexicographic) order, the order `simplices` yields.  A simplex of the
+    subdivision is a chain of faces, built once: a chain ending at s is s
+    alone or a chain ending at a proper face of s, extended by s.  A face
+    comes before its cofaces, so every chain is already increasing."""
+    index = {s: i for i, s in enumerate(x.complex.simplices())}
+    chains_ending_at: dict[Simplex, list[Simplex]] = {}
+    levels: list[list[Simplex]] = [[] for _ in x.complex.by_dim]
     for s, i in index.items():
-        perm[i] = index[x.action.apply(s)]
-    return FreeZpComplex(sd, ZpAction(x.p, tuple(perm)))
+        ending = [(i,)]
+        for r in range(1, len(s)):
+            for face in itertools.combinations(s, r):
+                ending.extend(c + (i,) for c in chains_ending_at[face])
+        chains_ending_at[s] = ending
+        for c in ending:
+            levels[len(c) - 1].append(c)
+    perm = tuple(index[x.action.apply(s)] for s in index)
+    return FreeZpComplex(SimplicialComplex(len(index), map(sorted, levels)), ZpAction(x.p, perm))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ library searches over ANDed bitset domains), the enumerator's node counts
 come from place-and-check backtracking (the library charges the same nodes
 but never tries a symbol its domain excludes), simplicial closures and
 maximal simplices come from all subsets and all pairs (the library walks
-facets level by level), the
+facets level by level), barycentric subdivisions list every chain under
+strict inclusion (the library extends the chains ending at each face), the
 triangulation of a cubical complex walks every cell with every corner built
 from scratch (the library walks maximal cells, moving one corner per step),
 cell and word families are judged valid cell by cell and word by word (the
@@ -446,6 +447,25 @@ def brute_force_maximal(simplices):
     family = [frozenset(s) for s in simplices]
     maximal = [s for s in family if not any(s < t for t in family)]
     return sorted((tuple(sorted(s)) for s in maximal), key=lambda s: (len(s), s))
+
+
+def brute_force_subdivision(simplices, perm):
+    """Barycentric subdivision of the downward-closed family `simplices`
+    under the vertex permutation `perm`.  Barycenter i is the i-th simplex
+    in (dimension, lexicographic) order; the simplices are all chains under
+    strict inclusion, found by extending every chain by every strict
+    superset of its last member.  Returns (set of sorted chains, the
+    permutation of the barycenters)."""
+    order = sorted(map(tuple, simplices), key=lambda s: (len(s), s))
+    members = [frozenset(s) for s in order]
+    chains = set()
+    stack = [(i,) for i in range(len(order))]
+    while stack:
+        chain = stack.pop()
+        chains.add(tuple(sorted(chain)))
+        stack.extend(chain + (j,) for j, t in enumerate(members) if members[chain[-1]] < t)
+    images = [tuple(sorted(perm[v] for v in s)) for s in order]
+    return chains, tuple(map(order.index, images))
 
 
 def brute_force_triangulation(cx):

@@ -229,11 +229,12 @@ class TestObstructionReport:
         x_lo = coindex_lower(x2, 0)
         z_up = index_upper(z2, 2)
         z_lo = coindex_lower(z2, 0)
-        return {2: [x_lo]}, {2: [z_up, z_lo]}
+        return [x_lo], [z_up, z_lo]
 
     def test_rows(self):
         x_certs, z_certs = self._certs()
-        assert z_certs[2][0].kind == "map_witness"
+        assert z_certs[0].kind == "map_witness"
+        assert {cert.p for cert in x_certs + z_certs} == {2}
         rows = obstruction_report([2], x_certs, z_certs)
         assert rows[0].p == 2
         assert rows[0].x_coind_lower == 0
@@ -257,6 +258,24 @@ class TestObstructionReport:
     def test_empty_store_rejected(self):
         with pytest.raises(ValidationError):
             obstruction_report([2], {}, {})
+
+    def test_filed_under_the_prime_of_the_evidence(self):
+        """An exhausted coind >= 2 search on E_1(Z_3) is filed under p = 3,
+        its note's prime, and never in the p = 2 row."""
+        x3 = coindex_lower(e_n_zp(1, 3), 2)
+        assert (x3.kind, x3.p, x3.evidence["p"]) == ("exhaustion", 3, 3)
+        _, z_certs = self._certs()
+        with pytest.raises(ValidationError, match="p=2"):
+            obstruction_report([2], [x3], z_certs)
+
+    def test_contradiction_raises_before_any_row(self):
+        """coind >= 1 on E_1(Z_2) against an ambient ind <= 0 filed under
+        the same space label."""
+        x = coindex_lower(e_n_zp(1, 2), 1)
+        z = ambient_sphere_bound(offset_gap(1, 2), space=x.space)
+        assert (x.kind, x.value, z.value, z.p) == ("map_witness", 1, 0, 2)
+        with pytest.raises(ConsistencyError):
+            obstruction_report([2], [x], [z])
 
 
 class TestAmbientBound:
@@ -340,7 +359,8 @@ def unwrap(data):
 # entry, each edited after encoding so that its evidence no longer derives it;
 # then evidence holding a float or a bool where an int belongs (each derives
 # the same value as the int), evidence not in the form it is written in, and
-# a certificate without its space or with one that is not a string.
+# a certificate without its space or with one that is not a string, and
+# notes without their prime or with a field their derivation does not read.
 FORGERIES = {
     "witness-coind-value": (lambda: coindex_lower(e_n_zp(1, 3), 1), set_field(["value"], 2)),
     "witness-coind-depth": (lambda: coindex_lower(e_n_zp(1, 3), 1), set_field(["depth"], 1)),
@@ -371,6 +391,14 @@ FORGERIES = {
         lambda: ambient_sphere_bound(offset_gap(1, 3)),
         lambda data: data.update(evidence={"type": "homology", **data["evidence"]["fields"]})),
     "exhaustion-unwrapped": (lambda: coindex_lower(make_discrete_zp(3), 1), unwrap),
+    "exhaustion-without-p": (lambda: coindex_lower(make_discrete_zp(3), 1),
+                             lambda data: data["evidence"]["fields"].pop("p")),
+    "exhaustion-scope-for-note": (
+        lambda: coindex_lower(make_discrete_zp(3), 1),
+        lambda data: data["evidence"]["fields"].update(
+            scope=data["evidence"]["fields"].pop("note"))),
+    "ambient-extra-scope": (lambda: ambient_sphere_bound(offset_gap(1, 3)),
+                            set_field(["evidence", "fields", "scope"], "true")),
     "witness-without-space": (lambda: index_upper(e_n_zp(1, 2), 1), lambda data: data.pop("space")),
     "witness-list-space": (lambda: index_upper(e_n_zp(1, 2), 1), set_field(["space"], [])),
 }
@@ -388,6 +416,10 @@ NON_INTEGERS = {
     "nodes-string": {"nodes": "x"},
     "nodes-bool": {"nodes": False},
     "nodes-negative": {"nodes": -2},
+    "p-float": {"p": 3.0},
+    "p-bool": {"p": True},
+    "p-not-prime": {"p": 4},
+    "p-null": {"p": None},
 }
 
 
@@ -405,7 +437,7 @@ class TestForgeries:
             certificate_from_json_dict(data)
 
     def test_non_integer_value_refused_on_construction(self):
-        evidence = {"attempted": 1, "nodes": 4}
+        evidence = {"attempted": 1, "nodes": 4, "note": "", "p": 3}
         assert IndexCertificate("exhaustion", "coind_lower", 1, evidence).value == 1
         for value, depth in [(1.0, 0), (True, 0), (1, -1), (1, 1.0), (1, False)]:
             with pytest.raises(ValidationError):

@@ -246,7 +246,59 @@ def ind_certificate_with_booleans(directory, fields):
     return json.dumps(data)
 
 
+def edited_exhaustion_prime():
+    """An exhausted coind >= 2 search on E_1(Z_3) whose `space_params.p` was
+    edited to 2, beside a genuine p = 2 coind artifact on Z: its note says
+    p = 3, so it may not enter the p = 2 row."""
+    art = coind_artifact("coind --space enzp --n 1 --p 3 --target 2")
+    assert art["result"]["certificate"]["kind"] == "exhaustion"
+    art["result"]["space_params"]["p"] = 2
+    return art, coind_artifact("coind --space Z --p 2 --grid 4 --target 0")
+
+
+def space_params_string():
+    """A coind artifact on E_0(Z_3) whose `space_params` is the string "p",
+    beside a genuine p = 3 coind artifact on Z."""
+    art = coind_artifact("coind --space enzp --n 0 --p 3 --target 0")
+    art["result"]["space_params"] = "p"
+    return art, coind_artifact("coind --space Z --p 3 --grid 2 --target 0")
+
+
+def exhaustion_without_prime():
+    """An exhausted coind >= 1 search on three points whose note lacks its
+    `p`, as such notes were written before they held one."""
+    art = coind_artifact("coind --space enzp --n 0 --p 3 --target 1")
+    del art["result"]["certificate"]["evidence"]["fields"]["p"]
+    return art, coind_artifact("coind --space Z --p 3 --grid 2 --target 0")
+
+
+def ambient_under_witness_label():
+    """coind >= 1 on E_1(Z_2), a map witness, against the ambient ind <= 0
+    of X_1(N=1, p=2) filed under the same space label."""
+    art = coind_artifact("coind --space enzp --n 1 --p 2 --target 1")
+    space = art["result"]["certificate"]["space"]
+    cx = build_pp_xm(1, Fraction(1, 2), 1, 2, GridSpec(1, 2))
+    return art, certificate_to_json_dict(ambient_sphere_bound(cx, space=space))
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("p_list,make,code", [
+        ("2", edited_exhaustion_prime, 2),
+        ("3", space_params_string, 2),
+        ("3", exhaustion_without_prime, 2),
+        ("2", ambient_under_witness_label, 4),
+    ], ids=["edited-exhaustion-prime", "space-params-string", "exhaustion-without-prime",
+            "contradiction"])
+    def test_certificate_prime_and_consistency(self, tmp_path, capsys, p_list, make, code):
+        x, z = make()
+        for name, data in (("x", x), ("z", z)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["obstruction-report", "--p-list", p_list, "--x-cert", str(tmp_path / "x.json"),
+                     "--z-cert", str(tmp_path / "z.json")]) == code
+        assert capsys.readouterr().err.startswith(
+            "validation error" if code == 2 else "internal consistency violation")
+
     def test_validation_error_is_2(self, tmp_path, capsys):
         code = main(["coind", "--space", "Xm", "--N", "1", "--delta", "1/2",
                      "--m", "1", "--p", "9", "--grid", "2", "--target", "0"])
@@ -413,10 +465,10 @@ FROZEN = {
         "5ec4d74f59023535b260f53fa5c9319d4c1268c8443eaea0c6bcc8d87dead22b"),
     "coind-exhausted": (
         "coind --space enzp --n 1 --p 3 --target 2",
-        "2925acaa94faa715b3633941fc3c5765f70a243faf4b9a9546d548e0352620a4"),
+        "5ce4f82e1543c8cd0ce5b3bd125027065880fff743db3f2f9d0c9af4fc77b3fe"),
     "ind-exhausted": (
         "ind --space enzp --n 1 --p 2 --target 0",
-        "4a69fdb4813813f6b9931374f2fcf393adbd33a0f8e437756c526e4ebcd676f5"),
+        "66e4284e0f8591aac4fc3fbd496d1490029132b8fadf3fa4baa74a6684db7fa5"),
     # Commands before the last write its inputs; the last one is hashed.
     "obstruction-report": (
         "coind --space Xm --N 1 --delta 3/5 --m 1 --p 2 --grid 4 --target 0 --out {d}/x.json"

@@ -1,6 +1,6 @@
 """The ladder (tools/cubical_ladder.py) times its stages by wrapping module
 and class attributes of the program.  A moved or renamed function would
-leave its wrapper unused and its stage reading 0 s, so two rungs are run
+leave its wrapper unused and its stage reading 0 s, so these rungs are run
 once each and every stage they exercise must read more than 0."""
 
 import importlib.util
@@ -18,6 +18,7 @@ EXERCISED = {
     "x1-n2p3g2": ("enumerate", "validate", "homology", "rank"),
     "ind-x1-n2p3g2": ("enumerate", "validate", "close", "complex_validation",
                       "action_validation", "maximal", "verify"),
+    "coind-e3p2-d2": ("subdivide", "complex_validation", "action_validation", "verify"),
     "periodic-sigma2-n3to16": ("enumerate",),
 }
 

@@ -11,6 +11,7 @@ from oracles import (
     betti_by_elimination,
     brute_force_closure,
     brute_force_maximal,
+    brute_force_subdivision,
     complex_ok,
     cycles,
     fixed_by_some_power,
@@ -30,7 +31,6 @@ from zpindex.simplicial import (
     join_power,
     make_discrete_zp,
     shift_orbits,
-    subdivide_complex,
 )
 from zpindex.verify import check_vertex_map
 
@@ -143,9 +143,13 @@ class TestStandardModels:
 
 class TestSubdivision:
     def test_single_edge_becomes_path(self):
-        cx = SimplicialComplex.from_simplices(2, [(0, 1)])
-        sd, _ = subdivide_complex(cx)
-        assert sd.f_vector() == (3, 2)
+        """Two edges swapped by Z_2 (one edge admits no free action)."""
+        x = FreeZpComplex(SimplicialComplex.from_simplices(4, [(0, 1), (2, 3)]),
+                          ZpAction(2, (2, 3, 0, 1)))
+        sd = barycentric_subdivide(x)
+        assert sd.complex.f_vector() == (6, 4)
+        assert sd.complex.maximal_simplices() == [(0, 4), (1, 4), (2, 5), (3, 5)]
+        assert sd.action.perm == (2, 3, 0, 1, 5, 4)
 
     def test_four_cycle_becomes_eight_cycle(self):
         x = e_n_zp(1, 2)
@@ -175,6 +179,42 @@ class TestSubdivision:
         assert homology(x.complex, p, reduced=True).betti == \
             homology(sd.complex, p, reduced=True).betti
         assert_valid(sd)
+
+
+@st.composite
+def free_complexes(draw):
+    """The Z_p-images of a few drawn simplices over 1-4 vertex orbits
+    (vertex v moves to v + 1 within its orbit of p).  A drawn simplex that
+    holds a whole orbit loses that orbit's last vertex, so no face is
+    setwise fixed and the action is free."""
+    p = draw(st.sampled_from([2, 3]))
+    orbits = draw(st.integers(1, 4))
+    perm = tuple(v - v % p + (v + 1) % p for v in range(orbits * p))
+    seeds = draw(st.lists(st.sets(st.integers(0, orbits * p - 1), min_size=1, max_size=4),
+                          min_size=1, max_size=3))
+    images = []
+    for s in seeds:
+        s -= {o * p + p - 1 for o in range(orbits) if all(o * p + j in s for j in range(p))}
+        for _ in range(p):
+            images.append(tuple(s))
+            s = {perm[v] for v in s}
+    return FreeZpComplex(SimplicialComplex.from_simplices(orbits * p, images), ZpAction(p, perm))
+
+
+class TestSubdivisionOracle:
+    @settings(max_examples=60)
+    @given(free_complexes())
+    def test_chains_under_inclusion(self, x):
+        sd = barycentric_subdivide(x)
+        chains, perm = brute_force_subdivision(x.complex.simplices(), x.action.perm)
+        assert sd.complex.vertex_count == len(perm)
+        assert sd.complex.simplex_set() == chains
+        assert sd.action.perm == perm
+        assert_valid(sd)
+
+    def test_empty_complex(self):
+        sd = barycentric_subdivide(FreeZpComplex(SimplicialComplex(0, []), ZpAction(2, ())))
+        assert sd.complex.is_empty() and sd.complex.vertex_count == 0
 
 
 class TestHomology:

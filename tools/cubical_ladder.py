@@ -22,6 +22,8 @@ Each stage's time is its own, less the stages called inside it:
 - homology: `cli.cubical_homology`, that is the boundary columns and the
   driver's bookkeeping;
 - rank: `fplinalg.fp_rank`, with the number of columns it was given;
+- subdivide: `barycentric_subdivide`, wrapped where `certificates` calls it
+  for a search's source and where the `subdivide` subcommand calls it;
 - close: `SimplicialComplex.from_simplices`, the downward closure;
 - complex_validation: `SimplicialComplex._validate`;
 - action_validation: `FreeZpComplex._validate`;
@@ -65,6 +67,8 @@ INSTANCES = {
     "ind-x1-n2p3g2": f"ind {_xm(2, 3, 2)} --target 2",
     "coind-x1-n2p3g2": f"coind {_xm(2, 3, 2)} --target 0",
     "coind-z-p3g4": "coind --space Z --p 3 --grid 4 --target 0",
+    # E_3(Z_2) subdivided twice (1,696 vertices) and searched into E_3(Z_2)
+    "coind-e3p2-d2": "coind --space enzp --n 3 --p 2 --target 3 --depth 2",
     # the topology workload's periodic-point job: 131,766 words
     "periodic-sigma2-n3to16": "periodic --shift sigma_m --m 2 --n "
                               + ",".join(map(str, range(3, 17))),
@@ -72,8 +76,8 @@ INSTANCES = {
     "reload-x1-n2p3g3": f"config-space {_xm(2, 3, 3)}",
 }
 RELOADED = {"reload-x1-n2p3g3"}
-STAGES = ("enumerate", "validate", "homology", "rank", "close", "complex_validation",
-          "action_validation", "maximal", "verify")
+STAGES = ("enumerate", "validate", "homology", "rank", "subdivide", "close",
+          "complex_validation", "action_validation", "maximal", "verify")
 
 
 def run_one(name: str, src: str) -> dict:
@@ -115,6 +119,8 @@ def run_one(name: str, src: str) -> dict:
     zpindex.cli.periodic_table = timed("enumerate", zpindex.cli.periodic_table)
     zpindex.cli.cubical_homology = timed("homology", zpindex.cli.cubical_homology)
     zpindex.fplinalg.fp_rank = timed("rank", counted(zpindex.fplinalg.fp_rank))
+    for module in (zpindex.certificates, zpindex.cli):
+        module.barycentric_subdivide = timed("subdivide", module.barycentric_subdivide)
     simplicial = zpindex.simplicial.SimplicialComplex
     simplicial.from_simplices = classmethod(timed("close", simplicial.from_simplices.__func__))
     simplicial._validate = timed("complex_validation", simplicial._validate)
