@@ -5,9 +5,8 @@ circle of circumference 2 split into 2G arcs).  A box is an axis-aligned box
 whose axis intervals have grid length 0 or 1, and a cell is a p-periodic
 word over the alphabet of boxes.  The defining constraint is a window
 constraint on such words (pairs at offset m for X_m, consecutive triples for
-Y/Z), so the cells are listed by the one enumerator `subshifts.cyclic_words`,
-shifted by `subshifts.rotate` and walked one orbit at a time by
-`simplicial.shift_orbits`.
+Y/Z), so the cells are listed by the one enumerator
+`subshifts.each_cyclic_word`, run over the box indices.
 A window is forbidden unless the constraint holds at every point of its
 boxes, certified by exact integer interval arithmetic; the kept set is
 therefore automatically closed under faces and under the cyclic shift, and
@@ -16,6 +15,13 @@ bounds only.  An index upper bound on the true space comes from the
 ambient-sphere formula, which `certificates.ambient_sphere_bound` derives
 from an offset-gap complex in a cube.  Cubical homology is the driver
 `fplinalg.betti_numbers` with the cubical face rule of `cubical_homology`.
+
+A cell is one int, its code: its p base-B digits index its boxes among the
+B sorted boxes, position 0 the most significant.  Numbers of p digits compare
+as their digit strings do, and indices as their boxes, so codes order cells
+(and vertices) as their box tuples do.  The shift T is the digit rotation
+(c mod B^(p-1))*B + c // B^(p-1); a face turns digit i from box d into its
+face f by adding (f - d)*B^(p-1-i).  `encode` and `decode` give box tuples.
 
 Only X_1 needs bounds of its own.  For p not dividing m, take l with
 l*m = 1 mod p; the relabelling (x_n) -> (x_{l n}) maps X_1 onto X_m, cell by
@@ -32,17 +38,16 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 
-from .errors import ValidationError, whole
+from .errors import DEFAULT_CELL_BUDGET, ValidationError, whole
 from .fplinalg import betti_numbers, prime
-from .simplicial import FreeZpComplex, HomologyProfile, SimplicialComplex, ZpAction, shift_orbits
-from .subshifts import cyclic_words, rotate, satisfies
+from .simplicial import FreeZpComplex, HomologyProfile, SimplicialComplex, ZpAction
+from .subshifts import each_cyclic_word
 
 AxisInterval = tuple[int, int]  # (lo, length), length in {0, 1}
 Box = tuple[AxisInterval, ...]
-Cell = tuple[Box, ...]
 
-DEFAULT_CELL_BUDGET = 10_000_000
 MAX_P = 7
 MAX_N = 3
 
@@ -101,14 +106,15 @@ class OffsetGapConstraint:
         return (0, self.offset)
 
     def forbidden_test(self, grid: GridSpec):
-        """forbidden((a, b)): the boxes' squared gap is < delta^2, in grid units.
-        Each distinct window is judged once per call (`functools.cache`)."""
+        """forbidden((i, j)) on box indices: the boxes' squared gap is
+        < delta^2, in grid units.  Each distinct window is judged once per
+        call (`functools.cache`)."""
         s, t = self.delta.numerator, self.delta.denominator
-        threshold = s * s * grid.G * grid.G
-        t2 = t * t
+        threshold, t2, boxes = s * s * grid.G * grid.G, t * t, _alphabet(grid)[0]
 
-        def judge(window: tuple[Box, Box]) -> bool:
-            return t2 * sum(_axis_gap(x, y) ** 2 for x, y in zip(*window)) < threshold
+        def judge(window: tuple[int, int]) -> bool:
+            a, b = map(boxes.__getitem__, window)
+            return t2 * sum(_axis_gap(x, y) ** 2 for x, y in zip(a, b)) < threshold
         return functools.cache(judge)
 
 
@@ -131,109 +137,120 @@ class CirclePairConstraint:
             raise ValidationError("kind must be 'Y' or 'Z'")
 
     def forbidden_test(self, grid: GridSpec):
-        """forbidden((a, b, c)) on three consecutive one-axis boxes, each
-        distinct window judged once per call."""
-        g, two_g = grid.G, 2 * grid.G
+        """forbidden((i, j, k)) on the indices of three consecutive one-axis
+        boxes, each distinct window judged once per call."""
+        g, two_g, boxes = grid.G, 2 * grid.G, _alphabet(grid)[0]
         if self.kind == "Z":
             # rho >= 1/2 on an arc pair iff 2*gap >= G in grid units.
-            def judge(window: tuple[Box, Box, Box]) -> bool:
-                (a,), (b,), (c,) = window
+            def judge(window: tuple[int, int, int]) -> bool:
+                (a,), (b,), (c,) = map(boxes.__getitem__, window)
                 return (2 * _circle_gap(a, b, two_g) < g
                         and 2 * _circle_gap(b, c, two_g) < g)
         else:
             # Two grid points G arcs apart: an antipodal pair.
-            def judge(window: tuple[Box, Box, Box]) -> bool:
-                ((x, xl),), ((y, yl),), ((z, zl),) = window
+            def judge(window: tuple[int, int, int]) -> bool:
+                ((x, xl),), ((y, yl),), ((z, zl),) = map(boxes.__getitem__, window)
                 return not (xl == yl == 0 and (x - y) % two_g == g
                             or yl == zl == 0 and (y - z) % two_g == g)
         return functools.cache(judge)
 
 
-def cell_dim(cell: Cell) -> int:
-    return sum(iv[1] for box in cell for iv in box)
-
-
 @functools.cache
-def _box_faces(grid: GridSpec) -> dict[Box, tuple[Box, ...]]:
-    """Each box to the top and then the bottom face of each unit interval, in axis order."""
+def _alphabet(grid: GridSpec) -> tuple[tuple[Box, ...], dict[Box, int], tuple[tuple[int, ...]]]:
+    """The sorted boxes, each box's index, and per index the indices of the
+    top and then the bottom face of each unit interval, in axis order."""
+    boxes = tuple(grid.boxes())
+    index = {box: k for k, box in enumerate(boxes)}
     two_g = 2 * grid.G if grid.circle_valued else None
-    return {box: tuple(box[:axis] + ((pos, 0),) + box[axis + 1:]
-                       for axis, (lo, ln) in enumerate(box) if ln
-                       for pos in ((lo + 1) % two_g if two_g else lo + 1, lo))
-            for box in grid.boxes()}
+    return boxes, index, tuple(tuple(index[box[:axis] + ((pos, 0),) + box[axis + 1:]]
+                                     for axis, (lo, ln) in enumerate(box) if ln
+                                     for pos in ((lo + 1) % two_g if two_g else lo + 1, lo))
+                               for box in boxes)
 
 
-def cell_faces(cell: Cell, grid: GridSpec) -> list[Cell]:
-    """Codimension-one faces: the top and then the bottom face of the j-th
-    unit interval (coordinate-major order) sit at positions 2j and 2j + 1."""
-    table = _box_faces(grid)
-    return [cell[:n] + (face,) + cell[n + 1:] for n, box in enumerate(cell) for face in table[box]]
+def encode(cell, grid: GridSpec) -> int:
+    """The code of a tuple of grid boxes."""
+    boxes, index, _ = _alphabet(grid)
+    if not set(cell) <= index.keys():
+        raise ValidationError(f"{cell!r} holds a box off the grid {grid}")
+    return functools.reduce(lambda code, box: code * len(boxes) + index[box], cell, 0)
+
+
+def decode(code: int, p: int, grid: GridSpec) -> tuple[Box, ...]:
+    """The p boxes whose indices are the base-B digits of the code."""
+    boxes = _alphabet(grid)[0]
+    return tuple(boxes[code // len(boxes) ** (p - 1 - i) % len(boxes)] for i in range(p))
 
 
 class CubicalZpComplex:
-    """Shift-closed, face-closed family of certified cells on which the
-    cyclic shift acts freely.  The sorted cells are grouped by dimension
-    once, at construction.
+    """Shift-closed, face-closed family of certified cells, held as sorted
+    codes grouped by dimension, on which the cyclic shift acts freely.  The
+    window constraint and the faces commute with the shift T, which moves
+    digit i + 1 to position i.  So once every cell's image is a cell, the
+    window and the faces at position 0 of all cells are those at every
+    position, and only they are checked, each check one pass over the codes.
+    p is prime, so the action is free once no cell is its own image."""
 
-    The box alphabet, the window constraint and the face relation commute
-    with the shift T (faces(T c) = T faces(c)), so they are checked on the
-    first cell of each orbit, and `shift_orbits` checks that every cell's
-    image is a cell; the faces of a first cell then give those of its whole
-    orbit.  p is prime, so an orbit has 1 or p members: the action is free
-    once each first cell differs from its image."""
-
-    __slots__ = ("p", "grid", "constraint", "cells", "_cell_set", "_by_dim")
+    __slots__ = ("p", "grid", "constraint", "cells", "_by_dim", "_base", "_lead", "_positions")
 
     def __init__(self, p: int, grid: GridSpec, constraint, cells):
-        self.p = p
-        self.grid = grid
-        self.constraint = constraint
-        self.cells = tuple(sorted(cells))
-        self._cell_set = frozenset(self.cells)
-        dims = self._validate()
-        by_dim: list[list[Cell]] = [[] for _ in range(max(dims, default=-1) + 1)]
-        for cell, k in zip(self.cells, dims):
-            by_dim[k].append(cell)
-        self._by_dim = tuple(map(tuple, by_dim))
-
-    def _validate(self) -> bytearray:
-        """Check the family; return each cell's dimension, taken once per orbit."""
-        prime(self.p)
-        if len(self._cell_set) != len(self.cells):
+        self.p, self.grid, self.constraint = prime(p), grid, constraint
+        cells = list(cells)
+        if set(map(type, cells)) - {int}:
+            raise ValidationError("cells must be int codes")
+        self.cells = cells = tuple(sorted(cells))
+        boxes, _, box_faces = _alphabet(grid)
+        base = self._base = len(boxes)
+        lead = self._lead = base ** (p - 1)
+        # per position from 0: its weight, and per box the code steps to its faces
+        self._positions = tuple((w, tuple(tuple((f - d) * w for f in faces)
+                                          for d, faces in enumerate(box_faces)))
+                                for w in (base ** (p - 1 - i) for i in range(p)))
+        if cells and (cells[0] < 0 or cells[-1] >= lead * base):
+            raise ValidationError(f"codes must lie in range({base}**{p})")
+        present = set(cells)
+        if len(present) != len(cells):
             raise ValidationError("duplicate cells")
-        boxes = frozenset(self.grid.boxes())
-        forbidden = self.constraint.forbidden_test(self.grid)
 
-        def check(cell):
-            if len(cell) != self.p or not boxes.issuperset(cell):
-                raise ValidationError(f"cell {cell} is not a p-tuple of grid boxes")
-            if not satisfies(cell, self.constraint.offsets, forbidden):
-                raise ValidationError(f"cell {cell} fails the defining constraint")
-            for face in cell_faces(cell, self.grid):
-                if face not in self._cell_set:
-                    raise ValidationError(f"face {face} of {cell} missing")
-            if rotate(cell) == cell:
-                raise ValidationError(f"cell {cell} is fixed by the shift")
-        dims = bytearray(len(self.cells))
-        for orbit in shift_orbits(self.cells, rotate, check, "shift image of {} missing"):
-            k = cell_dim(self.cells[orbit[0]])
-            for i in orbit:
-                dims[i] = k
-        return dims
+        def refuse(bad, message: str):
+            raise ValidationError(message.format(decode(next(filter(bad, cells)), p, grid)))
+        digits = [[code // w % base for code in cells] for w, _ in self._positions]
+        first, steps = digits[0], self._positions[0][1]
+        images = list(map(sub, map(base.__mul__, cells), map((lead * base - 1).__mul__, first)))
+        if any(map(int.__eq__, cells, images)):
+            refuse(lambda code: self.shift(code) == code, "cell {} is fixed by the shift")
+        first_faces = (code + s for code, d in zip(cells, first) for s in steps[d])
+        if not (present.issuperset(images) and present.issuperset(first_faces)):
+            refuse(lambda code: not present.issuperset([self.shift(code), *self.faces(code)]),
+                   "the shift image or a face of {} is missing")
+        windows = zip(*(digits[o % p] for o in constraint.offsets))
+        verdicts = list(map(constraint.forbidden_test(grid), windows))
+        if True in verdicts:
+            refuse(dict(zip(cells, verdicts)).get, "cell {} fails the defining constraint")
+        box_dims = [len(faces) // 2 for faces in box_faces]
+        dims = list(map(sum, zip(*(map(box_dims.__getitem__, column) for column in digits))))
+        self._by_dim = tuple(tuple(itertools.compress(cells, map(k.__eq__, dims)))
+                             for k in range(max(dims, default=-1) + 1))
+
+    def shift(self, code: int) -> int:
+        """T: the digit rotation that moves position 0 to the end."""
+        first, rest = divmod(code, self._lead)
+        return rest * self._base + first
+
+    def faces(self, code: int) -> list[int]:
+        """Codes of the codimension-one faces: the top and then the bottom face
+        of the j-th unit interval (position-major, axis order) at 2j, 2j + 1."""
+        steps = []
+        for w, table in self._positions:
+            steps += table[code // w % self._base]
+        return list(map(code.__add__, steps))
 
     @property
     def dim(self) -> int:
         return len(self._by_dim) - 1
 
-    def is_empty(self) -> bool:
-        return not self.cells
-
-    def cells_of_dim(self, k: int) -> tuple[Cell, ...]:
+    def cells_of_dim(self, k: int) -> tuple[int, ...]:
         return self._by_dim[k] if 0 <= k < len(self._by_dim) else ()
-
-    def __eq__(self, other):
-        return (isinstance(other, CubicalZpComplex) and self.p == other.p
-                and self.grid == other.grid and self.cells == other.cells)
 
     def __repr__(self):
         return (f"CubicalZpComplex(p={self.p}, grid={self.grid}, "
@@ -241,10 +258,12 @@ class CubicalZpComplex:
 
 
 def _enumerate_cells(p: int, grid: GridSpec, constraint, budget: int) -> CubicalZpComplex:
-    """The p-periodic words over the grid's boxes that pass the constraint."""
-    cells = cyclic_words(grid.boxes(), p, constraint.offsets, constraint.forbidden_test(grid),
-                         budget)
-    return CubicalZpComplex(p, grid, constraint, cells)
+    """The p-periodic words over the box indices that pass the constraint, as codes."""
+    base = len(_alphabet(grid)[0])
+    weights = [base ** (p - 1 - i) for i in range(p)]
+    words = each_cyclic_word(range(base), p, constraint.offsets, constraint.forbidden_test(grid),
+                             budget)
+    return CubicalZpComplex(p, grid, constraint, [sum(map(mul, word, weights)) for word in words])
 
 
 def build_pp_xm(N: int, delta: int | Fraction, m: int, p: int, grid: GridSpec,
@@ -276,11 +295,10 @@ def build_pp_yz(which: str, p: int, grid: GridSpec,
 def cubical_homology(cx: CubicalZpComplex, p_coeff: int) -> HomologyProfile:
     """Betti numbers over F_{p_coeff}, not reduced.  The j-th unit interval
     of a cell contributes (-1)^j * (top face - bottom face), so by the order
-    of cell_faces the faces have the signs + - - + repeating."""
-    def signed_faces(cell: Cell):
-        return zip(cell_faces(cell, cx.grid), itertools.cycle((1, -1, -1, 1)))
-    return HomologyProfile(p_coeff, betti_numbers(cx._by_dim, signed_faces, p_coeff, False),
-                           False)
+    of `CubicalZpComplex.faces` the faces have the signs + - - + repeating."""
+    def signed_faces(code: int):
+        return zip(cx.faces(code), itertools.cycle((1, -1, -1, 1)))
+    return HomologyProfile(p_coeff, betti_numbers(cx._by_dim, signed_faces, p_coeff, False), False)
 
 
 # ---------------------------------------------------------------------------
@@ -290,34 +308,25 @@ def cubical_homology(cx: CubicalZpComplex, p_coeff: int) -> HomologyProfile:
 # is permuted into itself by the cyclic shift, so the action stays simplicial
 # and free and the geometric realization is unchanged.  Since it restricts to
 # faces, only the maximal cells are walked; `from_simplices` supplies the
-# simplices of the lower cells as faces.
+# simplices of the lower cells as faces.  Codes add over digits, and box
+# indices over interval ranks (mixed radix), so a cell's lowest corner sums
+# its steps to its bottom faces, and a bottom-to-top step raises any corner.
 
 def cubical_to_simplicial(cx: CubicalZpComplex) -> FreeZpComplex:
     """The corner-path triangulation, vertices numbered by the sorted 0-cells,
     with the cyclic shift as the action."""
-    grid = cx.grid
-    if grid.circle_valued and grid.G < 2:
+    if cx.grid.circle_valued and cx.grid.G < 2:
         raise ValidationError("circle triangulation needs G >= 2 (distinct arc endpoints)")
     verts = cx.cells_of_dim(0)
     index = {v: i for i, v in enumerate(verts)}
-    faces = {face for cell in cx.cells for face in cell_faces(cell, grid)}
+    faces = {face for code in cx.cells for face in cx.faces(code)}
     tops = []
-    for cell in cx.cells:
-        if cell in faces:
-            continue
-        low = [tuple((lo, 0) for lo, _ in box) for box in cell]
-        raises = [(n, axis, (lo + 1) % (2 * grid.G) if grid.circle_valued else lo + 1)
-                  for n, box in enumerate(cell)
-                  for axis, (lo, ln) in enumerate(box) if ln == 1]
-        for order in itertools.permutations(raises):
-            corner = low[:]
-            path = [index[tuple(corner)]]
-            for n, axis, hi in order:
-                corner[n] = corner[n][:axis] + ((hi, 0),) + corner[n][axis + 1:]
-                path.append(index[tuple(corner)])
-            if len(set(path)) != len(path):
-                raise ValidationError("degenerate corner path; refine the grid")
-            tops.append(path)
-    perm = tuple(index[rotate(v)] for v in verts)
+    for code in cx.cells:
+        if code not in faces:
+            top_bottom = cx.faces(code)
+            start = sum(top_bottom[1::2]) - (len(top_bottom) // 2 - 1) * code
+            for order in itertools.permutations(map(sub, top_bottom[::2], top_bottom[1::2])):
+                tops.append([index[c] for c in itertools.accumulate(order, initial=start)])
+    perm = tuple(index[cx.shift(v)] for v in verts)
     return FreeZpComplex(SimplicialComplex.from_simplices(len(verts), tops),
                          ZpAction(cx.p, perm))

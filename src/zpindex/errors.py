@@ -20,6 +20,11 @@ def whole(value, name: str, least: int = 0) -> int:
     return value
 
 
+# Cells of a cubical model, and simplices of a barycentric subdivision, that
+# one computation may build.
+DEFAULT_CELL_BUDGET = 10_000_000
+
+
 class BudgetExceeded(RuntimeError):
     """A combinatorial computation outgrew its resource budget.
 

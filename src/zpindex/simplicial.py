@@ -15,9 +15,9 @@ vertices are in range iff column 0's minimum and the last column's maximum
 are; dropping column j leaves the j-th facets.
 Action images are two tee'd streams read in step, so no list of them is kept.
 
-Every free Z_p-set of the package that is walked orbit by orbit (vertices
-here, cells in `cubical`) is walked with the one `shift_orbits`; periodic
-words in `subshifts` become vertices, so their orbits are vertex orbits.
+Every free Z_p-set of the package that is walked orbit by orbit is walked
+with the one `shift_orbits`; periodic words in `subshifts` become vertices,
+so their orbits are vertex orbits.
 Every iterated join, E_n(Z_p) included, is `join_power`.
 """
 
@@ -28,9 +28,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from operator import and_, itemgetter, lt, ne, not_
+from operator import and_, itemgetter, lt, mul, ne, not_
 
-from .errors import ValidationError, whole
+from .errors import DEFAULT_CELL_BUDGET, BudgetExceeded, ValidationError, whole
 from .fplinalg import betti_numbers, prime
 
 Simplex = tuple[int, ...]
@@ -156,18 +156,16 @@ class SimplicialComplex:
         return f"SimplicialComplex(vertices={self.vertex_count}, f={self.f_vector()})"
 
 
-def shift_orbits(words, step, check, missing: str):
-    """Walk the orbits of `step` through the distinct `words`: run `check`
-    on the first member of each orbit in `words` order, then step it round,
-    raising ValidationError(missing.format(w)) when the image of w is not a
-    word.  Yields each orbit, listed from its first member, as a tuple of
+def shift_orbits(words, step, missing: str):
+    """Walk the orbits of `step` through the distinct `words`, each from its
+    first member in `words` order, raising ValidationError(missing.format(w))
+    when the image of w is not a word.  Yields each orbit as a tuple of
     positions in `words`."""
     index = {w: i for i, w in enumerate(words)}
     seen = bytearray(len(words))
     for i, first in enumerate(words):
         if seen[i]:
             continue
-        check(first)
         orbit = [i]
         image = step(first)
         while image != first:
@@ -249,7 +247,7 @@ class FreeZpComplex:
         """Orbits of the action on vertices of the complex, each starting at
         its smallest member, sorted by that member."""
         present = [s[0] for s in self.complex.by_dim[0]] if not self.complex.is_empty() else []
-        orbits = shift_orbits(present, self.action.perm.__getitem__, lambda v: None,
+        orbits = shift_orbits(present, self.action.perm.__getitem__,
                               "action image of vertex {} missing")
         return [tuple(map(present.__getitem__, orbit)) for orbit in orbits]
 
@@ -351,6 +349,17 @@ def e_n_zp(n: int, p: int) -> FreeZpComplex:
     return join_power(make_discrete_zp(p), whole(n, "n") + 1)
 
 
+def subdivision_size(f_vector) -> int:
+    """The number of simplices of the barycentric subdivision of a complex
+    with this f-vector: each k-simplex tops as many chains of faces as its
+    k + 1 vertices have ordered set partitions (the Fubini number a(k + 1),
+    where a(n) is the sum over j = 1..n of C(n, j) a(n - j), a(0) = 1)."""
+    fubini = [1]
+    for n in range(1, len(f_vector) + 1):
+        fubini.append(sum(math.comb(n, j) * fubini[n - j] for j in range(1, n + 1)))
+    return sum(map(mul, f_vector, fubini[1:]))
+
+
 def barycentric_subdivide(x: FreeZpComplex) -> FreeZpComplex:
     """Barycentric subdivision with the induced (still free) action.
 
@@ -358,7 +367,13 @@ def barycentric_subdivide(x: FreeZpComplex) -> FreeZpComplex:
     lexicographic) order, the order `simplices` yields.  A simplex of the
     subdivision is a chain of faces, built once: a chain ending at s is s
     alone or a chain ending at a proper face of s, extended by s.  A face
-    comes before its cofaces, so every chain is already increasing."""
+    comes before its cofaces, so every chain is already increasing.  The
+    size is predicted from the f-vector first, and BudgetExceeded is raised
+    before any chain is built when it passes DEFAULT_CELL_BUDGET."""
+    size = subdivision_size(x.complex.f_vector())
+    if size > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(f"the subdivision would have {size} simplices, "
+                             f"above the budget {DEFAULT_CELL_BUDGET}", count=size)
     index = {s: i for i, s in enumerate(x.complex.simplices())}
     chains_ending_at: dict[Simplex, list[Simplex]] = {}
     levels: list[list[Simplex]] = [[] for _ in x.complex.by_dim]

@@ -5,14 +5,13 @@ constraint says that for no i is the window of symbols at i + o (mod n), o
 in a fixed tuple of offsets, forbidden.  `each_cyclic_word` is the one
 enumerator of such words, over any alphabet, and `cyclic_words` its list: a
 depth-first search whose domains are bitsets over the alphabet, the AND of
-one table entry per window closing at the position.  `satisfies` applies the
-same test to a whole word, and `rotate` is the shift on periodic words and
-cubical cells alike.  A shift's periodic points are the enumerator's word
+one table entry per window closing at the position, and `rotate` is the
+shift on periodic words.  A shift's periodic points are the enumerator's word
 list: `periodic_table` counts them as they are found, never holding them,
 and their orbits by Burnside's lemma, with no orbit walked, and
 `as_free_zp_complex` makes a prime-period list a discrete free Z_p-set, for
 `simplicial.join_power` to join.  The cubical models in `cubical` are the
-p-periodic words of this kind over the alphabet of grid boxes.
+p-periodic words of this kind over the indices of grid boxes.
 
 The basic examples here are the three-symbol shifts forbidding equal symbols
 at offset 1 (adjacent symbols differ) and at a general offset m.  Offsets
@@ -142,12 +141,6 @@ class _Table(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
-
-
-def satisfies(word, offsets, forbidden) -> bool:
-    """The window test of `cyclic_words` on a whole word."""
-    n = len(word)
-    return not any(map(forbidden, zip(*(word[o % n:] + word[:o % n] for o in offsets))))
 
 
 def make_sigma_m(m: int, alphabet_size: int = 3) -> Subshift:

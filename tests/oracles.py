@@ -468,26 +468,26 @@ def brute_force_subdivision(simplices, perm):
     return chains, tuple(map(order.index, images))
 
 
-def brute_force_triangulation(cx):
-    """The corner-path triangulation of a cubical complex: for every cell
-    (not only the maximal ones) and every ordering of its unit slots, the
-    path of corners that raises the first r slots of the ordering, r = 0..k,
-    each corner built from scratch; closed by all subsets.  Vertices are the
-    0-cells in sorted order.  Returns (set of sorted simplices, shift
-    permutation of the vertices)."""
-    two_g = 2 * cx.grid.G
-    verts = sorted(c for c in cx.cells if all(ln == 0 for box in c for _, ln in box))
+def brute_force_triangulation(cells, G, circle_valued):
+    """The corner-path triangulation of a face-closed family of p-tuple
+    cells: for every cell (not only the maximal ones) and every ordering of
+    its unit slots, the path of corners that raises the first r slots of the
+    ordering, r = 0..k, each corner built from scratch; closed by all
+    subsets.  Vertices are the 0-cells in sorted order.  Returns (set of
+    sorted simplices, shift permutation of the vertices)."""
+    two_g = 2 * G
+    verts = sorted(c for c in cells if all(ln == 0 for box in c for _, ln in box))
     index = {v: i for i, v in enumerate(verts)}
 
     def corner(cell, raised):
         return tuple(
-            tuple(((lo + 1) % two_g if cx.grid.circle_valued else lo + 1, 0)
+            tuple(((lo + 1) % two_g if circle_valued else lo + 1, 0)
                   if (n, axis) in raised else (lo, 0)
                   for axis, (lo, _) in enumerate(box))
             for n, box in enumerate(cell))
 
     paths = []
-    for cell in cx.cells:
+    for cell in cells:
         slots = [(n, axis) for n, box in enumerate(cell)
                  for axis, (_, ln) in enumerate(box) if ln == 1]
         for order in permutations(slots):

@@ -26,6 +26,7 @@ from zpindex.cubical import (
     build_pp_xm,
     build_pp_yz,
     cubical_to_simplicial,
+    encode,
 )
 from zpindex.errors import BudgetExceeded, ConsistencyError, ValidationError
 from zpindex.simplicial import (
@@ -292,7 +293,8 @@ class TestAmbientBound:
 
     def test_other_constraint_rejected(self):
         cell = (((0, 0),), ((1, 0),))
-        cx = CubicalZpComplex(2, GridSpec(1, 1), AnyCell(), [cell, cell[::-1]])
+        grid = GridSpec(1, 1)
+        cx = CubicalZpComplex(2, grid, AnyCell(), [encode(cell, grid), encode(cell[::-1], grid)])
         with pytest.raises(ValidationError, match="offset-gap"):
             ambient_sphere_bound(cx)
 

@@ -14,7 +14,7 @@ from zpindex.certificates import (
 )
 from zpindex.cli import HANDLERS, build_parser, main
 from zpindex.cubical import GridSpec, build_pp_xm
-from zpindex.simplicial import content_key, e_n_zp, make_discrete_zp
+from zpindex.simplicial import complex_to_json_dict, content_key, e_n_zp, make_discrete_zp
 
 
 def run(capsys, *argv):
@@ -310,6 +310,19 @@ class TestExitCodes:
                      "--m", "1", "--p", "5", "--grid", "6", "--target", "0",
                      "--cell-budget", "10"])
         capsys.readouterr()
+        assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        "subdivide --input {e7p2}",
+        "coind --space enzp --n 1 --p 2 --target 7 --depth 1",
+        "ind --space file --input {e7p2} --target 7 --depth 1",
+    ], ids=["subdivide", "coind", "ind"])
+    def test_subdivision_budget_is_3(self, tmp_path, capsys, argv):
+        # E_7(Z_2) subdivided once would have 197,613,376 simplices
+        e7p2 = tmp_path / "e7p2.json"
+        e7p2.write_text(json.dumps(complex_to_json_dict(e_n_zp(7, 2))), encoding="utf-8")
+        code = main(argv.format(e7p2=e7p2).split())
+        assert "the subdivision would have 197613376 simplices" in capsys.readouterr().err
         assert code == 3
 
     def test_long_period_budget_is_3(self, capsys):

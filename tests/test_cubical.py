@@ -32,10 +32,10 @@ from zpindex.cubical import (
     OffsetGapConstraint,
     build_pp_xm,
     build_pp_yz,
-    cell_dim,
-    cell_faces,
     cubical_homology,
     cubical_to_simplicial,
+    decode,
+    encode,
 )
 from zpindex.errors import BudgetExceeded, ValidationError
 from zpindex.simplicial import e_n_zp, homology, join_power, make_discrete_zp
@@ -47,11 +47,24 @@ def vertex_values(cell, grid):
     return tuple(tuple(Fraction(lo, grid.G) for lo, _ in box) for box in cell)
 
 
+def tuples(cx, codes=None):
+    """The complex's cells (or the given codes), decoded to tuples of boxes."""
+    return [decode(code, cx.p, cx.grid) for code in (cx.cells if codes is None else codes)]
+
+
+def coded(cells, grid):
+    return [encode(cell, grid) for cell in cells]
+
+
+def tuple_dim(cell):
+    return sum(ln for box in cell for _, ln in box)
+
+
 class TestBuildXm:
     def test_p2_grid4_vertex_set_matches_direct_enumeration(self):
         grid = GridSpec(1, 4)
         cx = build_pp_xm(1, Fraction(3, 5), 1, 2, grid)
-        got = {tuple(box[0][0] for box in cell) for cell in cx.cells_of_dim(0)}
+        got = {tuple(box[0][0] for box in cell) for cell in tuples(cx, cx.cells_of_dim(0))}
         expected = set()
         for a, b in itertools.product(range(5), repeat=2):
             vals = ((Fraction(a, 4),), (Fraction(b, 4),))
@@ -73,7 +86,7 @@ class TestBuildXm:
                     for y in (c2[0], c2[0] + c2[1])
                 ) >= Fraction(3, 5)
                 cell = (((c1[0], c1[1]),), ((c2[0], c2[1]),))
-                assert (cell in cx._cell_set) == lo_ok
+                assert (encode(cell, grid) in cx.cells) == lo_ok
                 count += lo_ok
         assert count == len(cx.cells)
 
@@ -83,12 +96,12 @@ class TestBuildXm:
 
     def test_infeasible_delta_gives_empty(self):
         cx = build_pp_xm(1, Fraction(2), 1, 2, GridSpec(1, 4))
-        assert cx.is_empty()
+        assert not cx.cells
         assert cubical_homology(cx, 2).betti == ()
 
     def test_p3_nonempty_with_ambient_bound(self):
         cx = build_pp_xm(1, Fraction(3, 10), 1, 3, GridSpec(1, 6))
-        assert not cx.is_empty()
+        assert cx.cells
         tri = cubical_to_simplicial(cx)
         lo = coindex_lower(tri, 0)
         up = ambient_sphere_bound(cx)
@@ -105,8 +118,9 @@ class TestBuildXm:
         # each coarse included cell's points are covered by fine included cells
         coarse = build_pp_xm(1, Fraction(1, 2), 1, 2, GridSpec(1, 2))
         fine = build_pp_xm(1, Fraction(1, 2), 1, 2, GridSpec(1, 4))
-        fine_vertices = {tuple(box[0][0] for box in cell) for cell in fine.cells_of_dim(0)}
-        for cell in coarse.cells_of_dim(0):
+        fine_vertices = {tuple(box[0][0] for box in cell)
+                         for cell in tuples(fine, fine.cells_of_dim(0))}
+        for cell in tuples(coarse, coarse.cells_of_dim(0)):
             doubled = tuple(2 * box[0][0] for box in cell)
             assert doubled in fine_vertices
 
@@ -144,7 +158,7 @@ class TestSoundness:
         grid = GridSpec(1, G)
         cx = build_pp_xm(1, delta, m, p, grid)
         rng = random.Random(1729)
-        cells = list(cx.cells)
+        cells = tuples(cx)
         for _ in range(1000):
             cell = cells[rng.randrange(len(cells))]
             vals = self.sample_in_cell(cell, grid, rng)
@@ -155,7 +169,7 @@ class TestSoundness:
         grid = GridSpec(1, G, circle_valued=True)
         cx = build_pp_yz(kind, p, grid)
         rng = random.Random(42)
-        cells = list(cx.cells)
+        cells = tuples(cx)
         for _ in range(1000):
             cell = cells[rng.randrange(len(cells))]
             vals = tuple(
@@ -168,14 +182,14 @@ class TestSoundness:
 class TestYZ:
     def test_y_vertices_are_antipodal_pairs(self):
         cx = build_pp_yz("Y", 2, GridSpec(1, 2, circle_valued=True))
-        assert all(cell_dim(c) == 0 for c in cx.cells)
-        got = {tuple(box[0][0] for box in c) for c in cx.cells}
+        assert all(tuple_dim(c) == 0 for c in tuples(cx))
+        got = {tuple(box[0][0] for box in c) for c in tuples(cx)}
         assert got == {(0, 2), (1, 3), (2, 0), (3, 1)}
 
     def test_z_contains_antipodal_vertex(self):
         cx = build_pp_yz("Z", 2, GridSpec(1, 4, circle_valued=True))
         cell = (((0, 0),), ((4, 0),))  # values 0 and 1: both distances equal 1
-        assert cell in cx._cell_set
+        assert encode(cell, cx.grid) in cx.cells
 
     def test_y_inside_z(self):
         grid = GridSpec(1, 2, circle_valued=True)
@@ -201,7 +215,7 @@ class TestCubicalHomology:
         grid = GridSpec(1, 4)
         constraint = OffsetGapConstraint(Fraction(1), 1)
         cells = [(((0, 0),), ((4, 0),)), (((4, 0),), ((0, 0),))]
-        cx = CubicalZpComplex(2, grid, constraint, cells)
+        cx = CubicalZpComplex(2, grid, constraint, coded(cells, grid))
         assert cubical_homology(cx, 2).betti == (2,)
 
     def test_hollow_square_ring(self):
@@ -214,7 +228,7 @@ class TestCubicalHomology:
         ]
         ring += [rotate(c) for c in ring]
         cx = CubicalZpComplex(2, grid, OffsetGapConstraint(Fraction(1, 2), 1),
-                              face_closure(ring, 4, False))
+                              coded(face_closure(ring, 4, False), grid))
         prof = cubical_homology(cx, 2)
         assert prof.betti == (2, 2)
 
@@ -254,7 +268,7 @@ class TestTriangulation:
         grid = GridSpec(1, 4)
         square = (((0, 1),), ((3, 1),))
         cx = CubicalZpComplex(2, grid, OffsetGapConstraint(Fraction(1, 2), 1),
-                              face_closure([square, rotate(square)], 4, False))
+                              coded(face_closure([square, rotate(square)], 4, False), grid))
         tri = cubical_to_simplicial(cx).complex
         assert tri.vertex_count == 8
         assert tri.f_vector() == (8, 10, 4)
@@ -263,8 +277,7 @@ class TestTriangulation:
     def test_two_cells_exist_and_triangulate(self):
         grid = GridSpec(1, 4)
         cx = build_pp_xm(1, Fraction(1, 2), 1, 2, grid)
-        two_cells = [c for c in cx.cells if cell_dim(c) == 2]
-        assert two_cells
+        assert any(tuple_dim(c) == 2 for c in tuples(cx))
         tri = cubical_to_simplicial(cx)
         assert tri.complex.dim == 2
         assert homology(tri.complex, 2, reduced=False).betti == \
@@ -295,7 +308,7 @@ class TestTriangulationProperties:
     @staticmethod
     def assert_matches_oracle(cx):
         tri = cubical_to_simplicial(cx)
-        simplices, perm = brute_force_triangulation(cx)
+        simplices, perm = brute_force_triangulation(tuples(cx), cx.grid.G, cx.grid.circle_valued)
         assert tri.complex.vertex_count == len(perm)
         assert set(tri.complex.simplices()) == simplices
         assert tri.action.perm == perm
@@ -317,8 +330,8 @@ class TestTriangulationProperties:
 class TestShiftStructure:
     def test_closed_and_free(self):
         cx = build_pp_xm(1, Fraction(1, 3), 2, 3, GridSpec(1, 3))
-        cells = set(cx.cells)
-        for cell in cx.cells:
+        cells = set(tuples(cx))
+        for cell in cells:
             for a in range(1, 3):
                 image = rotate(cell, a)
                 assert image in cells and image != cell
@@ -366,7 +379,7 @@ class TestDeskScaleLinearGrowth:
                                            (5, 3, Fraction(1, 3))])
     def test_ambient_bound_at_most_p_minus_2(self, p, G, delta):
         cx = build_pp_xm(1, delta, 1, p, GridSpec(1, G))
-        assert not cx.is_empty()
+        assert cx.cells
         cert = ambient_sphere_bound(cx)
         assert cert.value <= p - 2
 
@@ -382,7 +395,7 @@ class TestEnumerationProperties:
         assume((2 * G + 1) ** (p * N) <= 5000)
         cx = build_pp_xm(N, delta, m, p, GridSpec(N, G))
         expected = brute_force_cells(p, N, G, False, lambda c: xm_cell_ok(c, G, delta, m))
-        assert list(cx.cells) == sorted(expected)
+        assert tuples(cx) == sorted(expected)
 
     @settings(max_examples=30)
     @given(st.sampled_from(["Y", "Z"]), st.sampled_from([2, 3, 5]), st.integers(1, 3))
@@ -390,7 +403,7 @@ class TestEnumerationProperties:
         assume((4 * G) ** p <= 5000)
         cx = build_pp_yz(kind, p, GridSpec(1, G, circle_valued=True))
         expected = brute_force_cells(p, 1, G, True, lambda c: circle_cell_ok(c, G, kind))
-        assert list(cx.cells) == sorted(expected)
+        assert tuples(cx) == sorted(expected)
 
 
 class TestValidationProperties:
@@ -406,7 +419,7 @@ class TestValidationProperties:
             cells.update(rotate(cell, a) for a in powers | {0})
         cells = face_closure(cells, G, False)
         try:
-            CubicalZpComplex(p, grid, AnyCell(), cells)
+            CubicalZpComplex(p, grid, AnyCell(), coded(cells, grid))
             accepted = True
         except ValidationError as exc:
             assert "shift" in str(exc)
@@ -462,8 +475,8 @@ class TestRelabel:
         l = pow(m, -1, p)
         one = build_pp_xm(N, delta, 1, p, GridSpec(N, G))
         offset_m = build_pp_xm(N, delta, m, p, GridSpec(N, G))
-        assert {relabel(cell, l) for cell in one.cells} == set(offset_m.cells)
-        for cell in one.cells:
+        assert {relabel(cell, l) for cell in tuples(one)} == set(tuples(offset_m))
+        for cell in tuples(one):
             assert relabel(rotate(cell), l) == rotate(relabel(cell, l), m)
         assert cubical_homology(one, p).betti == cubical_homology(offset_m, p).betti
 
@@ -494,7 +507,7 @@ class TestHomologyProperties:
     @given(small_complexes(max_cells=400), st.sampled_from([2, 3, 5]))
     def test_matches_dense_elimination(self, complex_grid, coeff):
         cx, G, circle_valued = complex_grid
-        oracle = cubical_betti_by_elimination(cx.cells, G, circle_valued, coeff)
+        oracle = cubical_betti_by_elimination(tuples(cx), G, circle_valued, coeff)
         assert cubical_homology(cx, coeff).betti == tuple(oracle)
 
 
@@ -505,11 +518,11 @@ class TestFaces:
         """The oracle lists the bottom and then the top face of each unit
         interval; the library the top and then the bottom."""
         cx, G, circle_valued = complex_grid
-        for cell in cx.cells:
-            oracle = cube_faces(cell, G, circle_valued)
+        for code in cx.cells:
+            oracle = cube_faces(decode(code, cx.p, cx.grid), G, circle_valued)
             swapped = [face for bottom, top in zip(oracle[::2], oracle[1::2])
                        for face in (top, bottom)]
-            assert cell_faces(cell, cx.grid) == swapped
+            assert tuples(cx, cx.faces(code)) == swapped
 
     @pytest.mark.parametrize("grid", [GridSpec(2, 3), GridSpec(1, 3, circle_valued=True)])
     def test_sorted_alphabet_gives_sorted_cells(self, grid):
@@ -517,8 +530,51 @@ class TestFaces:
         assert boxes == sorted(boxes)
         constraint = (CirclePairConstraint("Z") if grid.circle_valued
                       else OffsetGapConstraint(Fraction(1, 3), 1))
-        cells = cyclic_words(boxes, 3, constraint.offsets, constraint.forbidden_test(grid), 10 ** 7)
+        words = cyclic_words(range(len(boxes)), 3, constraint.offsets,
+                             constraint.forbidden_test(grid), 10 ** 7)
+        cells = [tuple(boxes[k] for k in word) for word in words]
         assert cells == sorted(cells) and cells
+
+
+ADMISSIBLE_GRIDS = list(dict.fromkeys((cx.p, cx.grid) for cx, _, _ in ADMISSIBLE))
+
+
+class TestCodes:
+    """A code's base-B digits are its boxes' indices, position 0 the most
+    significant: codes and tuples of boxes carry the same cells, in the same
+    order, with the digit rotation as the shift."""
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(ADMISSIBLE_GRIDS), st.data())
+    def test_round_trip_and_order(self, p_grid, data):
+        p, grid = p_grid
+        box = st.sampled_from(grid.boxes())
+        cells = data.draw(st.lists(st.tuples(*[box] * p), min_size=1, max_size=30))
+        codes = coded(cells, grid)
+        assert [decode(code, p, grid) for code in codes] == cells
+        assert [decode(code, p, grid) for code in sorted(codes)] == sorted(cells)
+        assert all(0 <= code < len(grid.boxes()) ** p for code in codes)
+
+    @settings(max_examples=40)
+    @given(small_complexes(max_cells=1500))
+    def test_cells_and_shift_match_tuples(self, complex_grid):
+        cx = complex_grid[0]
+        cells = tuples(cx)
+        assert cells == sorted(cells)
+        assert coded(cells, cx.grid) == list(cx.cells)
+        assert tuples(cx, map(cx.shift, cx.cells)) == list(map(rotate, cells))
+
+    def test_code_past_63_bits_is_exact(self):
+        """Built directly: 9,261 boxes at p = 7 give codes up to 9,261^7 > 2^63."""
+        p, grid = 7, GridSpec(3, 10)
+        vertices = [box for box in grid.boxes() if all(ln == 0 for _, ln in box)]
+        cell = tuple(vertices[-1 - 97 * k] for k in range(p))
+        code = encode(cell, grid)
+        assert code > 2 ** 63 and decode(code, p, grid) == cell
+        orbit = [rotate(cell, a) for a in range(p)]
+        cx = CubicalZpComplex(p, grid, AnyCell(), coded(orbit, grid))  # 0-cells: no faces
+        assert tuples(cx) == sorted(orbit) and cx.cells_of_dim(0) == cx.cells
+        assert tuples(cx, map(cx.shift, cx.cells)) == [rotate(c) for c in sorted(orbit)]
 
 
 class TestDimensionGroups:
@@ -526,9 +582,10 @@ class TestDimensionGroups:
     @given(small_complexes())
     def test_groups_match_filter(self, complex_grid):
         cx = complex_grid[0]
-        assert cx.dim == max((cell_dim(c) for c in cx.cells), default=-1)
+        assert cx.dim == max(map(tuple_dim, tuples(cx)), default=-1)
         for k in range(-1, cx.dim + 2):
-            assert list(cx.cells_of_dim(k)) == [c for c in cx.cells if cell_dim(c) == k]
+            assert list(cx.cells_of_dim(k)) == [c for c in cx.cells
+                                                if tuple_dim(decode(c, cx.p, cx.grid)) == k]
 
     def test_empty(self):
         cx = build_pp_xm(1, Fraction(2), 1, 2, GridSpec(1, 2))
@@ -548,9 +605,9 @@ class TestOrbitWalk:
         cx, G, circle_valued = complex_grid
         p, constraint = cx.p, cx.constraint
         assume(cx.cells)
-        cells = set(cx.cells)
+        cells = set(tuples(cx))
         if damage.startswith("drop"):
-            cell = data.draw(st.sampled_from(cx.cells))
+            cell = decode(data.draw(st.sampled_from(cx.cells)), cx.p, cx.grid)
             cells -= {rotate(cell, a) for a in range(p if damage == "drop orbit" else 1)}
         else:
             # a vertex tuple has all its faces, so only its own checks can refuse it
@@ -568,10 +625,12 @@ class TestOrbitWalk:
             def cell_ok(c):
                 return circle_cell_ok(c, G, constraint.kind)
         if cell_family_ok(cells, p, cx.grid.N, G, circle_valued, cell_ok):
-            assert CubicalZpComplex(p, cx.grid, constraint, cells).cells == tuple(sorted(cells))
+            built = CubicalZpComplex(p, cx.grid, constraint, coded(cells, cx.grid))
+            assert tuples(built) == sorted(cells)
         else:
+            # a box off the grid has no code: encoding refuses it
             with pytest.raises(ValidationError):
-                CubicalZpComplex(p, cx.grid, constraint, cells)
+                CubicalZpComplex(p, cx.grid, constraint, coded(cells, cx.grid))
 
     def test_duplicate_cell_refused(self):
         # X_1(N=1, p=3, G=2) has 6 cells and Betti numbers (6,)
@@ -583,34 +642,66 @@ class TestOrbitWalk:
     def test_dropping_last_sorted_orbit_member_refused(self):
         # a top cell's orbit: no face check can see the gap, only the walk
         cx = build_pp_xm(2, Fraction(1, 2), 1, 3, GridSpec(2, 2))
-        orbit = sorted(rotate(cx.cells_of_dim(cx.dim)[0], a) for a in range(3))
+        top = cx.cells_of_dim(cx.dim)[0]
+        orbit = sorted([top, cx.shift(top), cx.shift(cx.shift(top))])
         with pytest.raises(ValidationError, match="shift image"):
             CubicalZpComplex(3, cx.grid, cx.constraint, set(cx.cells) - {orbit[-1]})
 
 
+    def test_missing_face_orbit_refused(self):
+        # the orbit of a top cell's face goes: shift-closed, but not face-closed
+        cx = build_pp_xm(2, Fraction(1, 2), 1, 3, GridSpec(2, 2))
+        face = cx.faces(cx.cells_of_dim(cx.dim)[0])[0]
+        orbit = {face, cx.shift(face), cx.shift(cx.shift(face))}
+        with pytest.raises(ValidationError, match="face"):
+            CubicalZpComplex(3, cx.grid, cx.constraint, set(cx.cells) - orbit)
+
+    def test_fixed_cell_refused(self):
+        grid = GridSpec(1, 2)
+        with pytest.raises(ValidationError, match="fixed by the shift"):
+            CubicalZpComplex(3, grid, AnyCell(), [encode((((1, 0),),) * 3, grid)])
+
+    def test_forbidden_cell_refused(self):
+        # a vertex orbit of X_1(N=1, p=3, G=2) with two equal coordinates
+        cx = build_pp_xm(1, Fraction(1, 2), 1, 3, GridSpec(1, 2))
+        cell = (((0, 0),), ((0, 0),), ((2, 0),))
+        orbit = coded([rotate(cell, a) for a in range(3)], cx.grid)
+        with pytest.raises(ValidationError, match="defining constraint"):
+            CubicalZpComplex(3, cx.grid, cx.constraint, list(cx.cells) + orbit)
+
+    @pytest.mark.parametrize("code", [-1, 3 ** 3, 1.0, True, "7"])
+    def test_non_code_refused(self, code):
+        """GridSpec(1, 1) has 3 boxes, so the codes at p = 3 are range(27)."""
+        with pytest.raises(ValidationError):
+            CubicalZpComplex(3, GridSpec(1, 1), AnyCell(), [code])
+
+
 class TestWindowTable:
     """Each window's verdict, first judged and then read from the table,
-    equals the Fraction re-check of its constraint."""
+    equals the Fraction re-check of its constraint on the indexed boxes."""
 
     @pytest.mark.parametrize("N,G", [(1, 1), (1, 3), (2, 2)])
     @pytest.mark.parametrize("delta", [Fraction(1, 3), Fraction(1, 2), Fraction(1)])
     def test_offset_gap(self, N, G, delta):
         grid = GridSpec(N, G)
         forbidden = OffsetGapConstraint(delta, 1).forbidden_test(grid)
-        windows = list(itertools.product(grid.boxes(), repeat=2))
+        boxes = grid.boxes()
+        windows = list(itertools.product(range(len(boxes)), repeat=2))
         for _ in range(2):
-            for a, b in windows:
-                assert forbidden((a, b)) == (not xm_window_ok(a, b, G, delta))
+            for i, j in windows:
+                assert forbidden((i, j)) == (not xm_window_ok(boxes[i], boxes[j], G, delta))
 
     @pytest.mark.parametrize("G", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["Y", "Z"])
     def test_circle_pair(self, G, kind):
         grid = GridSpec(1, G, circle_valued=True)
         forbidden = CirclePairConstraint(kind).forbidden_test(grid)
-        windows = list(itertools.product(grid.boxes(), repeat=3))
+        boxes = grid.boxes()
+        windows = list(itertools.product(range(len(boxes)), repeat=3))
         for _ in range(2):
-            for a, b, c in windows:
-                assert forbidden((a, b, c)) == (not circle_window_ok(a, b, c, G, kind))
+            for window in windows:
+                a, b, c = (boxes[k] for k in window)
+                assert forbidden(window) == (not circle_window_ok(a, b, c, G, kind))
 
     def test_each_window_judged_once_per_test(self, monkeypatch):
         import zpindex.cubical
@@ -619,7 +710,8 @@ class TestWindowTable:
         monkeypatch.setattr(zpindex.cubical, "_axis_gap", lambda a, b: calls.append(1) or gap(a, b))
         grid = GridSpec(2, 2)
         constraint = OffsetGapConstraint(Fraction(1, 2), 1)
-        window = (((0, 0), (0, 1)), ((2, 0), (1, 1)))
+        boxes = grid.boxes()
+        window = (boxes.index(((0, 0), (0, 1))), boxes.index(((2, 0), (1, 1))))
         first = constraint.forbidden_test(grid)
         assert [first(window) for _ in range(3)] == [False] * 3
         assert len(calls) == 2  # one gap per axis, once

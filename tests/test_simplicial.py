@@ -17,7 +17,7 @@ from oracles import (
     fixed_by_some_power,
     vertex_map_problems,
 )
-from zpindex.errors import ValidationError
+from zpindex.errors import DEFAULT_CELL_BUDGET, BudgetExceeded, ValidationError
 from zpindex.simplicial import (
     FreeZpComplex,
     SimplicialComplex,
@@ -31,6 +31,7 @@ from zpindex.simplicial import (
     join_power,
     make_discrete_zp,
     shift_orbits,
+    subdivision_size,
 )
 from zpindex.verify import check_vertex_map
 
@@ -180,6 +181,25 @@ class TestSubdivision:
             homology(sd.complex, p, reduced=True).betti
         assert_valid(sd)
 
+    @pytest.mark.parametrize("n,p", [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3),
+                                     (1, 5)])
+    def test_size_predicted_from_f_vector(self, n, p):
+        x = e_n_zp(n, p)
+        assert subdivision_size(x.complex.f_vector()) == \
+            sum(barycentric_subdivide(x).complex.f_vector())
+
+    def test_oversized_input_refused_before_building(self, monkeypatch):
+        # E_7(Z_2) has 6,560 simplices and its subdivision 197,613,376.  A
+        # build starts by listing the simplices, which here fails at once.
+        x = e_n_zp(7, 2)
+
+        def listed(self):
+            raise AssertionError("the subdivision was begun")
+        monkeypatch.setattr(SimplicialComplex, "simplices", listed)
+        with pytest.raises(BudgetExceeded) as raised:
+            barycentric_subdivide(x)
+        assert raised.value.count == subdivision_size(x.complex.f_vector()) > DEFAULT_CELL_BUDGET
+
 
 @st.composite
 def free_complexes(draw):
@@ -210,6 +230,7 @@ class TestSubdivisionOracle:
         assert sd.complex.vertex_count == len(perm)
         assert sd.complex.simplex_set() == chains
         assert sd.action.perm == perm
+        assert sum(sd.complex.f_vector()) == subdivision_size(x.complex.f_vector())
         assert_valid(sd)
 
     def test_empty_complex(self):
@@ -497,7 +518,7 @@ class TestActionProperties:
         assert sorted(v for c in found for v in c) == list(range(len(perm)))
         for c in found:
             assert all(perm[c[i]] == c[(i + 1) % len(c)] for i in range(len(c)))
-        walked = shift_orbits(range(len(perm)), perm.__getitem__, lambda v: None, "{}")
+        walked = shift_orbits(range(len(perm)), perm.__getitem__, "{}")
         assert list(walked) == found
 
     @given(prime_order_perms(), st.integers(0, 20), st.integers(0, 20))

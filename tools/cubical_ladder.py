@@ -13,10 +13,12 @@ split into stages, timed by wrapping module attributes the way
 `perfbench/probes.py` does, so either side's code is measured unchanged.
 Each stage's time is its own, less the stages called inside it:
 
-- enumerate: `cyclic_words`, the list of the one enumerator, wrapped where
-  `cubical` calls it for cells and where `subshifts.periodic_points` calls
-  it for periodic words, and `cli.periodic_table`, which counts
-  periodic words as the enumerator yields them;
+- enumerate: `cubical._enumerate_cells`, which lists the cells (codes or
+  tuples, as the side holds them) and hands them to the constructor;
+  `cyclic_words`, the list of the one enumerator, wrapped where
+  `subshifts.periodic_points` calls it for periodic words; and
+  `cli.periodic_table`, which counts periodic words as the enumerator
+  yields them;
 - validate: the `CubicalZpComplex` constructor (sorting, grouping and the
   face, shift and constraint checks);
 - homology: `cli.cubical_homology`, that is the boundary columns and the
@@ -114,7 +116,7 @@ def run_one(name: str, src: str) -> dict:
 
     cx_class = zpindex.cubical.CubicalZpComplex
     cx_class.__init__ = timed("validate", cx_class.__init__)
-    zpindex.cubical.cyclic_words = timed("enumerate", zpindex.cubical.cyclic_words)
+    zpindex.cubical._enumerate_cells = timed("enumerate", zpindex.cubical._enumerate_cells)
     zpindex.subshifts.cyclic_words = timed("enumerate", zpindex.subshifts.cyclic_words)
     zpindex.cli.periodic_table = timed("enumerate", zpindex.cli.periodic_table)
     zpindex.cli.cubical_homology = timed("homology", zpindex.cli.cubical_homology)
