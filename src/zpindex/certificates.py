@@ -15,9 +15,11 @@ certificate states its own prime (`IndexCertificate.p`), and
 `obstruction_report` files certificates by it and checks the bounds on each
 space against each other before it compares primes.
 
-Searches subdivide the source only (the simplicial-approximation direction),
-and an exhausted search at finite depth is recorded as one-sided evidence:
-it never certifies the nonexistence of a continuous equivariant map.
+Every search goes through `search_equivariant_map`, which returns the witness
+(or None) with the number of nodes visited.  Searches subdivide the source
+only (the simplicial-approximation direction), and an exhausted search at
+finite depth is recorded as one-sided evidence: it never certifies the
+nonexistence of a continuous equivariant map.
 """
 
 from __future__ import annotations
@@ -161,23 +163,17 @@ def subdivide_times(x: FreeZpComplex, depth: int) -> FreeZpComplex:
     return x
 
 
-def _search(source: FreeZpComplex, target: FreeZpComplex, subdivision_depth: int,
-            budget: int) -> tuple[Optional[EquivariantMap], int]:
-    """Subdivide the source and search it into the target: the witness map
-    (None only after full exhaustion) and the number of nodes visited."""
-    src = subdivide_times(source, subdivision_depth)
-    vm, nodes = find_equivariant_vertex_map(src, target, budget)
-    return (None if vm is None else EquivariantMap(src, target, vm)), nodes
-
-
 def search_equivariant_map(
     source: FreeZpComplex,
     target: FreeZpComplex,
     subdivision_depth: int = 0,
     budget: int = DEFAULT_BUDGET,
-) -> Optional[EquivariantMap]:
-    """Search source (subdivided) -> target; None only after full exhaustion."""
-    return _search(source, target, subdivision_depth, budget)[0]
+) -> tuple[Optional[EquivariantMap], int]:
+    """Subdivide the source and search it into the target: the witness map
+    (None only after full exhaustion) and the number of nodes visited."""
+    src = subdivide_times(source, subdivision_depth)
+    vm, nodes = find_equivariant_vertex_map(src, target, budget)
+    return (None if vm is None else EquivariantMap(src, target, vm)), nodes
 
 
 def _model_bound(bound_type: str, x: FreeZpComplex, n: int, subdivision_depth: int,
@@ -188,7 +184,7 @@ def _model_bound(bound_type: str, x: FreeZpComplex, n: int, subdivision_depth: i
     model = e_n_zp(n, x.p)  # refuses an n that is not an int >= 0
     space = space or content_key(x)
     source, target = (model, x) if bound_type == "coind_lower" else (x, model)
-    found, nodes = _search(source, target, subdivision_depth, budget)
+    found, nodes = search_equivariant_map(source, target, subdivision_depth, budget)
     if found is None:
         return IndexCertificate(
             "exhaustion", bound_type, n,

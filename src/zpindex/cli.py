@@ -6,8 +6,10 @@ identical manifests produce byte-identical artifacts, so no timestamps or
 environment data are recorded.  Runs can be described by a JSON manifest and
 replayed with the `run` subcommand.
 
-Exit codes: 0 success, 2 validation failure, 3 budget exceeded,
-4 internal consistency violation (a coindex bound above an index bound).
+Exit codes: 0 success, 2 validation failure or a file that cannot be read or
+written, 3 budget exceeded, 4 internal consistency violation (a coindex bound
+above an index bound).  `index.json` beside an artifact maps each run to its
+output's name and hash, so no artifact may take that name.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .certificates import (
     index_upper,
     obstruction_report,
     search_equivariant_map,
+    subdivide_times,
 )
 from .cubical import (
     DEFAULT_CELL_BUDGET,
@@ -37,11 +40,10 @@ from .cubical import (
     cubical_homology,
     cubical_to_simplicial,
 )
-from .errors import BudgetExceeded, ConsistencyError, ValidationError, whole
+from .errors import BudgetExceeded, ConsistencyError, ValidationError
 from .search import DEFAULT_BUDGET
 from .simplicial import (
     INFINITE_CONNECTIVITY,
-    barycentric_subdivide,
     complex_from_json_dict,
     complex_to_json_dict,
     e_n_zp,
@@ -49,6 +51,7 @@ from .simplicial import (
     join,
     join_power,
 )
+from .simplicial import barycentric_subdivide  # noqa: F401  perfbench/probes.py times it here
 from .subshifts import as_free_zp_complex, make_sigma_m, periodic_points, periodic_table
 
 
@@ -88,38 +91,27 @@ def _int_list(text: str) -> list[int]:
 
 def _build_space(args):
     """Build the free complex named by --space (with its provenance)."""
-    name = args.space
-    if name == "enzp":
+    if args.space == "enzp":
         x = e_n_zp(args.n, args.p)
         return x, {"space": "enzp", "n": args.n, "p": args.p}
-    if name == "file":
+    if args.space == "file":
         if args.input is None:
             raise ValidationError("--space file needs --input")
         x = _load_complex(args.input)
         return x, {"space": "file", "input": args.input}
-    if name in ("Xm", "Y", "Z"):
-        cubical = _build_cubical(args)
-        x = cubical_to_simplicial(cubical)
-        prov = _cubical_provenance(args)
-        prov["cells"] = len(cubical.cells)
-        return x, prov
-    raise ValidationError(f"unknown space {name!r}")
+    cubical, prov = _build_cubical(args)
+    return cubical_to_simplicial(cubical), {**prov, "cells": len(cubical.cells)}
 
 
 def _build_cubical(args):
-    if args.space == "Xm":
-        grid = GridSpec(args.N, args.grid, circle_valued=False)
-        return build_pp_xm(args.N, _frac(args.delta), args.m, args.p, grid,
-                           budget=args.cell_budget)
-    grid = GridSpec(1, args.grid, circle_valued=True)
-    return build_pp_yz(args.space, args.p, grid, budget=args.cell_budget)
-
-
-def _cubical_provenance(args) -> dict:
+    """Build the cubical complex named by --space Xm, Y or Z (with its provenance)."""
     prov = {"space": args.space, "p": args.p, "grid": args.grid}
     if args.space == "Xm":
-        prov.update({"N": args.N, "delta": str(_frac(args.delta)), "m": args.m})
-    return prov
+        grid, delta = GridSpec(args.N, args.grid, circle_valued=False), _frac(args.delta)
+        prov.update({"N": args.N, "delta": str(delta), "m": args.m})
+        return build_pp_xm(args.N, delta, args.m, args.p, grid, budget=args.cell_budget), prov
+    grid = GridSpec(1, args.grid, circle_valued=True)
+    return build_pp_yz(args.space, args.p, grid, budget=args.cell_budget), prov
 
 
 def _homology_result(profile) -> dict:
@@ -153,9 +145,7 @@ def cmd_join(args):
 
 
 def cmd_subdivide(args):
-    x = _load_complex(args.input)
-    for _ in range(whole(args.depth, "subdivision depth")):
-        x = barycentric_subdivide(x)
+    x = subdivide_times(_load_complex(args.input), args.depth)
     return {"complex": complex_to_json_dict(x), "depth": args.depth}
 
 
@@ -167,7 +157,7 @@ def cmd_homology(args):
 def cmd_search_map(args):
     source = _load_complex(args.source)
     target = _load_complex(args.target)
-    found = search_equivariant_map(source, target, args.depth, args.budget)
+    found, _ = search_equivariant_map(source, target, args.depth, args.budget)
     if found is None:
         return {"found": False, "depth": args.depth,
                 "note": "exhausted at this depth; not a disproof"}
@@ -189,9 +179,7 @@ def _shift_from_args(args):
             raise ValidationError(f"--shift sigma is sigma_m with m = 1, not --m {args.m}; "
                                   "use --shift sigma_m")
         return make_sigma_m(1)
-    if args.shift == "sigma_m":
-        return make_sigma_m(args.m)
-    raise ValidationError(f"unknown shift {args.shift!r}")
+    return make_sigma_m(args.m)
 
 
 def cmd_periodic(args):
@@ -215,11 +203,9 @@ def cmd_join_periodic(args):
 
 
 def cmd_config_space(args):
-    cubical = _build_cubical(args)
-    x = cubical_to_simplicial(cubical)
-    result = {"provenance_header": _cubical_provenance(args),
-              "cells": len(cubical.cells),
-              "complex": complex_to_json_dict(x)}
+    cubical, prov = _build_cubical(args)
+    result = {"provenance_header": prov, "cells": len(cubical.cells),
+              "complex": complex_to_json_dict(cubical_to_simplicial(cubical))}
     if args.coeff:
         result["cubical_homology"] = _homology_result(
             cubical_homology(cubical, args.coeff))
@@ -227,9 +213,8 @@ def cmd_config_space(args):
 
 
 def cmd_cubical_homology(args):
-    cubical = _build_cubical(args)
-    return {"provenance_header": _cubical_provenance(args),
-            "cells": len(cubical.cells),
+    cubical, prov = _build_cubical(args)
+    return {"provenance_header": prov, "cells": len(cubical.cells),
             "homology": _homology_result(cubical_homology(cubical, args.coeff))}
 
 
@@ -288,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_space_flags(p, with_target=True):
-        p.add_argument("--space", required=True,
-                       choices=["enzp", "Xm", "Y", "Z", "file"])
+        spaces = ["enzp", "Xm", "Y", "Z", "file"] if with_target else ["Xm", "Y", "Z"]
+        p.add_argument("--space", required=True, choices=spaces)
         p.add_argument("--n", type=int, default=0, help="model dimension for --space enzp")
         p.add_argument("--p", type=int, default=2)
         p.add_argument("--N", type=int, default=1)
@@ -430,10 +415,20 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return main(argv2)
-    handler = HANDLERS[args.subcommand]
+    out_path = Path(args.out) if args.out else None
     try:
-        index = _read_index(Path(args.out)) if args.out else None
-        result = handler(args)
+        if out_path and out_path.name == "index.json":
+            raise ValidationError("--out may not be index.json, which indexes the artifacts")
+        index = _read_index(out_path) if out_path else None
+        artifact = {"provenance": _provenance(args), "result": HANDLERS[args.subcommand](args)}
+        artifact["sha256"] = sha256_of(artifact["result"])
+        text = canonical_json(artifact)
+        if out_path:
+            out_path.parent.mkdir(parents=True, exist_ok=True)
+            out_path.write_text(text, encoding="utf-8")
+            _update_index(out_path, index, artifact["provenance"], artifact["sha256"])
+        else:
+            sys.stdout.write(text)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
@@ -446,16 +441,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    artifact = {"provenance": _provenance(args), "result": result}
-    artifact["sha256"] = sha256_of(artifact["result"])
-    text = canonical_json(artifact)
-    if args.out:
-        out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text, encoding="utf-8")
-        _update_index(out_path, index, artifact["provenance"], artifact["sha256"])
-    else:
-        sys.stdout.write(text)
     return 0
 
 

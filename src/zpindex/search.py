@@ -8,11 +8,13 @@ answer means full exhaustion of the assignment tree; running out of budget
 raises instead (an inconclusive run must never masquerade as a disproof).
 
 Each orbit's candidates are the set bits of an int bitset, its domain: the
-AND of the target closed neighbourhoods that the source edges to earlier
-orbits allow.  The target's edges are T-invariant, so placing T^i t next to
-a placed image a is the same as t lying in the closed neighbourhood of
-T^{-i} a.  Candidates in the domain are then checked against the remaining
-simplices (edges inside the orbit and every simplex of dimension 2 and up).
+AND of closed neighbourhoods of placed images.  The vertex at slot i of an
+orbit maps to T^i t, t the image of its representative, and the target's
+edges are T-invariant; so an edge from it to a placed u asks for t in
+N[T^{-i} assignment[u]] = N[assignment[w]], where w = T^{-i} u is the placed
+vertex at slot (slot_u - i) mod p of u's orbit.  Candidates in the domain are
+then checked against the remaining simplices (edges inside the orbit and
+every simplex of dimension 2 and up).
 Of each simplex orbit only the members that hold the representative of their
 last-placed vertex orbit are checked, so no action is applied to a simplex.
 
@@ -60,29 +62,27 @@ def find_equivariant_vertex_map(
         for i, v in enumerate(orbit):
             orbit_of[v], slot_of[v] = k, i
 
-    # Each source edge from orbit k to an earlier orbit becomes a pair
-    # (representative u of the earlier orbit, slot i): the vertex at slot m
-    # of u's orbit maps to T^m assignment[u], so the edge asks for t in
-    # N[T^{-i} assignment[u]] with i the slot difference.  Every other
-    # simplex becomes checkable once its last-assigned orbit k is placed.  It
-    # is checked when it holds orbits[k][0]; each simplex orbit has such a
+    # Each source edge {u, v} from an earlier orbit to orbit k becomes the
+    # placed vertex w = T^{-slot_v} u (see above).  Every other simplex
+    # becomes checkable once its last-assigned orbit k is placed.  It is
+    # checked when it holds orbits[k][0]; each simplex orbit has such a
     # member, and the assignment is equivariant and the target T-invariant,
     # so T s maps onto a target simplex iff s does.
-    pairs: list[set[tuple[int, int]]] = [set() for _ in orbits]
+    pairs: list[set[int]] = [set() for _ in orbits]
     ready: list[list[tuple[int, ...]]] = [[] for _ in orbits]
     for s in source.complex.simplices():
         k = max(map(orbit_of.__getitem__, s))
         if len(s) == 2 and orbit_of[s[0]] != orbit_of[s[1]]:
             u, v = sorted(s, key=orbit_of.__getitem__)
-            pairs[k].add((orbits[orbit_of[u]][0], (slot_of[v] - slot_of[u]) % p))
+            pairs[k].add(orbits[orbit_of[u]][(slot_of[u] - slot_of[v]) % p])
         elif len(s) > 1 and orbits[k][0] in s:
             ready[k].append(s)
 
     tperm = target.action.perm
     tset = target.complex.simplex_set()
 
-    # shifted[i][a] = N[T^{-i} a], the closed 1-skeleton neighbourhood as a
-    # bitset over target vertex indices.
+    # closed[a] = N[a], the closed 1-skeleton neighbourhood as a bitset over
+    # target vertex indices.
     closed = [0] * len(tperm)
     everything = 0
     for t in target_vertices:
@@ -91,7 +91,6 @@ def find_equivariant_vertex_map(
     for a, b in target.complex.by_dim[1] if target.dim >= 1 else ():
         closed[a] |= 1 << b
         closed[b] |= 1 << a
-    shifted = [[closed[b] for b in target.action.power(-i)] for i in range(p)]
 
     assignment = [-1] * source.complex.vertex_count
     nodes = 0
@@ -106,8 +105,8 @@ def find_equivariant_vertex_map(
         if k == len(orbits):
             return True
         domain = everything
-        for u, i in pairs[k]:
-            domain &= shifted[i][assignment[u]]
+        for w in pairs[k]:
+            domain &= closed[assignment[w]]
         orbit, checks = orbits[k], ready[k]
         counted = 0
         while domain:

@@ -15,8 +15,8 @@ vertices are in range iff column 0's minimum and the last column's maximum
 are; dropping column j leaves the j-th facets.
 Action images are two tee'd streams read in step, so no list of them is kept.
 
-Every free Z_p-set of the package that is walked orbit by orbit is walked
-with the one `shift_orbits`; periodic words in `subshifts` become vertices,
+Every free Z_p-set of the package that is walked orbit by orbit is a vertex
+set walked by `vertex_orbits`; periodic words in `subshifts` become vertices,
 so their orbits are vertex orbits.
 Every iterated join, E_n(Z_p) included, is `join_power`.
 """
@@ -156,28 +156,6 @@ class SimplicialComplex:
         return f"SimplicialComplex(vertices={self.vertex_count}, f={self.f_vector()})"
 
 
-def shift_orbits(words, step, missing: str):
-    """Walk the orbits of `step` through the distinct `words`, each from its
-    first member in `words` order, raising ValidationError(missing.format(w))
-    when the image of w is not a word.  Yields each orbit as a tuple of
-    positions in `words`."""
-    index = {w: i for i, w in enumerate(words)}
-    seen = bytearray(len(words))
-    for i, first in enumerate(words):
-        if seen[i]:
-            continue
-        orbit = [i]
-        image = step(first)
-        while image != first:
-            j = index.get(image)
-            if j is None:
-                raise ValidationError(missing.format(words[orbit[-1]]))
-            seen[j] = 1
-            orbit.append(j)
-            image = step(words[j])
-        yield tuple(orbit)
-
-
 @dataclass(frozen=True)
 class ZpAction:
     """Vertex permutation of order dividing the prime p."""
@@ -246,10 +224,15 @@ class FreeZpComplex:
     def vertex_orbits(self) -> list[tuple[int, ...]]:
         """Orbits of the action on vertices of the complex, each starting at
         its smallest member, sorted by that member."""
-        present = [s[0] for s in self.complex.by_dim[0]] if not self.complex.is_empty() else []
-        orbits = shift_orbits(present, self.action.perm.__getitem__,
-                              "action image of vertex {} missing")
-        return [tuple(map(present.__getitem__, orbit)) for orbit in orbits]
+        perm, seen, orbits = self.action.perm, set(), []
+        for (v,) in self.complex.by_dim[0] if not self.complex.is_empty() else ():
+            if v not in seen:
+                orbit = [v]
+                while perm[orbit[-1]] != v:
+                    orbit.append(perm[orbit[-1]])
+                seen.update(orbit)
+                orbits.append(tuple(orbit))
+        return orbits
 
     def __eq__(self, other):
         return (

@@ -29,6 +29,7 @@ from zpindex.cubical import (
     encode,
 )
 from zpindex.errors import BudgetExceeded, ConsistencyError, ValidationError
+from zpindex.search import find_equivariant_vertex_map
 from zpindex.simplicial import (
     FreeZpComplex,
     SimplicialComplex,
@@ -52,17 +53,17 @@ def two_orbit_discrete():
 
 class TestSearch:
     def test_point_into_circle(self):
-        found = search_equivariant_map(e_n_zp(0, 2), e_n_zp(1, 2))
+        found, _ = search_equivariant_map(e_n_zp(0, 2), e_n_zp(1, 2))
         assert found is not None
         assert check_vertex_map(found.source, found.target, found.vertex_map) == []
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_circle_into_points_impossible(self, depth):
-        assert search_equivariant_map(e_n_zp(1, 2), e_n_zp(0, 2), depth) is None
+        assert search_equivariant_map(e_n_zp(1, 2), e_n_zp(0, 2), depth)[0] is None
 
     def test_identity_exists(self):
         x = join(make_discrete_zp(3), make_discrete_zp(3))
-        found = search_equivariant_map(e_n_zp(1, 3), x)
+        found, _ = search_equivariant_map(e_n_zp(1, 3), x)
         assert found is not None
 
     def test_mismatched_primes(self):
@@ -84,8 +85,21 @@ class TestSearch:
             if check_vertex_map(x, tgt, vm) == []:
                 valid.append(vm)
         assert len(valid) == 4
-        found = search_equivariant_map(x, tgt)
+        found, _ = search_equivariant_map(x, tgt)
         assert found is not None and found.vertex_map in valid
+
+    @pytest.mark.parametrize("source,target,depth", [
+        (e_n_zp(1, 2), e_n_zp(0, 2), 2), (e_n_zp(2, 2), e_n_zp(1, 2), 1),
+        (e_n_zp(1, 3), e_n_zp(1, 3), 1), (e_n_zp(0, 2), e_n_zp(1, 2), 0),
+    ], ids=["exhausted-depth-2", "exhausted-depth-1", "found-depth-1", "found-depth-0"])
+    def test_nodes_are_those_of_the_subdivided_search(self, source, target, depth):
+        found, nodes = search_equivariant_map(source, target, depth)
+        sd = source
+        for _ in range(depth):
+            sd = barycentric_subdivide(sd)
+        vertex_map, expected = find_equivariant_vertex_map(sd, target)
+        assert nodes == expected
+        assert (None if found is None else found.vertex_map) == vertex_map
 
 
 class TestCoindexLower:

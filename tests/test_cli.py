@@ -418,6 +418,27 @@ class TestExitCodes:
         assert code == (2 if fields else 0)
         assert ("validation error" in err) == bool(fields)
 
+    @pytest.mark.parametrize("space", ["enzp", "file"])
+    @pytest.mark.parametrize("argv", ["config-space", "cubical-homology --coeff 2"],
+                             ids=["config-space", "cubical-homology"])
+    def test_cubical_subcommand_refuses_simplicial_space(self, capsys, argv, space):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv.split(), "--space", space])
+        assert "invalid choice: " + repr(space) in capsys.readouterr().err
+        assert exc.value.code == 2
+
+    def test_unwritable_artifact_is_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        assert main(["enzp", "--n", "1", "--p", "2", "--out", str(blocker / "out.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_artifact_named_index_is_2(self, tmp_path, capsys):
+        out = tmp_path / "d" / "index.json"
+        assert main(["enzp", "--n", "0", "--p", "2", "--out", str(out)]) == 2
+        assert "may not be index.json" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_unknown_subcommand_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -1,9 +1,12 @@
 """The benchmark's probes (perfbench/probes.py) wrap program functions at
 module and class attributes.  A renamed or moved function would otherwise
-only show when a traced benchmark run fails.  The benchmark's set-up
-(perfbench/jobs.py) writes its input complexes with its own copy of the
-maximal-simplex walk, which must keep matching the CLI's JSON form."""
+only show when a traced benchmark run fails.  A module may import a name it
+never reads only as such a probe's pin, so no pin outlives its probe.  The
+benchmark's set-up (perfbench/jobs.py) writes its input complexes with its
+own copy of the maximal-simplex walk, which must keep matching the CLI's
+JSON form."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from zpindex.simplicial import complex_to_json_dict
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = PERFBENCH.parent / "src" / "zpindex"
 
 
 def load_module(name):
@@ -40,6 +44,34 @@ def test_probes_attach_and_restore():
         tracer.uninstall()
     for (_, owner, attr, _), raw in zip(probes.PROBES, before):
         assert current(owner, attr) is raw
+
+
+def unread_imports(path):
+    """(name, import statement's source) of each name `path` imports and never reads."""
+    text = path.read_text(encoding="utf-8")
+    tree, lines = ast.parse(text), text.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    yield name, "\n".join(lines[node.lineno - 1:node.end_lineno])
+
+
+def test_unread_imports_are_probe_pins():
+    probed = {(owner.__name__, attr) for _, owner, attr, _ in load_module("probes").PROBES}
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # the package's public names
+            continue
+        module = f"zpindex.{path.stem}"
+        for name, source in unread_imports(path):
+            pinned = "# noqa: F401" in source and "perfbench" in source
+            if not pinned or (module, name) not in probed:
+                bad.append(f"{module}.{name}")
+    assert bad == []
 
 
 JOBS = load_module("jobs")

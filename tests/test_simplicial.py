@@ -30,7 +30,6 @@ from zpindex.simplicial import (
     join,
     join_power,
     make_discrete_zp,
-    shift_orbits,
     subdivision_size,
 )
 from zpindex.verify import check_vertex_map
@@ -512,14 +511,17 @@ def prime_order_perms(draw):
 class TestActionProperties:
     @given(prime_order_perms())
     def test_cycles_partition_and_close(self, p_perm):
-        # the orbit walk lists the oracle's cycles, which partition and close
-        _, perm = p_perm
+        # the oracle's cycles partition and close; on the vertices the
+        # permutation moves, they are the free complex's vertex orbits
+        p, perm = p_perm
         found = cycles(range(len(perm)), perm.__getitem__)
         assert sorted(v for c in found for v in c) == list(range(len(perm)))
         for c in found:
             assert all(perm[c[i]] == c[(i + 1) % len(c)] for i in range(len(c)))
-        walked = shift_orbits(range(len(perm)), perm.__getitem__, "{}")
-        assert list(walked) == found
+        moved = [v for v in range(len(perm)) if perm[v] != v]
+        x = FreeZpComplex(SimplicialComplex.from_simplices(len(perm), [(v,) for v in moved]),
+                          ZpAction(p, perm))
+        assert x.vertex_orbits() == cycles(moved, perm.__getitem__)
 
     @given(prime_order_perms(), st.integers(0, 20), st.integers(0, 20))
     def test_powers_compose(self, p_perm, a, b):

@@ -24,8 +24,9 @@ Each stage's time is its own, less the stages called inside it:
 - homology: `cli.cubical_homology`, that is the boundary columns and the
   driver's bookkeeping;
 - rank: `fplinalg.fp_rank`, with the number of columns it was given;
-- subdivide: `barycentric_subdivide`, wrapped where `certificates` calls it
-  for a search's source and where the `subdivide` subcommand calls it;
+- subdivide: `certificates.barycentric_subdivide`, which subdivides a
+  search's source and, through `subdivide_times`, the `subdivide`
+  subcommand's input;
 - close: `SimplicialComplex.from_simplices`, the downward closure;
 - complex_validation: `SimplicialComplex._validate`;
 - action_validation: `FreeZpComplex._validate`;
@@ -121,8 +122,8 @@ def run_one(name: str, src: str) -> dict:
     zpindex.cli.periodic_table = timed("enumerate", zpindex.cli.periodic_table)
     zpindex.cli.cubical_homology = timed("homology", zpindex.cli.cubical_homology)
     zpindex.fplinalg.fp_rank = timed("rank", counted(zpindex.fplinalg.fp_rank))
-    for module in (zpindex.certificates, zpindex.cli):
-        module.barycentric_subdivide = timed("subdivide", module.barycentric_subdivide)
+    zpindex.certificates.barycentric_subdivide = timed(
+        "subdivide", zpindex.certificates.barycentric_subdivide)
     simplicial = zpindex.simplicial.SimplicialComplex
     simplicial.from_simplices = classmethod(timed("close", simplicial.from_simplices.__func__))
     simplicial._validate = timed("complex_validation", simplicial._validate)
