@@ -84,9 +84,12 @@ def _frac(text: str) -> Fraction:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
+        values = [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValidationError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _build_space(args):

@@ -110,10 +110,10 @@ class OffsetGapConstraint:
         < delta^2, in grid units.  Each distinct window is judged once per
         call (`functools.cache`)."""
         s, t = self.delta.numerator, self.delta.denominator
-        threshold, t2, boxes = s * s * grid.G * grid.G, t * t, _alphabet(grid)[0]
+        threshold, t2 = s * s * grid.G * grid.G, t * t
 
         def judge(window: tuple[int, int]) -> bool:
-            a, b = map(boxes.__getitem__, window)
+            a, b = map(_alphabet(grid)[0].__getitem__, window)
             return t2 * sum(_axis_gap(x, y) ** 2 for x, y in zip(a, b)) < threshold
         return functools.cache(judge)
 
@@ -139,17 +139,17 @@ class CirclePairConstraint:
     def forbidden_test(self, grid: GridSpec):
         """forbidden((i, j, k)) on the indices of three consecutive one-axis
         boxes, each distinct window judged once per call."""
-        g, two_g, boxes = grid.G, 2 * grid.G, _alphabet(grid)[0]
+        g, two_g = grid.G, 2 * grid.G
         if self.kind == "Z":
             # rho >= 1/2 on an arc pair iff 2*gap >= G in grid units.
             def judge(window: tuple[int, int, int]) -> bool:
-                (a,), (b,), (c,) = map(boxes.__getitem__, window)
+                (a,), (b,), (c,) = map(_alphabet(grid)[0].__getitem__, window)
                 return (2 * _circle_gap(a, b, two_g) < g
                         and 2 * _circle_gap(b, c, two_g) < g)
         else:
             # Two grid points G arcs apart: an antipodal pair.
             def judge(window: tuple[int, int, int]) -> bool:
-                ((x, xl),), ((y, yl),), ((z, zl),) = map(boxes.__getitem__, window)
+                ((x, xl),), ((y, yl),), ((z, zl),) = map(_alphabet(grid)[0].__getitem__, window)
                 return not (xl == yl == 0 and (x - y) % two_g == g
                             or yl == zl == 0 and (y - z) % two_g == g)
         return functools.cache(judge)
@@ -258,8 +258,9 @@ class CubicalZpComplex:
 
 
 def _enumerate_cells(p: int, grid: GridSpec, constraint, budget: int) -> CubicalZpComplex:
-    """The p-periodic words over the box indices that pass the constraint, as codes."""
-    base = len(_alphabet(grid)[0])
+    """The p-periodic words over the box indices that pass the constraint, as
+    codes.  A refused budget builds no boxes: a judged window looks them up."""
+    base = len(grid.axis_intervals()) ** grid.N
     weights = [base ** (p - 1 - i) for i in range(p)]
     words = each_cyclic_word(range(base), p, constraint.offsets, constraint.forbidden_test(grid),
                              budget)

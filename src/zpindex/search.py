@@ -79,7 +79,7 @@ def find_equivariant_vertex_map(
             ready[k].append(s)
 
     tperm = target.action.perm
-    tset = target.complex.simplex_set()
+    tset = frozenset(target.complex.simplices())
 
     # closed[a] = N[a], the closed 1-skeleton neighbourhood as a bitset over
     # target vertex indices.

@@ -15,9 +15,12 @@ vertices are in range iff column 0's minimum and the last column's maximum
 are; dropping column j leaves the j-th facets.
 Action images are two tee'd streams read in step, so no list of them is kept.
 
-Every free Z_p-set of the package that is walked orbit by orbit is a vertex
-set walked by `vertex_orbits`; periodic words in `subshifts` become vertices,
-so their orbits are vertex orbits.
+Both complex types are frozen dataclasses, their equality, hashing and
+read-only fields declared.  One routine, `_cycles`, walks an action's cycles:
+`ZpAction` checks that each has length 1 or p, and `vertex_orbits` lists the
+orbits of a complex's vertices.  Every free Z_p-set of the package that is
+walked orbit by orbit is a vertex set walked by `vertex_orbits`; periodic
+words in `subshifts` become vertices, so their orbits are vertex orbits.
 Every iterated join, E_n(Z_p) included, is `join_power`.
 """
 
@@ -51,15 +54,29 @@ def _facets(cols) -> list:
     return [zip(*cols[:j], *cols[j + 1:]) for j in range(len(cols))]
 
 
+def _cycles(perm, items) -> list[tuple[int, ...]]:
+    """The cycles of perm through items, each from its first member in items."""
+    seen, cycles = set(), []
+    for v in items:
+        if v not in seen:
+            cycle = [v]
+            while perm[cycle[-1]] != v:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(tuple(cycle))
+    return cycles
+
+
+@dataclass(frozen=True, slots=True, repr=False)
 class SimplicialComplex:
     """Downward-closed family of sorted vertex tuples on 0..vertex_count-1."""
 
-    __slots__ = ("vertex_count", "by_dim", "_hash")
+    vertex_count: int
+    by_dim: tuple[tuple[Simplex, ...], ...]
 
-    def __init__(self, vertex_count: int, by_dim):
-        self.vertex_count = whole(vertex_count, "vertex count")
-        self.by_dim = tuple(tuple(level) for level in by_dim)
-        self._hash = None
+    def __post_init__(self):
+        whole(self.vertex_count, "vertex count")
+        object.__setattr__(self, "by_dim", tuple(map(tuple, self.by_dim)))
         self._validate()
 
     @classmethod
@@ -67,7 +84,7 @@ class SimplicialComplex:
         """Build the downward closure of an arbitrary simplex family: group
         the simplices by dimension, then from the top down add the facets
         of each level to the level below.  Vertices that do not sort
-        against each other are refused here; `__init__` refuses the rest."""
+        against each other are refused here; `_validate` refuses the rest."""
         try:
             by_size = sorted(map(tuple, map(sorted, map(set, simplices))), key=len)
             if by_size and not by_size[0]:
@@ -124,9 +141,6 @@ class SimplicialComplex:
         for level in self.by_dim:
             yield from level
 
-    def simplex_set(self) -> frozenset:
-        return frozenset(self.simplices())
-
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.by_dim)
 
@@ -139,18 +153,6 @@ class SimplicialComplex:
             facets = set().union(*_facets(_columns(above)))
             maximal.extend(itertools.filterfalse(facets.__contains__, level))
         return maximal
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.vertex_count == other.vertex_count
-            and self.by_dim == other.by_dim
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.vertex_count, self.by_dim))
-        return self._hash
 
     def __repr__(self):
         return f"SimplicialComplex(vertices={self.vertex_count}, f={self.f_vector()})"
@@ -170,28 +172,22 @@ class ZpAction:
             raise ValidationError("perm must hold integers")
         if sorted(self.perm) != list(range(n)):
             raise ValidationError("perm is not a permutation of 0..n-1")
-        # perm^p = perm o perm^(p-1)
-        if [self.perm[v] for v in self.power(self.p - 1)] != list(range(n)):
+        # p is prime: perm^p = id iff every cycle has length 1 or p
+        if set(map(len, _cycles(self.perm, range(n)))) - {1, self.p}:
             raise ValidationError("perm^p is not the identity")
-
-    def power(self, a: int) -> tuple[int, ...]:
-        out = list(range(len(self.perm)))
-        for _ in range(a % self.p):
-            out = [self.perm[v] for v in out]
-        return tuple(out)
 
     def apply(self, simplex: Simplex) -> Simplex:
         return tuple(sorted(self.perm[v] for v in simplex))
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class FreeZpComplex:
     """A simplicial complex together with a free simplicial Z_p-action."""
 
-    __slots__ = ("complex", "action")
+    complex: SimplicialComplex
+    action: ZpAction
 
-    def __init__(self, complex: SimplicialComplex, action: ZpAction):
-        self.complex = complex
-        self.action = action
+    def __post_init__(self):
         self._validate()
 
     def _validate(self):
@@ -224,25 +220,7 @@ class FreeZpComplex:
     def vertex_orbits(self) -> list[tuple[int, ...]]:
         """Orbits of the action on vertices of the complex, each starting at
         its smallest member, sorted by that member."""
-        perm, seen, orbits = self.action.perm, set(), []
-        for (v,) in self.complex.by_dim[0] if not self.complex.is_empty() else ():
-            if v not in seen:
-                orbit = [v]
-                while perm[orbit[-1]] != v:
-                    orbit.append(perm[orbit[-1]])
-                seen.update(orbit)
-                orbits.append(tuple(orbit))
-        return orbits
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeZpComplex)
-            and self.complex == other.complex
-            and self.action == other.action
-        )
-
-    def __hash__(self):
-        return hash((self.complex, self.action))
+        return _cycles(self.action.perm, (v for level in self.complex.by_dim[:1] for (v,) in level))
 
     def __repr__(self):
         return f"FreeZpComplex(p={self.p}, vertices={self.complex.vertex_count}, dim={self.dim})"

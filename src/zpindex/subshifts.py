@@ -3,11 +3,11 @@
 A period-n point of a shift is a cyclic word of length n; a window
 constraint says that for no i is the window of symbols at i + o (mod n), o
 in a fixed tuple of offsets, forbidden.  `each_cyclic_word` is the one
-enumerator of such words, over any alphabet, and `cyclic_words` its list: a
+enumerator of such words, over any alphabet, and every caller's entry: a
 depth-first search whose domains are bitsets over the alphabet, the AND of
 one table entry per window closing at the position, and `rotate` is the
-shift on periodic words.  A shift's periodic points are the enumerator's word
-list: `periodic_table` counts them as they are found, never holding them,
+shift on periodic words.  A shift's periodic points are the enumerator's
+words: `periodic_table` counts them as they are found, never holding them,
 and their orbits by Burnside's lemma, with no orbit walked, and
 `as_free_zp_complex` makes a prime-period list a discrete free Z_p-set, for
 `simplicial.join_power` to join.  The cubical models in `cubical` are the
@@ -56,14 +56,9 @@ class Subshift:
         return (0, self.window)
 
 
-def cyclic_words(alphabet, n: int, offsets, forbidden, budget: int) -> list[tuple]:
-    """The words of `each_cyclic_word`, as a list."""
-    return list(each_cyclic_word(alphabet, n, offsets, forbidden, budget))
-
-
 def each_cyclic_word(alphabet, n: int, offsets, forbidden, budget: int):
-    """Yield every length-n word over `alphabet` none of whose windows, the
-    tuples (word[(i + o) % n] for o in offsets) for each i, is
+    """Yield every length-n word over the sequence `alphabet` none of whose
+    windows, the tuples (word[(i + o) % n] for o in offsets) for each i, is
     forbidden(window), in the lexicographic order of `alphabet`.  A window
     spans two or more offsets.  The search is depth first over bitset domains,
     bit k standing for the k-th symbol.  A window closing at position i (its
@@ -77,8 +72,11 @@ def each_cyclic_word(alphabet, n: int, offsets, forbidden, budget: int):
     if len(offsets) < 2:
         raise ValidationError("a window needs two or more offsets")
     whole(budget, "budget")
+    size = len(alphabet)
+    exceeded = f"enumeration of length-{n} words exceeded budget {budget}"
+    if size > budget:  # before the alphabet or any table is built
+        raise BudgetExceeded(exceeded, count=size)
     symbols = tuple(alphabet)
-    size = len(symbols)
     full, bits, singles = (1 << size) - 1, [1 << k for k in range(size)], [(s,) for s in symbols]
 
     def table(layout: tuple) -> _Table:
@@ -102,16 +100,13 @@ def each_cyclic_word(alphabet, n: int, offsets, forbidden, budget: int):
             mask &= entries[key_of(word)]
         return spelled[mask]
 
-    exceeded = f"enumeration of length-{n} words exceeded budget {budget}"
     word = [None] * n
     if n == 1:  # position 0 is the last: a word per symbol it allows
         words = [(s,) for s in domain(0)]
         if size + len(words) > budget:
-            raise BudgetExceeded(exceeded, count=max(size, budget + 1))
+            raise BudgetExceeded(exceeded, count=budget + 1)
         yield from words
         return
-    if size > budget:
-        raise BudgetExceeded(exceeded, count=size)
     left = [iter(domain(0))] * n  # left[i]: the symbols position i has still to take
     i, nodes = 0, size
     while i >= 0:
@@ -159,8 +154,8 @@ def periodic_points(shift: Subshift, n: int, budget: int = DEFAULT_ENUM_BUDGET) 
     """The period-n points of the shift, in lexicographic order: the cyclic
     words of length n avoiding the forbidden pairs at the window offset
     taken mod n."""
-    return cyclic_words(range(1, shift.alphabet_size + 1), n, shift.offsets,
-                        shift.forbidden.__contains__, budget)
+    return list(each_cyclic_word(range(1, shift.alphabet_size + 1), n, shift.offsets,
+                                 shift.forbidden.__contains__, budget))
 
 
 def as_free_zp_complex(words) -> FreeZpComplex:

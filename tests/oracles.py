@@ -22,12 +22,16 @@ target vertex (the library intersects neighbourhood bitsets), simplicial
 complexes, their actions and vertex maps are checked simplex by simplex
 (the library tests a level's vertex columns at once), Betti
 numbers come from every boundary column (the library clears those that
-must reduce to zero), and geometric constraints are re-checked with
-Fraction arithmetic straight from the definitions.
+must reduce to zero), a complex is flag when networkx finds no clique
+of its 1-skeleton that is not a simplex (the library never lists cliques),
+and geometric constraints are re-checked with Fraction arithmetic straight
+from the definitions.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+import networkx as nx
 
 
 def dense_fp_rank(rows, p):
@@ -332,6 +336,16 @@ def cycles(items, step):
             seen.update(cycle)
             out.append(tuple(cycle))
     return out
+
+
+def is_flag(cx):
+    """True iff every clique of the 1-skeleton of the simplicial complex
+    cx, as `networkx.enumerate_all_cliques` lists them, is a simplex of cx."""
+    simplices = {frozenset(s) for s in cx.simplices()}
+    graph = nx.Graph()
+    graph.add_nodes_from(s[0] for s in cx.simplices() if len(s) == 1)
+    graph.add_edges_from(s for s in cx.simplices() if len(s) == 2)
+    return all(frozenset(clique) in simplices for clique in nx.enumerate_all_cliques(graph))
 
 
 def relabel(cell, l):

@@ -325,6 +325,23 @@ class TestExitCodes:
         assert "the subdivision would have 197613376 simplices" in capsys.readouterr().err
         assert code == 3
 
+    @pytest.mark.parametrize("periods", ["", ","], ids=["empty", "comma"])
+    def test_empty_period_list_is_2(self, capsys, periods):
+        code = main(["periodic", "--shift", "sigma", "--n", periods])
+        assert capsys.readouterr().err.startswith("validation error")
+        assert code == 2
+
+    def test_empty_prime_list_is_2(self, tmp_path, capsys):
+        # genuine p = 2 certificates on both sides, which a list naming 2 reports
+        for name, argv in (("x", X1_P2_COIND), ("z", "coind --space Z --p 2 --grid 4 --target 0")):
+            (tmp_path / f"{name}.json").write_text(json.dumps(coind_artifact(argv)),
+                                                   encoding="utf-8")
+        certs = ["--x-cert", str(tmp_path / "x.json"), "--z-cert", str(tmp_path / "z.json")]
+        assert main(["obstruction-report", "--p-list", "2", *certs]) == 0
+        capsys.readouterr()
+        assert main(["obstruction-report", "--p-list", "", *certs]) == 2
+        assert capsys.readouterr().err.startswith("validation error")
+
     def test_long_period_budget_is_3(self, capsys):
         # sigma has 2^1200 + 2 points of period 1200: the default budget runs out first
         code = main(["periodic", "--shift", "sigma", "--n", "1200"])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,7 @@ from zpindex.cubical import (
 )
 from zpindex.errors import BudgetExceeded, ValidationError
 from zpindex.simplicial import e_n_zp, homology, join_power, make_discrete_zp
-from zpindex.subshifts import cyclic_words, rotate
+from zpindex.subshifts import each_cyclic_word, rotate
 
 
 def vertex_values(cell, grid):
@@ -127,6 +128,20 @@ class TestBuildXm:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             build_pp_xm(1, Fraction(1, 2), 1, 5, GridSpec(1, 6), budget=100)
+
+    def test_refused_budget_builds_no_alphabet(self):
+        # 201^2 boxes: building the alphabet and the enumerator's tables
+        # first took 115.9 MB; no larger grid is tried, since a wrong check
+        # would grow quadratically with it
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as raised:
+                build_pp_xm(2, Fraction(1, 2), 1, 3, GridSpec(2, 100), budget=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert raised.value.count == 40_401
+        assert peak < 2 * 1024 ** 2
 
     def test_out_of_scope_sizes_rejected(self):
         with pytest.raises(ValidationError):
@@ -530,8 +545,8 @@ class TestFaces:
         assert boxes == sorted(boxes)
         constraint = (CirclePairConstraint("Z") if grid.circle_valued
                       else OffsetGapConstraint(Fraction(1, 3), 1))
-        words = cyclic_words(range(len(boxes)), 3, constraint.offsets,
-                             constraint.forbidden_test(grid), 10 ** 7)
+        words = list(each_cyclic_word(range(len(boxes)), 3, constraint.offsets,
+                                       constraint.forbidden_test(grid), 10 ** 7))
         cells = [tuple(boxes[k] for k in word) for word in words]
         assert cells == sorted(cells) and cells
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracles import OverBudget, plain_vertex_map_search
+from oracles import OverBudget, is_flag, plain_vertex_map_search
 from zpindex.cubical import GridSpec, build_pp_xm, build_pp_yz, cubical_to_simplicial
 from zpindex.errors import BudgetExceeded
 from zpindex.search import find_equivariant_vertex_map
@@ -31,8 +31,8 @@ def x1(N, p, G):
     return cubical_to_simplicial(build_pp_xm(N, Fraction(1, G), 1, p, GridSpec(N, G)))
 
 
-def z(p, G):
-    return cubical_to_simplicial(build_pp_yz("Z", p, GridSpec(1, G, True)))
+def z(p, G, kind="Z"):
+    return cubical_to_simplicial(build_pp_yz(kind, p, GridSpec(1, G, True)))
 
 
 def triangle_boundary(p):
@@ -165,3 +165,50 @@ def test_every_simplex_orbit_is_checked(p):
         assert cx.by_dim[1] == model.complex.by_dim[1]
         assert (find_equivariant_vertex_map(model, target)
                 == plain_vertex_map_search(model, target, 5_000))
+
+
+# An edge-only search (ROADMAP item 3) reads a target's simplices off its
+# edges, which is sound only on flag complexes: every target that `coind`
+# and `ind` build must be one.
+FLAG_TARGETS = {
+    **{f"e{n}p{p}": (lambda n=n, p=p: e_n_zp(n, p)) for n in range(4) for p in (2, 3, 5)},
+    **{f"e{n}p{p}-depth{d}": (lambda n=n, p=p, d=d: subdivided(e_n_zp(n, p), d))
+       for n in (1, 2) for p in (2, 3, 5) for d in (1, 2)},
+    "x1-n2p3g2": lambda: x1(2, 3, 2),
+    "x1-n1p5g3": lambda: x1(1, 5, 3),
+    "x1-n1p5g4": lambda: x1(1, 5, 4),
+    "x1-n1p7g2": lambda: x1(1, 7, 2),
+    "z-p3g4": lambda: z(3, 4),
+    "z-p3g2": lambda: z(3, 2),
+    "z-p5g2": lambda: z(5, 2),
+    "y-p5g3": lambda: z(5, 3, "Y"),
+}
+
+
+def subdivided(x, depth):
+    for _ in range(depth):
+        x = barycentric_subdivide(x)
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_TARGETS))
+def test_targets_are_flag(name):
+    assert is_flag(FLAG_TARGETS[name]().complex)
+
+
+def less_a_triangle_orbit(p):
+    """E_2(Z_p) less its first orbit of triangles: every edge stays."""
+    model = e_n_zp(2, p)
+    triangles = model.complex.by_dim[2]
+    orbit = simplex_orbit(model, triangles[0])
+    return SimplicialComplex.from_simplices(
+        model.complex.vertex_count, [s for s in triangles if s not in orbit])
+
+
+@pytest.mark.parametrize("build", [lambda: triangle_boundary(3).complex,
+                                   lambda: less_a_triangle_orbit(2),
+                                   lambda: less_a_triangle_orbit(3)],
+                         ids=["triangle-boundary", "e2p2-less-a-triangle-orbit",
+                              "e2p3-less-a-triangle-orbit"])
+def test_non_flag_complexes_are_found(build):
+    assert not is_flag(build())

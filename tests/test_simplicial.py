@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -22,6 +23,7 @@ from zpindex.simplicial import (
     FreeZpComplex,
     SimplicialComplex,
     ZpAction,
+    _cycles,
     barycentric_subdivide,
     complex_from_json_dict,
     complex_to_json_dict,
@@ -56,12 +58,6 @@ class TestDiscrete:
         assert x.dim == 0
         assert x.action.perm == tuple((v + 1) % p for v in range(p))
         assert_valid(x)
-
-    def test_freeness_all_powers(self):
-        x = make_discrete_zp(5)
-        for a in range(1, 5):
-            perm = x.action.power(a)
-            assert all(perm[v] != v for v in range(5))
 
     @pytest.mark.parametrize("bad", [1, 4, 6, 9])
     def test_rejects_non_prime(self, bad):
@@ -227,7 +223,7 @@ class TestSubdivisionOracle:
         sd = barycentric_subdivide(x)
         chains, perm = brute_force_subdivision(x.complex.simplices(), x.action.perm)
         assert sd.complex.vertex_count == len(perm)
-        assert sd.complex.simplex_set() == chains
+        assert set(sd.complex.simplices()) == chains
         assert sd.action.perm == perm
         assert sum(sd.complex.f_vector()) == subdivision_size(x.complex.f_vector())
         assert_valid(sd)
@@ -289,6 +285,29 @@ class TestValidation:
     def test_wrong_order_rejected(self):
         with pytest.raises(ValidationError):
             ZpAction(2, (1, 2, 0))  # 3-cycle has order 3, not 2
+
+
+class TestValueTypes:
+    """Both complex types are frozen values: fields cannot be reassigned (so
+    no hash goes stale), and equal complexes hash equal however built."""
+
+    @pytest.mark.parametrize("field", ["vertex_count", "by_dim", "complex", "action"])
+    def test_fields_are_read_only(self, field):
+        x = e_n_zp(1, 3)
+        owner = x.complex if field in ("vertex_count", "by_dim") else x
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(owner, field, getattr(owner, field))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_equal_complexes_hash_equal(self, p):
+        model = e_n_zp(2, p)
+        loaded = complex_from_json_dict(json.loads(json.dumps(complex_to_json_dict(model))))
+        joined = join(join(make_discrete_zp(p), make_discrete_zp(p)), make_discrete_zp(p))
+        listed = SimplicialComplex(model.complex.vertex_count, map(list, model.complex.by_dim))
+        assert loaded is not model and loaded == model == joined
+        assert hash(loaded) == hash(model) == hash(joined)
+        assert listed == model.complex and hash(listed) == hash(model.complex)
+        assert listed.by_dim == model.complex.by_dim and type(listed.by_dim[0]) is tuple
 
 
 class TestLevelChecks:
@@ -523,11 +542,22 @@ class TestActionProperties:
                           ZpAction(p, perm))
         assert x.vertex_orbits() == cycles(moved, perm.__getitem__)
 
-    @given(prime_order_perms(), st.integers(0, 20), st.integers(0, 20))
-    def test_powers_compose(self, p_perm, a, b):
-        action = ZpAction(*p_perm)
-        pa, pb = action.power(a), action.power(b)
-        assert tuple(pa[pb[v]] for v in range(len(pb))) == action.power(a + b)
+    @given(prime_order_perms(), st.data())
+    def test_action_takes_exactly_cycles_of_length_1_or_p(self, p_perm, data):
+        # every draw is accepted, with the oracle's cycles; a cycle of any
+        # other length, at random labels, is refused
+        p, perm = p_perm
+        assert _cycles(ZpAction(p, perm).perm, range(len(perm))) == cycles(
+            range(len(perm)), perm.__getitem__)
+        length = data.draw(st.integers(2, 8).filter(lambda k: k != p))
+        n = len(perm) + length
+        grown = perm + tuple(len(perm) + (i + 1) % length for i in range(length))
+        label = data.draw(st.permutations(range(n)))
+        bad = [0] * n
+        for v, image in enumerate(grown):
+            bad[label[v]] = label[image]
+        with pytest.raises(ValidationError, match=r"perm\^p is not the identity"):
+            ZpAction(p, tuple(bad))
 
     @given(prime_order_perms(), st.data())
     def test_generator_freeness_check_matches_all_powers(self, p_perm, data):
@@ -578,7 +608,7 @@ class TestFaceRelationProperties:
     def test_closure_matches_brute_force(self, n_family):
         n, family = n_family
         cx = SimplicialComplex.from_simplices(n, family)
-        assert cx.simplex_set() == brute_force_closure(family)
+        assert set(cx.simplices()) == brute_force_closure(family)
 
     @given(simplex_families())
     def test_maximal_matches_brute_force(self, n_family):

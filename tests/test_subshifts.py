@@ -25,7 +25,7 @@ from zpindex.simplicial import (
 from zpindex.subshifts import (
     Subshift,
     as_free_zp_complex,
-    cyclic_words,
+    each_cyclic_word,
     make_sigma_m,
     periodic_points,
     periodic_table,
@@ -219,7 +219,7 @@ class TestEnumerator:
         alphabet, n, offsets, forbidden = problem
         expected = brute_force_cyclic(alphabet, n, offsets, forbidden)
         test = forbidden.__contains__
-        assert cyclic_words(alphabet, n, offsets, test, budget=10 ** 6) == expected
+        assert list(each_cyclic_word(alphabet, n, offsets, test, budget=10 ** 6)) == expected
 
     @settings(max_examples=300)
     @given(window_problems(), st.floats(0, 1))
@@ -232,28 +232,29 @@ class TestEnumerator:
         alphabet, n, offsets, forbidden = problem
         test = forbidden.__contains__
         words, nodes = place_and_check_words(alphabet, n, offsets, test, 10 ** 9)
-        assert cyclic_words(alphabet, n, offsets, test, nodes) == words
+        assert list(each_cyclic_word(alphabet, n, offsets, test, nodes)) == words
         for budget in {nodes - 1, int(share * (nodes - 1))}:
             with pytest.raises(OverBudget) as expected:
                 place_and_check_words(alphabet, n, offsets, test, budget)
             with pytest.raises(BudgetExceeded) as raised:
-                cyclic_words(alphabet, n, offsets, test, budget)
+                list(each_cyclic_word(alphabet, n, offsets, test, budget))
             assert raised.value.count == expected.value.count
 
     def test_window_needs_two_offsets(self):
         with pytest.raises(ValidationError):
-            cyclic_words([1, 2], 3, (1,), frozenset().__contains__, budget=100)
+            list(each_cyclic_word([1, 2], 3, (1,), frozenset().__contains__, budget=100))
 
     def test_long_period_without_recursion(self):
-        words = cyclic_words((0, 1), 1200, (0, 1), {(0, 0), (1, 1)}.__contains__, 10 ** 5)
+        forbidden = {(0, 0), (1, 1)}.__contains__
+        words = list(each_cyclic_word((0, 1), 1200, (0, 1), forbidden, 10 ** 5))
         assert words == [(0, 1) * 600, (1, 0) * 600]
 
     def test_emitted_words_count_against_budget(self):
         # entering the positions costs 4,798 nodes, the two words 2 * 1200 more
         forbidden = {(0, 0), (1, 1)}.__contains__
-        assert len(cyclic_words((0, 1), 1200, (0, 1), forbidden, 7198)) == 2
+        assert len(list(each_cyclic_word((0, 1), 1200, (0, 1), forbidden, 7198))) == 2
         with pytest.raises(BudgetExceeded):
-            cyclic_words((0, 1), 1200, (0, 1), forbidden, 7197)
+            list(each_cyclic_word((0, 1), 1200, (0, 1), forbidden, 7197))
 
     def test_budget_bounds_a_long_period(self):
         with pytest.raises(BudgetExceeded):
@@ -261,7 +262,7 @@ class TestEnumerator:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValidationError):
-            cyclic_words([1, 2], 3, (0, 1), frozenset().__contains__, budget=-1)
+            list(each_cyclic_word([1, 2], 3, (0, 1), frozenset().__contains__, budget=-1))
 
 
 class TestOrbitWalk:

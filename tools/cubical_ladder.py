@@ -15,10 +15,9 @@ Each stage's time is its own, less the stages called inside it:
 
 - enumerate: `cubical._enumerate_cells`, which lists the cells (codes or
   tuples, as the side holds them) and hands them to the constructor;
-  `cyclic_words`, the list of the one enumerator, wrapped where
-  `subshifts.periodic_points` calls it for periodic words; and
-  `cli.periodic_table`, which counts periodic words as the enumerator
-  yields them;
+  `subshifts.periodic_points`, which lists periodic words, wrapped where
+  `cli` calls it; and `cli.periodic_table`, which counts periodic words as
+  the enumerator yields them;
 - validate: the `CubicalZpComplex` constructor (sorting, grouping and the
   face, shift and constraint checks);
 - homology: `cli.cubical_homology`, that is the boundary columns and the
@@ -90,7 +89,6 @@ def run_one(name: str, src: str) -> dict:
     import zpindex.cubical
     import zpindex.fplinalg
     import zpindex.simplicial
-    import zpindex.subshifts
 
     spent = dict.fromkeys(STAGES, 0.0)
     columns = [0]
@@ -118,7 +116,7 @@ def run_one(name: str, src: str) -> dict:
     cx_class = zpindex.cubical.CubicalZpComplex
     cx_class.__init__ = timed("validate", cx_class.__init__)
     zpindex.cubical._enumerate_cells = timed("enumerate", zpindex.cubical._enumerate_cells)
-    zpindex.subshifts.cyclic_words = timed("enumerate", zpindex.subshifts.cyclic_words)
+    zpindex.cli.periodic_points = timed("enumerate", zpindex.cli.periodic_points)
     zpindex.cli.periodic_table = timed("enumerate", zpindex.cli.periodic_table)
     zpindex.cli.cubical_homology = timed("homology", zpindex.cli.cubical_homology)
     zpindex.fplinalg.fp_rank = timed("rank", counted(zpindex.fplinalg.fp_rank))
