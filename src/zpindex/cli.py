@@ -3,8 +3,10 @@
 Every subcommand validates its parameters, runs one operation, and writes a
 deterministic JSON artifact (plus optional CSV) with a provenance block:
 identical manifests produce byte-identical artifacts, so no timestamps or
-environment data are recorded.  Runs can be described by a JSON manifest and
-replayed with the `run` subcommand.
+environment data are recorded.  Each subcommand is declared once, on its
+parser, which binds its handler; the parser is built once per process.  Runs
+can be described by a JSON manifest and replayed with the `run` subcommand,
+which returns the exit code its manifest's argv gets.
 
 Exit codes: 0 success, 2 validation failure or a file that cannot be read or
 written, 3 budget exceeded, 4 internal consistency violation (a coindex bound
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -123,13 +126,6 @@ def _homology_result(profile) -> dict:
             "homological_connectivity": "inf" if conn == INFINITE_CONNECTIVITY else conn}
 
 
-def _certificate_result(cert) -> dict:
-    data = certificate_to_json_dict(cert)
-    certificate_from_json_dict(data)  # loading derives the value from the evidence again
-    return {"certificate": data, "certificate_sha256": sha256_of(data),
-            "summary": cert.describe()}
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns a JSON-able result dict.
 
@@ -168,12 +164,13 @@ def cmd_search_map(args):
             "vertex_map": list(found.vertex_map)}
 
 
-def cmd_bound(args):
+def cmd_bound(bound, args):
     x, prov = _build_space(args)
-    bound = {"coind": coindex_lower, "ind": index_upper}[args.subcommand]
-    out = _certificate_result(bound(x, args.target, args.depth, args.budget))
-    out["space_params"] = prov
-    return out
+    cert = bound(x, args.target, args.depth, args.budget)
+    data = certificate_to_json_dict(cert)
+    certificate_from_json_dict(data)  # loading derives the value from the evidence again
+    return {"certificate": data, "certificate_sha256": sha256_of(data),
+            "summary": cert.describe(), "space_params": prov}
 
 
 def _shift_from_args(args):
@@ -248,107 +245,94 @@ def cmd_obstruction_report(args):
     return {"rows": [dataclasses.asdict(row) for row in rows]}
 
 
-HANDLERS = {
-    "enzp": cmd_enzp,
-    "join": cmd_join,
-    "subdivide": cmd_subdivide,
-    "homology": cmd_homology,
-    "search-map": cmd_search_map,
-    "coind": cmd_bound,
-    "ind": cmd_bound,
-    "periodic": cmd_periodic,
-    "join-periodic": cmd_join_periodic,
-    "config-space": cmd_config_space,
-    "cubical-homology": cmd_cubical_homology,
-    "obstruction-report": cmd_obstruction_report,
-}
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zpindex",
         description="Certified index/coindex bounds and periodic points.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, **kwargs):
+    def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
         p.add_argument("--out", help="artifact JSON path (default: stdout)")
         return p
 
     def add_space_flags(p, with_target=True):
         spaces = ["enzp", "Xm", "Y", "Z", "file"] if with_target else ["Xm", "Y", "Z"]
         p.add_argument("--space", required=True, choices=spaces)
-        p.add_argument("--n", type=int, default=0, help="model dimension for --space enzp")
         p.add_argument("--p", type=int, default=2)
         p.add_argument("--N", type=int, default=1)
         p.add_argument("--delta", default="1/2", help="rational a/b")
         p.add_argument("--m", type=int, default=1)
         p.add_argument("--grid", type=int, default=2)
-        p.add_argument("--input", help="complex JSON for --space file")
         p.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET,
                        help="most boxes the cell enumerator may try, plus p per cell it emits")
         if with_target:
+            p.add_argument("--n", type=int, default=0, help="model dimension for --space enzp")
+            p.add_argument("--input", help="complex JSON for --space file")
             p.add_argument("--target", type=int, required=True)
             p.add_argument("--depth", type=int, default=0)
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = add("enzp", help="standard n-dimensional model for Z_p")
+    p = add("enzp", cmd_enzp, help="standard n-dimensional model for Z_p")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--homology", action="store_true")
     p.add_argument("--coeff", type=int, default=0)
     p.add_argument("--reduced", action="store_true")
 
-    p = add("join", help="combinatorial join of two complexes")
+    p = add("join", cmd_join, help="combinatorial join of two complexes")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 
-    p = add("subdivide", help="barycentric subdivision")
+    p = add("subdivide", cmd_subdivide, help="barycentric subdivision")
     p.add_argument("--input", required=True)
     p.add_argument("--depth", type=int, default=1)
 
-    p = add("homology", help="betti numbers over F_p")
+    p = add("homology", cmd_homology, help="betti numbers over F_p")
     p.add_argument("--input", required=True)
     p.add_argument("--coeff", type=int, required=True)
     p.add_argument("--reduced", action="store_true")
 
-    p = add("search-map", help="equivariant simplicial map search")
+    p = add("search-map", cmd_search_map, help="equivariant simplicial map search")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--depth", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = add("coind", help="coindex lower bound certificate")
-    add_space_flags(p)
-    p = add("ind", help="index upper bound certificate")
-    add_space_flags(p)
+    for name, bound, kind in (("coind", coindex_lower, "coindex lower"),
+                              ("ind", index_upper, "index upper")):
+        add_space_flags(add(name, functools.partial(cmd_bound, bound),
+                            help=kind + " bound certificate"))
 
-    p = add("periodic", help="periodic point table (CSV: period,count,orbit_count)")
+    p = add("periodic", cmd_periodic, help="periodic point table (CSV: period,count,orbit_count)")
     p.add_argument("--shift", required=True, choices=["sigma", "sigma_m"])
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", required=True, help="comma-separated periods")
     p.add_argument("--csv", help="also write a CSV table here")
 
-    p = add("join-periodic", help="join of copies of a periodic point set")
+    p = add("join-periodic", cmd_join_periodic, help="join of copies of a periodic point set")
     p.add_argument("--shift", required=True, choices=["sigma", "sigma_m"])
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--copies", type=int, default=2)
 
-    p = add("config-space", help="build a discretized periodic-point space")
+    p = add("config-space", cmd_config_space, help="build a discretized periodic-point space")
     add_space_flags(p, with_target=False)
     p.add_argument("--coeff", type=int, default=0)
 
-    p = add("cubical-homology", help="betti numbers of the cubical model")
+    p = add("cubical-homology", cmd_cubical_homology, help="betti numbers of the cubical model")
     add_space_flags(p, with_target=False)
     p.add_argument("--coeff", type=int, required=True)
 
-    p = add("obstruction-report", help="per-prime certified bound comparison")
+    p = add("obstruction-report", cmd_obstruction_report,
+            help="per-prime certified bound comparison")
     p.add_argument("--p-list", required=True)
     p.add_argument("--x-cert", action="append", help="artifact for the offset-gap side")
     p.add_argument("--z-cert", action="append", help="artifact for the consecutive-pair side")
 
-    p = add("run", help="execute a manifest file")
+    p = add("run", None, help="execute a manifest file")
     p.add_argument("--manifest", required=True)
 
     return parser
@@ -362,8 +346,8 @@ def _manifest_to_argv(manifest: dict) -> list[str]:
         raise ValidationError(f"malformed manifest: unknown top-level keys {unknown}")
     sub = manifest.get("subcommand")
     params = manifest.get("params", {})
-    if not isinstance(sub, str) or sub not in HANDLERS:
-        raise ValidationError(f"unknown subcommand {sub!r}")
+    if not isinstance(sub, str) or sub == "run":
+        raise ValidationError(f"a manifest may not run subcommand {sub!r}")
     if not isinstance(params, dict):
         raise ValidationError(f"malformed manifest: params must be an object, got {params!r}")
     argv = [sub]
@@ -385,7 +369,7 @@ def _manifest_to_argv(manifest: dict) -> list[str]:
 
 def _provenance(args) -> dict:
     params = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("subcommand", "out") and v is not None}
+              if k not in ("subcommand", "handler", "out") and v is not None}
     return {"tool": "zpindex", "version": __version__,
             "subcommand": args.subcommand, "params": params}
 
@@ -408,22 +392,23 @@ def _update_index(out_path: Path, index: dict, provenance: dict, artifact_sha: s
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.subcommand == "run":
         try:
-            manifest = _load_json(args.manifest)
-            argv2 = _manifest_to_argv(manifest)
+            argv2 = _manifest_to_argv(_load_json(args.manifest))
         except (ValidationError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return main(argv2)
+        try:
+            return main(argv2)
+        except SystemExit as exc:
+            return exc.code
     out_path = Path(args.out) if args.out else None
     try:
         if out_path and out_path.name == "index.json":
             raise ValidationError("--out may not be index.json, which indexes the artifacts")
         index = _read_index(out_path) if out_path else None
-        artifact = {"provenance": _provenance(args), "result": HANDLERS[args.subcommand](args)}
+        artifact = {"provenance": _provenance(args), "result": args.handler(args)}
         artifact["sha256"] = sha256_of(artifact["result"])
         text = canonical_json(artifact)
         if out_path:

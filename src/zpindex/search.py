@@ -23,13 +23,14 @@ including the candidates a domain excludes: those are added arithmetically
 from the rank of each tried vertex among the target vertices.  So the node
 count, the first witness and the node at which a budget raises
 (count = budget + 1) are those of plain place-and-check backtracking over
-every target vertex.
+every target vertex.  A witness then sends each cycle of source labels that
+lies in no simplex to the cycle of the least target label of its length.
 """
 
 from __future__ import annotations
 
 from .errors import BudgetExceeded, ValidationError, whole
-from .simplicial import FreeZpComplex
+from .simplicial import FreeZpComplex, _cycles
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -48,10 +49,8 @@ def find_equivariant_vertex_map(
         raise ValidationError(f"mismatched primes {source.p} != {target.p}")
     whole(budget, "budget")
     p = source.p
-    if source.is_empty():
-        return (), 0
     target_vertices = [s[0] for s in target.complex.by_dim[0]] if not target.is_empty() else []
-    if not target_vertices:
+    if not target_vertices and not source.is_empty():
         return None, 0
     width = len(target_vertices)
     rank = {t: r for r, t in enumerate(target_vertices, 1)}
@@ -132,6 +131,14 @@ def find_equivariant_vertex_map(
             over_budget()
         return False
 
-    if extend(0):
-        return tuple(assignment), nodes
-    return None, nodes
+    if not extend(0):
+        return None, nodes
+    least = {len(c): c for c in reversed(_cycles(tperm, range(len(tperm))))}
+    for cycle in _cycles(source.action.perm, range(len(assignment))):
+        if assignment[cycle[0]] < 0:  # the i-th label goes to the i-th
+            if len(cycle) not in least:
+                raise ValidationError(f"source label {cycle[0]} lies in a cycle of length "
+                                      f"{len(cycle)}, and no target label does")
+            for v, t in zip(cycle, least[len(cycle)]):
+                assignment[v] = t
+    return tuple(assignment), nodes

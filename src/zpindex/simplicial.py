@@ -17,8 +17,9 @@ Action images are two tee'd streams read in step, so no list of them is kept.
 
 Both complex types are frozen dataclasses, their equality, hashing and
 read-only fields declared.  One routine, `_cycles`, walks an action's cycles:
-`ZpAction` checks that each has length 1 or p, and `vertex_orbits` lists the
-orbits of a complex's vertices.  Every free Z_p-set of the package that is
+`ZpAction` checks that each has length 1 or p, `vertex_orbits` lists the
+orbits of a complex's vertices, and the map search places the labels that
+lie in no simplex.  Every free Z_p-set of the package that is
 walked orbit by orbit is a vertex set walked by `vertex_orbits`; periodic
 words in `subshifts` become vertices, so their orbits are vertex orbits.
 Every iterated join, E_n(Z_p) included, is `join_power`.

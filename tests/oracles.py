@@ -538,21 +538,26 @@ def plain_vertex_map_search(source, target, budget):
     a time: the orbit's i-th vertex goes to T^i t for every target vertex t
     in ascending order.  Each placement is one node; it is kept when every
     source simplex whose vertices are all placed now maps onto a target
-    simplex.  Returns (vertex map, nodes) for the first full placement, or
+    simplex.  After a full placement, every label of the source that lies
+    in no simplex goes along its cycle to the cycle of the least target
+    label whose cycle has the same length, the i-th label to the i-th.
+    Returns (vertex map, nodes) for the first full placement, or
     (None, nodes) after every placement was tried; raises OverBudget when
     the node count passes `budget`."""
     present = sorted(s[0] for s in source.complex.simplices() if len(s) == 1)
-    if not present:
-        return (), 0
     targets = sorted(s[0] for s in target.complex.simplices() if len(s) == 1)
-    if not targets:
+    if present and not targets:
         return None, 0
+    def cycle(perm, v):
+        walk = [v]
+        while perm[walk[-1]] != v:
+            walk.append(perm[walk[-1]])
+        return walk
+
     orbits, seen = [], set()
     for v in present:
         if v not in seen:
-            orbit = [v]
-            while source.action.perm[orbit[-1]] != v:
-                orbit.append(source.action.perm[orbit[-1]])
+            orbit = cycle(source.action.perm, v)
             seen.update(orbit)
             orbits.append(orbit)
     position = {v: k for k, orbit in enumerate(orbits) for v in orbit}
@@ -583,6 +588,15 @@ def plain_vertex_map_search(source, target, budget):
                 vertex_map[v] = -1
         return False
 
-    if place(0):
-        return tuple(vertex_map), nodes
-    return None, nodes
+    if not place(0):
+        return None, nodes
+    target_cycles = [cycle(target.action.perm, t) for t in range(len(target.action.perm))]
+    for v in range(len(vertex_map)):
+        if vertex_map[v] == -1:
+            walk = cycle(source.action.perm, v)
+            image = next((c for c in target_cycles if len(c) == len(walk)), None)
+            if image is None:
+                raise ValueError(f"no target label for source label {v}")
+            for u, t in zip(walk, image):
+                vertex_map[u] = t
+    return tuple(vertex_map), nodes

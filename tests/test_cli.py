@@ -1,20 +1,33 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import zpindex
 from zpindex.certificates import (
     ambient_sphere_bound,
     certificate_to_json_dict,
     coindex_lower,
     index_upper,
 )
-from zpindex.cli import HANDLERS, build_parser, main
+from zpindex.cli import build_parser, main
 from zpindex.cubical import GridSpec, build_pp_xm
-from zpindex.simplicial import complex_to_json_dict, content_key, e_n_zp, make_discrete_zp
+from zpindex.simplicial import (
+    complex_from_json_dict,
+    complex_to_json_dict,
+    content_key,
+    e_n_zp,
+    make_discrete_zp,
+)
+from zpindex.verify import check_vertex_map
 
 
 def run(capsys, *argv):
@@ -29,12 +42,21 @@ CERTIFIED_PIPELINE = {"enzp", "join", "subdivide", "homology", "search-map", "co
 
 
 class TestSubcommandTable:
-    """The parser and the handler table name the same subcommands."""
+    """Each subcommand is declared once, on its parser, which binds its handler."""
 
     def test_parser_matches_handlers(self):
         (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        assert set(sub.choices) == set(HANDLERS) | {"run"}
         assert set(sub.choices) == CERTIFIED_PIPELINE | {"run"}
+        for name in CERTIFIED_PIPELINE:
+            assert callable(sub.choices[name].get_default("handler")), name
+
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"subcommand": "enzp", "params": {"n": 0, "p": 2}}))
+        for argv in (["enzp", "--n", "0", "--p", "2"], ["run", "--manifest", str(manifest)]) * 2:
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert build_parser.cache_info().misses == 1
 
 
 class TestSubcommands:
@@ -92,6 +114,32 @@ class TestSubcommands:
         assert code == 0 and art["result"]["found"]
         code, art = run(capsys, "search-map", "--source", str(tgt), "--target", str(src))
         assert code == 0 and not art["result"]["found"]
+
+    @pytest.mark.parametrize("argv", [
+        "search-map --source {source} --target {d}/e0p3.json",
+        "ind --space file --input {source} --p 3 --target 0",
+    ], ids=["search-map", "ind-file"])
+    def test_labels_in_no_simplex_are_mapped(self, tmp_path, capsys, argv):
+        # labels 3, 4 and 5 form an orbit that lies in no simplex
+        source = tmp_path / "source.json"
+        source.write_text(json.dumps(dict(E0P3, vertices=6, perm=[1, 2, 0, 4, 5, 3])))
+        (tmp_path / "e0p3.json").write_text(json.dumps(E0P3))
+        code, art = run(capsys, *argv.format(source=source, d=tmp_path).split())
+        assert code == 0
+        result = art["result"]
+        found = (result["vertex_map"] if "vertex_map" in result
+                 else result["certificate"]["evidence"]["vertex_map"])
+        source_cx = complex_from_json_dict(json.loads(source.read_text()))
+        assert check_vertex_map(source_cx, complex_from_json_dict(E0P3), found) == []
+
+    def test_fixed_label_into_free_target_is_2(self, tmp_path, capsys):
+        source = tmp_path / "source.json"
+        source.write_text(json.dumps(dict(E0P3, vertices=4, perm=[1, 2, 0, 3])))
+        (tmp_path / "e0p3.json").write_text(json.dumps(E0P3))
+        code = main(["search-map", "--source", str(source),
+                     "--target", str(tmp_path / "e0p3.json")])
+        assert "source label 3 lies in a cycle of length 1" in capsys.readouterr().err
+        assert code == 2
 
     def test_config_space_and_cubical_homology(self, capsys):
         code, art = run(capsys, "config-space", "--space", "Xm", "--N", "1",
@@ -272,6 +320,9 @@ def exhaustion_without_prime():
     return art, coind_artifact("coind --space Z --p 3 --grid 2 --target 0")
 
 
+NULL_PARAM_MANIFEST = {"subcommand": "enzp", "params": {"n": 1, "p": 3, "homology": None}}
+
+
 def ambient_under_witness_label():
     """coind >= 1 on E_1(Z_2), a map witness, against the ambient ind <= 0
     of X_1(N=1, p=2) filed under the same space label."""
@@ -365,6 +416,9 @@ class TestExitCodes:
             "N": 1, "delta": "1/3", "m": 2, "p": 3, "grid": 3, "l": 2}})),
         (["run", "--manifest"], json.dumps({"subcommand": "coind", "budget": 100, "params": {
             "space": "enzp", "n": 0, "p": 2, "target": 0}})),
+        # a null param becomes "--homology None", which the parser refuses
+        (["run", "--manifest"], json.dumps(NULL_PARAM_MANIFEST)),
+        (["run", "--manifest"], json.dumps({"subcommand": "run", "params": {"manifest": "m"}})),
         (["obstruction-report", "--p-list", "3", "--x-cert"], json.dumps([])),
         (["obstruction-report", "--p-list", "3", "--x-cert"],
          json.dumps({"kind": "connectivity_bound", "bound_type": "ind_lower", "value": 1,
@@ -388,6 +442,7 @@ class TestExitCodes:
     ], ids=["not-json", "string-prime", "boolean-complex", "string-vertex",
             "manifest-without-subcommand", "manifest-params-list", "manifest-removed-subcommand",
             "manifest-removed-subcommand-relabel", "manifest-top-level-budget",
+            "manifest-null-param", "manifest-runs-run",
             "certificate-list", "certificate-betti-not-list", "artifact-without-certificate",
             "forged-coind-value", "forged-space-prime", "fractional-space-prime",
             "forged-ambient-prime", "forged-connectivity-bound",
@@ -442,6 +497,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([*argv.split(), "--space", space])
         assert "invalid choice: " + repr(space) in capsys.readouterr().err
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", ["config-space --space Z --n 1",
+                                      "cubical-homology --space Z --coeff 2 --input x"],
+                             ids=["config-space-n", "cubical-homology-input"])
+    def test_cubical_subcommand_refuses_model_flags(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert exc.value.code == 2
 
     def test_unwritable_artifact_is_2(self, tmp_path, capsys):
@@ -604,3 +668,62 @@ class TestManifests:
         mf.write_text(json.dumps({"subcommand": "nope", "params": {}}))
         assert main(["run", "--manifest", str(mf)]) == 2
         capsys.readouterr()
+
+
+# The sha256 of the whole --out file, provenance, indentation and final
+# newline included: the bytes a user gets.  None of these reads an input
+# file, so no temporary path enters the provenance.
+FROZEN_FILES = {
+    "enzp": (
+        "enzp --n 2 --p 3 --homology",
+        "ef7918cf278b7533c0e35d247f8865019bcec969e941827baa2e75cb3180c453"),
+    "cubical-homology": (
+        "cubical-homology --space Z --p 3 --grid 2 --coeff 3",
+        "11c8688ef892e7453398b4c5720ffaa7f6cf4ce15821803fec1595c6bf2bff74"),
+    "coind-xm": (
+        "coind --space Xm --N 1 --p 3 --grid 3 --delta 1/3 --target 0",
+        "e1a584084b581d359cc2bdf30f798f90e7fcc0a5f82ff17f00371d686ccbb31c"),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_FILES)
+def test_artifact_file_sha256(tmp_path, name):
+    argv, sha256 = FROZEN_FILES[name]
+    out = tmp_path / "out.json"
+    assert main([*argv.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def zpindex_process(*argv, cwd):
+    """Run `python -m zpindex.cli` in a process of its own: its exit code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(zpindex.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "zpindex.cli", *map(str, argv)], cwd=cwd,
+                          env=env, capture_output=True, check=False).returncode
+
+
+class TestProcessExitCodes:
+    """The exit codes the module docstring promises, as a process sees them."""
+
+    def test_success_is_0(self, tmp_path):
+        assert zpindex_process("enzp", "--n", "0", "--p", "2", cwd=tmp_path) == 0
+
+    def test_refused_manifest_is_2(self, tmp_path):
+        (tmp_path / "m.json").write_text(json.dumps(NULL_PARAM_MANIFEST))
+        assert zpindex_process("run", "--manifest", tmp_path / "m.json", cwd=tmp_path) == 2
+
+    def test_budget_is_3(self, tmp_path):
+        assert zpindex_process("periodic", "--shift", "sigma", "--n", "1200", cwd=tmp_path) == 3
+
+    def test_contradiction_is_4(self, tmp_path):
+        # coind >= 1 on E_1(Z_2) against ind <= 0 on E_0(Z_2) relabelled as
+        # E_1(Z_2).  This exits 4 only because a certificate's `space` label
+        # is not yet checked against its evidence; once it is, the relabelled
+        # certificate is refused and the exit code becomes 2.
+        coind = coind_artifact("coind --space enzp --n 1 --p 2 --target 1")
+        ind = coind_artifact("ind --space enzp --n 0 --p 2 --target 0")
+        ind["result"]["certificate"]["space"] = coind["result"]["certificate"]["space"]
+        for name, art in (("x", coind), ("z", ind)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(art), encoding="utf-8")
+        assert zpindex_process("obstruction-report", "--p-list", "2",
+                               "--x-cert", tmp_path / "x.json", "--z-cert", tmp_path / "z.json",
+                               cwd=tmp_path) == 4

@@ -25,6 +25,7 @@ from zpindex.simplicial import (
     make_discrete_zp,
 )
 from zpindex.subshifts import as_free_zp_complex, make_sigma_m, periodic_points
+from zpindex.verify import check_vertex_map
 
 
 def x1(N, p, G):
@@ -129,8 +130,19 @@ class TestAgainstPlainBacktracking:
     def test_same_map_nodes_and_budget_raise(self, case):
         source, target, budget = case
         event(f"source meets its top vertex orbit twice: {meets_top_orbit_twice(source)}")
-        assert (outcome(find_equivariant_vertex_map, source, target, budget)
-                == outcome(plain_vertex_map_search, source, target, budget))
+        found = outcome(find_equivariant_vertex_map, source, target, budget)
+        assert found == outcome(plain_vertex_map_search, source, target, budget)
+        if isinstance(found[0], tuple):
+            event(f"witness for labels in no simplex: "
+                  f"{len(source.complex.by_dim[0]) < source.complex.vertex_count}")
+            assert check_vertex_map(source, target, found[0]) == []
+
+
+def test_source_without_simplices_maps_every_label():
+    source = FreeZpComplex(SimplicialComplex.from_simplices(3, []), ZpAction(3, (1, 2, 0)))
+    target = e_n_zp(0, 3)
+    vertex_map, nodes = find_equivariant_vertex_map(source, target)
+    assert nodes == 0 and check_vertex_map(source, target, vertex_map) == []
 
 
 # The refute searches of the benchmark, at canonical labels: every one
