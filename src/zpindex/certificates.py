@@ -267,7 +267,8 @@ def obstruction_report(p_list, x_certs, z_certs) -> list[ObstructionRow]:
     own prime `cert.p`.  Before any row is built, the certificates on each
     space (both sides together) must agree: `assert_coindex_le_index` raises
     ConsistencyError on a coind lower bound above an ind upper bound.
-    Exhausted searches are reported but never used as bounds.
+    Exhausted searches, coind on the offset-gap side and ind on the other,
+    are reported but never used as bounds.
     """
     sides = ({}, {})
     by_space: dict[str, list] = {}
@@ -287,7 +288,7 @@ def obstruction_report(p_list, x_certs, z_certs) -> list[ObstructionRow]:
         x_low = _best(xs, "coind_lower", max)
         z_up = _best(zs, "ind_upper", min)
         x_ex = _max_attempted(xs, "coind_lower")
-        z_ex = _max_attempted(zs, "coind_lower")
+        z_ex = _max_attempted(zs, "ind_upper")
         gap = x_low is not None and z_up is not None and x_low >= z_up + 1
         verdict = ("gap certified: coind lower bound exceeds the other side"
                    if gap else "gap not certified at this resolution")

@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
-        p.add_argument("--out", help="artifact JSON path (default: stdout)")
+        if handler:
+            p.add_argument("--out", help="artifact JSON path (default: stdout)")
         return p
 
     def add_space_flags(p, with_target=True):

@@ -40,16 +40,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 
-from .errors import DEFAULT_CELL_BUDGET, ValidationError, whole
+from .errors import DEFAULT_CELL_BUDGET, ValidationError, whole, within_budget
 from .fplinalg import betti_numbers, prime
-from .simplicial import FreeZpComplex, HomologyProfile, SimplicialComplex, ZpAction
+from .simplicial import (FreeZpComplex, HomologyProfile, SimplicialComplex, ZpAction,
+                         subdivision_size)
 from .subshifts import each_cyclic_word
 
 AxisInterval = tuple[int, int]  # (lo, length), length in {0, 1}
 Box = tuple[AxisInterval, ...]
-
-MAX_P = 7
-MAX_N = 3
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ class CubicalZpComplex:
     position, and only they are checked, each check one pass over the codes.
     p is prime, so the action is free once no cell is its own image."""
 
-    __slots__ = ("p", "grid", "constraint", "cells", "_by_dim", "_base", "_lead", "_positions")
+    __slots__ = ("p", "grid", "constraint", "cells", "by_dim", "_base", "_lead", "_positions")
 
     def __init__(self, p: int, grid: GridSpec, constraint, cells):
         self.p, self.grid, self.constraint = prime(p), grid, constraint
@@ -229,8 +227,8 @@ class CubicalZpComplex:
             refuse(dict(zip(cells, verdicts)).get, "cell {} fails the defining constraint")
         box_dims = [len(faces) // 2 for faces in box_faces]
         dims = list(map(sum, zip(*(map(box_dims.__getitem__, column) for column in digits))))
-        self._by_dim = tuple(tuple(itertools.compress(cells, map(k.__eq__, dims)))
-                             for k in range(max(dims, default=-1) + 1))
+        self.by_dim = tuple(tuple(itertools.compress(cells, map(k.__eq__, dims)))
+                            for k in range(max(dims, default=-1) + 1))
 
     def shift(self, code: int) -> int:
         """T: the digit rotation that moves position 0 to the end."""
@@ -247,10 +245,7 @@ class CubicalZpComplex:
 
     @property
     def dim(self) -> int:
-        return len(self._by_dim) - 1
-
-    def cells_of_dim(self, k: int) -> tuple[int, ...]:
-        return self._by_dim[k] if 0 <= k < len(self._by_dim) else ()
+        return len(self.by_dim) - 1
 
     def __repr__(self):
         return (f"CubicalZpComplex(p={self.p}, grid={self.grid}, "
@@ -275,9 +270,7 @@ def build_pp_xm(N: int, delta: int | Fraction, m: int, p: int, grid: GridSpec,
         raise ValidationError("offset-gap spaces live on the cube grid")
     if whole(N, "N", 1) != grid.N:
         raise ValidationError(f"grid dimension {grid.N} != N={N}")
-    if prime(p) > MAX_P or N > MAX_N:
-        raise ValidationError(f"instances beyond p={MAX_P}, N={MAX_N} are unsupported")
-    return _enumerate_cells(p, grid, OffsetGapConstraint(delta, m), budget)
+    return _enumerate_cells(prime(p), grid, OffsetGapConstraint(delta, m), budget)
 
 
 def build_pp_yz(which: str, p: int, grid: GridSpec,
@@ -285,9 +278,7 @@ def build_pp_yz(which: str, p: int, grid: GridSpec,
     """Certified cells of the circle-valued consecutive-pair spaces."""
     if not grid.circle_valued or grid.N != 1:
         raise ValidationError("Y/Z spaces need a circle-valued grid with N=1")
-    if prime(p) > MAX_P:
-        raise ValidationError(f"instances beyond p={MAX_P} are unsupported")
-    return _enumerate_cells(p, grid, CirclePairConstraint(which), budget)
+    return _enumerate_cells(prime(p), grid, CirclePairConstraint(which), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +290,7 @@ def cubical_homology(cx: CubicalZpComplex, p_coeff: int) -> HomologyProfile:
     of `CubicalZpComplex.faces` the faces have the signs + - - + repeating."""
     def signed_faces(code: int):
         return zip(cx.faces(code), itertools.cycle((1, -1, -1, 1)))
-    return HomologyProfile(p_coeff, betti_numbers(cx._by_dim, signed_faces, p_coeff, False), False)
+    return HomologyProfile(p_coeff, betti_numbers(cx.by_dim, signed_faces, p_coeff, False), False)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +303,17 @@ def cubical_homology(cx: CubicalZpComplex, p_coeff: int) -> HomologyProfile:
 # simplices of the lower cells as faces.  Codes add over digits, and box
 # indices over interval ranks (mixed radix), so a cell's lowest corner sums
 # its steps to its bottom faces, and a bottom-to-top step raises any corner.
+# A k-cell holds one simplex per ordered set partition of its k unit axes (a
+# chain of corners from low to high), so the size is known before any is built.
 
 def cubical_to_simplicial(cx: CubicalZpComplex) -> FreeZpComplex:
     """The corner-path triangulation, vertices numbered by the sorted 0-cells,
     with the cyclic shift as the action."""
     if cx.grid.circle_valued and cx.grid.G < 2:
         raise ValidationError("circle triangulation needs G >= 2 (distinct arc endpoints)")
-    verts = cx.cells_of_dim(0)
+    f_vector = list(map(len, cx.by_dim))
+    within_budget(sum(f_vector[:1]) + subdivision_size(f_vector[1:]), "the triangulation")
+    verts = cx.by_dim[0] if cx.cells else ()
     index = {v: i for i, v in enumerate(verts)}
     faces = {face for code in cx.cells for face in cx.faces(code)}
     tops = []

@@ -20,8 +20,8 @@ def whole(value, name: str, least: int = 0) -> int:
     return value
 
 
-# Cells of a cubical model, and simplices of a barycentric subdivision, that
-# one computation may build.
+# Cells of a cubical model, and simplices of a triangulation, a join or a
+# barycentric subdivision, that one computation may build.
 DEFAULT_CELL_BUDGET = 10_000_000
 
 
@@ -35,6 +35,13 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, message, *, count=None):
         super().__init__(message)
         self.count = count
+
+
+def within_budget(size: int, what: str) -> None:
+    """Before anything is built: refuse `what` if it would pass the budget."""
+    if size > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(f"{what} would have {size} simplices, "
+                             f"above the budget {DEFAULT_CELL_BUDGET}", count=size)
 
 
 class ConsistencyError(RuntimeError):

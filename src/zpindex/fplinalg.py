@@ -10,27 +10,14 @@ complexes alike.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ValidationError
 
 
-def is_prime(n) -> bool:
-    if type(n) is not int or n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def prime(p, name: str = "p") -> int:
-    """Return p, or raise ValidationError unless p is an int that is prime."""
-    if not is_prime(p):
+    """Return p, or raise ValidationError unless p is an int >= 2 with no divisor in 2..isqrt(p)."""
+    if type(p) is not int or p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValidationError(f"{name}={p!r} is not prime")
     return p
 

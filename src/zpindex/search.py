@@ -49,9 +49,7 @@ def find_equivariant_vertex_map(
         raise ValidationError(f"mismatched primes {source.p} != {target.p}")
     whole(budget, "budget")
     p = source.p
-    target_vertices = [s[0] for s in target.complex.by_dim[0]] if not target.is_empty() else []
-    if not target_vertices and not source.is_empty():
-        return None, 0
+    target_vertices = [t for level in target.complex.by_dim[:1] for (t,) in level]
     width = len(target_vertices)
     rank = {t: r for r, t in enumerate(target_vertices, 1)}
 

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from operator import and_, itemgetter, lt, mul, ne, not_
 
-from .errors import DEFAULT_CELL_BUDGET, BudgetExceeded, ValidationError, whole
+from .errors import ValidationError, whole, within_budget
 from .fplinalg import betti_numbers, prime
 
 Simplex = tuple[int, ...]
@@ -273,11 +273,13 @@ def join(x: FreeZpComplex, y: FreeZpComplex) -> FreeZpComplex:
     """Combinatorial join: simplices are disjoint unions of a simplex from
     each side (either side may contribute nothing), acted on simultaneously;
     so the complex is the closure of the unions of two maximal simplices.
+    Its (|x| + 1)(|y| + 1) - 1 simplices are checked against the budget first.
 
     An empty factor is the identity for the join.
     """
     if x.p != y.p:
         raise ValidationError(f"join over mismatched primes {x.p} != {y.p}")
+    within_budget(math.prod(sum(z.complex.f_vector()) + 1 for z in (x, y)) - 1, "the join")
     if y.is_empty():
         return x
     if x.is_empty():
@@ -292,8 +294,10 @@ def join(x: FreeZpComplex, y: FreeZpComplex) -> FreeZpComplex:
 
 def join_power(x: FreeZpComplex, copies: int) -> FreeZpComplex:
     """The join of `copies` copies of x, each new copy joined on the right:
-    vertex i*n + v is vertex v of copy i, where x has n vertices."""
+    vertex i*n + v is vertex v of copy i, where x has n vertices.  The
+    result's (|x| + 1)^copies - 1 simplices are checked before the first join."""
     whole(copies, "need at least one copy: copies", 1)
+    within_budget((sum(x.complex.f_vector()) + 1) ** copies - 1, f"the join of {copies} copies")
     out = x
     for _ in range(copies - 1):
         out = join(out, x)
@@ -332,10 +336,7 @@ def barycentric_subdivide(x: FreeZpComplex) -> FreeZpComplex:
     comes before its cofaces, so every chain is already increasing.  The
     size is predicted from the f-vector first, and BudgetExceeded is raised
     before any chain is built when it passes DEFAULT_CELL_BUDGET."""
-    size = subdivision_size(x.complex.f_vector())
-    if size > DEFAULT_CELL_BUDGET:
-        raise BudgetExceeded(f"the subdivision would have {size} simplices, "
-                             f"above the budget {DEFAULT_CELL_BUDGET}", count=size)
+    within_budget(subdivision_size(x.complex.f_vector()), "the subdivision")
     index = {s: i for i, s in enumerate(x.complex.simplices())}
     chains_ending_at: dict[Simplex, list[Simplex]] = {}
     levels: list[list[Simplex]] = [[] for _ in x.complex.by_dim]

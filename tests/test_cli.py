@@ -153,6 +153,13 @@ class TestSubcommands:
         assert code == 0
         assert art["result"]["homology"]["betti"] == [1, 1, 0]
 
+    def test_period_beyond_seven_is_built(self, capsys):
+        # only the cell budget bounds a build
+        code, art = run(capsys, *"cubical-homology --space Xm --N 1 --p 11 --grid 2 --delta 1/2 "
+                                 "--coeff 11".split())
+        assert code == 0
+        assert art["result"]["cells"] == 9_438
+
     def test_join_periodic(self, capsys):
         code, art = run(capsys, "join-periodic", "--shift", "sigma", "--p", "3",
                         "--copies", "2")
@@ -188,6 +195,21 @@ class TestSubcommands:
                         "--z-cert", str(tmp_path / "z.json"))
         assert code == 0
         assert art["result"]["rows"][0]["x_coind_lower"] == 0
+
+    def test_obstruction_report_shows_an_exhausted_ind(self, tmp_path, capsys):
+        # E_1(Z_3) maps into no E_0(Z_3): an exhausted ind <= 0 on the Z side
+        assert main(["ind", "--space", "enzp", "--n", "1", "--p", "3", "--target", "0",
+                     "--out", str(tmp_path / "z.json")]) == 0
+        assert main([*X1_N2P3G2_COIND.split(), "--out", str(tmp_path / "x.json")]) == 0
+        capsys.readouterr()
+        code, art = run(capsys, "obstruction-report", "--p-list", "3",
+                        "--x-cert", str(tmp_path / "x.json"), "--z-cert", str(tmp_path / "z.json"))
+        assert code == 0
+        row = art["result"]["rows"][0]
+        assert (row["z_coind_upper"], row["z_exhausted_at"]) == (None, 0)
+
+
+X1_N2P3G2_COIND = "coind --space Xm --N 2 --p 3 --grid 2 --delta 1/2 --target 0"
 
 
 def coind_artifact(argv):
@@ -374,6 +396,27 @@ class TestExitCodes:
         e7p2.write_text(json.dumps(complex_to_json_dict(e_n_zp(7, 2))), encoding="utf-8")
         code = main(argv.format(e7p2=e7p2).split())
         assert "the subdivision would have 197613376 simplices" in capsys.readouterr().err
+        assert code == 3
+
+    def test_triangulation_budget_is_3(self, capsys):
+        # 330,336 cells, whose corner paths would give 14,226,960 simplices
+        code = main("config-space --space Xm --N 2 --p 3 --grid 4 --delta 1/4".split())
+        assert "the triangulation would have 14226960 simplices" in capsys.readouterr().err
+        assert code == 3
+
+    @pytest.mark.parametrize("argv,what,count", [
+        ("enzp --n 7 --p 7", "the join of 8 copies", 8 ** 8 - 1),
+        ("coind --space enzp --n 1 --p 7 --target 7", "the join of 8 copies", 8 ** 8 - 1),
+        ("ind --space enzp --n 1 --p 7 --target 7", "the join of 8 copies", 8 ** 8 - 1),
+        ("join --left {e3p7} --right {e3p7}", "the join", 8 ** 8 - 1),
+        # 2^7 - 2 points of period 7
+        ("join-periodic --shift sigma --p 7 --copies 4", "the join of 4 copies", 127 ** 4 - 1),
+    ], ids=["enzp", "coind-model", "ind-model", "join", "join-periodic"])
+    def test_join_budget_is_3(self, tmp_path, capsys, argv, what, count):
+        e3p7 = tmp_path / "e3p7.json"
+        e3p7.write_text(json.dumps(complex_to_json_dict(e_n_zp(3, 7))), encoding="utf-8")
+        code = main(argv.format(e3p7=e3p7).split())
+        assert f"{what} would have {count} simplices" in capsys.readouterr().err
         assert code == 3
 
     @pytest.mark.parametrize("periods", ["", ","], ids=["empty", "comma"])
@@ -584,12 +627,14 @@ FROZEN = {
     "ind-exhausted": (
         "ind --space enzp --n 1 --p 2 --target 0",
         "66e4284e0f8591aac4fc3fbd496d1490029132b8fadf3fa4baa74a6684db7fa5"),
-    # Commands before the last write its inputs; the last one is hashed.
+    # Commands before the last write its inputs; the last one is hashed.  The
+    # Z certificate is an exhausted coind >= 1, which the Z side's exhausted
+    # column, holding ind searches, leaves out.
     "obstruction-report": (
         "coind --space Xm --N 1 --delta 3/5 --m 1 --p 2 --grid 4 --target 0 --out {d}/x.json"
         " ; coind --space Z --p 2 --grid 4 --target 1 --out {d}/z.json"
         " ; obstruction-report --p-list 2 --x-cert {d}/x.json --z-cert {d}/z.json",
-        "fc49847e4787bab35bbf0335fd6ef13be2ed02526d94d210e553da742d9b5123"),
+        "faf5127f7de318d8ffedf5f73ba7fa1a30ffd52a8dc9190c333884555d537bae"),
 }
 
 
@@ -668,6 +713,16 @@ class TestManifests:
         mf.write_text(json.dumps({"subcommand": "nope", "params": {}}))
         assert main(["run", "--manifest", str(mf)]) == 2
         capsys.readouterr()
+
+    def test_run_refuses_out(self, tmp_path, capsys):
+        # the manifest names the output; a --out of its own would be ignored
+        mf = tmp_path / "m.json"
+        mf.write_text(json.dumps(self.MANIFEST))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--manifest", str(mf), "--out", str(tmp_path / "never.json")])
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert exc.value.code == 2
+        assert not (tmp_path / "never.json").exists()
 
 
 # The sha256 of the whole --out file, provenance, indentation and final

@@ -25,6 +25,7 @@ from oracles import (
     xm_cell_ok,
     xm_window_ok,
 )
+from zpindex import errors
 from zpindex.certificates import ambient_sphere_bound, coindex_lower, index_upper
 from zpindex.cubical import (
     CirclePairConstraint,
@@ -39,7 +40,7 @@ from zpindex.cubical import (
     encode,
 )
 from zpindex.errors import BudgetExceeded, ValidationError
-from zpindex.simplicial import e_n_zp, homology, join_power, make_discrete_zp
+from zpindex.simplicial import e_n_zp, homology, join_power, make_discrete_zp, subdivision_size
 from zpindex.subshifts import each_cyclic_word, rotate
 
 
@@ -65,7 +66,7 @@ class TestBuildXm:
     def test_p2_grid4_vertex_set_matches_direct_enumeration(self):
         grid = GridSpec(1, 4)
         cx = build_pp_xm(1, Fraction(3, 5), 1, 2, grid)
-        got = {tuple(box[0][0] for box in cell) for cell in tuples(cx, cx.cells_of_dim(0))}
+        got = {tuple(box[0][0] for box in cell) for cell in tuples(cx, cx.by_dim[0])}
         expected = set()
         for a, b in itertools.product(range(5), repeat=2):
             vals = ((Fraction(a, 4),), (Fraction(b, 4),))
@@ -120,8 +121,8 @@ class TestBuildXm:
         coarse = build_pp_xm(1, Fraction(1, 2), 1, 2, GridSpec(1, 2))
         fine = build_pp_xm(1, Fraction(1, 2), 1, 2, GridSpec(1, 4))
         fine_vertices = {tuple(box[0][0] for box in cell)
-                         for cell in tuples(fine, fine.cells_of_dim(0))}
-        for cell in tuples(coarse, coarse.cells_of_dim(0)):
+                         for cell in tuples(fine, fine.by_dim[0])}
+        for cell in tuples(coarse, coarse.by_dim[0]):
             doubled = tuple(2 * box[0][0] for box in cell)
             assert doubled in fine_vertices
 
@@ -143,9 +144,11 @@ class TestBuildXm:
         assert raised.value.count == 40_401
         assert peak < 2 * 1024 ** 2
 
-    def test_out_of_scope_sizes_rejected(self):
-        with pytest.raises(ValidationError):
-            build_pp_xm(1, Fraction(1, 2), 1, 11, GridSpec(1, 2))
+    def test_large_period_is_bounded_by_the_cell_budget(self):
+        # no cap on p or N: the enumeration budget alone decides
+        assert len(build_pp_xm(1, Fraction(1, 2), 1, 11, GridSpec(1, 2)).cells) == 9_438
+        with pytest.raises(BudgetExceeded):
+            build_pp_xm(1, Fraction(1, 3), 1, 11, GridSpec(1, 3))
 
     def test_circle_grid_rejected(self):
         with pytest.raises(ValidationError):
@@ -269,7 +272,7 @@ class TestCubicalHomology:
             cubical_homology(cx, 2)
             signed_faces = driver_calls[-1]["signed_faces"]
             for k in range(1, cx.dim + 1):
-                for cell in cx.cells_of_dim(k):
+                for cell in cx.by_dim[k]:
                     acc: dict = {}
                     for face, sign in signed_faces(cell):
                         for lower, lower_sign in (signed_faces(face) if k > 1 else [((), 1)]):
@@ -314,6 +317,26 @@ class TestTriangulation:
         cx = build_pp_yz("Z", 2, GridSpec(1, 1, circle_valued=True))
         with pytest.raises(ValidationError):
             cubical_to_simplicial(cx)
+
+    @pytest.mark.parametrize("build,simplices", [
+        (lambda: build_pp_xm(2, Fraction(1, 2), 1, 3, GridSpec(2, 2)), 20_208),
+        (lambda: build_pp_xm(1, Fraction(1, 4), 1, 5, GridSpec(1, 4)), 24_210),
+        (lambda: build_pp_yz("Z", 3, GridSpec(1, 3, circle_valued=True)), 1_092),
+        (lambda: build_pp_yz("Z", 5, GridSpec(1, 2, circle_valued=True)), 127_240),
+    ], ids=["x1-n2p3g2", "x1-n1p5g4", "z-p3g3", "z-p5g2"])
+    def test_size_predicted_from_cell_counts(self, monkeypatch, build, simplices):
+        # a k-cell holds one simplex per ordered set partition of its k axes
+        cx = build()
+        f_vector = list(map(len, cx.by_dim))
+        assert f_vector[0] + subdivision_size(f_vector[1:]) == simplices
+        monkeypatch.setattr(errors, "DEFAULT_CELL_BUDGET", simplices - 1)
+        with monkeypatch.context() as begun:
+            begun.setattr(CubicalZpComplex, "faces", lambda *_: pytest.fail("built"))
+            with pytest.raises(BudgetExceeded) as raised:
+                cubical_to_simplicial(cx)
+        assert raised.value.count == simplices
+        monkeypatch.setattr(errors, "DEFAULT_CELL_BUDGET", simplices)
+        assert sum(cubical_to_simplicial(cx).complex.f_vector()) == simplices
 
 
 class TestTriangulationProperties:
@@ -588,7 +611,7 @@ class TestCodes:
         assert code > 2 ** 63 and decode(code, p, grid) == cell
         orbit = [rotate(cell, a) for a in range(p)]
         cx = CubicalZpComplex(p, grid, AnyCell(), coded(orbit, grid))  # 0-cells: no faces
-        assert tuples(cx) == sorted(orbit) and cx.cells_of_dim(0) == cx.cells
+        assert tuples(cx) == sorted(orbit) and cx.by_dim == (cx.cells,)
         assert tuples(cx, map(cx.shift, cx.cells)) == [rotate(c) for c in sorted(orbit)]
 
 
@@ -598,14 +621,14 @@ class TestDimensionGroups:
     def test_groups_match_filter(self, complex_grid):
         cx = complex_grid[0]
         assert cx.dim == max(map(tuple_dim, tuples(cx)), default=-1)
-        for k in range(-1, cx.dim + 2):
-            assert list(cx.cells_of_dim(k)) == [c for c in cx.cells
-                                                if tuple_dim(decode(c, cx.p, cx.grid)) == k]
+        assert cx.by_dim == tuple(tuple(c for c in cx.cells
+                                        if tuple_dim(decode(c, cx.p, cx.grid)) == k)
+                                  for k in range(cx.dim + 1))
 
     def test_empty(self):
         cx = build_pp_xm(1, Fraction(2), 1, 2, GridSpec(1, 2))
         assert cx.dim == -1
-        assert cx.cells_of_dim(-1) == cx.cells_of_dim(0) == cx.cells_of_dim(1) == ()
+        assert cx.by_dim == ()
 
 
 class TestOrbitWalk:
@@ -657,7 +680,7 @@ class TestOrbitWalk:
     def test_dropping_last_sorted_orbit_member_refused(self):
         # a top cell's orbit: no face check can see the gap, only the walk
         cx = build_pp_xm(2, Fraction(1, 2), 1, 3, GridSpec(2, 2))
-        top = cx.cells_of_dim(cx.dim)[0]
+        top = cx.by_dim[cx.dim][0]
         orbit = sorted([top, cx.shift(top), cx.shift(cx.shift(top))])
         with pytest.raises(ValidationError, match="shift image"):
             CubicalZpComplex(3, cx.grid, cx.constraint, set(cx.cells) - {orbit[-1]})
@@ -666,7 +689,7 @@ class TestOrbitWalk:
     def test_missing_face_orbit_refused(self):
         # the orbit of a top cell's face goes: shift-closed, but not face-closed
         cx = build_pp_xm(2, Fraction(1, 2), 1, 3, GridSpec(2, 2))
-        face = cx.faces(cx.cells_of_dim(cx.dim)[0])[0]
+        face = cx.faces(cx.by_dim[cx.dim][0])[0]
         orbit = {face, cx.shift(face), cx.shift(cx.shift(face))}
         with pytest.raises(ValidationError, match="face"):
             CubicalZpComplex(3, cx.grid, cx.constraint, set(cx.cells) - orbit)

@@ -16,9 +16,10 @@ LADDER = ROOT / "tools" / "cubical_ladder.py"
 
 EXERCISED = {
     "x1-n2p3g2": ("enumerate", "validate", "homology", "rank"),
-    "ind-x1-n2p3g2": ("enumerate", "validate", "close", "complex_validation",
-                      "action_validation", "maximal", "verify"),
-    "coind-e3p2-d2": ("subdivide", "complex_validation", "action_validation", "verify"),
+    "ind-x1-n2p3g2": ("enumerate", "validate", "triangulate", "close", "complex_validation",
+                      "action_validation", "maximal", "search", "verify"),
+    "coind-e3p2-d2": ("subdivide", "complex_validation", "action_validation", "search",
+                      "verify"),
     "periodic-sigma2-n3to16": ("enumerate",),
 }
 

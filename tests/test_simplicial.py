@@ -216,6 +216,30 @@ def free_complexes(draw):
     return FreeZpComplex(SimplicialComplex.from_simplices(orbits * p, images), ZpAction(p, perm))
 
 
+class TestJoinSize:
+    @settings(max_examples=40)
+    @given(free_complexes(), free_complexes(), st.integers(1, 3))
+    def test_size_predicted(self, x, y, copies):
+        assume(x.p == y.p)
+        size = sum(x.complex.f_vector())
+        assert sum(join(x, y).complex.f_vector()) == \
+            (size + 1) * (sum(y.complex.f_vector()) + 1) - 1
+        assert sum(join_power(x, copies).complex.f_vector()) == (size + 1) ** copies - 1
+
+    def test_oversized_join_refused_before_building(self, monkeypatch):
+        # E_7(Z_7) joins 8 copies of Z_7 (7 simplices), and E_3(Z_7) * E_3(Z_7)
+        # two of 8^4 - 1: both have 8^8 - 1 simplices
+        e3p7 = e_n_zp(3, 7)
+
+        def listed(self):
+            raise AssertionError("a join was begun")
+        monkeypatch.setattr(SimplicialComplex, "maximal_simplices", listed)
+        for build in (lambda: e_n_zp(7, 7), lambda: join(e3p7, e3p7)):
+            with pytest.raises(BudgetExceeded) as raised:
+                build()
+            assert raised.value.count == 8 ** 8 - 1 > DEFAULT_CELL_BUDGET
+
+
 class TestSubdivisionOracle:
     @settings(max_examples=60)
     @given(free_complexes())

@@ -20,6 +20,8 @@ Each stage's time is its own, less the stages called inside it:
   the enumerator yields them;
 - validate: the `CubicalZpComplex` constructor (sorting, grouping and the
   face, shift and constraint checks);
+- triangulate: `cli.cubical_to_simplicial`, the corner paths of the
+  maximal cells;
 - homology: `cli.cubical_homology`, that is the boundary columns and the
   driver's bookkeeping;
 - rank: `fplinalg.fp_rank`, with the number of columns it was given;
@@ -30,12 +32,14 @@ Each stage's time is its own, less the stages called inside it:
 - complex_validation: `SimplicialComplex._validate`;
 - action_validation: `FreeZpComplex._validate`;
 - maximal: `SimplicialComplex.maximal_simplices`;
+- search: `certificates.find_equivariant_vertex_map`, the map search;
 - verify: `certificates.check_vertex_map`, the witness checker.
 
 The output holds the median of each timed field over the repeats (wall
 seconds, not scaled to a host speed), the SHA-256 of the artifact's result
-and the cells, columns and Betti numbers when it has them (all of which
-must agree across sides), and each side's `src/` line count.
+and the cells, columns, Betti numbers and total search nodes when it has
+them (all of which must agree across sides), and each side's `src/` line
+count.
 `--instance NAME --src DIR` runs one instance once and prints its JSON.
 """
 
@@ -78,8 +82,8 @@ INSTANCES = {
     "reload-x1-n2p3g3": f"config-space {_xm(2, 3, 3)}",
 }
 RELOADED = {"reload-x1-n2p3g3"}
-STAGES = ("enumerate", "validate", "homology", "rank", "subdivide", "close",
-          "complex_validation", "action_validation", "maximal", "verify")
+STAGES = ("enumerate", "validate", "triangulate", "homology", "rank", "subdivide", "close",
+          "complex_validation", "action_validation", "maximal", "search", "verify")
 
 
 def run_one(name: str, src: str) -> dict:
@@ -92,6 +96,7 @@ def run_one(name: str, src: str) -> dict:
 
     spent = dict.fromkeys(STAGES, 0.0)
     columns = [0]
+    nodes = []  # per search, the nodes it visited
     inner = []  # per open stage, the seconds spent in stages inside it
 
     def timed(stage, fn):
@@ -113,11 +118,19 @@ def run_one(name: str, src: str) -> dict:
             return fn(cols, *args, **kwargs)
         return wrapper
 
+    def searched(fn):
+        def wrapper(*args, **kwargs):
+            vertex_map, count = fn(*args, **kwargs)
+            nodes.append(count)
+            return vertex_map, count
+        return wrapper
+
     cx_class = zpindex.cubical.CubicalZpComplex
     cx_class.__init__ = timed("validate", cx_class.__init__)
     zpindex.cubical._enumerate_cells = timed("enumerate", zpindex.cubical._enumerate_cells)
     zpindex.cli.periodic_points = timed("enumerate", zpindex.cli.periodic_points)
     zpindex.cli.periodic_table = timed("enumerate", zpindex.cli.periodic_table)
+    zpindex.cli.cubical_to_simplicial = timed("triangulate", zpindex.cli.cubical_to_simplicial)
     zpindex.cli.cubical_homology = timed("homology", zpindex.cli.cubical_homology)
     zpindex.fplinalg.fp_rank = timed("rank", counted(zpindex.fplinalg.fp_rank))
     zpindex.certificates.barycentric_subdivide = timed(
@@ -128,6 +141,8 @@ def run_one(name: str, src: str) -> dict:
     simplicial.maximal_simplices = timed("maximal", simplicial.maximal_simplices)
     acted = zpindex.simplicial.FreeZpComplex
     acted._validate = timed("action_validation", acted._validate)
+    zpindex.certificates.find_equivariant_vertex_map = timed(
+        "search", searched(zpindex.certificates.find_equivariant_vertex_map))
     zpindex.certificates.check_vertex_map = timed("verify", zpindex.certificates.check_vertex_map)
 
     with tempfile.TemporaryDirectory() as out:
@@ -147,6 +162,8 @@ def run_one(name: str, src: str) -> dict:
         facts["cells"] = result["cells"]
     if "homology" in result:
         facts.update(columns_reduced=columns[0], betti=result["homology"]["betti"])
+    if nodes:
+        facts["search_nodes"] = sum(nodes)
     return {"seconds": total, **{f"{s}_s": spent[s] for s in STAGES},
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             **facts}
