@@ -308,7 +308,13 @@ def cubical_homology(cx: CubicalZpComplex, p_coeff: int) -> HomologyProfile:
 
 def cubical_to_simplicial(cx: CubicalZpComplex) -> FreeZpComplex:
     """The corner-path triangulation, vertices numbered by the sorted 0-cells,
-    with the cyclic shift as the action."""
+    with the cyclic shift as the action.
+
+    It is a flag complex.  Two corners are adjacent iff one lies above the
+    other (in each coordinate, in the order inside a cell) and the cube they
+    span is a cell.  Pairwise comparable corners form a chain, and its
+    min-max pair is an edge, whose spanning cube is a cell: the chain is a
+    corner path of that cell, a simplex."""
     if cx.grid.circle_valued and cx.grid.G < 2:
         raise ValidationError("circle triangulation needs G >= 2 (distinct arc endpoints)")
     f_vector = list(map(len, cx.by_dim))

@@ -12,9 +12,11 @@ AND of closed neighbourhoods of placed images.  The vertex at slot i of an
 orbit maps to T^i t, t the image of its representative, and the target's
 edges are T-invariant; so an edge from it to a placed u asks for t in
 N[T^{-i} assignment[u]] = N[assignment[w]], where w = T^{-i} u is the placed
-vertex at slot (slot_u - i) mod p of u's orbit.  Candidates in the domain are
-then checked against the remaining simplices (edges inside the orbit and
-every simplex of dimension 2 and up).
+vertex at slot (slot_u - i) mod p of u's orbit.  An edge between slots i < j
+of one orbit asks for t in shifted[j - i] = {t : T^(j-i) t in N[t]}.  So each
+candidate maps every source edge onto an edge or a vertex; on a target flag
+up to the source's simplex size (`_flag_up_to`) it maps every simplex onto a
+clique, so onto a simplex.  Other targets look larger simplices up in a table.
 Of each simplex orbit only the members that hold the representative of their
 last-placed vertex orbit are checked, so no action is applied to a simplex.
 
@@ -29,10 +31,45 @@ lies in no simplex to the cycle of the least target label of its length.
 
 from __future__ import annotations
 
+from functools import partial, reduce
+from itertools import chain
+from operator import and_, rshift
+
 from .errors import BudgetExceeded, ValidationError, whole
-from .simplicial import FreeZpComplex, _cycles
+from .simplicial import FreeZpComplex, SimplicialComplex, _columns, _cycles
 
 DEFAULT_BUDGET = 5_000_000
+
+
+def _closed_neighbourhoods(cx: SimplicialComplex) -> list[int]:
+    """Per vertex label v, N[v] as a bitset: v and its 1-skeleton neighbours."""
+    closed = [0] * cx.vertex_count
+    for (v,) in chain.from_iterable(cx.by_dim[:1]):
+        closed[v] = 1 << v
+    for a, b in chain.from_iterable(cx.by_dim[1:2]):
+        closed[a] |= 1 << b
+        closed[b] |= 1 << a
+    return closed
+
+
+def _flag_up_to(cx: SimplicialComplex, size: int) -> bool:
+    """Whether every clique of at most `size` vertices of cx's 1-skeleton is
+    a simplex, counted, not listed.  By induction on k >= 2 (the 2-cliques
+    are the edges): if every k-clique is a simplex, each (k+1)-clique is
+    counted once, from the simplex s of its k lowest vertices, among the
+    popcount((AND of N[v], v in s) >> (max s + 1)) common neighbours above
+    s; and every simplex is a clique.  So the (k+1)-cliques are simplices
+    iff those counts sum to the number of simplices of k+1 vertices (0 above
+    the top).  A collapsed image of a simplex is a smaller clique."""
+    closed = _closed_neighbourhoods(cx)
+    levels = (*cx.by_dim, ())
+    for d in range(1, min(size - 1, len(cx.by_dim))):
+        cols = _columns(levels[d])
+        common = reduce(partial(map, and_), [map(closed.__getitem__, col) for col in cols])
+        above = map(rshift, common, map((1).__add__, cols[-1]))
+        if sum(map(int.bit_count, above)) != len(levels[d + 1]):
+            return False
+    return True
 
 
 def find_equivariant_vertex_map(
@@ -60,34 +97,38 @@ def find_equivariant_vertex_map(
             orbit_of[v], slot_of[v] = k, i
 
     # Each source edge {u, v} from an earlier orbit to orbit k becomes the
-    # placed vertex w = T^{-slot_v} u (see above).  Every other simplex
-    # becomes checkable once its last-assigned orbit k is placed.  It is
-    # checked when it holds orbits[k][0]; each simplex orbit has such a
-    # member, and the assignment is equivariant and the target T-invariant,
-    # so T s maps onto a target simplex iff s does.
+    # placed vertex w = T^{-slot_v} u, and each edge inside orbit k its shift
+    # (see above).  On a target that is not flag, every other simplex becomes
+    # checkable once its last-assigned orbit k is placed.  It is checked when
+    # it holds orbits[k][0]; each simplex orbit has such a member, and the
+    # assignment is equivariant and the target T-invariant, so T s maps onto
+    # a target simplex iff s does.
+    flag = _flag_up_to(target.complex, source.dim + 1)
     pairs: list[set[int]] = [set() for _ in orbits]
+    shifts: list[set[int]] = [set() for _ in orbits]
     ready: list[list[tuple[int, ...]]] = [[] for _ in orbits]
-    for s in source.complex.simplices():
+    for s in chain.from_iterable(source.complex.by_dim[1:2 if flag else None]):
         k = max(map(orbit_of.__getitem__, s))
-        if len(s) == 2 and orbit_of[s[0]] != orbit_of[s[1]]:
+        if len(s) > 2:
+            if orbits[k][0] in s:
+                ready[k].append(s)
+        elif orbit_of[s[0]] == orbit_of[s[1]]:
+            shifts[k].add((slot_of[s[1]] - slot_of[s[0]]) % p)
+        else:
             u, v = sorted(s, key=orbit_of.__getitem__)
             pairs[k].add(orbits[orbit_of[u]][(slot_of[u] - slot_of[v]) % p])
-        elif len(s) > 1 and orbits[k][0] in s:
-            ready[k].append(s)
 
     tperm = target.action.perm
-    tset = frozenset(target.complex.simplices())
-
-    # closed[a] = N[a], the closed 1-skeleton neighbourhood as a bitset over
-    # target vertex indices.
-    closed = [0] * len(tperm)
-    everything = 0
-    for t in target_vertices:
-        closed[t] = 1 << t
-        everything |= 1 << t
-    for a, b in target.complex.by_dim[1] if target.dim >= 1 else ():
-        closed[a] |= 1 << b
-        closed[b] |= 1 << a
+    tset = frozenset(target.complex.simplices()) if any(ready) else frozenset()
+    closed = _closed_neighbourhoods(target.complex)
+    everything = sum(1 << t for t in target_vertices)
+    shifted = {}
+    for shift in set().union(*shifts):
+        moved = target_vertices
+        for _ in range(shift):
+            moved = map(tperm.__getitem__, moved)
+        shifted[shift] = sum(1 << t for t, u in zip(target_vertices, moved) if closed[t] >> u & 1)
+    start = [reduce(and_, map(shifted.__getitem__, needed), everything) for needed in shifts]
 
     assignment = [-1] * source.complex.vertex_count
     nodes = 0
@@ -101,7 +142,7 @@ def find_equivariant_vertex_map(
         nonlocal nodes
         if k == len(orbits):
             return True
-        domain = everything
+        domain = start[k]
         for w in pairs[k]:
             domain &= closed[assignment[w]]
         orbit, checks = orbits[k], ready[k]
@@ -119,7 +160,7 @@ def find_equivariant_vertex_map(
             for v in orbit:
                 assignment[v] = cur
                 cur = tperm[cur]
-            if all(tuple(sorted({assignment[v] for v in s})) in tset for s in checks):
+            if not checks or all(tuple(sorted({assignment[v] for v in s})) in tset for s in checks):
                 if extend(k + 1):
                     return True
         for v in orbit:

@@ -310,7 +310,9 @@ def e_n_zp(n: int, p: int) -> FreeZpComplex:
 
     Vertex i*p + j is symbol j in copy i; a simplex picks at most one symbol
     per copy.  The discrete factors are disconnected, so the result is not
-    flagged as simply connected.
+    flagged as simply connected.  It is a flag complex: two vertices are
+    adjacent iff they lie in different copies, so a clique picks at most one
+    vertex per copy, and is a simplex.
     """
     return join_power(make_discrete_zp(p), whole(n, "n") + 1)
 
@@ -335,7 +337,10 @@ def barycentric_subdivide(x: FreeZpComplex) -> FreeZpComplex:
     alone or a chain ending at a proper face of s, extended by s.  A face
     comes before its cofaces, so every chain is already increasing.  The
     size is predicted from the f-vector first, and BudgetExceeded is raised
-    before any chain is built when it passes DEFAULT_CELL_BUDGET."""
+    before any chain is built when it passes DEFAULT_CELL_BUDGET.
+
+    The subdivision is a flag complex: two barycenters are adjacent iff one
+    face contains the other, and pairwise comparable faces form a chain."""
     within_budget(subdivision_size(x.complex.f_vector()), "the subdivision")
     index = {s: i for i, s in enumerate(x.complex.simplices())}
     chains_ending_at: dict[Simplex, list[Simplex]] = {}
@@ -366,6 +371,11 @@ def complex_to_json_dict(x: FreeZpComplex) -> dict:
 
 
 def complex_from_json_dict(data: dict) -> FreeZpComplex:
+    """Load a complex file, closing its simplices downward.  Before the
+    closure is built it is bounded by the sum over listed simplices s of
+    2^|s| - 1 faces, which counts shared faces once per simplex: so a file
+    that lists non-maximal simplices may be refused (BudgetExceeded)
+    although its closure would fit the budget."""
     try:
         p = data["p"]
         vertices = data["vertices"]
@@ -374,6 +384,8 @@ def complex_from_json_dict(data: dict) -> FreeZpComplex:
         # type, not isinstance: JSON true/false load as bool, a subclass of int
         if not {type(p), type(vertices)} <= {int}:
             raise ValidationError("malformed complex JSON: p and vertices must hold integers")
+        within_budget(sum(map((1).__lshift__, map(len, map(set, simplices)))) - len(simplices),
+                      "the closure")
         return FreeZpComplex(SimplicialComplex.from_simplices(vertices, simplices),
                              ZpAction(p, perm))
     except (KeyError, TypeError) as exc:

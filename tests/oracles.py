@@ -23,13 +23,14 @@ complexes, their actions and vertex maps are checked simplex by simplex
 (the library tests a level's vertex columns at once), Betti
 numbers come from every boundary column (the library clears those that
 must reduce to zero), a complex is flag when networkx finds no clique
-of its 1-skeleton that is not a simplex (the library never lists cliques),
+of its 1-skeleton that is not a simplex (the library counts cliques level
+by level and never lists them),
 and geometric constraints are re-checked with Fraction arithmetic straight
 from the definitions.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, takewhile
 
 import networkx as nx
 
@@ -338,14 +339,19 @@ def cycles(items, step):
     return out
 
 
-def is_flag(cx):
+def is_flag(cx, size=None):
     """True iff every clique of the 1-skeleton of the simplicial complex
-    cx, as `networkx.enumerate_all_cliques` lists them, is a simplex of cx."""
+    cx, as `networkx.enumerate_all_cliques` lists them, is a simplex of cx;
+    with `size`, every clique of at most `size` vertices.  The cliques come
+    in order of size, so the listing stops at the first larger one."""
     simplices = {frozenset(s) for s in cx.simplices()}
     graph = nx.Graph()
     graph.add_nodes_from(s[0] for s in cx.simplices() if len(s) == 1)
     graph.add_edges_from(s for s in cx.simplices() if len(s) == 2)
-    return all(frozenset(clique) in simplices for clique in nx.enumerate_all_cliques(graph))
+    cliques = nx.enumerate_all_cliques(graph)
+    if size is not None:
+        cliques = takewhile(lambda clique: len(clique) <= size, cliques)
+    return all(frozenset(clique) in simplices for clique in cliques)
 
 
 def relabel(cell, l):

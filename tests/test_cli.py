@@ -753,7 +753,7 @@ def zpindex_process(*argv, cwd):
     """Run `python -m zpindex.cli` in a process of its own: its exit code."""
     env = dict(os.environ, PYTHONPATH=str(Path(zpindex.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "zpindex.cli", *map(str, argv)], cwd=cwd,
-                          env=env, capture_output=True, check=False).returncode
+                          env=env, capture_output=True, check=False, timeout=60).returncode
 
 
 class TestProcessExitCodes:
@@ -768,6 +768,17 @@ class TestProcessExitCodes:
 
     def test_budget_is_3(self, tmp_path):
         assert zpindex_process("periodic", "--shift", "sigma", "--n", "1200", cwd=tmp_path) == 3
+
+    @pytest.mark.parametrize("argv", [
+        "homology --input {big} --coeff 2",
+        "search-map --source {big} --target {big}",
+    ], ids=["homology", "search-map"])
+    def test_closure_budget_is_3(self, tmp_path, argv):
+        # one simplex of 40 vertices would close to 2^40 - 1 faces
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"p": 2, "vertices": 40, "perm": [v ^ 1 for v in range(40)],
+                                   "simplices": [list(range(40))]}))
+        assert zpindex_process(*argv.format(big=big).split(), cwd=tmp_path) == 3
 
     def test_contradiction_is_4(self, tmp_path):
         # coind >= 1 on E_1(Z_2) against ind <= 0 on E_0(Z_2) relabelled as

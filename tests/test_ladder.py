@@ -21,6 +21,7 @@ EXERCISED = {
     "coind-e3p2-d2": ("subdivide", "complex_validation", "action_validation", "search",
                       "verify"),
     "periodic-sigma2-n3to16": ("enumerate",),
+    "ind-e2p2-d1": ("search",),
 }
 
 

@@ -4,6 +4,7 @@ The search intersects neighbourhood bitsets in place of trying every
 target vertex, but it must walk the same tree: the same first witness, the
 same node count and the same node at which a budget raises."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -12,14 +13,16 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from oracles import OverBudget, is_flag, plain_vertex_map_search
+from zpindex.cli import main
 from zpindex.cubical import GridSpec, build_pp_xm, build_pp_yz, cubical_to_simplicial
 from zpindex.errors import BudgetExceeded
-from zpindex.search import find_equivariant_vertex_map
+from zpindex.search import _flag_up_to, find_equivariant_vertex_map
 from zpindex.simplicial import (
     FreeZpComplex,
     SimplicialComplex,
     ZpAction,
     barycentric_subdivide,
+    complex_to_json_dict,
     e_n_zp,
     join,
     make_discrete_zp,
@@ -130,6 +133,8 @@ class TestAgainstPlainBacktracking:
     def test_same_map_nodes_and_budget_raise(self, case):
         source, target, budget = case
         event(f"source meets its top vertex orbit twice: {meets_top_orbit_twice(source)}")
+        event(f"target flag up to the source's simplex size: "
+              f"{is_flag(target.complex, source.dim + 1)}")
         found = outcome(find_equivariant_vertex_map, source, target, budget)
         assert found == outcome(plain_vertex_map_search, source, target, budget)
         if isinstance(found[0], tuple):
@@ -205,16 +210,18 @@ def subdivided(x, depth):
 
 @pytest.mark.parametrize("name", sorted(FLAG_TARGETS))
 def test_targets_are_flag(name):
-    assert is_flag(FLAG_TARGETS[name]().complex)
+    cx = FLAG_TARGETS[name]().complex
+    assert is_flag(cx) and _flag_up_to(cx, cx.dim + 1)
 
 
-def less_a_triangle_orbit(p):
-    """E_2(Z_p) less its first orbit of triangles: every edge stays."""
-    model = e_n_zp(2, p)
-    triangles = model.complex.by_dim[2]
-    orbit = simplex_orbit(model, triangles[0])
+def less_a_triangle_orbit(p, n=2):
+    """E_n(Z_p), n >= 2, less its first orbit of triangles and the simplices
+    that hold one: every edge stays."""
+    model = e_n_zp(n, p)
+    orbit = simplex_orbit(model, model.complex.by_dim[2][0])
     return SimplicialComplex.from_simplices(
-        model.complex.vertex_count, [s for s in triangles if s not in orbit])
+        model.complex.vertex_count,
+        [s for s in model.complex.maximal_simplices() if not any(set(t) <= set(s) for t in orbit)])
 
 
 @pytest.mark.parametrize("build", [lambda: triangle_boundary(3).complex,
@@ -223,4 +230,30 @@ def less_a_triangle_orbit(p):
                          ids=["triangle-boundary", "e2p2-less-a-triangle-orbit",
                               "e2p3-less-a-triangle-orbit"])
 def test_non_flag_complexes_are_found(build):
-    assert not is_flag(build())
+    cx = build()
+    assert not is_flag(cx) and not is_flag(cx, 3)
+    assert not _flag_up_to(cx, 3) and _flag_up_to(cx, 2)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3]).flatmap(spaces), st.sampled_from([2, 3, 4]))
+def test_clique_count_matches_networkx(x, size):
+    flag = is_flag(x.complex, size)
+    event(f"flag up to {size} vertices: {flag}")
+    assert _flag_up_to(x.complex, size) == flag
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_non_flag_target_through_cli(tmp_path, capsys, n):
+    # E_2(Z_3) maps into E_3(Z_3) less a triangle orbit, but not into E_2(Z_3)
+    # less one; neither target is flag, so the search checks every triangle.
+    source, target = e_n_zp(2, 3), FreeZpComplex(less_a_triangle_orbit(3, n), e_n_zp(n, 3).action)
+    assert not _flag_up_to(target.complex, source.dim + 1)
+    for name, x in (("source", source), ("target", target)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(complex_to_json_dict(x)))
+    assert main(["search-map", "--source", str(tmp_path / "source.json"),
+                 "--target", str(tmp_path / "target.json")]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    expected, _ = plain_vertex_map_search(source, target, 5_000)
+    assert result["found"] == (n == 3)
+    assert result.get("vertex_map") == (list(expected) if result["found"] else expected)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -18,6 +19,7 @@ from oracles import (
     fixed_by_some_power,
     vertex_map_problems,
 )
+from zpindex.cubical import GridSpec, build_pp_xm, cubical_to_simplicial
 from zpindex.errors import DEFAULT_CELL_BUDGET, BudgetExceeded, ValidationError
 from zpindex.simplicial import (
     FreeZpComplex,
@@ -524,6 +526,16 @@ class TestJsonInterchange:
     def test_maximal_simplices_only(self):
         data = complex_to_json_dict(e_n_zp(2, 2))
         assert sorted(len(s) for s in data["simplices"]) == [3] * 8
+
+    def test_closure_budget(self):
+        # 2^40 - 1 faces are refused before any is built; the file of
+        # X_1(N=2, p=3, G=2) bounds its closure by 66,528 and loads
+        big = {"p": 2, "vertices": 40, "perm": [v ^ 1 for v in range(40)],
+               "simplices": [list(range(40))]}
+        with pytest.raises(BudgetExceeded, match="the closure would have 1099511627775"):
+            complex_from_json_dict(big)
+        x = cubical_to_simplicial(build_pp_xm(2, Fraction(1, 2), 1, 3, GridSpec(2, 2)))
+        assert complex_from_json_dict(json.loads(json.dumps(complex_to_json_dict(x)))) == x
 
     @pytest.mark.parametrize("field,value", [
         ("perm", [True, False]), ("simplices", [[False], [True]]), ("p", 2.0),

@@ -75,6 +75,9 @@ INSTANCES = {
     "coind-z-p3g4": "coind --space Z --p 3 --grid 4 --target 0",
     # E_3(Z_2) subdivided twice (1,696 vertices) and searched into E_3(Z_2)
     "coind-e3p2-d2": "coind --space enzp --n 3 --p 2 --target 3 --depth 2",
+    # the refute workload's slowest search, at canonical labels: it exhausts
+    # after 124,372 nodes
+    "ind-e2p2-d1": "ind --space enzp --n 2 --p 2 --target 1 --depth 1",
     # the topology workload's periodic-point job: 131,766 words
     "periodic-sigma2-n3to16": "periodic --shift sigma_m --m 2 --n "
                               + ",".join(map(str, range(3, 17))),
