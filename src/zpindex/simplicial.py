@@ -1,18 +1,16 @@
 """Finite simplicial complexes with free simplicial Z_p-actions.
 
-A complex stores its simplices as sorted integer tuples grouped by dimension,
-so equality and hashing are canonical.  Actions are vertex permutations of
+A complex is the downward closure of the simplices it is given, stored as
+sorted integer tuples grouped by dimension, so equality and hashing are
+canonical.  Actions are vertex permutations of
 prime order p; freeness is the setwise-fixed-simplex test, which is exact for
 simplicial actions of prime-order cyclic groups (a setwise-fixed simplex
 would fix its barycenter).  Homology is the driver `fplinalg.betti_numbers`
 with the simplex face rule.
 
-Closure, validation and the maximal scan run once per level on its vertex
-columns (column j: vertex j of each simplex), so per-simplex work runs in C.
-Each column test decides its per-simplex rule: rows hold only ints iff each
-column does; rows increase strictly iff each column is below the next;
-vertices are in range iff column 0's minimum and the last column's maximum
-are; dropping column j leaves the j-th facets.
+Closure and the maximal scan run once per level on its vertex columns
+(column j: vertex j of each simplex), so per-simplex work runs in C:
+dropping column j leaves the j-th facets.
 Action images are two tee'd streams read in step, so no list of them is kept.
 
 Both complex types are frozen dataclasses, their equality, hashing and
@@ -32,7 +30,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from operator import and_, itemgetter, lt, mul, ne, not_
+from operator import and_, itemgetter, mul, ne, not_
 
 from .errors import ValidationError, whole, within_budget
 from .fplinalg import betti_numbers, prime
@@ -70,66 +68,55 @@ def _cycles(perm, items) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True, slots=True, repr=False)
 class SimplicialComplex:
-    """Downward-closed family of sorted vertex tuples on 0..vertex_count-1."""
+    """The downward closure, on vertices 0..vertex_count-1, of the simplices
+    in `by_dim`, grouped and ordered in any way.  A simplex is its vertex
+    set.  `by_dim` then holds the closure: level d lists its d-simplices as
+    sorted tuples in sorted order, and the top level is not empty."""
 
     vertex_count: int
     by_dim: tuple[tuple[Simplex, ...], ...]
 
     def __post_init__(self):
+        """File the given simplices by size (an empty one in a level of its
+        own, left out), then from the top down sort each level and add its
+        facets to the level below, so each set is dropped once it is sorted.
+        Vertices that do not sort against each other are refused here;
+        `_validate` refuses the rest."""
         whole(self.vertex_count, "vertex count")
-        object.__setattr__(self, "by_dim", tuple(map(tuple, self.by_dim)))
-        self._validate()
+        try:
+            given = list(map(tuple, itertools.chain.from_iterable(self.by_dim)))
+            by_size = sorted(map(tuple, map(sorted, map(set, given))), key=len)
+            levels = [set() for _ in range(len(by_size[-1]) + 1 if by_size else 1)]
+            for size, group in itertools.groupby(by_size, len):
+                levels[size].update(group)
+            for size in range(len(levels) - 1, 0, -1):
+                levels[size] = tuple(sorted(levels[size]))
+                levels[size - 1].update(*_facets(_columns(levels[size])))
+        except TypeError as exc:
+            raise ValidationError(f"simplices must hold integers: {exc}") from exc
+        self._validate(given)
+        object.__setattr__(self, "by_dim", tuple(levels[1:]))
 
     @classmethod
     def from_simplices(cls, vertex_count: int, simplices) -> "SimplicialComplex":
-        """Build the downward closure of an arbitrary simplex family: group
-        the simplices by dimension, then from the top down add the facets
-        of each level to the level below.  Vertices that do not sort
-        against each other are refused here; `_validate` refuses the rest."""
-        try:
-            by_size = sorted(map(tuple, map(sorted, map(set, simplices))), key=len)
-            if by_size and not by_size[0]:
-                raise ValidationError("empty vertex tuple is not a simplex")
-            levels: list[set[Simplex]] = [set() for _ in range(len(by_size[-1]) if by_size else 0)]
-            for size, group in itertools.groupby(by_size, len):
-                levels[size - 1].update(group)
-            for d in range(len(levels) - 1, 0, -1):
-                levels[d - 1].update(*_facets(_columns(levels[d])))
-            levels = [sorted(level) for level in levels]
-        except TypeError as exc:
-            raise ValidationError(f"simplices must hold integers: {exc}") from exc
-        return cls(vertex_count, levels)
+        """The closure of a flat simplex family."""
+        return cls(vertex_count, [simplices])
 
-    def _validate(self):
-        n = self.vertex_count
-        for d, level in enumerate(self.by_dim):
-            if set(map(type, level)) - {tuple}:
-                bad = next(s for s in level if type(s) is not tuple)
-                raise ValidationError(f"simplex {bad!r} is not a tuple")
-            if set(map(len, level)) - {d + 1}:
-                bad = next(s for s in level if len(s) != d + 1)
-                raise ValidationError(f"simplex {bad} filed under dimension {d}")
-            cols = _columns(level)
-            # type, not isinstance: bool is a subclass of int
-            if any(set(map(type, col)) - {int} for col in cols):
-                bad = next(s for s in level if set(map(type, s)) - {int})
-                raise ValidationError(f"simplex {bad} must hold integers")
-            if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
-                bad = next(s for s in level if not all(map(lt, s, s[1:])))
-                raise ValidationError(f"simplex {bad} is not a sorted duplicate-free tuple")
-            if level and (min(cols[0]) < 0 or max(cols[-1]) >= n):
-                bad = next(s for s in level if s[0] < 0 or s[-1] >= n)
-                raise ValidationError(f"simplex {bad} exceeds vertex range 0..{n - 1}")
-            if not all(map(lt, level, level[1:])):
-                bad = next(b for a, b in zip(level, level[1:]) if a >= b)
-                raise ValidationError(f"dimension {d} is not sorted/duplicate-free at {bad}")
-            if d and not all(map(set(self.by_dim[d - 1]).issuperset, _facets(cols))):
-                below = set(self.by_dim[d - 1])
-                bad, face = next((s, f) for s in level
-                                 for f in (s[:i] + s[i + 1:] for i in range(d + 1)) if f not in below)
-                raise ValidationError(f"face {face} of {bad} missing (not downward closed)")
-        if self.by_dim and not self.by_dim[-1]:
-            raise ValidationError("top dimension level is empty; trim by_dim")
+    def _validate(self, given):
+        """Refuse an empty simplex, and a vertex that is no int (bools
+        included) in 0..vertex_count-1.  Every vertex of the closure is a
+        vertex of a given simplex, so only these are read: a bool or float
+        equal to an int vertex may hide behind it in a set of faces."""
+        if not all(given):
+            raise ValidationError("empty vertex tuple is not a simplex")
+        n, vertices = self.vertex_count, list(itertools.chain.from_iterable(given))
+        # type, not isinstance: bool is a subclass of int
+        if set(map(type, vertices)) - {int}:
+            bad = next(s for s in given if set(map(type, s)) - {int})
+            raise ValidationError(f"simplex {bad} must hold integers")
+        if vertices and (min(vertices) < 0 or max(vertices) >= n):
+            bad = next(s for s in given if min(s) < 0 or max(s) >= n)
+            raise ValidationError(f"simplex {bad} exceeds vertex range 0..{n - 1}")
 
     @property
     def dim(self) -> int:
@@ -333,28 +320,27 @@ def barycentric_subdivide(x: FreeZpComplex) -> FreeZpComplex:
 
     Vertex i is the barycenter of the i-th simplex in (dimension,
     lexicographic) order, the order `simplices` yields.  A simplex of the
-    subdivision is a chain of faces, built once: a chain ending at s is s
-    alone or a chain ending at a proper face of s, extended by s.  A face
-    comes before its cofaces, so every chain is already increasing.  The
-    size is predicted from the f-vector first, and BudgetExceeded is raised
-    before any chain is built when it passes DEFAULT_CELL_BUDGET.
+    subdivision is a chain of faces, and every chain lies in a full flag of
+    a maximal simplex, so the complex is the closure of those flags.  A full
+    flag of s is a full flag of a facet of s extended by s; a face comes
+    before its cofaces, so every flag is already increasing.  A simplex is
+    maximal when it is no facet of another.  The size is predicted from the
+    f-vector first, and BudgetExceeded is raised before any flag is built
+    when it passes DEFAULT_CELL_BUDGET.
 
     The subdivision is a flag complex: two barycenters are adjacent iff one
     face contains the other, and pairwise comparable faces form a chain."""
     within_budget(subdivision_size(x.complex.f_vector()), "the subdivision")
     index = {s: i for i, s in enumerate(x.complex.simplices())}
-    chains_ending_at: dict[Simplex, list[Simplex]] = {}
-    levels: list[list[Simplex]] = [[] for _ in x.complex.by_dim]
+    flags: dict[Simplex, list[Simplex]] = {(): [()]}  # a vertex's facet is ()
+    facets: set[Simplex] = set()
     for s, i in index.items():
-        ending = [(i,)]
-        for r in range(1, len(s)):
-            for face in itertools.combinations(s, r):
-                ending.extend(c + (i,) for c in chains_ending_at[face])
-        chains_ending_at[s] = ending
-        for c in ending:
-            levels[len(c) - 1].append(c)
+        below = list(itertools.combinations(s, len(s) - 1))
+        facets.update(below)
+        flags[s] = [c + (i,) for f in below for c in flags[f]]
     perm = tuple(index[x.action.apply(s)] for s in index)
-    return FreeZpComplex(SimplicialComplex(len(index), map(sorted, levels)), ZpAction(x.p, perm))
+    tops = (flags[s] for s in index if s not in facets)
+    return FreeZpComplex(SimplicialComplex(len(index), tops), ZpAction(x.p, perm))
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +357,11 @@ def complex_to_json_dict(x: FreeZpComplex) -> dict:
 
 
 def complex_from_json_dict(data: dict) -> FreeZpComplex:
-    """Load a complex file, closing its simplices downward.  Before the
-    closure is built it is bounded by the sum over listed simplices s of
-    2^|s| - 1 faces, which counts shared faces once per simplex: so a file
-    that lists non-maximal simplices may be refused (BudgetExceeded)
-    although its closure would fit the budget."""
+    """Load a complex file: `from_simplices` closes its simplices downward
+    and checks their vertices.  Before the closure is built it is bounded by
+    the sum over listed simplices s of 2^|s| - 1 faces, which counts shared
+    faces once per simplex: so a file that lists non-maximal simplices may
+    be refused (BudgetExceeded) although its closure would fit the budget."""
     try:
         p = data["p"]
         vertices = data["vertices"]

@@ -3,8 +3,9 @@
 Deliberately independent of the search engine: it rebuilds the target
 simplex table from the raw level data and walks every source simplex and
 vertex from scratch.  Certificates are only trusted after passing this.
-Source images are built per level from its columns, inline, as `simplicial`
-explains; each simplex with no target image is reported in level order.
+Source images are built per level from its vertex columns (column j: vertex j
+of each simplex), inline, so per-simplex work runs in C; each simplex with no
+target image is reported in level order.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ come from place-and-check backtracking (the library charges the same nodes
 but never tries a symbol its domain excludes), simplicial closures and
 maximal simplices come from all subsets and all pairs (the library walks
 facets level by level), barycentric subdivisions list every chain under
-strict inclusion (the library extends the chains ending at each face), the
+strict inclusion (the library closes the full flags of each maximal
+simplex), the
 triangulation of a cubical complex walks every cell with every corner built
 from scratch (the library walks maximal cells, moving one corner per step),
 cell and word families are judged valid cell by cell and word by word (the
@@ -18,9 +19,9 @@ enumerates each offset on its own), orbits are
 listed by following the map with a set of the members seen (the library
 indexes the family and marks positions),
 equivariant maps come from plain place-and-check backtracking over every
-target vertex (the library intersects neighbourhood bitsets), simplicial
-complexes, their actions and vertex maps are checked simplex by simplex
-(the library tests a level's vertex columns at once), Betti
+target vertex (the library intersects neighbourhood bitsets), actions and
+vertex maps are checked simplex by simplex (the library tests a level's
+vertex columns at once), Betti
 numbers come from every boundary column (the library clears those that
 must reduce to zero), a complex is flag when networkx finds no clique
 of its 1-skeleton that is not a simplex (the library counts cliques level
@@ -382,25 +383,6 @@ def fixed_by_some_power(perm, p, simplices):
         if any({power[v] for v in s} == set(s) for s in simplices):
             return True
     return False
-
-
-def complex_ok(vertex_count, by_dim):
-    """True iff the vertex count is not negative; every simplex, checked on
-    its own, is a tuple of distinct vertices in 0..vertex_count-1, listed in
-    increasing order, filed under its dimension after every smaller simplex
-    of that dimension, with each of its faces one vertex smaller present;
-    and the top dimension is not empty."""
-    if vertex_count < 0:
-        return False
-    present = set()
-    for d, level in enumerate(by_dim):
-        for i, s in enumerate(level):
-            if (type(s) is not tuple or len(s) != d + 1 or list(s) != sorted(set(s))
-                    or min(s) < 0 or max(s) >= vertex_count or (i and level[i - 1] >= s)):
-                return False
-            present.add(tuple(s))
-    faces = (tuple(v for v in s if v != w) for level in by_dim[1:] for s in level for w in s)
-    return all(face in present for face in faces) and not (by_dim and not by_dim[-1])
 
 
 def action_ok(vertex_count, by_dim, perm):

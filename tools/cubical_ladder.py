@@ -28,8 +28,12 @@ Each stage's time is its own, less the stages called inside it:
 - subdivide: `certificates.barycentric_subdivide`, which subdivides a
   search's source and, through `subdivide_times`, the `subdivide`
   subcommand's input;
-- close: `SimplicialComplex.from_simplices`, the downward closure;
-- complex_validation: `SimplicialComplex._validate`;
+- close: `SimplicialComplex.from_simplices`, the constructor's downward
+  closure of a flat family (triangulations, joins and loaded files); the
+  subdivision calls the constructor itself, so its closure counts under
+  subdivide;
+- complex_validation: `SimplicialComplex._validate`, the vertex checks on
+  the simplices a constructor is given;
 - action_validation: `FreeZpComplex._validate`;
 - maximal: `SimplicialComplex.maximal_simplices`;
 - search: `certificates.find_equivariant_vertex_map`, the map search;
