@@ -77,14 +77,16 @@ class SimplicialComplex:
     by_dim: tuple[tuple[Simplex, ...], ...]
 
     def __post_init__(self):
-        """File the given simplices by size (an empty one in a level of its
-        own, left out), then from the top down sort each level and add its
-        facets to the level below, so each set is dropped once it is sorted.
-        Vertices that do not sort against each other are refused here;
-        `_validate` refuses the rest."""
+        """Refuse the given simplices (`_validate`), then file them by size
+        (an empty one in a level of its own, left out), then from the top
+        down sort each level and add its facets to the level below, so each
+        set is dropped once it is sorted.  Vertices that do not sort against
+        each other are refused by the sort, and the other non-int vertices
+        after the closure, so that the sort names the former."""
         whole(self.vertex_count, "vertex count")
         try:
             given = list(map(tuple, itertools.chain.from_iterable(self.by_dim)))
+            stray = self._validate(given)
             by_size = sorted(map(tuple, map(sorted, map(set, given))), key=len)
             levels = [set() for _ in range(len(by_size[-1]) + 1 if by_size else 1)]
             for size, group in itertools.groupby(by_size, len):
@@ -94,7 +96,8 @@ class SimplicialComplex:
                 levels[size - 1].update(*_facets(_columns(levels[size])))
         except TypeError as exc:
             raise ValidationError(f"simplices must hold integers: {exc}") from exc
-        self._validate(given)
+        if stray is not None:
+            raise ValidationError(f"simplex {stray} must hold integers")
         object.__setattr__(self, "by_dim", tuple(levels[1:]))
 
     @classmethod
@@ -103,20 +106,22 @@ class SimplicialComplex:
         return cls(vertex_count, [simplices])
 
     def _validate(self, given):
-        """Refuse an empty simplex, and a vertex that is no int (bools
-        included) in 0..vertex_count-1.  Every vertex of the closure is a
-        vertex of a given simplex, so only these are read: a bool or float
-        equal to an int vertex may hide behind it in a set of faces."""
+        """Before the closure is built: refuse an empty simplex, and an int
+        vertex outside 0..vertex_count-1; return the first simplex holding a
+        vertex that is no int (bools included), or None.  Every vertex of the
+        closure is a vertex of a given simplex, so only these are read: a
+        bool or float equal to an int vertex may hide behind it in a set of
+        faces."""
         if not all(given):
             raise ValidationError("empty vertex tuple is not a simplex")
         n, vertices = self.vertex_count, list(itertools.chain.from_iterable(given))
         # type, not isinstance: bool is a subclass of int
-        if set(map(type, vertices)) - {int}:
-            bad = next(s for s in given if set(map(type, s)) - {int})
-            raise ValidationError(f"simplex {bad} must hold integers")
-        if vertices and (min(vertices) < 0 or max(vertices) >= n):
-            bad = next(s for s in given if min(s) < 0 or max(s) >= n)
+        strays = set(map(type, vertices)) - {int}
+        ints = [v for v in vertices if type(v) is int] if strays else vertices
+        if ints and (min(ints) < 0 or max(ints) >= n):
+            bad = next(s for s in given if any(type(v) is int and not 0 <= v < n for v in s))
             raise ValidationError(f"simplex {bad} exceeds vertex range 0..{n - 1}")
+        return next(s for s in given if set(map(type, s)) - {int}) if strays else None
 
     @property
     def dim(self) -> int:

@@ -7,11 +7,14 @@ enumerator of such words, over any alphabet, and every caller's entry: a
 depth-first search whose domains are bitsets over the alphabet, the AND of
 one table entry per window closing at the position, and `rotate` is the
 shift on periodic words.  A shift's periodic points are the enumerator's
-words: `periodic_table` counts them as they are found, never holding them,
-and their orbits by Burnside's lemma, with no orbit walked, and
-`as_free_zp_complex` makes a prime-period list a discrete free Z_p-set, for
-`simplicial.join_power` to join.  The cubical models in `cubical` are the
-p-periodic words of this kind over the indices of grid boxes.
+words, and `as_free_zp_complex` makes a prime-period list a discrete free
+Z_p-set, for `simplicial.join_power` to join.  `periodic_table` counts them
+with no word built: a period-n point is g = gcd(window, n) closed walks of
+the transfer matrix A of allowed pairs, so there are tr(A^(n/g))^g (Lind &
+Marcus 1995, Prop. 2.2.12), with each matrix product cut at a cap set by the
+budget on n * count, which keeps every count below the cap exact.  The
+cubical models in `cubical` are the p-periodic words of this kind over the
+indices of grid boxes.
 
 The basic examples here are the three-symbol shifts forbidding equal symbols
 at offset 1 (adjacent symbols differ) and at a general offset m.  Offsets
@@ -23,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from math import gcd
-from operator import add, and_, itemgetter
+from math import gcd, isqrt
+from operator import add, and_, itemgetter, mul
 
 from .errors import BudgetExceeded, ValidationError, whole
 from .fplinalg import prime
@@ -182,22 +185,65 @@ def as_free_zp_complex(words) -> FreeZpComplex:
 
 def periodic_table(shift: Subshift, periods,
                    budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, int, int]]:
-    """Rows (period, count, orbit_count) for the CSV interface.
+    """Rows (period, count, orbit_count) for the CSV interface, counted with
+    no word built.  With A[a][b] = 1 when (a, b) is not forbidden, the
+    positions of a period-n point fall into g = gcd(window, n) cycles of
+    length n/g, each a closed walk of A, so count = tr(A^(n/g))^g (Lind &
+    Marcus, *An Introduction to Symbolic Dynamics and Coding*, 1995, Prop.
+    2.2.12); when n divides the window every pair is a self-pair, and
+    count = tr(A)^n.  The budget bounds the symbols counted, as the
+    enumerator charged them: a period is refused when n * count > budget.
+    So every product is cut to min(entry, cap), cap = budget // n + 1, which
+    for nonnegative integer matrices is exactly min(true entry, cap): a cut
+    factor times a nonzero one already reaches the cap.  A period costs
+    O(k^3 log n) operations on integers below k * cap.
 
-    The orbits are counted by Burnside's lemma: orbit_count is the mean over
-    j in range(n) of the number of period-n points fixed by T^j.  A word
-    fixed by T^j is a repetition of its first d = gcd(j, n) symbols, and,
-    since d divides n, its windows read mod n are those of that d-word read
-    mod d; so the fixed words are the period-d points repeated.  Each n is
-    enumerated first, so that its refusals and budget raise before any
-    divisor is counted (and a cached 1 never stands for a period True); the
-    divisors' counts are kept over the period list.  Words are counted as
-    they are found, never held."""
-    symbols, test = range(1, shift.alphabet_size + 1), shift.forbidden.__contains__
-    count = _Table(lambda d: sum(1 for _ in each_cyclic_word(
-        symbols, d, shift.offsets, test, budget)))
+    orbit_count is, by Burnside's lemma, the mean over j in range(n) of the
+    points fixed by T^j: the period-d points repeated, for d = gcd(j, n),
+    since their pairs read mod n are those read mod d; phi(n/d) of the j
+    have gcd d.  A period-d point is a period-n point, so below the cap the
+    divisors' counts are exact.  Each n is checked and held to the budget
+    before any divisor is counted."""
+    whole(budget, "budget")
+    symbols = range(1, shift.alphabet_size + 1)
+    allowed = [[int((a, b) not in shift.forbidden) for b in symbols] for a in symbols]
     rows = []
     for n in periods:
-        count[n] = count.fill(n)
-        rows.append((n, count[n], sum(count[gcd(j, n)] for j in range(n)) // n))
+        whole(n, "period", 1)
+        cap = budget // n + 1
+        points = _count(allowed, shift.window, n, cap)
+        if n * points > budget:
+            raise BudgetExceeded(f"counting length-{n} words exceeded budget {budget}",
+                                 count=n * points)
+        phi = _totients(n) if points else {}
+        rows.append((n, points, sum(
+            phi[n // d] * _count(allowed, shift.window, d, cap) for d in phi) // n))
     return rows
+
+
+def _count(allowed: list[list[int]], window: int, n: int, cap: int) -> int:
+    """min(cap, the period-n points) = min(cap, tr(A^(n/g))^g), g = gcd(window, n);
+    the g-th power is that of a 1 x 1 matrix, so it is cut the same way."""
+    g = gcd(window, n)
+    walks = _power(allowed, n // g, cap)
+    return _power([[sum(walks[i][i] for i in range(len(walks)))]], g, cap)[0][0]
+
+
+def _power(matrix: list[list[int]], e: int, cap: int) -> list[list[int]]:
+    """matrix^e, each entry of each product cut to min(entry, cap)."""
+    def times(x, y):
+        return [[min(sum(map(mul, row, col)), cap) for col in zip(*y)] for row in x]
+    result = [[int(i == j) for j in range(len(matrix))] for i in range(len(matrix))]
+    while e:
+        if e & 1:
+            result = times(result, matrix)
+        matrix, e = times(matrix, matrix), e >> 1
+    return result
+
+
+def _totients(n: int) -> dict[int, int]:
+    """phi(e) for the divisors e of n, by Gauss: the phi(f), f | e, sum to e."""
+    phi: dict[int, int] = {}
+    for e in sorted({e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)}):
+        phi[e] = e - sum(phi[f] for f in phi if e % f == 0)
+    return phi

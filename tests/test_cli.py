@@ -437,7 +437,8 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("validation error")
 
     def test_long_period_budget_is_3(self, capsys):
-        # sigma has 2^1200 + 2 points of period 1200: the default budget runs out first
+        # sigma has 2^1200 + 2 points of period 1200: 1200 * (2^1200 + 2) symbols
+        # pass the default budget
         code = main(["periodic", "--shift", "sigma", "--n", "1200"])
         assert "budget exceeded" in capsys.readouterr().err
         assert code == 3

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import zpindex.simplicial
 from oracles import (
     action_ok,
     betti_by_elimination,
@@ -535,6 +536,17 @@ class TestJsonInterchange:
             complex_from_json_dict(big)
         x = cubical_to_simplicial(build_pp_xm(2, Fraction(1, 2), 1, 3, GridSpec(2, 2)))
         assert complex_from_json_dict(json.loads(json.dumps(complex_to_json_dict(x)))) == x
+
+    def test_vertex_range_refused_before_the_closure(self, monkeypatch):
+        # the 2^18 - 1 faces pass the closure budget; the simplex is
+        # refused for its vertices before any face is built
+        def no_closure(level):
+            raise AssertionError("the closure was built")
+        monkeypatch.setattr(zpindex.simplicial, "_columns", no_closure)
+        data = {"p": 2, "vertices": 2, "perm": [1, 0], "simplices": [list(range(18))]}
+        with pytest.raises(ValidationError, match=re.escape(
+                f"simplex {tuple(range(18))} exceeds vertex range 0..1")):
+            complex_from_json_dict(data)
 
     @pytest.mark.parametrize("field,value", [
         ("perm", [True, False, 2]), ("simplices", [[False], [True]]), ("p", 3.0),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import zpindex.subshifts
 from oracles import (
     OverBudget,
     brute_force_cyclic,
@@ -24,6 +25,7 @@ from zpindex.simplicial import (
 )
 from zpindex.subshifts import (
     Subshift,
+    _power,
     as_free_zp_complex,
     each_cyclic_word,
     make_sigma_m,
@@ -307,6 +309,18 @@ def shifts_and_periods(draw):
     return shift, periods
 
 
+@st.composite
+def shifts_and_a_short_period(draw):
+    """A Subshift (alphabet 1-4, window 1-6, random forbidden pairs) and a
+    period with at most 4^6 words, often a divisor of the window."""
+    k, window = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    pairs = st.tuples(st.integers(1, k), st.integers(1, k))
+    shift = Subshift(k, window, draw(st.frozensets(pairs, max_size=k * k)))
+    longest = max(n for n in range(1, 13) if k ** n <= 4 ** 6)
+    divisors = [d for d in range(1, window + 1) if window % d == 0]
+    return shift, draw(st.integers(1, longest) | st.sampled_from(divisors))
+
+
 class TestTable:
     def test_rows(self):
         rows = periodic_table(SIGMA, [1, 2, 3])
@@ -328,3 +342,54 @@ class TestTable:
         with pytest.raises(BudgetExceeded) as raised:
             periodic_table(SIGMA, [1200], budget=10 ** 5)
         assert "length-1200" in str(raised.value)
+
+    def test_budget_bounds_the_symbols_counted(self):
+        # 30 points of period 5, so 150 symbols
+        assert periodic_table(SIGMA, [5], budget=150) == [(5, 30, 6)]
+        with pytest.raises(BudgetExceeded, match="length-5 words exceeded budget 149"):
+            periodic_table(SIGMA, [5], budget=149)
+
+    @settings(max_examples=150)
+    @given(shifts_and_a_short_period())
+    def test_counts_match_brute_force(self, problem):
+        """The row of each period is that of the words brute force lists,
+        and the budget passes it exactly when it covers their symbols."""
+        shift, n = problem
+        words = brute_force_periodic(shift.alphabet_size, shift.window, shift.forbidden, n)
+        row = (n, len(words), len(cycles(words, rotate)))
+        assert periodic_table(shift, [n], budget=n * len(words)) == [row]
+        if words:
+            with pytest.raises(BudgetExceeded):
+                periodic_table(shift, [n], budget=n * len(words) - 1)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, 3), min_size=k, max_size=k), min_size=k, max_size=k)),
+        st.integers(0, 40), st.integers(1, 10 ** 6))
+    def test_cut_power_is_the_cut_true_power(self, matrix, e, cap):
+        """Cutting every product at the cap gives the true power cut at the cap."""
+        k = len(matrix)
+        power = [[int(i == j) for j in range(k)] for i in range(k)]
+        for _ in range(e):
+            power = [[sum(power[i][m] * matrix[m][j] for m in range(k)) for j in range(k)]
+                     for i in range(k)]
+        assert _power(matrix, e, cap) == [[min(x, cap) for x in row] for row in power]
+
+    def test_empty_long_period_is_counted_at_once(self, monkeypatch):
+        def no_divisors(n):
+            raise AssertionError("divisors listed for a period with no points")
+        monkeypatch.setattr(zpindex.subshifts, "_totients", no_divisors)
+        shift = Subshift(1, 1, frozenset({(1, 1)}))
+        assert periodic_table(shift, [10 ** 12]) == [(10 ** 12, 0, 0)]
+
+    def test_no_word_is_built(self, monkeypatch):
+        def no_words(*args):
+            raise AssertionError("a word was enumerated")
+        monkeypatch.setattr(zpindex.subshifts, "each_cyclic_word", no_words)
+        # the proper 3-colourings of the n-cycle, and of two n/2-cycles for even n
+        rows = periodic_table(make_sigma_m(2), range(3, 17))
+        assert [count for _, count, _ in rows] == [
+            (2 ** n + 2 * (-1) ** n if n % 2 else (2 ** (n // 2) + 2 * (-1) ** (n // 2)) ** 2)
+            for n in range(3, 17)]
+        assert periodic_table(SIGMA, range(1, 6)) == [
+            (1, 0, 0), (2, 6, 3), (3, 6, 2), (4, 18, 6), (5, 30, 6)]

@@ -16,8 +16,8 @@ Each stage's time is its own, less the stages called inside it:
 - enumerate: `cubical._enumerate_cells`, which lists the cells (codes or
   tuples, as the side holds them) and hands them to the constructor;
   `subshifts.periodic_points`, which lists periodic words, wrapped where
-  `cli` calls it; and `cli.periodic_table`, which counts periodic words as
-  the enumerator yields them;
+  `cli` calls it; and `cli.periodic_table`, which counts periodic points by
+  transfer-matrix traces, with no word listed;
 - validate: the `CubicalZpComplex` constructor (sorting, grouping and the
   face, shift and constraint checks);
 - triangulate: `cli.cubical_to_simplicial`, the corner paths of the
@@ -82,7 +82,8 @@ INSTANCES = {
     # the refute workload's slowest search, at canonical labels: it exhausts
     # after 124,372 nodes
     "ind-e2p2-d1": "ind --space enzp --n 2 --p 2 --target 1 --depth 1",
-    # the topology workload's periodic-point job: 131,766 words
+    # the topology workload's periodic-point job: 131,766 points, counted
+    # by matrix traces with none listed
     "periodic-sigma2-n3to16": "periodic --shift sigma_m --m 2 --n "
                               + ",".join(map(str, range(3, 17))),
     # 1,257,120 simplices, triangulated, written and loaded again
