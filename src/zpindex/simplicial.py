@@ -8,10 +8,10 @@ simplicial actions of prime-order cyclic groups (a setwise-fixed simplex
 would fix its barycenter).  Homology is the driver `fplinalg.betti_numbers`
 with the simplex face rule.
 
-Closure and the maximal scan run once per level on its vertex columns
-(column j: vertex j of each simplex), so per-simplex work runs in C:
-dropping column j leaves the j-th facets.
-Action images are two tee'd streams read in step, so no list of them is kept.
+The closure runs once per level on its vertex columns (column j: vertex j
+of each simplex), so per-simplex work runs in C: dropping column j leaves
+the j-th facets.  It records the given simplices that no facet covers: the
+maximal simplices, which the subdivision and the action check read.
 
 Both complex types are frozen dataclasses, their equality, hashing and
 read-only fields declared.  One routine, `_cycles`, walks an action's cycles:
@@ -29,8 +29,8 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from operator import and_, itemgetter, mul, ne, not_
+from dataclasses import dataclass, field
+from operator import itemgetter, mul
 
 from .errors import ValidationError, whole, within_budget
 from .fplinalg import betti_numbers, prime
@@ -46,11 +46,6 @@ INFINITE_CONNECTIVITY = math.inf
 def _columns(level) -> list[tuple[int, ...]]:
     """Column j holds vertex j of each simplex, in the level's iteration order."""
     return [tuple(map(itemgetter(j), level)) for j in range(len(next(iter(level), ())))]
-
-
-def _facets(cols) -> list:
-    """Per column j, an iterator over the rows of the other columns: the j-th facets."""
-    return [zip(*cols[:j], *cols[j + 1:]) for j in range(len(cols))]
 
 
 def _cycles(perm, items) -> list[tuple[int, ...]]:
@@ -75,14 +70,15 @@ class SimplicialComplex:
 
     vertex_count: int
     by_dim: tuple[tuple[Simplex, ...], ...]
+    _maximal: tuple[Simplex, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        """Refuse the given simplices (`_validate`), then file them by size
-        (an empty one in a level of its own, left out), then from the top
-        down sort each level and add its facets to the level below, so each
-        set is dropped once it is sorted.  Vertices that do not sort against
-        each other are refused by the sort, and the other non-int vertices
-        after the closure, so that the sort names the former."""
+        """Refuse the given simplices (`_validate`), file them by size (an
+        empty one in a level of its own, left out), then from the top down
+        record a level's given simplices that no facet from above covers and
+        merge them, sorted, into its sorted facets.  Vertices that do not sort
+        against each other are refused by the sort, and the other non-int
+        vertices after the closure, so that the sort names the former."""
         whole(self.vertex_count, "vertex count")
         try:
             given = list(map(tuple, itertools.chain.from_iterable(self.by_dim)))
@@ -91,14 +87,19 @@ class SimplicialComplex:
             levels = [set() for _ in range(len(by_size[-1]) + 1 if by_size else 1)]
             for size, group in itertools.groupby(by_size, len):
                 levels[size].update(group)
+            maximal, above = [], ()
             for size in range(len(levels) - 1, 0, -1):
-                levels[size] = tuple(sorted(levels[size]))
-                levels[size - 1].update(*_facets(_columns(levels[size])))
+                cols = _columns(above)
+                facets = set().union(*(zip(*cols[:j], *cols[j + 1:]) for j in range(len(cols))))
+                levels[size] -= facets
+                maximal[:0] = tops = sorted(levels[size])
+                above = levels[size] = tuple(sorted(itertools.chain(sorted(facets), tops)))
         except TypeError as exc:
             raise ValidationError(f"simplices must hold integers: {exc}") from exc
         if stray is not None:
             raise ValidationError(f"simplex {stray} must hold integers")
         object.__setattr__(self, "by_dim", tuple(levels[1:]))
+        object.__setattr__(self, "_maximal", tuple(maximal))
 
     @classmethod
     def from_simplices(cls, vertex_count: int, simplices) -> "SimplicialComplex":
@@ -138,14 +139,9 @@ class SimplicialComplex:
         return tuple(len(level) for level in self.by_dim)
 
     def maximal_simplices(self) -> list[Simplex]:
-        """Simplices that are no facet of a simplex one dimension up (so, the
-        complex being downward closed, no proper face of any simplex), in
-        (dimension, lexicographic) order."""
-        maximal = []
-        for level, above in zip(self.by_dim, self.by_dim[1:] + ((),)):
-            facets = set().union(*_facets(_columns(above)))
-            maximal.extend(itertools.filterfalse(facets.__contains__, level))
-        return maximal
+        """Simplices that are no proper face of any simplex, in (dimension,
+        lexicographic) order: the record the constructor's closure made."""
+        return list(self._maximal)
 
     def __repr__(self):
         return f"SimplicialComplex(vertices={self.vertex_count}, f={self.f_vector()})"
@@ -184,20 +180,25 @@ class FreeZpComplex:
         self._validate()
 
     def _validate(self):
-        perm = self.action.perm
-        if len(perm) != self.complex.vertex_count:
+        """T maps the faces of s to faces of T(s), so it is simplicial iff it
+        maps the maximal simplices onto themselves.  A setwise-fixed simplex
+        is a union of orbits, so T is free iff no vertex orbit (1 or p
+        vertices) is a simplex; p being prime, a simplex fixed by a T^a,
+        0 < a < p, is fixed by T.  On failure the first simplex in level
+        order whose image is missing or itself is named."""
+        cx, apply = self.complex, self.action.apply
+        if len(self.action.perm) != cx.vertex_count:
             raise ValidationError("permutation length differs from vertex count")
-        for d, level in enumerate(self.complex.by_dim):
-            images, again = itertools.tee(map(tuple, map(sorted, zip(
-                *[map(perm.__getitem__, map(itemgetter(j), level)) for j in range(d + 1)]))))
-            ok = map(and_, map(set(level).__contains__, images), map(ne, again, level))
-            bad = next(itertools.compress(level, map(not_, ok)), None)
-            if bad is not None and self.action.apply(bad) != bad:
-                raise ValidationError(f"action is not simplicial: image of {bad} missing")
-            # Checking the generator suffices: p is prime, so T is a power of
-            # any T^a with 0 < a < p, and a simplex fixed by T^a is fixed by T.
-            if bad is not None:
-                raise ValidationError(f"action is not free: {bad} is setwise fixed")
+        tops = set(cx._maximal)
+        orbits = set(map(tuple, map(sorted, self.vertex_orbits())))
+        if all(map(tops.__contains__, map(apply, tops))) and orbits.isdisjoint(
+                itertools.chain(*cx.by_dim[:1], *cx.by_dim[self.p - 1:self.p])):
+            return
+        simplices = set(cx.simplices())
+        bad = next(s for s in cx.simplices() if apply(s) == s or apply(s) not in simplices)
+        if apply(bad) != bad:
+            raise ValidationError(f"action is not simplicial: image of {bad} missing")
+        raise ValidationError(f"action is not free: {bad} is setwise fixed")
 
     @property
     def p(self) -> int:
@@ -326,25 +327,22 @@ def barycentric_subdivide(x: FreeZpComplex) -> FreeZpComplex:
     Vertex i is the barycenter of the i-th simplex in (dimension,
     lexicographic) order, the order `simplices` yields.  A simplex of the
     subdivision is a chain of faces, and every chain lies in a full flag of
-    a maximal simplex, so the complex is the closure of those flags.  A full
-    flag of s is a full flag of a facet of s extended by s; a face comes
-    before its cofaces, so every flag is already increasing.  A simplex is
-    maximal when it is no facet of another.  The size is predicted from the
-    f-vector first, and BudgetExceeded is raised before any flag is built
-    when it passes DEFAULT_CELL_BUDGET.
+    a maximal simplex (read from the record the closure made), so the
+    complex is the closure of those flags.  A full flag of s is a full flag
+    of a facet of s extended by s; a face comes before its cofaces, so every
+    flag is already increasing.  The size is predicted from the f-vector
+    first, and BudgetExceeded is raised before any flag is built when it
+    passes DEFAULT_CELL_BUDGET.
 
     The subdivision is a flag complex: two barycenters are adjacent iff one
     face contains the other, and pairwise comparable faces form a chain."""
     within_budget(subdivision_size(x.complex.f_vector()), "the subdivision")
     index = {s: i for i, s in enumerate(x.complex.simplices())}
     flags: dict[Simplex, list[Simplex]] = {(): [()]}  # a vertex's facet is ()
-    facets: set[Simplex] = set()
     for s, i in index.items():
-        below = list(itertools.combinations(s, len(s) - 1))
-        facets.update(below)
-        flags[s] = [c + (i,) for f in below for c in flags[f]]
+        flags[s] = [c + (i,) for f in itertools.combinations(s, len(s) - 1) for c in flags[f]]
     perm = tuple(index[x.action.apply(s)] for s in index)
-    tops = (flags[s] for s in index if s not in facets)
+    tops = (flags[s] for s in x.complex._maximal)
     return FreeZpComplex(SimplicialComplex(len(index), tops), ZpAction(x.p, perm))
 
 

@@ -385,17 +385,22 @@ def fixed_by_some_power(perm, p, simplices):
     return False
 
 
-def action_ok(vertex_count, by_dim, perm):
-    """True iff perm has one entry per vertex and moves every simplex, with
-    its vertices moved one at a time, onto another simplex of the family."""
-    if len(perm) != vertex_count:
-        return False
+def bad_simplices(by_dim, perm):
+    """The simplices, in level order, whose image (vertices moved one at a
+    time) is no simplex of the family or is the simplex itself: the first
+    is the one a refusal names."""
     family = {frozenset(s) for level in by_dim for s in level}
-    for s in family:
-        image = frozenset(perm[v] for v in s)
-        if image not in family or image == s:
-            return False
-    return True
+    for level in by_dim:
+        for s in level:
+            image = frozenset(perm[v] for v in s)
+            if image not in family or image == frozenset(s):
+                yield s
+
+
+def action_ok(vertex_count, by_dim, perm):
+    """True iff perm has one entry per vertex and moves every simplex onto
+    another simplex of the family."""
+    return len(perm) == vertex_count and next(bad_simplices(by_dim, perm), None) is None
 
 
 def vertex_map_problems(source, target, vertex_map):

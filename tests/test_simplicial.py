@@ -5,12 +5,13 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import zpindex.simplicial
 from oracles import (
     action_ok,
+    bad_simplices,
     betti_by_elimination,
     brute_force_closure,
     brute_force_maximal,
@@ -371,12 +372,16 @@ class TestLevelChecks:
          "action is not simplicial: image of (0, 1) missing"),
         (4, [(0, 2), (1, 2), (3,)], 2, (1, 0, 3, 2),
          "action is not simplicial: image of (0, 2) missing"),
+        # the top level maps onto itself; a lower maximal simplex does not
+        (6, [(0, 1), (2, 3), (4,)], 2, (2, 3, 0, 1, 5, 4),
+         "action is not simplicial: image of (4,) missing"),
         (2, [(0, 1)], 2, (1, 0), "action is not free: (0, 1) is setwise fixed"),
         (3, [(0,), (1,), (2,)], 2, (1, 0, 2), "action is not free: (2,) is setwise fixed"),
         (2, [(0,), (1,)], 2, (True, False), "perm must hold integers"),
         (2, [(0,), (1,)], 2.0, (1, 0), "p=2.0 is not prime"),
     ], ids=["perm-length", "non-simplicial-vertex-image", "non-simplicial-edge-image",
-            "fixed-edge", "fixed-vertex", "bool-perm", "float-prime"])
+            "non-simplicial-lower-maximal", "fixed-edge", "fixed-vertex", "bool-perm",
+            "float-prime"])
     def test_action_check_refuses(self, vertex_count, simplices, p, perm, message):
         cx = SimplicialComplex.from_simplices(vertex_count, simplices)
         with pytest.raises(ValidationError, match=re.escape(message)):
@@ -476,13 +481,35 @@ class TestLevelChecksMatchOracle:
 
     @settings(max_examples=300)
     @given(acted_complexes())
+    # the first bad simplex is a fixed edge below two maximal triangles
+    @example((SimplicialComplex.from_simplices(4, [(0, 1, 2), (0, 1, 3)]), 2, (1, 0, 3, 2)))
+    # a fixed vertex comes before a vertex whose image is missing
+    @example((SimplicialComplex.from_simplices(4, [(0,), (1, 3)]), 2, (0, 2, 1, 3)))
+    # a missing vertex image comes before a fixed edge
+    @example((SimplicialComplex.from_simplices(4, [(0, 1), (2,)]), 2, (1, 0, 3, 2)))
     def test_action_refused_iff_oracle_refuses(self, case):
+        """Refused iff the oracle refuses, and with the message naming the
+        oracle's first bad simplex in level order; the fast check reads only
+        the maximal simplices and the vertex orbits."""
         cx, p, perm = case
         if action_ok(cx.vertex_count, cx.by_dim, perm):
+            event("accepted")
             FreeZpComplex(cx, ZpAction(p, perm))
+            return
+        if len(perm) != cx.vertex_count:
+            event("permutation length")
+            message = "permutation length differs from vertex count"
         else:
-            with pytest.raises(ValidationError):
-                FreeZpComplex(cx, ZpAction(p, perm))
+            bad, *later = bad_simplices(cx.by_dim, perm)
+            fixed = {perm[v] for v in bad} == set(bad)
+            maximal = bad in brute_force_maximal(cx.simplices())
+            mixed = any(({perm[v] for v in s} == set(s)) != fixed for s in later)
+            event(f"{'fixed' if fixed else 'missing'} at a {'maximal' if maximal else 'face'}"
+                  + (", mixed" if mixed else ""))
+            message = (f"action is not free: {bad} is setwise fixed" if fixed
+                       else f"action is not simplicial: image of {bad} missing")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            FreeZpComplex(cx, ZpAction(p, perm))
 
     @settings(max_examples=300)
     @given(acted_complexes(closed=True), acted_complexes(closed=True), st.data())
@@ -655,6 +682,11 @@ def simplex_families(draw):
     return n, family
 
 
+# Three families that close to the triangle on 0, 1, 2, listing the faces
+# that are not maximal in different ways.
+SAME_CLOSURE = ((3, [(0, 1, 2)]), (3, [(0,), (1, 2), (0, 1, 2)]), (3, [(0,), (0, 1, 2)]))
+
+
 class TestFaceRelationProperties:
     @given(simplex_families())
     def test_closure_matches_brute_force(self, n_family):
@@ -663,10 +695,22 @@ class TestFaceRelationProperties:
         assert set(cx.simplices()) == brute_force_closure(family)
 
     @given(simplex_families())
+    @example(SAME_CLOSURE[0])
+    @example(SAME_CLOSURE[1])
+    @example(SAME_CLOSURE[2])
     def test_maximal_matches_brute_force(self, n_family):
         n, family = n_family
         cx = SimplicialComplex.from_simplices(n, family)
         assert cx.maximal_simplices() == brute_force_maximal(cx.simplices())
+
+    def test_maximal_record_is_neither_compared_nor_hashed(self):
+        first, *others = (SimplicialComplex.from_simplices(n, family)
+                          for n, family in SAME_CLOSURE)
+        for cx in others:
+            assert cx == first and hash(cx) == hash(first)
+        object.__setattr__(first, "_maximal", ())
+        assert first == others[0] and hash(first) == hash(others[0])
+        assert repr(first) == repr(others[0])
 
     @given(simplex_families())
     def test_maximal_simplices_close_back(self, n_family):

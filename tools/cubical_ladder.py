@@ -29,13 +29,14 @@ Each stage's time is its own, less the stages called inside it:
   search's source and, through `subdivide_times`, the `subdivide`
   subcommand's input;
 - close: `SimplicialComplex.from_simplices`, the constructor's downward
-  closure of a flat family (triangulations, joins and loaded files); the
-  subdivision calls the constructor itself, so its closure counts under
-  subdivide;
+  closure of a flat family (triangulations, joins and loaded files), which
+  also records the maximal simplices; the subdivision calls the
+  constructor itself, so its closure counts under subdivide;
 - complex_validation: `SimplicialComplex._validate`, the vertex checks on
   the simplices a constructor is given;
-- action_validation: `FreeZpComplex._validate`;
-- maximal: `SimplicialComplex.maximal_simplices`;
+- action_validation: `FreeZpComplex._validate`, which maps only the
+  recorded maximal simplices and looks up the vertex orbits;
+- maximal: `SimplicialComplex.maximal_simplices`, a lookup of that record;
 - search: `certificates.find_equivariant_vertex_map`, the map search;
 - verify: `certificates.check_vertex_map`, the witness checker.
 
