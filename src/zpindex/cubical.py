@@ -285,11 +285,12 @@ def build_pp_yz(which: str, p: int, grid: GridSpec,
 # Cubical homology.
 
 def cubical_homology(cx: CubicalZpComplex, p_coeff: int) -> HomologyProfile:
-    """Betti numbers over F_{p_coeff}, not reduced.  The j-th unit interval
-    of a cell contributes (-1)^j * (top face - bottom face), so by the order
-    of `CubicalZpComplex.faces` the faces have the signs + - - + repeating."""
+    """Betti numbers over F_{p_coeff}, not reduced, of the sorted codes.  The
+    j-th unit interval of a cell contributes (-1)^j * (top face - bottom
+    face), so by `CubicalZpComplex.faces` the face signs repeat + - - +."""
     def signed_faces(code: int):
-        return zip(cx.faces(code), itertools.cycle((1, -1, -1, 1)))
+        return zip(cx.faces(code), signs)
+    signs = (1, -1, -1, 1) * (cx.dim // 2 + 1)  # one per face of a top cell
     return HomologyProfile(p_coeff, betti_numbers(cx.by_dim, signed_faces, p_coeff, False), False)
 
 

@@ -250,10 +250,18 @@ class HomologyProfile:
 
 def homology(cx: SimplicialComplex, p: int, reduced: bool = True) -> HomologyProfile:
     """Betti numbers of cx over F_p; the face of a simplex without its i-th
-    vertex has the sign (-1)^i."""
-    def signed_faces(s: Simplex):
-        return ((s[:i] + s[i + 1:], -1 if i % 2 else 1) for i in range(len(s)))
-    return HomologyProfile(p, betti_numbers(cx.by_dim, signed_faces, p, reduced), reduced)
+    vertex has the sign (-1)^i.  The driver's cells are simplex indices in
+    the order `simplices` yields, its levels ranges; `combinations` drops
+    the last vertex first, so the signs end in +1."""
+    def signed_faces(i: int):
+        s = flat[i]
+        return zip(map(index.__getitem__, itertools.combinations(s, len(s) - 1)), signs[len(s) % 2])
+    flat = list(cx.simplices())
+    index = dict(zip(itertools.chain(*cx.by_dim[:-1]), itertools.count()))  # top ones are no faces
+    starts = list(itertools.accumulate(map(len, cx.by_dim), initial=0))
+    signs = ((-1, 1) * len(starts), (1, -1) * len(starts))  # for even, odd sizes
+    levels = list(map(range, starts, starts[1:]))
+    return HomologyProfile(p, betti_numbers(levels, signed_faces, p, reduced), reduced)
 
 
 def make_discrete_zp(p: int) -> FreeZpComplex:

@@ -1,3 +1,5 @@
+import copy
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -43,6 +45,35 @@ class TestRankProperties:
         assert len(pivot_rows) == rank
         rows = dense_rows(n_rows, columns)
         assert dense_fp_rank([rows[r] for r in sorted(pivot_rows)], p) == rank
+
+
+class TestRankContract:
+    """A column becomes a pivot as given only when its lowest entry is
+    nonzero mod p and no earlier column holds that row."""
+
+    def test_lowest_entry_vanishing_mod_p(self):
+        pivot_rows: set[int] = set()
+        assert fp_rank([{2: 3, 0: 1}], 3, pivot_rows) == 1
+        assert pivot_rows == {0}
+
+    def test_lowest_row_already_a_pivot(self):
+        pivot_rows: set[int] = set()
+        assert fp_rank([{0: 1, 1: -1}, {1: 2}], 3, pivot_rows) == 2
+        assert pivot_rows == {0, 1}
+
+    @given(sparse_matrices())
+    def test_columns_left_unchanged(self, matrix):
+        p, _, columns = matrix
+        before = copy.deepcopy(columns)
+        fp_rank(columns, p, set())
+        assert columns == before
+
+    @given(sparse_matrices())
+    def test_tuple_keys_give_the_same_rank(self, matrix):
+        # Keys that sort in another order than the ints they stand for.
+        p, _, columns = matrix
+        keyed = [{((r * 5) % 8, r): c for r, c in col.items()} for col in columns]
+        assert fp_rank(keyed, p) == fp_rank(columns, p)
 
 
 class TestClearing:
@@ -103,6 +134,19 @@ class TestDriver:
         assert list(columns) == [len(cells) - rank for cells, rank in zip(by_dim, ranks[1:] + (0,))]
         assert asked[1:] == list(columns[1:])
         assert any(ranks[1:])
+
+    @pytest.mark.parametrize("name", FRONT_ENDS)
+    def test_levels_increase_and_faces_lie_below(self, name, driver_calls):
+        # The rows are keyed by the faces themselves: each level the driver
+        # gets is strictly increasing, and every face key of a k-cell is a
+        # cell of level k - 1.
+        FRONT_ENDS[name]()
+        (call,) = driver_calls
+        by_dim, signed_faces = call["by_dim"], call["signed_faces"]
+        assert all(a < b for level in by_dim for a, b in itertools.pairwise(level))
+        for below, level in zip(by_dim, by_dim[1:]):
+            below = set(below)
+            assert all(face in below for cell in level for face, _ in signed_faces(cell))
 
     def test_rank_probe_sees_both_front_ends(self, monkeypatch):
         # The benchmark's fplinalg.rank probe patches this module attribute;

@@ -723,6 +723,9 @@ class TestHomologyProperties:
     """Betti numbers with clearing equal dense elimination over every column."""
 
     @given(simplex_families(), st.sampled_from([2, 3, 5]), st.booleans())
+    # An odd cycle: over an odd field, a boundary with every face sign +1
+    # has other ranks on it (on joins of discrete sets it has the same).
+    @example((3, [[0, 1], [1, 2], [0, 2]]), 3, False)
     def test_matches_dense_elimination(self, n_family, coeff, reduced):
         n, family = n_family
         cx = SimplicialComplex.from_simplices(n, family)

@@ -5,8 +5,9 @@
 
 OLD_SRC and NEW_SRC are `src/` directories of two checkouts.  Every
 instance is run `--repeats` times per side, alternating parent and change,
-each run in a fresh interpreter that imports `zpindex` from its side's
-source and calls `zpindex.cli.main` on the instance's argv.  A reload rung
+the parent first on even repeats and the change first on odd ones, each run
+in a fresh interpreter that imports `zpindex` from its side's source and
+calls `zpindex.cli.main` on the instance's argv.  A reload rung
 then loads the complex of its artifact again (`complex_from_json_dict`), as
 a certificate load does.  A run reports its wall seconds, peak RSS and its
 split into stages, timed by wrapping module attributes the way
@@ -22,8 +23,9 @@ Each stage's time is its own, less the stages called inside it:
   face, shift and constraint checks);
 - triangulate: `cli.cubical_to_simplicial`, the corner paths of the
   maximal cells;
-- homology: `cli.cubical_homology`, that is the boundary columns and the
-  driver's bookkeeping;
+- homology: `cli.cubical_homology`, that is the cubical face rule, which
+  builds each boundary column as a dict keyed by face codes, and the
+  driver's clearing, which skips the cells that are pivot rows above;
 - rank: `fplinalg.fp_rank`, with the number of columns it was given;
 - subdivide: `certificates.barycentric_subdivide`, which subdivides a
   search's source and, through `subdivide_times`, the `subdivide`
@@ -40,11 +42,17 @@ Each stage's time is its own, less the stages called inside it:
 - search: `certificates.find_equivariant_vertex_map`, the map search;
 - verify: `certificates.check_vertex_map`, the witness checker.
 
-The output holds the median of each timed field over the repeats (wall
-seconds, not scaled to a host speed), the SHA-256 of the artifact's result
-and the cells, columns, Betti numbers and total search nodes when it has
-them (all of which must agree across sides), and each side's `src/` line
-count.
+While a run is timed, `perfbench/speed.py`'s `SpeedSampler` (imported from
+that directory, unchanged) times its calibration loop every 50 ms, and once
+before, so a short run has a sample too.  The run reports that slowdown and
+the sampler's own seconds.  The output holds the median of each timed field
+over the repeats (wall seconds), and under `scaled` the medians of the same
+times on the sampler's reference host: each divided by its run's slowdown,
+the sampler's own seconds first taken off the total (stage times keep the
+few interrupts that fell inside them).  It also holds the SHA-256 of the
+artifact's result and the cells, columns, Betti numbers and total search
+nodes when it has them (all of which must agree across sides), and each
+side's `src/` line count.
 `--instance NAME --src DIR` runs one instance once and prints its JSON.
 """
 
@@ -96,6 +104,8 @@ STAGES = ("enumerate", "validate", "triangulate", "homology", "rank", "subdivide
 
 
 def run_one(name: str, src: str) -> dict:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from speed import SpeedSampler
     sys.path.insert(0, src)
     import zpindex.certificates
     import zpindex.cli
@@ -154,15 +164,21 @@ def run_one(name: str, src: str) -> dict:
         "search", searched(zpindex.certificates.find_equivariant_vertex_map))
     zpindex.certificates.check_vertex_map = timed("verify", zpindex.certificates.check_vertex_map)
 
+    sampler = SpeedSampler()
+    sampler.start()
+    sampler.sample()
     with tempfile.TemporaryDirectory() as out:
         artifact = Path(out) / "result.json"
         argv = [*INSTANCES[name].split(), "--out", str(artifact)]
+        before = sampler.spent
         start = time.perf_counter()
         code = zpindex.cli.main(argv)
         result = json.loads(artifact.read_text())["result"]
         if name in RELOADED:
             zpindex.simplicial.complex_from_json_dict(result["complex"])
         total = time.perf_counter() - start
+        sampled = sampler.spent - before
+    sampler.stop()
     if code != 0:
         raise SystemExit(f"{name}: exit {code}")
     facts = {"result_sha256": hashlib.sha256(
@@ -175,12 +191,26 @@ def run_one(name: str, src: str) -> dict:
         facts["search_nodes"] = sum(nodes)
     return {"seconds": total, **{f"{s}_s": spent[s] for s in STAGES},
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            **facts}
+            "slowdown": sampler.slowdown, "sampler_s": sampled, **facts}
+
+
+TIMES = ("seconds", *(f"{s}_s" for s in STAGES))
+
+
+def scaled(run: dict) -> dict:
+    """A run's times on the sampler's reference host."""
+    return {key: (run[key] - (run["sampler_s"] if key == "seconds" else 0)) / run["slowdown"]
+            for key in TIMES}
+
+
+def side_order(sides: dict, repeat: int) -> list:
+    """The (side, src) pairs in the order repeat `repeat` runs them."""
+    return list(sides.items())[::-1 if repeat % 2 else 1]
 
 
 def measured(key: str) -> bool:
-    """Whether a run's field is a time or a size (else an output)."""
-    return key.endswith(("_s", "_mb")) or key == "seconds"
+    """Whether a run's field is a time, a size or the host speed (else an output)."""
+    return key.endswith(("_s", "_mb")) or key in ("seconds", "slowdown", "scaled")
 
 
 def src_lines(src: str) -> int:
@@ -204,21 +234,26 @@ def main() -> None:
     ladder = {}
     for name in INSTANCES:
         runs = {side: [] for side in sides}
-        for _ in range(args.repeats):
-            for side, src in sides.items():
+        for repeat in range(args.repeats):
+            for side, src in side_order(sides, repeat):
                 line = subprocess.run(
                     [sys.executable, __file__, "--instance", name, "--src", src],
                     check=True, capture_output=True, text=True).stdout
                 runs[side].append(json.loads(line))
         entry = {side: {key: round(statistics.median(r[key] for r in rs), 3) if measured(key)
                         else rs[0][key] for key in rs[0]} for side, rs in runs.items()}
+        for side, rs in runs.items():
+            entry[side]["scaled"] = {key: round(statistics.median(scaled(r)[key] for r in rs), 3)
+                                     for key in TIMES}
         facts = [{key: v for key, v in entry[side].items() if not measured(key)} for side in sides]
         if facts[0] != facts[1]:
             raise SystemExit(f"{name}: outputs differ")
         ladder[name] = {"argv": INSTANCES[name], "reloaded": name in RELOADED, **entry}
         print(name, json.dumps(ladder[name]), file=sys.stderr)
-    report = {"about": "wall seconds and peak RSS are medians over the repeats, "
-                        "one process per run, not scaled to a host speed",
+    report = {"about": "wall seconds, peak RSS and host slowdown are medians over the "
+                        "repeats, one process per run, the side run first swapped from one "
+                        "repeat to the next; `scaled` holds the medians of the times "
+                        "scaled to the reference host of perfbench/speed.py",
               "host": f"{platform.machine()}, {platform.python_implementation()} "
                       f"{platform.python_version()}",
               "repeats": args.repeats,

@@ -1,0 +1,125 @@
+"""Mutation catalogue: each entry breaks `src/` on purpose, in one place, and
+names the tests that must fail on the broken copy.
+
+    python3 tools/mutants.py            # run every mutant
+    python3 tools/mutants.py --list     # print the catalogue
+
+Each mutant replaces an exact text, which must occur once in its file, by a
+new text.  The replacement is made in a copy of `src/` and `tests/` under a
+temporary directory, never in the checkout, and the mutant's tests are run
+there in a fresh pytest process.  A mutant is killed when pytest reports a
+failure (exit 1) or runs out of time; it survives when its tests pass.  The
+named tests are first run once on an unmutated copy, where they must pass.
+The exit status is 0 when every mutant is killed, 1 when one survives and 2
+when the catalogue itself is wrong (a text not found once, a test that does
+not run or fails unmutated).
+
+The catalogue extends DeMillo, Lipton & Sayward, "Hints on test data
+selection" (IEEE Computer, 1978), to a regression suite: a refactor that lets
+a mutant survive has lost a test.  `tests/test_mutants.py` checks in tier-1
+that every old text still occurs exactly once and every named test exists;
+the full run starts a pytest process per mutant and stays outside tier-1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # a mutant that loops forever counts as killed
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("fast path without the mod-p test", "src/zpindex/fplinalg.py",
+           "if col and col[low := max(col)] % p and low not in pivots:",
+           "if col and (low := max(col)) not in pivots:",
+           ("tests/test_fplinalg.py::TestRankContract::test_lowest_entry_vanishing_mod_p",)),
+    Mutant("fast path over a taken pivot row", "src/zpindex/fplinalg.py",
+           "if col and col[low := max(col)] % p and low not in pivots:",
+           "if col and col[low := max(col)] % p:",
+           ("tests/test_fplinalg.py::TestRankContract::test_lowest_row_already_a_pivot",)),
+    Mutant("simplicial faces all of sign +1", "src/zpindex/simplicial.py",
+           "signs = ((-1, 1) * len(starts), (1, -1) * len(starts))",
+           "signs = ((1, 1) * len(starts), (1, 1) * len(starts))",
+           ("tests/test_simplicial.py::TestHomologyProperties::test_matches_dense_elimination",)),
+    Mutant("cubical levels handed over unsorted", "src/zpindex/cubical.py",
+           "betti_numbers(cx.by_dim, signed_faces, p_coeff, False)",
+           "betti_numbers([level[::-1] for level in cx.by_dim], signed_faces, p_coeff, False)",
+           ("tests/test_fplinalg.py::TestDriver::test_levels_increase_and_faces_lie_below",)),
+)
+
+
+def _copy() -> Path:
+    """A fresh copy of the parts of the checkout the tests read."""
+    where = Path(tempfile.mkdtemp(prefix="mutant-"))
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, where / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+    shutil.copy(ROOT / "pyproject.toml", where / "pyproject.toml")
+    return where
+
+
+def _pytest(where: Path, tests) -> int | None:
+    """pytest's exit code on the given node ids in the copy, None on timeout."""
+    env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=where, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--list", action="store_true", help="print the catalogue and exit")
+    args = ap.parse_args()
+    if args.list:
+        for m in MUTANTS:
+            print(f"{m.name}: {m.file}\n  - {m.old}\n  + {m.new}\n  must fail: {', '.join(m.tests)}")
+        return 0
+    for m in MUTANTS:
+        if (ROOT / m.file).read_text().count(m.old) != 1:
+            print(f"catalogue: {m.name}: the old text does not occur once in {m.file}")
+            return 2
+    where = _copy()
+    try:
+        named = sorted({t for m in MUTANTS for t in m.tests})
+        if _pytest(where, named) != 0:
+            print("catalogue: the named tests do not all pass on an unmutated copy")
+            return 2
+        survivors = 0
+        for m in MUTANTS:
+            target = where / m.file
+            source = target.read_text()
+            target.write_text(source.replace(m.old, m.new))
+            code = _pytest(where, m.tests)
+            target.write_text(source)
+            if code not in (0, 1, None):
+                print(f"catalogue: {m.name}: pytest exited {code}")
+                return 2
+            survivors += code == 0
+            print(f"{'SURVIVED' if code == 0 else 'killed'}: {m.name}"
+                  + (" (timed out)" if code is None else ""))
+        return 1 if survivors else 0
+    finally:
+        shutil.rmtree(where)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
