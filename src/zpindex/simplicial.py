@@ -10,8 +10,9 @@ with the simplex face rule.
 
 The closure runs once per level on its vertex columns (column j: vertex j
 of each simplex), so per-simplex work runs in C: dropping column j leaves
-the j-th facets.  It records the given simplices that no facet covers: the
-maximal simplices, which the subdivision and the action check read.
+the j-th facets, gathered last column first so that the level's one sort
+merges sorted runs.  It records the given simplices that no facet covers:
+the maximal simplices, which the subdivision and the action check read.
 
 Both complex types are frozen dataclasses, their equality, hashing and
 read-only fields declared.  One routine, `_cycles`, walks an action's cycles:
@@ -30,6 +31,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import itemgetter, mul
 
 from .errors import ValidationError, whole, within_budget
@@ -76,9 +78,13 @@ class SimplicialComplex:
         """Refuse the given simplices (`_validate`), file them by size (an
         empty one in a level of its own, left out), then from the top down
         record a level's given simplices that no facet from above covers and
-        merge them, sorted, into its sorted facets.  Vertices that do not sort
-        against each other are refused by the sort, and the other non-int
-        vertices after the closure, so that the sort names the former."""
+        sort them with its facets.  The facets are gathered in a dict, last
+        column first: on a sorted level, dropping the last vertex gives one
+        sorted run and each later column adds only new facets, in long runs,
+        so the sort merges runs.  The dict is dropped before the level's tuple
+        is built.  Vertices that do not sort against each other are refused
+        by the sort, and the other non-int vertices after the closure, so
+        that the sort names the former."""
         whole(self.vertex_count, "vertex count")
         try:
             given = list(map(tuple, itertools.chain.from_iterable(self.by_dim)))
@@ -90,10 +96,10 @@ class SimplicialComplex:
             maximal, above = [], ()
             for size in range(len(levels) - 1, 0, -1):
                 cols = _columns(above)
-                facets = set().union(*(zip(*cols[:j], *cols[j + 1:]) for j in range(len(cols))))
-                levels[size] -= facets
-                maximal[:0] = tops = sorted(levels[size])
-                above = levels[size] = tuple(sorted(itertools.chain(sorted(facets), tops)))
+                facets = dict.fromkeys(itertools.chain.from_iterable(
+                    zip(*cols[:j], *cols[j + 1:]) for j in range(len(cols) - 1, -1, -1)))
+                maximal[:0] = tops = sorted(itertools.filterfalse(facets.__contains__, levels[size]))
+                above = levels[size] = tuple(facets := sorted(itertools.chain(facets, tops)))
         except TypeError as exc:
             raise ValidationError(f"simplices must hold integers: {exc}") from exc
         if stray is not None:
@@ -242,10 +248,7 @@ class HomologyProfile:
         if not self.betti:
             return EMPTY_CONNECTIVITY
         reduced_betti = self.betti if self.reduced else (self.betti[0] - 1,) + self.betti[1:]
-        for k, b in enumerate(reduced_betti):
-            if b != 0:
-                return k - 1
-        return INFINITE_CONNECTIVITY
+        return next((k - 1 for k, b in enumerate(reduced_betti) if b), INFINITE_CONNECTIVITY)
 
 
 def homology(cx: SimplicialComplex, p: int, reduced: bool = True) -> HomologyProfile:
@@ -299,10 +302,7 @@ def join_power(x: FreeZpComplex, copies: int) -> FreeZpComplex:
     result's (|x| + 1)^copies - 1 simplices are checked before the first join."""
     whole(copies, "need at least one copy: copies", 1)
     within_budget((sum(x.complex.f_vector()) + 1) ** copies - 1, f"the join of {copies} copies")
-    out = x
-    for _ in range(copies - 1):
-        out = join(out, x)
-    return out
+    return reduce(join, itertools.repeat(x, copies - 1), x)
 
 
 def e_n_zp(n: int, p: int) -> FreeZpComplex:

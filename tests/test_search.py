@@ -150,6 +150,16 @@ def test_source_without_simplices_maps_every_label():
     assert nodes == 0 and check_vertex_map(source, target, vertex_map) == []
 
 
+def test_edges_inside_an_orbit_are_checked():
+    # every edge of the 3-cycle joins two slots of its one vertex orbit, so
+    # only the shift bitsets keep it from landing on three lone vertices
+    source = triangle_boundary(3)
+    for target, expected in ((make_discrete_zp(3), None), (source, (0, 1, 2))):
+        found = find_equivariant_vertex_map(source, target)
+        assert found[0] == expected
+        assert found == plain_vertex_map_search(source, target, 100)
+
+
 # The refute searches of the benchmark, at canonical labels: every one
 # exhausts, and its node count is that of the full assignment tree.
 REFUTE = {

@@ -718,6 +718,22 @@ class TestFaceRelationProperties:
         cx = SimplicialComplex.from_simplices(n, family)
         assert SimplicialComplex.from_simplices(n, cx.maximal_simplices()) == cx
 
+    @given(simplex_families(), st.data())
+    def test_closure_ignores_order_repeats_and_faces(self, n_family, data):
+        # the closure gathers facets in insertion order; neither the order of
+        # the given simplices nor repeats or faces among them may reach the
+        # levels or the maximal record
+        n, family = n_family
+        cx = SimplicialComplex.from_simplices(n, family)
+        some = st.lists(st.sampled_from(family), max_size=3) if family else st.just([])
+        repeats = data.draw(some, label="repeats")
+        faces = [data.draw(st.sets(st.sampled_from(s), min_size=1), label="face")
+                 for s in data.draw(some, label="faces of")]
+        mixed = [data.draw(st.permutations(s)) for s in [*family, *repeats, *map(list, faces)]]
+        other = SimplicialComplex.from_simplices(n, data.draw(st.permutations(mixed)))
+        assert other.by_dim == cx.by_dim
+        assert other.maximal_simplices() == cx.maximal_simplices()
+
 
 class TestHomologyProperties:
     """Betti numbers with clearing equal dense elimination over every column."""

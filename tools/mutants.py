@@ -44,6 +44,11 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
+CLOSURE_ORACLE = "tests/test_simplicial.py::TestLevelChecksMatchOracle"
+FACE_RELATION = "tests/test_simplicial.py::TestFaceRelationProperties"
+LEVEL_CHECKS = "tests/test_simplicial.py::TestLevelChecks"
+TABLE = "tests/test_subshifts.py::TestTable"
+
 MUTANTS = (
     Mutant("fast path without the mod-p test", "src/zpindex/fplinalg.py",
            "if col and col[low := max(col)] % p and low not in pivots:",
@@ -61,6 +66,72 @@ MUTANTS = (
            "betti_numbers(cx.by_dim, signed_faces, p_coeff, False)",
            "betti_numbers([level[::-1] for level in cx.by_dim], signed_faces, p_coeff, False)",
            ("tests/test_fplinalg.py::TestDriver::test_levels_increase_and_faces_lie_below",)),
+    Mutant("closure facets kept in a list, duplicates and all", "src/zpindex/simplicial.py",
+           "facets = dict.fromkeys(itertools.chain.from_iterable(",
+           "facets = list(itertools.chain.from_iterable(",
+           (f"{CLOSURE_ORACLE}::test_complex_refused_iff_oracle_refuses",)),
+    Mutant("every given simplex recorded as maximal", "src/zpindex/simplicial.py",
+           "tops = sorted(itertools.filterfalse(facets.__contains__, levels[size]))",
+           "tops = sorted(levels[size])",
+           (f"{FACE_RELATION}::test_maximal_matches_brute_force",
+            f"{CLOSURE_ORACLE}::test_complex_refused_iff_oracle_refuses")),
+    Mutant("closed level left unsorted", "src/zpindex/simplicial.py",
+           "tuple(facets := sorted(itertools.chain(facets, tops)))",
+           "tuple(facets := list(itertools.chain(facets, tops)))",
+           (f"{CLOSURE_ORACLE}::test_complex_refused_iff_oracle_refuses",)),
+    Mutant("flag test always true", "src/zpindex/search.py",
+           "if sum(map(int.bit_count, above)) != len(levels[d + 1]):",
+           "if False:",
+           ("tests/test_search.py::test_every_simplex_orbit_is_checked",
+            "tests/test_search.py::test_clique_count_matches_networkx")),
+    Mutant("no shift bitsets for edges inside an orbit", "src/zpindex/search.py",
+           "start = [reduce(and_, map(shifted.__getitem__, needed), everything) for needed in shifts]",
+           "start = [everything for needed in shifts]",
+           ("tests/test_search.py::test_edges_inside_an_orbit_are_checked",
+            "tests/test_search.py::TestAgainstPlainBacktracking::test_same_map_nodes_and_budget_raise")),
+    Mutant("clique count without the +1 shift", "src/zpindex/search.py",
+           "above = map(rshift, common, map((1).__add__, cols[-1]))",
+           "above = map(rshift, common, cols[-1])",
+           ("tests/test_search.py::test_clique_count_matches_networkx",
+            "tests/test_search.py::test_targets_are_flag[e2p2]")),
+    Mutant("clique count stops one level early", "src/zpindex/search.py",
+           "for d in range(1, min(size - 1, len(cx.by_dim))):",
+           "for d in range(1, min(size - 2, len(cx.by_dim))):",
+           ("tests/test_search.py::test_clique_count_matches_networkx",
+            "tests/test_search.py::test_non_flag_complexes_are_found[triangle-boundary]")),
+    Mutant("only simplices of 4 or more vertices checked", "src/zpindex/search.py",
+           "if orbits[k][0] in s:",
+           "if orbits[k][0] in s and len(s) > 3:",
+           ("tests/test_search.py::test_every_simplex_orbit_is_checked",)),
+    Mutant("matrix products not cut at the cap", "src/zpindex/subshifts.py",
+           "return [[min(sum(map(mul, row, col)), cap) for col in zip(*y)] for row in x]",
+           "return [[sum(map(mul, row, col)) for col in zip(*y)] for row in x]",
+           (f"{TABLE}::test_cut_power_is_the_cut_true_power",)),
+    Mutant("closed walks of length n in place of n/g", "src/zpindex/subshifts.py",
+           "walks = _power(allowed, n // g, cap)",
+           "walks = _power(allowed, n, cap)",
+           (f"{TABLE}::test_counts_match_brute_force", f"{TABLE}::test_no_word_is_built")),
+    Mutant("Burnside weight 1 in place of phi(n/d)", "src/zpindex/subshifts.py",
+           "phi[n // d] * _count(allowed, shift.window, d, cap) for d in phi)",
+           "_count(allowed, shift.window, d, cap) for d in phi)",
+           (f"{TABLE}::test_burnside_matches_walked_orbits",)),
+    Mutant("a period refused at n * count == budget", "src/zpindex/subshifts.py",
+           "if n * points > budget:",
+           "if n * points >= budget:",
+           (f"{TABLE}::test_budget_bounds_the_symbols_counted",)),
+    Mutant("no vertex orbit test", "src/zpindex/simplicial.py",
+           "orbits = set(map(tuple, map(sorted, self.vertex_orbits())))",
+           "orbits = set()",
+           (f"{LEVEL_CHECKS}::test_action_check_refuses[fixed-edge]",
+            "tests/test_simplicial.py::TestValidation::test_non_free_action_rejected")),
+    Mutant("fixed vertices not looked up", "src/zpindex/simplicial.py",
+           "itertools.chain(*cx.by_dim[:1], *cx.by_dim[self.p - 1:self.p])",
+           "itertools.chain(*cx.by_dim[self.p - 1:self.p])",
+           (f"{LEVEL_CHECKS}::test_action_check_refuses[fixed-vertex]",)),
+    Mutant("images checked against the top level only", "src/zpindex/simplicial.py",
+           "tops = set(cx._maximal)",
+           "tops = set(cx.by_dim[-1])",
+           (f"{LEVEL_CHECKS}::test_action_check_refuses[non-simplicial-lower-maximal]",)),
 )
 
 
