@@ -181,13 +181,14 @@ def decode(code: int, p: int, grid: GridSpec) -> tuple[Box, ...]:
 
 
 class CubicalZpComplex:
-    """Shift-closed, face-closed family of certified cells, held as sorted
-    codes grouped by dimension, on which the cyclic shift acts freely.  The
-    window constraint and the faces commute with the shift T, which moves
-    digit i + 1 to position i.  So once every cell's image is a cell, the
-    window and the faces at position 0 of all cells are those at every
-    position, and only they are checked, each check one pass over the codes.
-    p is prime, so the action is free once no cell is its own image."""
+    """Shift-closed, face-closed family of cells, held as sorted codes grouped
+    by dimension, on which the cyclic shift acts freely.  The faces commute
+    with the shift T, which moves digit i + 1 to position i.  So once every
+    cell's image is a cell, the faces at position 0 of all cells are those
+    at every position, and only they are checked, in one pass over the codes.
+    p is prime, so the action is free once no cell is its own image.  The
+    window constraint is not judged here: `constraint` records the judge
+    that listed the cells (`_enumerate_cells`)."""
 
     __slots__ = ("p", "grid", "constraint", "cells", "by_dim", "_base", "_lead", "_positions")
 
@@ -221,10 +222,6 @@ class CubicalZpComplex:
         if not (present.issuperset(images) and present.issuperset(first_faces)):
             refuse(lambda code: not present.issuperset([self.shift(code), *self.faces(code)]),
                    "the shift image or a face of {} is missing")
-        windows = zip(*(digits[o % p] for o in constraint.offsets))
-        verdicts = list(map(constraint.forbidden_test(grid), windows))
-        if True in verdicts:
-            refuse(dict(zip(cells, verdicts)).get, "cell {} fails the defining constraint")
         box_dims = [len(faces) // 2 for faces in box_faces]
         dims = list(map(sum, zip(*(map(box_dims.__getitem__, column) for column in digits))))
         self.by_dim = tuple(tuple(itertools.compress(cells, map(k.__eq__, dims)))

@@ -82,28 +82,24 @@ class SimplicialComplex:
         column first: on a sorted level, dropping the last vertex gives one
         sorted run and each later column adds only new facets, in long runs,
         so the sort merges runs.  The dict is dropped before the level's tuple
-        is built.  Vertices that do not sort against each other are refused
-        by the sort, and the other non-int vertices after the closure, so
-        that the sort names the former."""
+        is built."""
         whole(self.vertex_count, "vertex count")
         try:
             given = list(map(tuple, itertools.chain.from_iterable(self.by_dim)))
-            stray = self._validate(given)
-            by_size = sorted(map(tuple, map(sorted, map(set, given))), key=len)
-            levels = [set() for _ in range(len(by_size[-1]) + 1 if by_size else 1)]
-            for size, group in itertools.groupby(by_size, len):
-                levels[size].update(group)
-            maximal, above = [], ()
-            for size in range(len(levels) - 1, 0, -1):
-                cols = _columns(above)
-                facets = dict.fromkeys(itertools.chain.from_iterable(
-                    zip(*cols[:j], *cols[j + 1:]) for j in range(len(cols) - 1, -1, -1)))
-                maximal[:0] = tops = sorted(itertools.filterfalse(facets.__contains__, levels[size]))
-                above = levels[size] = tuple(facets := sorted(itertools.chain(facets, tops)))
         except TypeError as exc:
             raise ValidationError(f"simplices must hold integers: {exc}") from exc
-        if stray is not None:
-            raise ValidationError(f"simplex {stray} must hold integers")
+        self._validate(given)
+        by_size = sorted(map(tuple, map(sorted, map(set, given))), key=len)
+        levels = [set() for _ in range(len(by_size[-1]) + 1 if by_size else 1)]
+        for size, group in itertools.groupby(by_size, len):
+            levels[size].update(group)
+        maximal, above = [], ()
+        for size in range(len(levels) - 1, 0, -1):
+            cols = _columns(above)
+            facets = dict.fromkeys(itertools.chain.from_iterable(
+                zip(*cols[:j], *cols[j + 1:]) for j in range(len(cols) - 1, -1, -1)))
+            maximal[:0] = tops = sorted(itertools.filterfalse(facets.__contains__, levels[size]))
+            above = levels[size] = tuple(facets := sorted(itertools.chain(facets, tops)))
         object.__setattr__(self, "by_dim", tuple(levels[1:]))
         object.__setattr__(self, "_maximal", tuple(maximal))
 
@@ -113,9 +109,9 @@ class SimplicialComplex:
         return cls(vertex_count, [simplices])
 
     def _validate(self, given):
-        """Before the closure is built: refuse an empty simplex, and an int
-        vertex outside 0..vertex_count-1; return the first simplex holding a
-        vertex that is no int (bools included), or None.  Every vertex of the
+        """Before the closure is built, refuse an empty simplex, then the
+        first simplex holding a vertex that is no int (bools included), then
+        one holding a vertex outside 0..vertex_count-1.  Every vertex of the
         closure is a vertex of a given simplex, so only these are read: a
         bool or float equal to an int vertex may hide behind it in a set of
         faces."""
@@ -123,12 +119,12 @@ class SimplicialComplex:
             raise ValidationError("empty vertex tuple is not a simplex")
         n, vertices = self.vertex_count, list(itertools.chain.from_iterable(given))
         # type, not isinstance: bool is a subclass of int
-        strays = set(map(type, vertices)) - {int}
-        ints = [v for v in vertices if type(v) is int] if strays else vertices
-        if ints and (min(ints) < 0 or max(ints) >= n):
-            bad = next(s for s in given if any(type(v) is int and not 0 <= v < n for v in s))
+        if set(map(type, vertices)) - {int}:
+            bad = next(s for s in given if set(map(type, s)) - {int})
+            raise ValidationError(f"simplex {bad} must hold integers")
+        if vertices and (min(vertices) < 0 or max(vertices) >= n):
+            bad = next(s for s in given if not all(0 <= v < n for v in s))
             raise ValidationError(f"simplex {bad} exceeds vertex range 0..{n - 1}")
-        return next(s for s in given if set(map(type, s)) - {int}) if strays else None
 
     @property
     def dim(self) -> int:

@@ -505,13 +505,9 @@ def brute_force_triangulation(cells, G, circle_valued):
 
 
 class AnyCell:
-    """A constraint every cell passes, so that validation turns on the
-    shift structure alone."""
-
-    offsets = (0, 1)
-
-    def forbidden_test(self, grid):
-        return lambda window: False
+    """The constraint recorded on a complex built from given codes.  The
+    constructor judges no window, so validation turns on the shift and face
+    structure alone, and no judge is needed here."""
 
 
 class OverBudget(Exception):

@@ -656,13 +656,8 @@ class TestOrbitWalk:
             box = st.tuples(*[intervals] * cx.grid.N)
             cell = data.draw(st.tuples(*[box] * p))
             cells |= {rotate(cell, a) for a in range(p if damage == "add orbit" else 1)}
-        if isinstance(constraint, OffsetGapConstraint):
-            def cell_ok(c):
-                return xm_cell_ok(c, G, constraint.delta, constraint.offset)
-        else:
-            def cell_ok(c):
-                return circle_cell_ok(c, G, constraint.kind)
-        if cell_family_ok(cells, p, cx.grid.N, G, circle_valued, cell_ok):
+        # the constructor judges no window, so any cell passes on its own
+        if cell_family_ok(cells, p, cx.grid.N, G, circle_valued, lambda c: True):
             built = CubicalZpComplex(p, cx.grid, constraint, coded(cells, cx.grid))
             assert tuples(built) == sorted(cells)
         else:
@@ -699,13 +694,28 @@ class TestOrbitWalk:
         with pytest.raises(ValidationError, match="fixed by the shift"):
             CubicalZpComplex(3, grid, AnyCell(), [encode((((1, 0),),) * 3, grid)])
 
-    def test_forbidden_cell_refused(self):
-        # a vertex orbit of X_1(N=1, p=3, G=2) with two equal coordinates
+    def test_forbidden_orbit_accepted(self):
+        # a vertex orbit of X_1(N=1, p=3, G=2) with two equal coordinates:
+        # the enumerator never lists it, and the constructor, which judges
+        # no window, keeps it like any other shift-closed orbit
         cx = build_pp_xm(1, Fraction(1, 2), 1, 3, GridSpec(1, 2))
         cell = (((0, 0),), ((0, 0),), ((2, 0),))
         orbit = coded([rotate(cell, a) for a in range(3)], cx.grid)
-        with pytest.raises(ValidationError, match="defining constraint"):
-            CubicalZpComplex(3, cx.grid, cx.constraint, list(cx.cells) + orbit)
+        assert set(orbit).isdisjoint(cx.cells)
+        built = CubicalZpComplex(3, cx.grid, cx.constraint, list(cx.cells) + orbit)
+        assert built.cells == tuple(sorted([*cx.cells, *orbit]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_pp_xm(2, Fraction(1, 2), 1, 3, GridSpec(2, 2)),
+        lambda: build_pp_yz("Z", 3, GridSpec(1, 2, circle_valued=True)),
+    ], ids=["x1-n2p3g2", "z-p3g2"])
+    def test_constructor_judges_no_window(self, build):
+        class Unjudged:
+            def forbidden_test(self, grid):
+                raise AssertionError("the constructor judged a window")
+        cx = build()
+        built = CubicalZpComplex(cx.p, cx.grid, Unjudged(), cx.cells)
+        assert built.cells == cx.cells and built.by_dim == cx.by_dim
 
     @pytest.mark.parametrize("code", [-1, 3 ** 3, 1.0, True, "7"])
     def test_non_code_refused(self, code):

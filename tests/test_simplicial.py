@@ -46,6 +46,11 @@ def assert_valid(x: FreeZpComplex):
     assert SimplicialComplex(x.complex.vertex_count, x.complex.by_dim) == x.complex
 
 
+def no_closure(level):
+    # patched in for `simplicial._columns`, which every closure step calls
+    raise AssertionError("the closure was built")
+
+
 def euler_matches_betti(cx, p):
     prof = homology(cx, p, reduced=False)
     chi = sum((-1) ** k * b for k, b in enumerate(prof.betti))
@@ -363,7 +368,8 @@ class TestLevelChecks:
             SimplicialComplex.from_simplices(3, family)
 
     def test_closure_refuses_vertices_that_do_not_sort(self):
-        with pytest.raises(ValidationError, match="simplices must hold integers"):
+        # the type check names the simplex before the closure's sort could fail
+        with pytest.raises(ValidationError, match=re.escape("simplex ('a',) must hold integers")):
             SimplicialComplex.from_simplices(2, [("a",), (0,)])
 
     @pytest.mark.parametrize("vertex_count,simplices,p,perm,message", [
@@ -567,12 +573,20 @@ class TestJsonInterchange:
     def test_vertex_range_refused_before_the_closure(self, monkeypatch):
         # the 2^18 - 1 faces pass the closure budget; the simplex is
         # refused for its vertices before any face is built
-        def no_closure(level):
-            raise AssertionError("the closure was built")
         monkeypatch.setattr(zpindex.simplicial, "_columns", no_closure)
         data = {"p": 2, "vertices": 2, "perm": [1, 0], "simplices": [list(range(18))]}
         with pytest.raises(ValidationError, match=re.escape(
                 f"simplex {tuple(range(18))} exceeds vertex range 0..1")):
+            complex_from_json_dict(data)
+
+    def test_float_vertex_refused_before_the_closure(self, monkeypatch):
+        # 17.0 lies in range and sorts among the ints, so only its type
+        # refuses the simplex, and that before any of the 2^18 - 1 faces
+        monkeypatch.setattr(zpindex.simplicial, "_columns", no_closure)
+        simplex = list(range(17)) + [17.0]
+        data = {"p": 2, "vertices": 18, "perm": [1, 0] * 9, "simplices": [simplex]}
+        with pytest.raises(ValidationError, match=re.escape(
+                f"simplex {tuple(simplex)} must hold integers")):
             complex_from_json_dict(data)
 
     @pytest.mark.parametrize("field,value", [

@@ -20,7 +20,7 @@ Each stage's time is its own, less the stages called inside it:
   `cli` calls it; and `cli.periodic_table`, which counts periodic points by
   transfer-matrix traces, with no word listed;
 - validate: the `CubicalZpComplex` constructor (sorting, grouping and the
-  face, shift and constraint checks);
+  face and shift checks);
 - triangulate: `cli.cubical_to_simplicial`, the corner paths of the
   maximal cells;
 - homology: `cli.cubical_homology`, that is the cubical face rule, which

@@ -46,8 +46,11 @@ class Mutant(NamedTuple):
 
 CLOSURE_ORACLE = "tests/test_simplicial.py::TestLevelChecksMatchOracle"
 FACE_RELATION = "tests/test_simplicial.py::TestFaceRelationProperties"
+JSON = "tests/test_simplicial.py::TestJsonInterchange"
 LEVEL_CHECKS = "tests/test_simplicial.py::TestLevelChecks"
 TABLE = "tests/test_subshifts.py::TestTable"
+WINDOWS = "tests/test_cubical.py::TestWindowTable"
+ENUMERATION = "tests/test_cubical.py::TestEnumerationProperties"
 
 MUTANTS = (
     Mutant("fast path without the mod-p test", "src/zpindex/fplinalg.py",
@@ -132,6 +135,21 @@ MUTANTS = (
            "tops = set(cx._maximal)",
            "tops = set(cx.by_dim[-1])",
            (f"{LEVEL_CHECKS}::test_action_check_refuses[non-simplicial-lower-maximal]",)),
+    Mutant("non-int vertices let through to the closure", "src/zpindex/simplicial.py",
+           "if set(map(type, vertices)) - {int}:",
+           "if False:",
+           (f"{JSON}::test_float_vertex_refused_before_the_closure",
+            f"{LEVEL_CHECKS}::test_non_integer_behind_equal_int_refused")),
+    # the enumerator alone judges windows, so only these tests guard the judges
+    Mutant("offset-gap judge with the squared gap doubled", "src/zpindex/cubical.py",
+           "t2 * sum(",
+           "2 * t2 * sum(",
+           (f"{WINDOWS}::test_offset_gap[delta2-2-2]",
+            f"{ENUMERATION}::test_xm_matches_brute_force")),
+    Mutant("looser Z judge: rho >= 1/3 on the first pair", "src/zpindex/cubical.py",
+           "2 * _circle_gap(a, b, two_g) < g",
+           "3 * _circle_gap(a, b, two_g) < g",
+           (f"{WINDOWS}::test_circle_pair[Z-3]", f"{ENUMERATION}::test_yz_matches_brute_force")),
 )
 
 
