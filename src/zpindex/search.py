@@ -27,6 +27,14 @@ count, the first witness and the node at which a budget raises
 (count = budget + 1) are those of plain place-and-check backtracking over
 every target vertex.  A witness then sends each cycle of source labels that
 lies in no simplex to the cycle of the least target label of its length.
+
+The walk is one loop over the orbit index, with no recursion, so a source
+of any number of orbits is searched.  Descending from an orbit pushes the
+rest of its domain and the rank of its placed vertex; an exhausted orbit
+charges the target vertices above that rank and pops its parent's pair to
+resume it.  An exhausted orbit's images are left as they were: the domains
+and checks of later orbits, and the post-pass, read an orbit's images only
+after it is placed again.
 """
 
 from __future__ import annotations
@@ -131,22 +139,14 @@ def find_equivariant_vertex_map(
     start = [reduce(and_, map(shifted.__getitem__, needed), everything) for needed in shifts]
 
     assignment = [-1] * source.complex.vertex_count
-    nodes = 0
-
-    def over_budget():
-        raise BudgetExceeded(
-            f"map search exceeded budget of {budget} assignments", count=budget + 1
-        )
-
-    def extend(k: int) -> bool:
-        nonlocal nodes
-        if k == len(orbits):
-            return True
-        domain = start[k]
-        for w in pairs[k]:
-            domain &= closed[assignment[w]]
+    exceeded = f"map search exceeded budget of {budget} assignments"
+    nodes, k, counted, placed = 0, 0, 0, []  # placed: each placed orbit's (domain, rank)
+    while k < len(orbits):
+        if not counted:  # entering orbit k: a resumed orbit has counted its placed vertex
+            domain = start[k]
+            for w in pairs[k]:
+                domain &= closed[assignment[w]]
         orbit, checks = orbits[k], ready[k]
-        counted = 0
         while domain:
             low = domain & -domain
             domain ^= low
@@ -155,23 +155,23 @@ def find_equivariant_vertex_map(
             nodes += r - counted
             counted = r
             if nodes > budget:
-                over_budget()
+                raise BudgetExceeded(exceeded, count=budget + 1)
             cur = t
             for v in orbit:
                 assignment[v] = cur
                 cur = tperm[cur]
             if not checks or all(tuple(sorted({assignment[v] for v in s})) in tset for s in checks):
-                if extend(k + 1):
-                    return True
-        for v in orbit:
-            assignment[v] = -1
-        nodes += width - counted
-        if nodes > budget:
-            over_budget()
-        return False
-
-    if not extend(0):
-        return None, nodes
+                placed.append((domain, counted))
+                k, counted = k + 1, 0
+                break
+        else:
+            nodes += width - counted
+            if nodes > budget:
+                raise BudgetExceeded(exceeded, count=budget + 1)
+            if not k:
+                return None, nodes
+            k -= 1
+            domain, counted = placed.pop()
     least = {len(c): c for c in reversed(_cycles(tperm, range(len(tperm))))}
     for cycle in _cycles(source.action.perm, range(len(assignment))):
         if assignment[cycle[0]] < 0:  # the i-th label goes to the i-th

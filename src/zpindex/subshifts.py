@@ -4,17 +4,17 @@ A period-n point of a shift is a cyclic word of length n; a window
 constraint says that for no i is the window of symbols at i + o (mod n), o
 in a fixed tuple of offsets, forbidden.  `each_cyclic_word` is the one
 enumerator of such words, over any alphabet, and every caller's entry: a
-depth-first search whose domains are bitsets over the alphabet, the AND of
-one table entry per window closing at the position, and `rotate` is the
-shift on periodic words.  A shift's periodic points are the enumerator's
-words, and `as_free_zp_complex` makes a prime-period list a discrete free
-Z_p-set, for `simplicial.join_power` to join.  `periodic_table` counts them
-with no word built: a period-n point is g = gcd(window, n) closed walks of
-the transfer matrix A of allowed pairs, so there are tr(A^(n/g))^g (Lind &
-Marcus 1995, Prop. 2.2.12), with each matrix product cut at a cap set by the
-budget on n * count, which keeps every count below the cap exact.  The
-cubical models in `cubical` are the p-periodic words of this kind over the
-indices of grid boxes.
+depth-first search in one loop, the same step at every position, whose
+domains are bitsets over the alphabet, the AND of one cached table entry per
+window closing at the position; `rotate` is the shift on periodic words.  A
+shift's periodic points are the enumerator's words, and `as_free_zp_complex`
+makes a prime-period list a discrete free Z_p-set, for `simplicial.join_power`
+to join.  `periodic_table` counts them with no word built: a period-n point
+is g = gcd(window, n) closed walks of the transfer matrix A of allowed pairs,
+so there are tr(A^(n/g))^g (Lind & Marcus 1995, Prop. 2.2.12), with each
+matrix product cut at a cap set by the budget on n * count, which keeps every
+count below the cap exact.  The cubical models in `cubical` are the
+p-periodic words of this kind over the indices of grid boxes.
 
 The basic examples here are the three-symbol shifts forbidding equal symbols
 at offset 1 (adjacent symbols differ) and at a general offset m.  Offsets
@@ -25,6 +25,7 @@ period m a self-pair (so that shift has no m-periodic points at all).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress, repeat
 from math import gcd, isqrt
 from operator import add, and_, itemgetter, mul
@@ -63,14 +64,17 @@ def each_cyclic_word(alphabet, n: int, offsets, forbidden, budget: int):
     """Yield every length-n word over the sequence `alphabet` none of whose
     windows, the tuples (word[(i + o) % n] for o in offsets) for each i, is
     forbidden(window), in the lexicographic order of `alphabet`.  A window
-    spans two or more offsets.  The search is depth first over bitset domains,
-    bit k standing for the k-th symbol.  A window closing at position i (its
-    largest one) has a table from the symbols at its other positions to the
-    bitset it allows at i, each entry judged symbol by symbol when its key is
-    first met.  The domain of i is the AND of its windows' entries (all symbols
-    if none closes there), taken lowest bit first.  Each position entered
-    counts len(alphabet) against `budget`, and each word found its n symbols.
-    The checks run when the first word is asked for."""
+    spans two or more offsets.  The search is one depth-first loop over
+    bitset domains, bit k standing for the k-th symbol, with the symbols each
+    position has still to take on an explicit stack, so no period is too long
+    for it.  A window closing at position i (its largest one) has a table from
+    the symbols at its other positions to the bitset it allows at i: a cached
+    function that judges an entry symbol by symbol when its key is first met.
+    The domain of i is the AND of its windows' entries (all symbols if none
+    closes there), taken lowest bit first, its symbols spelled out once per
+    bitset.  Each symbol taken counts against `budget`: len(alphabet) below
+    the last position, for the position it enters, and n at the last, for the
+    word it completes.  The checks run when the first word is asked for."""
     whole(n, "period", 1)
     if len(offsets) < 2:
         raise ValidationError("a window needs two or more offsets")
@@ -82,10 +86,10 @@ def each_cyclic_word(alphabet, n: int, offsets, forbidden, budget: int):
     symbols = tuple(alphabet)
     full, bits, singles = (1 << size) - 1, [1 << k for k in range(size)], [(s,) for s in symbols]
 
-    def table(layout: tuple) -> _Table:
+    def table(layout: tuple):
         """Earlier symbols -> allowed bitset; the window is key + (symbol,) in `layout` order."""
         arrange, single = itemgetter(*layout), max(layout) == 1
-        return _Table(lambda key: full - sum(compress(bits, map(forbidden, map(
+        return cache(lambda key: full - sum(compress(bits, map(forbidden, map(
             arrange, map(add, repeat((key,) if single else key, size), singles))))))
 
     closing: list[list[tuple]] = [[] for _ in range(n)]
@@ -95,50 +99,30 @@ def each_cyclic_word(alphabet, n: int, offsets, forbidden, budget: int):
         earlier = [q for q in window if q != last]  # none: a constant entry, key ()
         layout = tuple(earlier.index(q) if q != last else len(earlier) for q in window)
         closing[last].append((table(layout), itemgetter(*earlier) if earlier else lambda w: ()))
-    spelled = _Table(lambda mask: tuple(compress(symbols, map(and_, bits, repeat(mask)))))
+    spelled = cache(lambda mask: tuple(compress(symbols, map(and_, bits, repeat(mask)))))
 
     def domain(i: int) -> tuple:
         mask = full
         for entries, key_of in closing[i]:
-            mask &= entries[key_of(word)]
-        return spelled[mask]
+            mask &= entries(key_of(word))
+        return spelled(mask)
 
     word = [None] * n
-    if n == 1:  # position 0 is the last: a word per symbol it allows
-        words = [(s,) for s in domain(0)]
-        if size + len(words) > budget:
-            raise BudgetExceeded(exceeded, count=budget + 1)
-        yield from words
-        return
     left = [iter(domain(0))] * n  # left[i]: the symbols position i has still to take
     i, nodes = 0, size
     while i >= 0:
         for word[i] in left[i]:
-            nodes += size  # entering position i + 1
+            nodes += n if i == n - 1 else size  # a word found, or position i + 1 entered
             if nodes > budget:
                 raise BudgetExceeded(exceeded, count=nodes)
-            if i < n - 2:
+            if i == n - 1:
+                yield tuple(word)
+            else:
                 i += 1
                 left[i] = iter(domain(i))
                 break
-            for word[-1] in domain(n - 1):  # the words of this prefix, in one loop
-                nodes += n
-                if nodes > budget:
-                    raise BudgetExceeded(exceeded, count=nodes)
-                yield tuple(word)
         else:
             i -= 1
-
-
-class _Table(dict):
-    """A dict that fills a missing entry with fill(key)."""
-
-    def __init__(self, fill):
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 def make_sigma_m(m: int, alphabet_size: int = 3) -> Subshift:

@@ -781,6 +781,15 @@ class TestProcessExitCodes:
                                    "simplices": [list(range(40))]}))
         assert zpindex_process(*argv.format(big=big).split(), cwd=tmp_path) == 3
 
+    def test_long_source_is_0(self, tmp_path):
+        # 1,200 vertex orbits: the search must not recurse once per orbit
+        (tmp_path / "long.json").write_text(json.dumps(
+            {"p": 2, "vertices": 2400, "perm": [v ^ 1 for v in range(2400)],
+             "simplices": [[v] for v in range(2400)]}))
+        (tmp_path / "e0.json").write_text(json.dumps(complex_to_json_dict(make_discrete_zp(2))))
+        assert zpindex_process("search-map", "--source", tmp_path / "long.json",
+                               "--target", tmp_path / "e0.json", cwd=tmp_path) == 0
+
     def test_contradiction_is_4(self, tmp_path):
         # coind >= 1 on E_1(Z_2) against ind <= 0 on E_0(Z_2) relabelled as
         # E_1(Z_2).  This exits 4 only because a certificate's `space` label

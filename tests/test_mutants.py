@@ -1,7 +1,8 @@
 """The mutation catalogue (tools/mutants.py) names exact texts of `src/`.
-A refactor that moves one would orphan its mutant, so every old text must
-still occur exactly once in its file and every named test must exist.  The
-mutants themselves are run by `python3 tools/mutants.py`, outside tier-1."""
+A refactor that moves one would orphan its mutant, so the old text of every
+edit must still occur exactly once in its file and every named test must
+exist.  The mutants themselves are run by `python3 tools/mutants.py`,
+outside tier-1."""
 
 import importlib.util
 import re
@@ -17,9 +18,11 @@ spec.loader.exec_module(mutants)
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
 def test_old_text_occurs_once(mutant):
-    assert mutant.file.startswith("src/")
-    assert mutant.new != mutant.old
-    assert (ROOT / mutant.file).read_text().count(mutant.old) == 1
+    assert mutant.edits
+    for file, old, new in mutant.edits:
+        assert file.startswith("src/")
+        assert new != old
+        assert (ROOT / file).read_text().count(old) == 1
 
 
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)

@@ -150,6 +150,17 @@ def test_source_without_simplices_maps_every_label():
     assert nodes == 0 and check_vertex_map(source, target, vertex_map) == []
 
 
+def test_long_source_without_recursion():
+    # 1,200 vertex orbits, one level each: deeper than Python's call stack
+    source = FreeZpComplex(SimplicialComplex(2400, [[(v,) for v in range(2400)]]),
+                           ZpAction(2, tuple(v ^ 1 for v in range(2400))))
+    target = make_discrete_zp(2)
+    assert find_equivariant_vertex_map(source, target) == ((0, 1) * 1200, 1200)
+    with pytest.raises(BudgetExceeded) as raised:
+        find_equivariant_vertex_map(source, target, budget=1199)
+    assert raised.value.count == 1200
+
+
 def test_edges_inside_an_orbit_are_checked():
     # every edge of the 3-cycle joins two slots of its one vertex orbit, so
     # only the shift bitsets keep it from landing on three lone vertices

@@ -1,12 +1,13 @@
-"""Mutation catalogue: each entry breaks `src/` on purpose, in one place, and
-names the tests that must fail on the broken copy.
+"""Mutation catalogue: each entry breaks `src/` on purpose, with one fault,
+and names the tests that must fail on the broken copy.
 
     python3 tools/mutants.py            # run every mutant
     python3 tools/mutants.py --list     # print the catalogue
 
-Each mutant replaces an exact text, which must occur once in its file, by a
-new text.  The replacement is made in a copy of `src/` and `tests/` under a
-temporary directory, never in the checkout, and the mutant's tests are run
+Each mutant is one or more edits, made in order; an edit replaces an exact
+text, which must occur once in its file, by a new text (a fault that moves
+code takes two).  The edits are made in a copy of `src/` and `tests/` under
+a temporary directory, never in the checkout, and the mutant's tests are run
 there in a fresh pytest process.  A mutant is killed when pytest reports a
 failure (exit 1) or runs out of time; it survives when its tests pass.  The
 named tests are first run once on an unmutated copy, where they must pass.
@@ -38,9 +39,7 @@ TIMEOUT_S = 300  # a mutant that loops forever counts as killed
 
 class Mutant(NamedTuple):
     name: str
-    file: str  # relative to the repository root
-    old: str
-    new: str
+    edits: tuple[tuple[str, str, str], ...]  # (file relative to the repository root, old, new)
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
@@ -51,105 +50,155 @@ LEVEL_CHECKS = "tests/test_simplicial.py::TestLevelChecks"
 TABLE = "tests/test_subshifts.py::TestTable"
 WINDOWS = "tests/test_cubical.py::TestWindowTable"
 ENUMERATION = "tests/test_cubical.py::TestEnumerationProperties"
+ENUMERATOR = "tests/test_subshifts.py::TestEnumerator"
+PLAIN = "tests/test_search.py::TestAgainstPlainBacktracking"
 
 MUTANTS = (
-    Mutant("fast path without the mod-p test", "src/zpindex/fplinalg.py",
-           "if col and col[low := max(col)] % p and low not in pivots:",
-           "if col and (low := max(col)) not in pivots:",
+    Mutant("fast path without the mod-p test",
+           (("src/zpindex/fplinalg.py",
+             "if col and col[low := max(col)] % p and low not in pivots:",
+             "if col and (low := max(col)) not in pivots:"),),
            ("tests/test_fplinalg.py::TestRankContract::test_lowest_entry_vanishing_mod_p",)),
-    Mutant("fast path over a taken pivot row", "src/zpindex/fplinalg.py",
-           "if col and col[low := max(col)] % p and low not in pivots:",
-           "if col and col[low := max(col)] % p:",
+    Mutant("fast path over a taken pivot row",
+           (("src/zpindex/fplinalg.py",
+             "if col and col[low := max(col)] % p and low not in pivots:",
+             "if col and col[low := max(col)] % p:"),),
            ("tests/test_fplinalg.py::TestRankContract::test_lowest_row_already_a_pivot",)),
-    Mutant("simplicial faces all of sign +1", "src/zpindex/simplicial.py",
-           "signs = ((-1, 1) * len(starts), (1, -1) * len(starts))",
-           "signs = ((1, 1) * len(starts), (1, 1) * len(starts))",
+    Mutant("simplicial faces all of sign +1",
+           (("src/zpindex/simplicial.py",
+             "signs = ((-1, 1) * len(starts), (1, -1) * len(starts))",
+             "signs = ((1, 1) * len(starts), (1, 1) * len(starts))"),),
            ("tests/test_simplicial.py::TestHomologyProperties::test_matches_dense_elimination",)),
-    Mutant("cubical levels handed over unsorted", "src/zpindex/cubical.py",
-           "betti_numbers(cx.by_dim, signed_faces, p_coeff, False)",
-           "betti_numbers([level[::-1] for level in cx.by_dim], signed_faces, p_coeff, False)",
+    Mutant("cubical levels handed over unsorted",
+           (("src/zpindex/cubical.py",
+             "betti_numbers(cx.by_dim, signed_faces, p_coeff, False)",
+             "betti_numbers([level[::-1] for level in cx.by_dim], signed_faces, p_coeff, False)"),),
            ("tests/test_fplinalg.py::TestDriver::test_levels_increase_and_faces_lie_below",)),
-    Mutant("closure facets kept in a list, duplicates and all", "src/zpindex/simplicial.py",
-           "facets = dict.fromkeys(itertools.chain.from_iterable(",
-           "facets = list(itertools.chain.from_iterable(",
+    Mutant("closure facets kept in a list, duplicates and all",
+           (("src/zpindex/simplicial.py",
+             "facets = dict.fromkeys(itertools.chain.from_iterable(",
+             "facets = list(itertools.chain.from_iterable("),),
            (f"{CLOSURE_ORACLE}::test_complex_refused_iff_oracle_refuses",)),
-    Mutant("every given simplex recorded as maximal", "src/zpindex/simplicial.py",
-           "tops = sorted(itertools.filterfalse(facets.__contains__, levels[size]))",
-           "tops = sorted(levels[size])",
+    Mutant("every given simplex recorded as maximal",
+           (("src/zpindex/simplicial.py",
+             "tops = sorted(itertools.filterfalse(facets.__contains__, levels[size]))",
+             "tops = sorted(levels[size])"),),
            (f"{FACE_RELATION}::test_maximal_matches_brute_force",
             f"{CLOSURE_ORACLE}::test_complex_refused_iff_oracle_refuses")),
-    Mutant("closed level left unsorted", "src/zpindex/simplicial.py",
-           "tuple(facets := sorted(itertools.chain(facets, tops)))",
-           "tuple(facets := list(itertools.chain(facets, tops)))",
+    Mutant("closed level left unsorted",
+           (("src/zpindex/simplicial.py",
+             "tuple(facets := sorted(itertools.chain(facets, tops)))",
+             "tuple(facets := list(itertools.chain(facets, tops)))"),),
            (f"{CLOSURE_ORACLE}::test_complex_refused_iff_oracle_refuses",)),
-    Mutant("flag test always true", "src/zpindex/search.py",
-           "if sum(map(int.bit_count, above)) != len(levels[d + 1]):",
-           "if False:",
+    Mutant("flag test always true",
+           (("src/zpindex/search.py",
+             "if sum(map(int.bit_count, above)) != len(levels[d + 1]):",
+             "if False:"),),
            ("tests/test_search.py::test_every_simplex_orbit_is_checked",
             "tests/test_search.py::test_clique_count_matches_networkx")),
-    Mutant("no shift bitsets for edges inside an orbit", "src/zpindex/search.py",
-           "start = [reduce(and_, map(shifted.__getitem__, needed), everything) for needed in shifts]",
-           "start = [everything for needed in shifts]",
+    Mutant("no shift bitsets for edges inside an orbit",
+           (("src/zpindex/search.py",
+             "start = [reduce(and_, map(shifted.__getitem__, needed), everything) for needed in shifts]",
+             "start = [everything for needed in shifts]"),),
            ("tests/test_search.py::test_edges_inside_an_orbit_are_checked",
             "tests/test_search.py::TestAgainstPlainBacktracking::test_same_map_nodes_and_budget_raise")),
-    Mutant("clique count without the +1 shift", "src/zpindex/search.py",
-           "above = map(rshift, common, map((1).__add__, cols[-1]))",
-           "above = map(rshift, common, cols[-1])",
+    Mutant("clique count without the +1 shift",
+           (("src/zpindex/search.py",
+             "above = map(rshift, common, map((1).__add__, cols[-1]))",
+             "above = map(rshift, common, cols[-1])"),),
            ("tests/test_search.py::test_clique_count_matches_networkx",
             "tests/test_search.py::test_targets_are_flag[e2p2]")),
-    Mutant("clique count stops one level early", "src/zpindex/search.py",
-           "for d in range(1, min(size - 1, len(cx.by_dim))):",
-           "for d in range(1, min(size - 2, len(cx.by_dim))):",
+    Mutant("clique count stops one level early",
+           (("src/zpindex/search.py",
+             "for d in range(1, min(size - 1, len(cx.by_dim))):",
+             "for d in range(1, min(size - 2, len(cx.by_dim))):"),),
            ("tests/test_search.py::test_clique_count_matches_networkx",
             "tests/test_search.py::test_non_flag_complexes_are_found[triangle-boundary]")),
-    Mutant("only simplices of 4 or more vertices checked", "src/zpindex/search.py",
-           "if orbits[k][0] in s:",
-           "if orbits[k][0] in s and len(s) > 3:",
+    Mutant("only simplices of 4 or more vertices checked",
+           (("src/zpindex/search.py",
+             "if orbits[k][0] in s:",
+             "if orbits[k][0] in s and len(s) > 3:"),),
            ("tests/test_search.py::test_every_simplex_orbit_is_checked",)),
-    Mutant("matrix products not cut at the cap", "src/zpindex/subshifts.py",
-           "return [[min(sum(map(mul, row, col)), cap) for col in zip(*y)] for row in x]",
-           "return [[sum(map(mul, row, col)) for col in zip(*y)] for row in x]",
+    Mutant("resumed orbit charged from rank 1",
+           (("src/zpindex/search.py",
+             "domain, counted = placed.pop()",
+             "domain, counted = placed.pop()[0], 1"),),
+           (f"{PLAIN}::test_same_map_nodes_and_budget_raise",
+            "tests/test_search.py::test_refute_node_counts")),
+    Mutant("matrix products not cut at the cap",
+           (("src/zpindex/subshifts.py",
+             "return [[min(sum(map(mul, row, col)), cap) for col in zip(*y)] for row in x]",
+             "return [[sum(map(mul, row, col)) for col in zip(*y)] for row in x]"),),
            (f"{TABLE}::test_cut_power_is_the_cut_true_power",)),
-    Mutant("closed walks of length n in place of n/g", "src/zpindex/subshifts.py",
-           "walks = _power(allowed, n // g, cap)",
-           "walks = _power(allowed, n, cap)",
+    Mutant("closed walks of length n in place of n/g",
+           (("src/zpindex/subshifts.py",
+             "walks = _power(allowed, n // g, cap)",
+             "walks = _power(allowed, n, cap)"),),
            (f"{TABLE}::test_counts_match_brute_force", f"{TABLE}::test_no_word_is_built")),
-    Mutant("Burnside weight 1 in place of phi(n/d)", "src/zpindex/subshifts.py",
-           "phi[n // d] * _count(allowed, shift.window, d, cap) for d in phi)",
-           "_count(allowed, shift.window, d, cap) for d in phi)",
+    Mutant("Burnside weight 1 in place of phi(n/d)",
+           (("src/zpindex/subshifts.py",
+             "phi[n // d] * _count(allowed, shift.window, d, cap) for d in phi)",
+             "_count(allowed, shift.window, d, cap) for d in phi)"),),
            (f"{TABLE}::test_burnside_matches_walked_orbits",)),
-    Mutant("a period refused at n * count == budget", "src/zpindex/subshifts.py",
-           "if n * points > budget:",
-           "if n * points >= budget:",
+    Mutant("a period refused at n * count == budget",
+           (("src/zpindex/subshifts.py",
+             "if n * points > budget:",
+             "if n * points >= budget:"),),
            (f"{TABLE}::test_budget_bounds_the_symbols_counted",)),
-    Mutant("no vertex orbit test", "src/zpindex/simplicial.py",
-           "orbits = set(map(tuple, map(sorted, self.vertex_orbits())))",
-           "orbits = set()",
+    Mutant("a word charged as a position entered",
+           (("src/zpindex/subshifts.py",
+             "nodes += n if i == n - 1 else size",
+             "nodes += size"),),
+           (f"{ENUMERATOR}::test_same_tree_as_place_and_check",
+            f"{ENUMERATOR}::test_emitted_words_count_against_budget")),
+    Mutant("no vertex orbit test",
+           (("src/zpindex/simplicial.py",
+             "orbits = set(map(tuple, map(sorted, self.vertex_orbits())))",
+             "orbits = set()"),),
            (f"{LEVEL_CHECKS}::test_action_check_refuses[fixed-edge]",
             "tests/test_simplicial.py::TestValidation::test_non_free_action_rejected")),
-    Mutant("fixed vertices not looked up", "src/zpindex/simplicial.py",
-           "itertools.chain(*cx.by_dim[:1], *cx.by_dim[self.p - 1:self.p])",
-           "itertools.chain(*cx.by_dim[self.p - 1:self.p])",
+    Mutant("fixed vertices not looked up",
+           (("src/zpindex/simplicial.py",
+             "itertools.chain(*cx.by_dim[:1], *cx.by_dim[self.p - 1:self.p])",
+             "itertools.chain(*cx.by_dim[self.p - 1:self.p])"),),
            (f"{LEVEL_CHECKS}::test_action_check_refuses[fixed-vertex]",)),
-    Mutant("images checked against the top level only", "src/zpindex/simplicial.py",
-           "tops = set(cx._maximal)",
-           "tops = set(cx.by_dim[-1])",
+    Mutant("images checked against the top level only",
+           (("src/zpindex/simplicial.py",
+             "tops = set(cx._maximal)",
+             "tops = set(cx.by_dim[-1])"),),
            (f"{LEVEL_CHECKS}::test_action_check_refuses[non-simplicial-lower-maximal]",)),
-    Mutant("non-int vertices let through to the closure", "src/zpindex/simplicial.py",
-           "if set(map(type, vertices)) - {int}:",
-           "if False:",
+    Mutant("non-int vertices let through to the closure",
+           (("src/zpindex/simplicial.py",
+             "if set(map(type, vertices)) - {int}:",
+             "if False:"),),
            (f"{JSON}::test_float_vertex_refused_before_the_closure",
             f"{LEVEL_CHECKS}::test_non_integer_behind_equal_int_refused")),
+    Mutant("_validate run after the closure",
+           (("src/zpindex/simplicial.py",
+             "        self._validate(given)\n        by_size",
+             "        by_size"),
+            ("src/zpindex/simplicial.py",
+             'object.__setattr__(self, "_maximal", tuple(maximal))',
+             'object.__setattr__(self, "_maximal", tuple(maximal))\n        self._validate(given)')),
+           (f"{JSON}::test_vertex_range_refused_before_the_closure",
+            f"{JSON}::test_float_vertex_refused_before_the_closure")),
     # the enumerator alone judges windows, so only these tests guard the judges
-    Mutant("offset-gap judge with the squared gap doubled", "src/zpindex/cubical.py",
-           "t2 * sum(",
-           "2 * t2 * sum(",
+    Mutant("offset-gap judge with the squared gap doubled",
+           (("src/zpindex/cubical.py",
+             "t2 * sum(",
+             "2 * t2 * sum("),),
            (f"{WINDOWS}::test_offset_gap[delta2-2-2]",
             f"{ENUMERATION}::test_xm_matches_brute_force")),
-    Mutant("looser Z judge: rho >= 1/3 on the first pair", "src/zpindex/cubical.py",
-           "2 * _circle_gap(a, b, two_g) < g",
-           "3 * _circle_gap(a, b, two_g) < g",
+    Mutant("looser Z judge: rho >= 1/3 on the first pair",
+           (("src/zpindex/cubical.py",
+             "2 * _circle_gap(a, b, two_g) < g",
+             "3 * _circle_gap(a, b, two_g) < g"),),
            (f"{WINDOWS}::test_circle_pair[Z-3]", f"{ENUMERATION}::test_yz_matches_brute_force")),
+    Mutant("stricter Y judge: the second pair never antipodal",
+           (("src/zpindex/cubical.py",
+             "or yl == zl == 0 and (y - z) % two_g == g",
+             "or False"),),
+           (f"{WINDOWS}::test_circle_pair[Y-2]", f"{ENUMERATION}::test_yz_matches_brute_force")),
 )
 
 
@@ -180,12 +229,16 @@ def main() -> int:
     args = ap.parse_args()
     if args.list:
         for m in MUTANTS:
-            print(f"{m.name}: {m.file}\n  - {m.old}\n  + {m.new}\n  must fail: {', '.join(m.tests)}")
+            print(f"{m.name}:")
+            for file, old, new in m.edits:
+                print(f"  {file}\n  - {old}\n  + {new}")
+            print(f"  must fail: {', '.join(m.tests)}")
         return 0
     for m in MUTANTS:
-        if (ROOT / m.file).read_text().count(m.old) != 1:
-            print(f"catalogue: {m.name}: the old text does not occur once in {m.file}")
-            return 2
+        for file, old, _ in m.edits:
+            if (ROOT / file).read_text().count(old) != 1:
+                print(f"catalogue: {m.name}: the old text does not occur once in {file}")
+                return 2
     where = _copy()
     try:
         named = sorted({t for m in MUTANTS for t in m.tests})
@@ -194,11 +247,12 @@ def main() -> int:
             return 2
         survivors = 0
         for m in MUTANTS:
-            target = where / m.file
-            source = target.read_text()
-            target.write_text(source.replace(m.old, m.new))
+            sources = {file: (where / file).read_text() for file, _, _ in m.edits}
+            for file, old, new in m.edits:
+                (where / file).write_text((where / file).read_text().replace(old, new))
             code = _pytest(where, m.tests)
-            target.write_text(source)
+            for file, source in sources.items():
+                (where / file).write_text(source)
             if code not in (0, 1, None):
                 print(f"catalogue: {m.name}: pytest exited {code}")
                 return 2
