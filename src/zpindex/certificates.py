@@ -38,6 +38,7 @@ from .simplicial import (
     complex_to_json_dict,
     content_key,
     e_n_zp,
+    subdivision_size,
 )
 from .simplicial import homology  # noqa: F401  perfbench/probes.py times homology here
 from .verify import check_vertex_map
@@ -65,10 +66,18 @@ Evidence = Union[EquivariantMap, dict]
 
 
 def _model_source(ev: EquivariantMap, depth: int) -> int:
-    """coind >= n: the map's source is the standard n-model subdivided depth times."""
-    n = ev.source.dim
-    if ev.source != subdivide_times(e_n_zp(n, ev.source.p), depth):
-        raise ValidationError(f"map source is not the {n}-model subdivided {depth} times")
+    """coind >= n: the map's source is the standard n-model subdivided depth
+    times.  A subdivision of a complex of dimension >= 1 has more simplices,
+    so the source is refused before a subdivision that would outgrow it;
+    a 0-dimensional complex is its own subdivision."""
+    n, model = ev.source.dim, e_n_zp(ev.source.dim, ev.source.p)
+    wrong = ValidationError(f"map source is not the {n}-model subdivided {depth} times")
+    for _ in range(depth if n else 0):
+        if subdivision_size(model.complex.f_vector()) > sum(ev.source.complex.f_vector()):
+            raise wrong
+        model = barycentric_subdivide(model)
+    if ev.source != model:
+        raise wrong
     return n
 
 

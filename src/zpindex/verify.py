@@ -1,11 +1,14 @@
 """Standalone re-validation of equivariant map witnesses.
 
 Deliberately independent of the search engine: it rebuilds the target
-simplex table from the raw level data and walks every source simplex and
-vertex from scratch.  Certificates are only trusted after passing this.
-Source images are built per level from its vertex columns (column j: vertex j
-of each simplex), inline, so per-simplex work runs in C; each simplex with no
-target image is reported in level order.
+simplex table from the raw level data and checks the map from scratch.
+Certificates are only trusted after passing this.  A face's image lies in
+its maximal coface's and the target is closed under faces, so the map is
+simplicial iff every maximal source simplex (the closure's record) has a
+target image; none has more than dim + 1 vertices, so the table holds the
+target's levels 0..dim.  Only a failure walks every source level, from its
+vertex columns so that per-simplex work runs in C, to name each simplex with
+no target image in level order.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ def check_vertex_map(source: FreeZpComplex, target: FreeZpComplex,
     if problems:
         return problems
 
-    table = set(itertools.chain.from_iterable(target.complex.by_dim))
-    for d, level in enumerate(source.complex.by_dim):
+    table = set(itertools.chain.from_iterable(target.complex.by_dim[:source.dim + 1]))
+    tops = map(map, itertools.repeat(vertex_map.__getitem__), source.complex.maximal_simplices())
+    simplicial = all(map(table.__contains__, map(tuple, map(sorted, map(set, tops)))))
+    for d, level in enumerate(() if simplicial else source.complex.by_dim):
         images, again = itertools.tee(map(tuple, map(sorted, map(set, zip(
             *[map(vertex_map.__getitem__, map(itemgetter(j), level)) for j in range(d + 1)])))))
         missing = map(not_, map(table.__contains__, images))

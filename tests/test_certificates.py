@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zpindex.certificates
 from oracles import AnyCell
 from zpindex.certificates import (
     DERIVE,
@@ -475,6 +476,25 @@ class TestForgeries:
         edit(data)
         with pytest.raises(ValidationError):
             certificate_from_json_dict(data)
+
+    @pytest.mark.parametrize("depth", [1, 40])
+    def test_raised_depth_refused_before_a_subdivision(self, depth, monkeypatch):
+        """The model's first subdivision would outgrow the 15 simplices of
+        the source, E_1(Z_3) at depth 0, so the certificate is refused before
+        any is built; at depth 40 the model was subdivided until the cell
+        budget stopped it."""
+        data = certificate_to_json_dict(coindex_lower(e_n_zp(1, 3), 1))
+        data["depth"] = depth
+        monkeypatch.setattr(zpindex.certificates, "barycentric_subdivide", pytest.fail)
+        with pytest.raises(ValidationError, match=f"not the 1-model subdivided {depth} times"):
+            certificate_from_json_dict(data)
+
+    def test_0_model_at_any_depth_derived_without_subdividing(self, monkeypatch):
+        # a 0-dimensional complex is its own subdivision
+        data = certificate_to_json_dict(coindex_lower(e_n_zp(1, 3), 0, subdivision_depth=2))
+        data["depth"] = 10 ** 9
+        monkeypatch.setattr(zpindex.certificates, "barycentric_subdivide", pytest.fail)
+        assert certificate_from_json_dict(data).value == 0
 
     @pytest.mark.parametrize("value,betti", [(0, [2]), (5, [0, 0, 0, 0, 0, 1])],
                              ids=["true-ind-0", "forged-ind-5"])

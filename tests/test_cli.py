@@ -750,11 +750,11 @@ def test_artifact_file_sha256(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
-def zpindex_process(*argv, cwd):
+def zpindex_process(*argv, cwd, timeout=60):
     """Run `python -m zpindex.cli` in a process of its own: its exit code."""
     env = dict(os.environ, PYTHONPATH=str(Path(zpindex.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "zpindex.cli", *map(str, argv)], cwd=cwd,
-                          env=env, capture_output=True, check=False, timeout=60).returncode
+                          env=env, capture_output=True, check=False, timeout=timeout).returncode
 
 
 class TestProcessExitCodes:
@@ -780,6 +780,15 @@ class TestProcessExitCodes:
         big.write_text(json.dumps({"p": 2, "vertices": 40, "perm": [v ^ 1 for v in range(40)],
                                    "simplices": [list(range(40))]}))
         assert zpindex_process(*argv.format(big=big).split(), cwd=tmp_path) == 3
+
+    def test_raised_depth_is_2_at_once(self, tmp_path):
+        # E_1(Z_3) at depth 0 claimed at depth 40: refused before the model
+        # is subdivided, not after it has grown to the cell budget (exit 3)
+        art = coind_artifact("coind --space enzp --n 1 --p 3 --target 1")
+        art["result"]["certificate"]["depth"] = 40
+        (tmp_path / "x.json").write_text(json.dumps(art), encoding="utf-8")
+        assert zpindex_process("obstruction-report", "--p-list", "3", "--x-cert",
+                               tmp_path / "x.json", cwd=tmp_path, timeout=10) == 2
 
     def test_long_source_is_0(self, tmp_path):
         # 1,200 vertex orbits: the search must not recurse once per orbit

@@ -542,6 +542,68 @@ class TestLevelChecksMatchOracle:
             vertex_map_problems(source, target, vertex_map)
 
 
+def _z3_orbits(vertex_count, seeds):
+    """The closure of the Z_3-orbits of seeds, under the shift that cycles
+    each block 3k, 3k + 1, 3k + 2 of vertices."""
+    perm = tuple(v - v % 3 + (v + 1) % 3 for v in range(vertex_count))
+    family = [tuple(v - v % 3 + (v + a) % 3 for v in s) for s in seeds for a in range(3)]
+    return FreeZpComplex(SimplicialComplex.from_simplices(vertex_count, family), ZpAction(3, perm))
+
+
+def _z3_map(source, images):
+    """The equivariant map into E_n(Z_3) that sends each seed vertex v to
+    images[v] and the rest of v's orbit along with it."""
+    vertex_map = [0] * source.complex.vertex_count
+    for v, t in images.items():
+        for a in range(3):
+            vertex_map[v - v % 3 + (v + a) % 3] = t - t % 3 + (t + a) % 3
+    return tuple(vertex_map)
+
+
+class TestVertexMapFastPath:
+    """`check_vertex_map` reads the images of the maximal simplices first and
+    walks every simplex only when one of them fails; the problem list is the
+    oracle's either way."""
+
+    def test_map_failing_only_on_lower_maximal_simplices(self):
+        # an orbit of triangles and a separate orbit of edges, both maximal;
+        # the triangles land on target triangles, the edges inside one copy
+        source = _z3_orbits(15, [(0, 3, 6), (9, 12)])
+        target = e_n_zp(2, 3)
+        vertex_map = _z3_map(source, {0: 0, 3: 3, 6: 6, 9: 0, 12: 1})
+        problems = check_vertex_map(source, target, vertex_map)
+        assert problems == vertex_map_problems(source, target, vertex_map)
+        assert problems == [f"image {image} of simplex {s} is not a target simplex"
+                            for s, image in [((9, 12), (0, 1)), ((10, 13), (1, 2)),
+                                             ((11, 14), (0, 2))]]
+
+    def test_failing_faces_reported_before_their_coface(self):
+        source = _z3_orbits(9, [(0, 3, 6)])
+        target = e_n_zp(2, 3)
+        vertex_map = _z3_map(source, {0: 0, 3: 1, 6: 3})
+        problems = check_vertex_map(source, target, vertex_map)
+        assert problems == vertex_map_problems(source, target, vertex_map)
+        assert problems == [f"image {image} of simplex {s} is not a target simplex"
+                            for s, image in [((0, 3), (0, 1)), ((1, 4), (1, 2)), ((2, 5), (0, 2)),
+                                             ((0, 3, 6), (0, 1, 3)), ((1, 4, 7), (1, 2, 4)),
+                                             ((2, 5, 8), (0, 2, 5))]]
+
+    # built in the test, so that a fault on the empty complex fails this
+    # test and not the collection of the module
+    @pytest.mark.parametrize("build,vertex_map", [
+        (lambda: FreeZpComplex(SimplicialComplex(0, []), ZpAction(3, ())), ()),
+        (lambda: FreeZpComplex(SimplicialComplex(3, []), ZpAction(3, (1, 2, 0))), (0, 2, 1)),
+        (lambda: make_discrete_zp(3), (3, 4, 5)),
+        (lambda: make_discrete_zp(3), (3, 5, 4)),
+    ], ids=["empty", "no-simplices-not-equivariant", "coind-shaped", "coind-not-equivariant"])
+    def test_sources_of_dimension_at_most_0(self, build, vertex_map):
+        # the table then holds no more than the target's vertices
+        source, target = build(), e_n_zp(3, 3)
+        assert source.dim <= 0 < target.dim
+        assert check_vertex_map(source, target, vertex_map) == \
+            vertex_map_problems(source, target, vertex_map)
+
+
 class TestJsonInterchange:
     @pytest.mark.parametrize("builder", [
         lambda: make_discrete_zp(3),

@@ -40,7 +40,9 @@ Each stage's time is its own, less the stages called inside it:
   recorded maximal simplices and looks up the vertex orbits;
 - maximal: `SimplicialComplex.maximal_simplices`, a lookup of that record;
 - search: `certificates.find_equivariant_vertex_map`, the map search;
-- verify: `certificates.check_vertex_map`, the witness checker.
+- verify: `certificates.check_vertex_map`, the witness checker, which maps
+  the source's maximal simplices (the lookup counts under maximal) and
+  walks every simplex only to name a refusal.
 
 While a run is timed, `perfbench/speed.py`'s `SpeedSampler` (imported from
 that directory, unchanged) times its calibration loop every 50 ms, and once
@@ -86,6 +88,9 @@ INSTANCES = {
     "ind-x1-n2p3g2": f"ind {_xm(2, 3, 2)} --target 2",
     "coind-x1-n2p3g2": f"coind {_xm(2, 3, 2)} --target 0",
     "coind-z-p3g4": "coind --space Z --p 3 --grid 4 --target 0",
+    # the paper-scale ind instance: 1,120 source vertex orbits, one search
+    # frame per orbit
+    "ind-x1-n2p3g3": f"ind {_xm(2, 3, 3)} --target 2",
     # E_3(Z_2) subdivided twice (1,696 vertices) and searched into E_3(Z_2)
     "coind-e3p2-d2": "coind --space enzp --n 3 --p 2 --target 3 --depth 2",
     # the refute workload's slowest search, at canonical labels: it exhausts

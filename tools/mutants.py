@@ -52,6 +52,7 @@ WINDOWS = "tests/test_cubical.py::TestWindowTable"
 ENUMERATION = "tests/test_cubical.py::TestEnumerationProperties"
 ENUMERATOR = "tests/test_subshifts.py::TestEnumerator"
 PLAIN = "tests/test_search.py::TestAgainstPlainBacktracking"
+FAST_PATH = "tests/test_simplicial.py::TestVertexMapFastPath"
 
 MUTANTS = (
     Mutant("fast path without the mod-p test",
@@ -182,6 +183,17 @@ MUTANTS = (
              'object.__setattr__(self, "_maximal", tuple(maximal))\n        self._validate(given)')),
            (f"{JSON}::test_vertex_range_refused_before_the_closure",
             f"{JSON}::test_float_vertex_refused_before_the_closure")),
+    Mutant("map fast path reads only the top-dimensional maximal simplices",
+           (("src/zpindex/verify.py",
+             "vertex_map.__getitem__), source.complex.maximal_simplices())",
+             "vertex_map.__getitem__), source.complex.by_dim[-1])"),),
+           (f"{FAST_PATH}::test_map_failing_only_on_lower_maximal_simplices",)),
+    Mutant("map target table stops one level short",
+           (("src/zpindex/verify.py",
+             "target.complex.by_dim[:source.dim + 1]",
+             "target.complex.by_dim[:source.dim]"),),
+           (f"{FAST_PATH}::test_map_failing_only_on_lower_maximal_simplices",
+            f"{FAST_PATH}::test_sources_of_dimension_at_most_0[coind-shaped]")),
     # the enumerator alone judges windows, so only these tests guard the judges
     Mutant("offset-gap judge with the squared gap doubled",
            (("src/zpindex/cubical.py",
