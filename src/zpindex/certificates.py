@@ -167,7 +167,10 @@ class IndexCertificate:
 
 
 def subdivide_times(x: FreeZpComplex, depth: int) -> FreeZpComplex:
-    for _ in range(whole(depth, "subdivision depth")):
+    """x subdivided depth times.  Only the first subdivision of a complex of
+    dimension <= 0 can change it (it renumbers labels in no simplex)."""
+    depth = whole(depth, "subdivision depth")
+    for _ in range(depth if x.dim > 0 else min(depth, 1)):
         x = barycentric_subdivide(x)
     return x
 

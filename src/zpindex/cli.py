@@ -12,6 +12,11 @@ Exit codes: 0 success, 2 validation failure or a file that cannot be read or
 written, 3 budget exceeded, 4 internal consistency violation (a coindex bound
 above an index bound).  `index.json` beside an artifact maps each run to its
 output's name and hash, so no artifact may take that name.
+
+An artifact is the stdlib's text, `json.dumps(obj, sort_keys=True, indent=2)`
+and a newline, so it stays byte-identical however it is made.  The stdlib
+indents in pure Python, so `canonical_json` joins pieces that `str.join` and
+the C encoder make: simplex lists in blocks of rows, each row seam indented.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -59,7 +65,41 @@ from .subshifts import as_free_zp_complex, make_sigma_m, periodic_points, period
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    pieces: list[str] = []
+    _indented(obj, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+_ROWS = 128  # rows of a simplex list per C-encoded block
+
+
+def _indented(x, pad: str, out: list) -> None:
+    """Append the text json.dumps(x, sort_keys=True, indent=2) to out, indented by pad."""
+    inner = pad + "  "
+    if type(x) is dict and set(map(type, x)) == {str}:
+        sep = "{" + inner
+        for key, value in sorted(x.items()):
+            out.append(sep + json.dumps(key) + ": ")
+            _indented(value, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+        return
+    kinds = set(map(type, x)) if type(x) in (list, tuple) else None
+    if kinds == {int}:
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + pad + "]")
+    elif kinds and kinds <= {list, tuple} and all(x) and set(
+            map(type, itertools.chain.from_iterable(x))) == {int}:
+        # rows of ints: the C encoder's seam "],<row pad>[" occurs only between rows
+        row = inner + "  "
+        encode = json.JSONEncoder(separators=("," + row, ": ")).encode
+        seam, indented = "]," + row + "[", inner + "]," + inner + "[" + row
+        for start in range(0, len(x), _ROWS):
+            out.append(indented if start else "[" + inner + "[" + row)
+            out.append(encode(x[start:start + _ROWS])[2:-2].replace(seam, indented))
+        out.append(inner + "]" + pad + "]")
+    else:
+        out.append(json.dumps(x, sort_keys=True, indent=2).replace("\n", pad))
 
 
 def sha256_of(obj) -> str:

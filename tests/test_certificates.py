@@ -20,6 +20,7 @@ from zpindex.certificates import (
     index_upper,
     obstruction_report,
     search_equivariant_map,
+    subdivide_times,
 )
 from zpindex.cubical import (
     CubicalZpComplex,
@@ -101,6 +102,26 @@ class TestSearch:
         vertex_map, expected = find_equivariant_vertex_map(sd, target)
         assert nodes == expected
         assert (None if found is None else found.vertex_map) == vertex_map
+
+
+class TestSubdivideTimes:
+    def test_dimension_0_subdivided_at_most_once(self, monkeypatch):
+        """The first subdivision of three points on the labels {0, 2, 4} of 6
+        renumbers them 0..2; each later one returns its input, so a depth of
+        10^9 subdivides once."""
+        x = FreeZpComplex(SimplicialComplex.from_simplices(6, [(0,), (2,), (4,)]),
+                          ZpAction(3, (2, 3, 4, 5, 0, 1)))
+        once = barycentric_subdivide(x)
+        assert once.complex.vertex_count == 3 and barycentric_subdivide(once) == once
+        calls = []
+
+        def only_once(y):
+            assert not calls, "a 0-dimensional complex subdivided twice"
+            calls.append(y)
+            return barycentric_subdivide(y)
+        monkeypatch.setattr(zpindex.certificates, "barycentric_subdivide", only_once)
+        assert subdivide_times(x, 0) is x
+        assert subdivide_times(x, 10 ** 9) == once and calls == [x]
 
 
 class TestCoindexLower:

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zpindex
 from zpindex.certificates import (
@@ -18,7 +20,7 @@ from zpindex.certificates import (
     coindex_lower,
     index_upper,
 )
-from zpindex.cli import build_parser, main
+from zpindex.cli import build_parser, canonical_json, main
 from zpindex.cubical import GridSpec, build_pp_xm
 from zpindex.simplicial import (
     complex_from_json_dict,
@@ -739,6 +741,13 @@ FROZEN_FILES = {
     "coind-xm": (
         "coind --space Xm --N 1 --p 3 --grid 3 --delta 1/3 --target 0",
         "e1a584084b581d359cc2bdf30f798f90e7fcc0a5f82ff17f00371d686ccbb31c"),
+    # simplex lists nested in dicts: a joined complex, and a witness map's source
+    "join-periodic": (
+        "join-periodic --shift sigma --p 3 --copies 2",
+        "9ac81f07890e1e3e58e9e03e267dfa1adcb7507e423eeb04cc003f6cc62003fc"),
+    "ind-z": (
+        "ind --space Z --p 2 --grid 2 --target 1",
+        "a6b0143ed2e2002c78a596fa5c8a712281a8a348f272f44a2a04c1ad4ed6f4af"),
 }
 
 
@@ -748,6 +757,43 @@ def test_artifact_file_sha256(tmp_path, name):
     out = tmp_path / "out.json"
     assert main([*argv.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def stdlib_text(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(st.sampled_from("a,[]\n\"\u00e9 ")))
+
+
+class TestCanonicalJson:
+    """canonical_json writes the stdlib's indented text, byte for byte."""
+
+    @settings(max_examples=300)
+    @given(st.recursive(
+        JSON_SCALARS,
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                       | st.lists(st.lists(st.integers(), max_size=3), max_size=4)
+                       | st.dictionaries(st.text(st.sampled_from("ab]\n\u00e9"), max_size=2),
+                                         inner, max_size=4)
+                       | st.dictionaries(st.integers(0, 3), inner, max_size=2)),
+        max_leaves=20))
+    def test_matches_the_stdlib(self, value):
+        assert canonical_json(value) == stdlib_text(value)
+
+    @pytest.mark.parametrize("value", [
+        [[1], []], [[True, 1]], [True, 1], [[]], [[[1]]], {1: "a"}, {"a": []}, (2, 3),
+        [[0, 1], (2,)], {"a": {"b": [[1, 2], [3, "],\n ["]]}},
+    ], ids=["empty-row", "bool-row", "bool-int", "no-row", "rows-of-rows", "int-key",
+            "empty-value", "tuple", "tuple-row", "string-seam"])
+    def test_edge_cases(self, value):
+        assert canonical_json(value) == stdlib_text(value)
+
+    def test_rows_past_one_block(self):
+        rows = [[v, v + 1, v + 7] for v in range(2 * zpindex.cli._ROWS + 1)]
+        value = {"complex": {"perm": list(range(9)), "simplices": rows}}
+        assert canonical_json(value) == stdlib_text(value)
 
 
 def zpindex_process(*argv, cwd, timeout=60):
@@ -789,6 +835,19 @@ class TestProcessExitCodes:
         (tmp_path / "x.json").write_text(json.dumps(art), encoding="utf-8")
         assert zpindex_process("obstruction-report", "--p-list", "3", "--x-cert",
                                tmp_path / "x.json", cwd=tmp_path, timeout=10) == 2
+
+    @pytest.mark.parametrize("argv", [
+        "coind --space enzp --n 0 --p 2 --target 0 --depth 1000000000",
+        "subdivide --input {points} --depth 1000000000",
+    ], ids=["coind", "subdivide"])
+    def test_dimension_0_at_a_huge_depth_is_0(self, tmp_path, argv):
+        # each subdivision after the first returns its input, at about 25 us
+        # a step: 10^9 of them would take hours
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"p": 3, "vertices": 6, "perm": [2, 3, 4, 5, 0, 1],
+                                      "simplices": [[0], [2], [4]]}))
+        assert zpindex_process(*argv.format(points=points).split(), cwd=tmp_path,
+                               timeout=10) == 0
 
     def test_long_source_is_0(self, tmp_path):
         # 1,200 vertex orbits: the search must not recurse once per orbit

@@ -22,6 +22,7 @@ EXERCISED = {
                       "verify"),
     "periodic-sigma2-n3to16": ("enumerate",),
     "ind-e2p2-d1": ("search",),
+    "joinper-sigma-p5x3": ("close", "action_validation", "artifact"),
 }
 
 

@@ -42,7 +42,9 @@ Each stage's time is its own, less the stages called inside it:
 - search: `certificates.find_equivariant_vertex_map`, the map search;
 - verify: `certificates.check_vertex_map`, the witness checker, which maps
   the source's maximal simplices (the lookup counts under maximal) and
-  walks every simplex only to name a refusal.
+  walks every simplex only to name a refusal;
+- artifact: `cli.canonical_json`, which writes the artifact's text (and
+  that of `index.json` beside it).
 
 While a run is timed, `perfbench/speed.py`'s `SpeedSampler` (imported from
 that directory, unchanged) times its calibration loop every 50 ms, and once
@@ -52,9 +54,9 @@ over the repeats (wall seconds), and under `scaled` the medians of the same
 times on the sampler's reference host: each divided by its run's slowdown,
 the sampler's own seconds first taken off the total (stage times keep the
 few interrupts that fell inside them).  It also holds the SHA-256 of the
-artifact's result and the cells, columns, Betti numbers and total search
-nodes when it has them (all of which must agree across sides), and each
-side's `src/` line count.
+artifact's result and of the whole `--out` file, and the cells, columns,
+Betti numbers and total search nodes when it has them (all of which must
+agree across sides), and each side's `src/` line count.
 `--instance NAME --src DIR` runs one instance once and prints its JSON.
 """
 
@@ -100,12 +102,14 @@ INSTANCES = {
     # by matrix traces with none listed
     "periodic-sigma2-n3to16": "periodic --shift sigma_m --m 2 --n "
                               + ",".join(map(str, range(3, 17))),
+    # the topology workload's largest artifact: 1.67 MB, mostly simplex lists
+    "joinper-sigma-p5x3": "join-periodic --shift sigma --p 5 --copies 3",
     # 1,257,120 simplices, triangulated, written and loaded again
     "reload-x1-n2p3g3": f"config-space {_xm(2, 3, 3)}",
 }
 RELOADED = {"reload-x1-n2p3g3"}
 STAGES = ("enumerate", "validate", "triangulate", "homology", "rank", "subdivide", "close",
-          "complex_validation", "action_validation", "maximal", "search", "verify")
+          "complex_validation", "action_validation", "maximal", "search", "verify", "artifact")
 
 
 def run_one(name: str, src: str) -> dict:
@@ -168,6 +172,7 @@ def run_one(name: str, src: str) -> dict:
     zpindex.certificates.find_equivariant_vertex_map = timed(
         "search", searched(zpindex.certificates.find_equivariant_vertex_map))
     zpindex.certificates.check_vertex_map = timed("verify", zpindex.certificates.check_vertex_map)
+    zpindex.cli.canonical_json = timed("artifact", zpindex.cli.canonical_json)
 
     sampler = SpeedSampler()
     sampler.start()
@@ -178,7 +183,8 @@ def run_one(name: str, src: str) -> dict:
         before = sampler.spent
         start = time.perf_counter()
         code = zpindex.cli.main(argv)
-        result = json.loads(artifact.read_text())["result"]
+        written = artifact.read_bytes()
+        result = json.loads(written)["result"]
         if name in RELOADED:
             zpindex.simplicial.complex_from_json_dict(result["complex"])
         total = time.perf_counter() - start
@@ -187,7 +193,8 @@ def run_one(name: str, src: str) -> dict:
     if code != 0:
         raise SystemExit(f"{name}: exit {code}")
     facts = {"result_sha256": hashlib.sha256(
-        json.dumps(result, sort_keys=True).encode()).hexdigest()}
+        json.dumps(result, sort_keys=True).encode()).hexdigest(),
+        "artifact_sha256": hashlib.sha256(written).hexdigest()}
     if "cells" in result:
         facts["cells"] = result["cells"]
     if "homology" in result:

@@ -53,6 +53,7 @@ ENUMERATION = "tests/test_cubical.py::TestEnumerationProperties"
 ENUMERATOR = "tests/test_subshifts.py::TestEnumerator"
 PLAIN = "tests/test_search.py::TestAgainstPlainBacktracking"
 FAST_PATH = "tests/test_simplicial.py::TestVertexMapFastPath"
+CANONICAL = "tests/test_cli.py::TestCanonicalJson"
 
 MUTANTS = (
     Mutant("fast path without the mod-p test",
@@ -211,6 +212,28 @@ MUTANTS = (
              "or yl == zl == 0 and (y - z) % two_g == g",
              "or False"),),
            (f"{WINDOWS}::test_circle_pair[Y-2]", f"{ENUMERATION}::test_yz_matches_brute_force")),
+    Mutant("a 0-dimensional complex subdivided depth times",
+           (("src/zpindex/certificates.py",
+             "range(depth if x.dim > 0 else min(depth, 1))",
+             "range(depth)"),),
+           ("tests/test_certificates.py::TestSubdivideTimes::test_dimension_0_subdivided_at_most_once",)),
+    # canonical_json must write the stdlib's indented text byte for byte
+    Mutant("int list test taking bools for ints",
+           (("src/zpindex/cli.py",
+             "if kinds == {int}:",
+             "if kinds and all(isinstance(v, int) for v in x):"),),
+           (f"{CANONICAL}::test_edge_cases[bool-int]", f"{CANONICAL}::test_matches_the_stdlib")),
+    Mutant("row seam without its inner pad",
+           (("src/zpindex/cli.py",
+             'seam, indented = "]," + row + "[", inner + "]," + inner + "[" + row',
+             'seam, indented = "]," + row + "[", "]," + inner + "[" + row'),),
+           (f"{CANONICAL}::test_rows_past_one_block", f"{CANONICAL}::test_matches_the_stdlib",
+            "tests/test_cli.py::test_artifact_file_sha256[join-periodic]")),
+    Mutant("rows of ints not required to be non-empty",
+           (("src/zpindex/cli.py",
+             "kinds <= {list, tuple} and all(x) and set(",
+             "kinds <= {list, tuple} and set("),),
+           (f"{CANONICAL}::test_edge_cases[empty-row]", f"{CANONICAL}::test_matches_the_stdlib")),
 )
 
 
