@@ -297,10 +297,10 @@ def obstruction_report(p_list, x_certs, z_certs) -> list[ObstructionRow]:
         xs, zs = (side.get(p) for side in sides)
         if not xs or not zs:
             raise ValidationError(f"missing certificates for p={p}")
-        x_low = _best(xs, "coind_lower", max)
-        z_up = _best(zs, "ind_upper", min)
-        x_ex = _max_attempted(xs, "coind_lower")
-        z_ex = _max_attempted(zs, "ind_upper")
+        x_low = _pick(xs, "coind_lower", True, max)
+        z_up = _pick(zs, "ind_upper", True, min)
+        x_ex = _pick(xs, "coind_lower", False, max)
+        z_ex = _pick(zs, "ind_upper", False, max)
         gap = x_low is not None and z_up is not None and x_low >= z_up + 1
         verdict = ("gap certified: coind lower bound exceeds the other side"
                    if gap else "gap not certified at this resolution")
@@ -308,14 +308,9 @@ def obstruction_report(p_list, x_certs, z_certs) -> list[ObstructionRow]:
     return rows
 
 
-def _best(certs, bound_type, pick):
-    vals = [c.value for c in certs if c.established and c.bound_type == bound_type]
-    return pick(vals) if vals else None
-
-
-def _max_attempted(certs, bound_type):
-    vals = [c.value for c in certs if c.kind == "exhaustion" and c.bound_type == bound_type]
-    return max(vals) if vals else None
+def _pick(certs, bound_type, established, pick):
+    return pick((c.value for c in certs
+                 if c.established == established and c.bound_type == bound_type), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ which returns the exit code its manifest's argv gets.
 
 Exit codes: 0 success, 2 validation failure or a file that cannot be read or
 written, 3 budget exceeded, 4 internal consistency violation (a coindex bound
-above an index bound).  `index.json` beside an artifact maps each run to its
-output's name and hash, so no artifact may take that name.
+above an index bound, or a certificate that does not load back as itself).
+`index.json` beside an artifact maps each run to its output's name and hash,
+so no artifact may take that name.
 
 An artifact is the stdlib's text, `json.dumps(obj, sort_keys=True, indent=2)`
 and a newline, so it stays byte-identical however it is made.  The stdlib
@@ -24,7 +25,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import itertools
 import json
 import sys
@@ -59,12 +59,14 @@ from .simplicial import (
     homology,
     join,
     join_power,
+    sha256_of,
 )
 from .simplicial import barycentric_subdivide  # noqa: F401  perfbench/probes.py times it here
 from .subshifts import as_free_zp_complex, make_sigma_m, periodic_points, periodic_table
 
 
 def canonical_json(obj) -> str:
+    """The artifact text of obj: json.dumps(obj, sort_keys=True, indent=2) and a newline."""
     pieces: list[str] = []
     _indented(obj, "\n", pieces)
     pieces.append("\n")
@@ -102,15 +104,11 @@ def _indented(x, pad: str, out: list) -> None:
         out.append(json.dumps(x, sort_keys=True, indent=2).replace("\n", pad))
 
 
-def sha256_of(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
-
-
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
             raise ValidationError(f"{path} is not JSON: {exc}") from exc
 
 
@@ -120,9 +118,11 @@ def _load_complex(path: str):
 
 def _frac(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        str(value)  # the provenance prints it: refuse an int past the digit limit
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"expected exact rational, got {text!r}") from exc
+        raise ValidationError(f"--delta: expected a printable rational, got {text!r}") from exc
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -208,7 +208,8 @@ def cmd_bound(bound, args):
     x, prov = _build_space(args)
     cert = bound(x, args.target, args.depth, args.budget)
     data = certificate_to_json_dict(cert)
-    certificate_from_json_dict(data)  # loading derives the value from the evidence again
+    if certificate_from_json_dict(data) != cert:  # loading derives the value again
+        raise ConsistencyError(f"a certificate on {cert.space} does not load back as itself")
     return {"certificate": data, "certificate_sha256": sha256_of(data),
             "summary": cert.describe(), "space_params": prov}
 
@@ -395,17 +396,20 @@ def _manifest_to_argv(manifest: dict) -> list[str]:
     for key in sorted(params):
         value = params[key]
         flag = "--" + key
+        items = value if isinstance(value, list) else [value]
+        if not all(isinstance(item, (str, int, float)) for item in items):  # bool is an int
+            raise ValidationError(f"malformed manifest: param {key} = {value!r} is not a "
+                                  "string, number or bool, or a list of those")
         if isinstance(value, bool):
             if value:
                 argv.append(flag)
-        elif isinstance(value, list):
-            for item in value:
-                argv.extend([flag, str(item)])
         else:
-            argv.extend([flag, str(value)])
-    if manifest.get("output"):
-        argv.extend(["--out", str(manifest["output"])])
-    return argv
+            for item in items:
+                argv.extend([flag, str(item)])
+    output = manifest.get("output", "")
+    if type(output) is not str:
+        raise ValidationError(f"malformed manifest: output {output!r} is not a string")
+    return argv + (["--out", output] if output else [])
 
 
 def _provenance(args) -> dict:

@@ -385,8 +385,11 @@ def complex_from_json_dict(data: dict) -> FreeZpComplex:
         raise ValidationError(f"malformed complex JSON: {exc}") from exc
 
 
+def sha256_of(obj) -> str:
+    """The hex SHA-256 of obj's compact JSON text with sorted keys."""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
 def content_key(x: FreeZpComplex) -> str:
     """Stable content hash used to tie certificates to their space."""
-    text = json.dumps(complex_to_json_dict(x), sort_keys=True)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return f"cpx:{digest[:16]}"
+    return "cpx:" + sha256_of(complex_to_json_dict(x))[:16]

@@ -462,7 +462,7 @@ class TestExitCodes:
             "N": 1, "delta": "1/3", "m": 2, "p": 3, "grid": 3, "l": 2}})),
         (["run", "--manifest"], json.dumps({"subcommand": "coind", "budget": 100, "params": {
             "space": "enzp", "n": 0, "p": 2, "target": 0}})),
-        # a null param becomes "--homology None", which the parser refuses
+        # a null param is refused: it is no string, number or bool
         (["run", "--manifest"], json.dumps(NULL_PARAM_MANIFEST)),
         (["run", "--manifest"], json.dumps({"subcommand": "run", "params": {"manifest": "m"}})),
         (["obstruction-report", "--p-list", "3", "--x-cert"], json.dumps([])),
@@ -513,11 +513,16 @@ class TestExitCodes:
         ("search-map --source {d}/e0p2.json --target {d}/e0p2.json --budget -1", "budget -1"),
         ("cubical-homology --space Xm --coeff 2 --cell-budget -1", "budget -1"),
         ("coind --space file --target 0", "--input"),
+        # the provenance prints delta: no numerator or denominator past 4,300 digits
+        ("coind --space Xm --N 1 --p 3 --grid 2 --delta 1e-9999 --target 0", "--delta"),
+        ("cubical-homology --space Xm --N 1 --p 3 --grid 2 --delta 1e-9999 --coeff 2", "--delta"),
+        ("config-space --space Xm --delta 1e4400", "--delta"),
     ], ids=["coind-delta", "ind-delta-zero-denominator", "config-space-delta",
             "cubical-homology-delta-zero-denominator", "periods",
             "sigma-with-m", "join-sigma-with-m",
             "p-list", "subdivide-depth", "search-map-budget", "cell-budget",
-            "file-space-without-input"])
+            "file-space-without-input", "coind-delta-unprintable",
+            "cubical-homology-delta-unprintable", "config-space-delta-unprintable"])
     def test_malformed_argument_is_2(self, tmp_path, capsys, argv, needle):
         (tmp_path / "e0p2.json").write_text(json.dumps(E0P2), encoding="utf-8")
         code = main(argv.format(d=tmp_path).split())
@@ -553,6 +558,13 @@ class TestExitCodes:
             main(argv.split())
         assert "unrecognized arguments" in capsys.readouterr().err
         assert exc.value.code == 2
+
+    def test_certificate_not_loading_back_as_itself_is_4(self, capsys, monkeypatch):
+        encode = zpindex.cli.certificate_to_json_dict
+        monkeypatch.setattr(zpindex.cli, "certificate_to_json_dict",
+                            lambda cert: {**encode(cert), "space": "cpx:0000000000000000"})
+        assert main("coind --space enzp --n 1 --p 2 --target 1".split()) == 4
+        assert "does not load back as itself" in capsys.readouterr().err
 
     def test_unwritable_artifact_is_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -717,6 +729,21 @@ class TestManifests:
         assert main(["run", "--manifest", str(mf)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("manifest", [
+        {**MANIFEST, "output": True},
+        {**MANIFEST, "output": {"a": 1}},
+        {"subcommand": "periodic", "params": {"shift": "sigma", "n": "3", "csv": None}},
+        {"subcommand": "periodic", "params": {"shift": "sigma", "n": [[3]]}},
+    ], ids=["output-true", "output-object", "null-csv", "list-of-lists"])
+    def test_value_of_no_flag_is_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                       manifest):
+        # str() of any of these would name a file: ./True, ./{'a': 1}, ./None
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        assert main(["run", "--manifest", "m.json"]) == 2
+        assert "malformed manifest" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["m.json"]
+
     def test_run_refuses_out(self, tmp_path, capsys):
         # the manifest names the output; a --out of its own would be ignored
         mf = tmp_path / "m.json"
@@ -812,6 +839,20 @@ class TestProcessExitCodes:
     def test_refused_manifest_is_2(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps(NULL_PARAM_MANIFEST))
         assert zpindex_process("run", "--manifest", tmp_path / "m.json", cwd=tmp_path) == 2
+
+    @pytest.mark.parametrize("argv", [
+        "homology --input {big} --coeff 2",
+        "run --manifest {big}",
+        "obstruction-report --p-list 2 --x-cert {big} --z-cert {big}",
+        "enzp --n 0 --p 2 --out {dir}/out.json",
+    ], ids=["complex", "manifest", "certificate", "index"])
+    def test_int_past_the_digit_limit_is_2(self, tmp_path, argv):
+        # json.load refuses an int literal of more than 4,300 digits; the file
+        # is named index.json so that it is also the index beside out.json
+        big = tmp_path / "index.json"
+        big.write_text('{"p": ' + "1" * 4301 + "}")
+        assert zpindex_process(*argv.format(big=big, dir=tmp_path).split(), cwd=tmp_path) == 2
+        assert not (tmp_path / "out.json").exists()
 
     def test_budget_is_3(self, tmp_path):
         assert zpindex_process("periodic", "--shift", "sigma", "--n", "1200", cwd=tmp_path) == 3

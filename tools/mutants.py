@@ -195,6 +195,11 @@ MUTANTS = (
              "target.complex.by_dim[:source.dim]"),),
            (f"{FAST_PATH}::test_map_failing_only_on_lower_maximal_simplices",
             f"{FAST_PATH}::test_sources_of_dimension_at_most_0[coind-shaped]")),
+    Mutant("refused map named on its maximal simplices only",
+           (("src/zpindex/verify.py",
+             "for s in source.complex.simplices():",
+             "for s in source.complex.maximal_simplices():"),),
+           (f"{FAST_PATH}::test_failing_faces_reported_before_their_coface",)),
     # the enumerator alone judges windows, so only these tests guard the judges
     Mutant("offset-gap judge with the squared gap doubled",
            (("src/zpindex/cubical.py",
@@ -217,6 +222,18 @@ MUTANTS = (
              "range(depth if x.dim > 0 else min(depth, 1))",
              "range(depth)"),),
            ("tests/test_certificates.py::TestSubdivideTimes::test_dimension_0_subdivided_at_most_once",)),
+    Mutant("report picks with the established test inverted",
+           (("src/zpindex/certificates.py",
+             "if c.established == established and",
+             "if c.established != established and"),),
+           ("tests/test_certificates.py::TestObstructionReport::test_rows",
+            "tests/test_cli.py::TestSubcommands::test_obstruction_report_shows_an_exhausted_ind")),
+    Mutant("manifest output accepted unchecked",
+           (("src/zpindex/cli.py",
+             'output = manifest.get("output", "")',
+             'output = str(manifest.get("output", ""))'),),
+           ("tests/test_cli.py::TestManifests::test_value_of_no_flag_is_2_and_writes_nothing"
+            "[output-true]",)),
     # canonical_json must write the stdlib's indented text byte for byte
     Mutant("int list test taking bools for ints",
            (("src/zpindex/cli.py",
