@@ -118,6 +118,12 @@ def _load_complex(path: str):
 
 def _frac(text: str) -> Fraction:
     try:
+        # Fraction computes 10**|exponent| first, but past the digit limit and
+        # the text's own digits the value's numerator or denominator is too
+        # long to print: refuse such an exponent from the text
+        _, e, exponent = text.lower().rpartition("e")
+        if e and 0 < sys.get_int_max_str_digits() < abs(int(exponent)) - len(text):
+            raise ValueError(exponent)
         value = Fraction(text)
         str(value)  # the provenance prints it: refuse an int past the digit limit
     except (ValueError, ZeroDivisionError) as exc:

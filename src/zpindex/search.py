@@ -28,6 +28,21 @@ count, the first witness and the node at which a budget raises
 every target vertex.  A witness then sends each cycle of source labels that
 lies in no simplex to the cycle of the least target label of its length.
 
+The first orbit tries only the least vertex of each target cycle, a
+symmetry step that leaves `nodes` as it was.  The target's action T
+permutes the first orbit's candidates, and the rest of the walk is
+T-equivariant: domains come from closed[T x] = T closed[x], the shift
+bitsets and the simplex table are T-invariant, and an exhausted orbit
+charges `width` either way.  So the p vertices of a target cycle head
+subtrees of one node count, and all fail when the least one, m, fails.  On
+returning to the first orbit from a failed m, the walk records its
+subtree's nodes for each of T m, ..., T^(p-1) m, and charges them as the
+first orbit passes that vertex's rank: before the next least vertex's own
+node is counted and checked against the budget, and the rest at
+exhaustion.  So every count the walk reads is the one plain backtracking
+reads at the same point: the node count, the first witness and the budget
+raise are still its own, while an exhausted tree is walked p times less.
+
 The walk is one loop over the orbit index, with no recursion, so a source
 of any number of orbits is searched.  Descending from an orbit pushes the
 rest of its domain and the rank of its placed vertex; an exhausted orbit
@@ -138,6 +153,13 @@ def find_equivariant_vertex_map(
         shifted[shift] = sum(1 << t for t, u in zip(target_vertices, moved) if closed[t] >> u & 1)
     start = [reduce(and_, map(shifted.__getitem__, needed), everything) for needed in shifts]
 
+    # The first orbit tries only the least vertex of each target cycle; due[i]
+    # holds the nodes of the failed subtree that the vertex of rank i + 1
+    # heads, once its cycle's least vertex has failed (see above).
+    if orbits:
+        start[0] &= sum(1 << cycle[0] for cycle in _cycles(tperm, target_vertices))
+    due = [0] * width
+
     assignment = [-1] * source.complex.vertex_count
     exceeded = f"map search exceeded budget of {budget} assignments"
     nodes, k, counted, placed = 0, 0, 0, []  # placed: each placed orbit's (domain, rank)
@@ -153,6 +175,9 @@ def find_equivariant_vertex_map(
             t = low.bit_length() - 1
             r = rank[t]
             nodes += r - counted
+            if not k:  # passing rotations of failed minima: charge their subtrees
+                nodes += sum(due[counted:r])
+                mark = nodes
             counted = r
             if nodes > budget:
                 raise BudgetExceeded(exceeded, count=budget + 1)
@@ -166,12 +191,19 @@ def find_equivariant_vertex_map(
                 break
         else:
             nodes += width - counted
+            if not k:
+                nodes += sum(due[counted:])
             if nodes > budget:
                 raise BudgetExceeded(exceeded, count=budget + 1)
             if not k:
                 return None, nodes
             k -= 1
             domain, counted = placed.pop()
+            if not k:  # m failed: each of its p - 1 rotations heads as large a failure
+                t, below = assignment[orbits[0][0]], nodes - mark
+                for _ in range(p - 1):
+                    t = tperm[t]
+                    due[rank[t] - 1] = below
     least = {len(c): c for c in reversed(_cycles(tperm, range(len(tperm))))}
     for cycle in _cycles(source.action.perm, range(len(assignment))):
         if assignment[cycle[0]] < 0:  # the i-th label goes to the i-th

@@ -530,6 +530,28 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("validation error") and needle in err
 
+    def test_huge_delta_exponent_refused_before_fraction(self, capsys, monkeypatch):
+        # Fraction("1e-4000000") computes 10**4000000 before anything is
+        # bounded; the value could never be printed, so it must not be called
+        def fraction(text):
+            assert "e-4000000" not in text, "Fraction called with a huge exponent"
+            return Fraction(text)
+        monkeypatch.setattr(zpindex.cli, "Fraction", fraction)
+        code = main("config-space --space Xm --delta 1e-4000000".split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error") and "--delta" in err
+
+    @pytest.mark.parametrize("text,value", [
+        ("1/3", Fraction(1, 3)), ("0.25", Fraction(1, 4)), ("1e-3", Fraction(1, 1000)),
+        (" 2E+1 ", Fraction(20)),
+        # an exponent past the digit limit is printable when the text's own
+        # digits take it back
+        ("0." + "0" * 4000 + "1e4301", Fraction(10**300)),
+    ], ids=["fraction", "decimal", "exponent", "upper-case-exponent", "long-mantissa"])
+    def test_printable_delta_parses(self, text, value):
+        assert zpindex.cli._frac(text) == value
+
     @pytest.mark.parametrize("fields", [(), ("vertex_map",), ("source",), ("vertex_map", "source")],
                              ids=["integers", "boolean-map", "boolean-source", "boolean-both"])
     def test_json_booleans_in_certificate_are_2(self, tmp_path, capsys, fields):

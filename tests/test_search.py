@@ -51,9 +51,11 @@ def periodic(p):
 
 
 FACTORS = {2: (make_discrete_zp, periodic),
-           3: (make_discrete_zp, periodic, triangle_boundary, triangle_boundary)}
+           3: (make_discrete_zp, periodic, triangle_boundary, triangle_boundary),
+           5: (make_discrete_zp, periodic)}
 TRIANGULATIONS = {2: [lambda: x1(1, 2, 2), lambda: x1(1, 2, 3), lambda: z(2, 2), lambda: z(2, 3)],
-                  3: [lambda: x1(1, 3, 3), lambda: z(3, 2)]}
+                  3: [lambda: x1(1, 3, 3), lambda: z(3, 2)],
+                  5: [lambda: x1(1, 5, 3)]}
 
 
 def simplex_orbit(x, s):
@@ -63,17 +65,28 @@ def simplex_orbit(x, s):
     return tuple(sorted(orbit))
 
 
+def relabel(x, label):
+    """x with each vertex label v renamed label[v]."""
+    perm = [0] * len(label)
+    for v, image in enumerate(x.action.perm):
+        perm[label[v]] = label[image]
+    cx = SimplicialComplex.from_simplices(
+        len(label), [[label[v] for v in s] for s in x.complex.maximal_simplices()])
+    return FreeZpComplex(cx, ZpAction(x.p, tuple(perm)))
+
+
 @st.composite
 def spaces(draw, p, lean=1):
-    """A join of 1-3 discrete, periodic-orbit or (p = 3, weighted twice)
-    triangle-boundary factors, maybe subdivided once, or a small X_1 or Z
-    triangulation; then maybe cut down to a random invariant subcomplex
-    (which leaves vertex labels unused) and maybe relabelled at random.
-    The join, and leaving it unsubdivided, are each drawn `lean` times as
-    often as the other way."""
+    """A join of 1-3 (1-2 at p = 5) discrete, periodic-orbit or (p = 3,
+    weighted twice) triangle-boundary factors, maybe subdivided once, or a
+    small X_1 or Z triangulation; then maybe cut down to a random invariant
+    subcomplex (which leaves vertex labels unused) and maybe relabelled at
+    random.  The join, and leaving it unsubdivided, are each drawn `lean`
+    times as often as the other way."""
     towards = st.sampled_from([True] * lean + [False])
     if draw(towards):
-        factors = draw(st.lists(st.sampled_from(FACTORS[p]), min_size=1, max_size=3))
+        factors = draw(st.lists(st.sampled_from(FACTORS[p]), min_size=1,
+                                max_size=2 if p == 5 else 3))
         x = factors[0](p)
         for factor in factors[1:]:
             x = join(x, factor(p))
@@ -90,12 +103,7 @@ def spaces(draw, p, lean=1):
     if draw(st.booleans()):
         label = list(range(x.complex.vertex_count))
         rng.shuffle(label)
-        perm = [0] * len(label)
-        for v, image in enumerate(x.action.perm):
-            perm[label[v]] = label[image]
-        cx = SimplicialComplex.from_simplices(
-            len(label), [[label[v] for v in s] for s in x.complex.maximal_simplices()])
-        x = FreeZpComplex(cx, ZpAction(p, tuple(perm)))
+        x = relabel(x, label)
     return x
 
 
@@ -119,7 +127,7 @@ def outcome(search, source, target, budget):
 
 @st.composite
 def search_cases(draw):
-    p = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([2, 3, 5]))
     budget = draw(st.one_of(st.integers(0, 5_000), st.just(5_000)))
     # Only an unsubdivided join with a triangle boundary has a checked simplex
     # that meets its last-placed vertex orbit twice (subdivision leaves each
@@ -132,6 +140,7 @@ class TestAgainstPlainBacktracking:
     @given(search_cases())
     def test_same_map_nodes_and_budget_raise(self, case):
         source, target, budget = case
+        event(f"p = {source.p}")
         event(f"source meets its top vertex orbit twice: {meets_top_orbit_twice(source)}")
         event(f"target flag up to the source's simplex size: "
               f"{is_flag(target.complex, source.dim + 1)}")
@@ -187,6 +196,43 @@ REFUTE = {
 def test_refute_node_counts(name):
     source, target, nodes = REFUTE[name]
     assert find_equivariant_vertex_map(source(), target()) == (None, nodes)
+
+
+def test_budget_at_the_last_charged_rotation():
+    # E_2(Z_2) subdivided once exhausts into E_1(Z_2) at 124,372 nodes, the
+    # last rotations of failed root minima charged at exhaustion: a budget
+    # one short raises with plain backtracking's count, the exact one does not
+    source, target, nodes = REFUTE["e2p2-depth1-e1p2"]
+    assert nodes == 124_372
+    with pytest.raises(BudgetExceeded) as raised:
+        find_equivariant_vertex_map(source(), target(), nodes - 1)
+    assert raised.value.count == nodes
+    assert find_equivariant_vertex_map(source(), target(), nodes) == (None, nodes)
+
+
+def disjoint_union(x, y):
+    """x beside y, y's labels moved past x's."""
+    n = x.complex.vertex_count
+    cx = SimplicialComplex.from_simplices(n + y.complex.vertex_count, [
+        *x.complex.maximal_simplices(), *([v + n for v in s] for s in y.complex.maximal_simplices())])
+    return FreeZpComplex(cx, ZpAction(x.p, x.action.perm + tuple(v + n for v in y.action.perm)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_witness_under_a_later_root_minimum(p):
+    # E_1(Z_p) maps into the E_1(Z_p) part of the target only: a root placed
+    # on a discrete orbit leaves the next orbit no common neighbour.  The
+    # labels put the two discrete orbits' minima 0 and 1 first, then one
+    # rotation of the first (2), then the E_1(Z_p) part from 3, then the
+    # other rotations: so the witness lies under the third root minimum,
+    # with a charged rotation below it and uncharged ones above it.
+    source = e_n_zp(1, p)
+    parts = disjoint_union(disjoint_union(make_discrete_zp(p), make_discrete_zp(p)), e_n_zp(1, p))
+    order = [0, p, 1, *range(2 * p, 4 * p), *range(2, p), *range(p + 1, 2 * p)]
+    target = relabel(parts, sorted(range(4 * p), key=order.__getitem__))
+    found = find_equivariant_vertex_map(source, target)
+    assert found[0][source.vertex_orbits()[0][0]] == 3
+    assert found == plain_vertex_map_search(source, target, 5_000)
 
 
 @pytest.mark.parametrize("p", [2, 3])

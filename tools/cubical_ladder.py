@@ -98,6 +98,9 @@ INSTANCES = {
     # the refute workload's slowest search, at canonical labels: it exhausts
     # after 124,372 nodes
     "ind-e2p2-d1": "ind --space enzp --n 2 --p 2 --target 1 --depth 1",
+    # coind >= 1 on the paper's X_1(N=2, p=3): its depth-1 search exhausts
+    # after 201,181,176 nodes
+    "coind-x1-n2p3g2-t1d1": f"coind {_xm(2, 3, 2)} --target 1 --depth 1 --budget 10000000000",
     # the topology workload's periodic-point job: 131,766 points, counted
     # by matrix traces with none listed
     "periodic-sigma2-n3to16": "periodic --shift sigma_m --m 2 --n "

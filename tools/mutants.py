@@ -127,6 +127,24 @@ MUTANTS = (
              "domain, counted = placed.pop()[0], 1"),),
            (f"{PLAIN}::test_same_map_nodes_and_budget_raise",
             "tests/test_search.py::test_refute_node_counts")),
+    # the first orbit tries only cycle minima and charges each failed one's rotations
+    Mutant("rotations of failed roots not charged at exhaustion",
+           (("src/zpindex/search.py",
+             "nodes += sum(due[counted:])",
+             "nodes += 0"),),
+           (f"{PLAIN}::test_same_map_nodes_and_budget_raise",
+            "tests/test_search.py::test_budget_at_the_last_charged_rotation")),
+    Mutant("a failed root charged for p - 2 rotations",
+           (("src/zpindex/search.py",
+             "for _ in range(p - 1):",
+             "for _ in range(p - 2):"),),
+           (f"{PLAIN}::test_same_map_nodes_and_budget_raise",
+            "tests/test_search.py::test_budget_at_the_last_charged_rotation")),
+    Mutant("rotations below the next root minimum not charged",
+           (("src/zpindex/search.py",
+             "nodes += sum(due[counted:r])",
+             "nodes += 0"),),
+           ("tests/test_search.py::test_witness_under_a_later_root_minimum",)),
     Mutant("matrix products not cut at the cap",
            (("src/zpindex/subshifts.py",
              "return [[min(sum(map(mul, row, col)), cap) for col in zip(*y)] for row in x]",
