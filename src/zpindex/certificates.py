@@ -167,10 +167,10 @@ class IndexCertificate:
 
 
 def subdivide_times(x: FreeZpComplex, depth: int) -> FreeZpComplex:
-    """x subdivided depth times.  Only the first subdivision of a complex of
-    dimension <= 0 can change it (it renumbers labels in no simplex)."""
+    """x subdivided depth times.  A complex of dimension <= 0 is its own
+    subdivision, since its vertices are its simplices."""
     depth = whole(depth, "subdivision depth")
-    for _ in range(depth if x.dim > 0 else min(depth, 1)):
+    for _ in range(depth if x.dim > 0 else 0):
         x = barycentric_subdivide(x)
     return x
 

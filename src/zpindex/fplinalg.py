@@ -5,22 +5,49 @@ sort.  Rank is computed by left-to-right column reduction on the lowest row,
 the largest key (persistence-style), deterministic for a fixed column order.
 `betti_numbers` is the one homology driver: it builds boundary columns keyed
 by faces from a signed-face rule and reduces them with clearing, for
-simplicial and cubical complexes alike.
+simplicial and cubical complexes alike.  `cut_power` takes integer matrix
+powers cut at a cap, and `prime` decides primes.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+from operator import mul
 
 from .errors import ValidationError
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to all _BASES
+
 
 def prime(p, name: str = "p") -> int:
-    """Return p, or raise ValidationError unless p is an int >= 2 with no divisor in 2..isqrt(p)."""
-    if type(p) is not int or p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    """Return p, or raise ValidationError unless p is an int >= 2 below
+    PRIME_LIMIT that passes the Miller-Rabin test to each of _BASES it does
+    not divide (p - 1 = d 2^s, d odd: a^d = 1 or a^(d 2^r) = -1 mod p, some
+    r < s), which only primes do (Sorenson & Webster 2015)."""
+    if type(p) is not int or p < 2:
         raise ValidationError(f"{name}={p!r} is not prime")
+    if p >= PRIME_LIMIT:  # not printed: it may be too long for str
+        raise ValidationError(f"{name} must be below {PRIME_LIMIT} to be decided prime")
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    for a in _BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if a % p and x != 1 and p - 1 not in itertools.accumulate(
+                range(s - 1), lambda y, _: y * y % p, initial=x):
+            raise ValidationError(f"{name}={p!r} is not prime")
     return p
+
+
+def cut_power(matrix: list[list[int]], e: int, cap: int) -> list[list[int]]:
+    """matrix^e, each entry of each product cut to min(entry, cap)."""
+    def times(x, y):
+        return [[min(sum(map(mul, row, col)), cap) for col in zip(*y)] for row in x]
+    result = [[int(i == j) for j in range(len(matrix))] for i in range(len(matrix))]
+    while e:
+        if e & 1:
+            result = times(result, matrix)
+        matrix, e = times(matrix, matrix), e >> 1
+    return result
 
 
 def fp_rank(columns: list[dict], p: int, pivot_rows: set | None = None) -> int:

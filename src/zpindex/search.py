@@ -22,11 +22,11 @@ last-placed vertex orbit are checked, so no action is applied to a simplex.
 
 `nodes` counts every (orbit, candidate) pair of the assignment tree,
 including the candidates a domain excludes: those are added arithmetically
-from the rank of each tried vertex among the target vertices.  So the node
-count, the first witness and the node at which a budget raises
+from the rank t + 1 of each tried vertex t among the target vertices.  So
+the node count, the first witness and the node at which a budget raises
 (count = budget + 1) are those of plain place-and-check backtracking over
-every target vertex.  A witness then sends each cycle of source labels that
-lies in no simplex to the cycle of the least target label of its length.
+every target vertex.  Every source label is a vertex in an orbit of p, so a
+full placement is a whole vertex map.
 
 The first orbit tries only the least vertex of each target cycle, a
 symmetry step that leaves `nodes` as it was.  The target's action T
@@ -48,8 +48,8 @@ of any number of orbits is searched.  Descending from an orbit pushes the
 rest of its domain and the rank of its placed vertex; an exhausted orbit
 charges the target vertices above that rank and pops its parent's pair to
 resume it.  An exhausted orbit's images are left as they were: the domains
-and checks of later orbits, and the post-pass, read an orbit's images only
-after it is placed again.
+and checks of later orbits read an orbit's images only after it is placed
+again.
 """
 
 from __future__ import annotations
@@ -66,9 +66,7 @@ DEFAULT_BUDGET = 5_000_000
 
 def _closed_neighbourhoods(cx: SimplicialComplex) -> list[int]:
     """Per vertex label v, N[v] as a bitset: v and its 1-skeleton neighbours."""
-    closed = [0] * cx.vertex_count
-    for (v,) in chain.from_iterable(cx.by_dim[:1]):
-        closed[v] = 1 << v
+    closed = [1 << v for v in range(cx.vertex_count)]
     for a, b in chain.from_iterable(cx.by_dim[1:2]):
         closed[a] |= 1 << b
         closed[b] |= 1 << a
@@ -109,9 +107,7 @@ def find_equivariant_vertex_map(
         raise ValidationError(f"mismatched primes {source.p} != {target.p}")
     whole(budget, "budget")
     p = source.p
-    target_vertices = [t for level in target.complex.by_dim[:1] for (t,) in level]
-    width = len(target_vertices)
-    rank = {t: r for r, t in enumerate(target_vertices, 1)}
+    width = target.complex.vertex_count
 
     orbits = source.vertex_orbits()
     orbit_of, slot_of = {}, {}
@@ -144,20 +140,19 @@ def find_equivariant_vertex_map(
     tperm = target.action.perm
     tset = frozenset(target.complex.simplices()) if any(ready) else frozenset()
     closed = _closed_neighbourhoods(target.complex)
-    everything = sum(1 << t for t in target_vertices)
     shifted = {}
     for shift in set().union(*shifts):
-        moved = target_vertices
+        moved = range(width)
         for _ in range(shift):
             moved = map(tperm.__getitem__, moved)
-        shifted[shift] = sum(1 << t for t, u in zip(target_vertices, moved) if closed[t] >> u & 1)
-    start = [reduce(and_, map(shifted.__getitem__, needed), everything) for needed in shifts]
+        shifted[shift] = sum(1 << t for t, u in enumerate(moved) if closed[t] >> u & 1)
+    start = [reduce(and_, map(shifted.__getitem__, needed), (1 << width) - 1) for needed in shifts]
 
-    # The first orbit tries only the least vertex of each target cycle; due[i]
-    # holds the nodes of the failed subtree that the vertex of rank i + 1
-    # heads, once its cycle's least vertex has failed (see above).
+    # The first orbit tries only the least vertex of each target cycle; due[t]
+    # holds the nodes of the failed subtree that vertex t heads, once its
+    # cycle's least vertex has failed (see above).
     if orbits:
-        start[0] &= sum(1 << cycle[0] for cycle in _cycles(tperm, target_vertices))
+        start[0] &= sum(1 << cycle[0] for cycle in _cycles(tperm))
     due = [0] * width
 
     assignment = [-1] * source.complex.vertex_count
@@ -172,8 +167,7 @@ def find_equivariant_vertex_map(
         while domain:
             low = domain & -domain
             domain ^= low
-            t = low.bit_length() - 1
-            r = rank[t]
+            r = low.bit_length()  # the rank of vertex r - 1
             nodes += r - counted
             if not k:  # passing rotations of failed minima: charge their subtrees
                 nodes += sum(due[counted:r])
@@ -181,7 +175,7 @@ def find_equivariant_vertex_map(
             counted = r
             if nodes > budget:
                 raise BudgetExceeded(exceeded, count=budget + 1)
-            cur = t
+            cur = r - 1
             for v in orbit:
                 assignment[v] = cur
                 cur = tperm[cur]
@@ -203,13 +197,5 @@ def find_equivariant_vertex_map(
                 t, below = assignment[orbits[0][0]], nodes - mark
                 for _ in range(p - 1):
                     t = tperm[t]
-                    due[rank[t] - 1] = below
-    least = {len(c): c for c in reversed(_cycles(tperm, range(len(tperm))))}
-    for cycle in _cycles(source.action.perm, range(len(assignment))):
-        if assignment[cycle[0]] < 0:  # the i-th label goes to the i-th
-            if len(cycle) not in least:
-                raise ValidationError(f"source label {cycle[0]} lies in a cycle of length "
-                                      f"{len(cycle)}, and no target label does")
-            for v, t in zip(cycle, least[len(cycle)]):
-                assignment[v] = t
+                    due[t] = below
     return tuple(assignment), nodes

@@ -15,13 +15,13 @@ merges sorted runs.  It records the given simplices that no facet covers:
 the maximal simplices, which the subdivision and the action check read.
 
 Both complex types are frozen dataclasses, their equality, hashing and
-read-only fields declared.  One routine, `_cycles`, walks an action's cycles:
-`ZpAction` checks that each has length 1 or p, `vertex_orbits` lists the
-orbits of a complex's vertices, and the map search places the labels that
-lie in no simplex.  Every free Z_p-set of the package that is
-walked orbit by orbit is a vertex set walked by `vertex_orbits`; periodic
-words in `subshifts` become vertices, so their orbits are vertex orbits.
-Every iterated join, E_n(Z_p) included, is `join_power`.
+read-only fields declared.  Every label of a complex is a vertex, and an
+action moves every label: `_cycles` walks a permutation's cycles, which
+`ZpAction` holds to length p and `vertex_orbits` lists as vertex orbits.
+Every free Z_p-set of the package that is walked orbit by orbit is a vertex
+set walked by `vertex_orbits`; periodic words in `subshifts` become
+vertices, so their orbits are vertex orbits.  Every iterated join, E_n(Z_p)
+included, is `join_power`.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import itemgetter, mul
 
-from .errors import ValidationError, whole, within_budget
-from .fplinalg import betti_numbers, prime
+from .errors import SIZE_CAP, ValidationError, whole, within_budget
+from .fplinalg import betti_numbers, cut_power, prime
 
 Simplex = tuple[int, ...]
 
@@ -50,10 +50,10 @@ def _columns(level) -> list[tuple[int, ...]]:
     return [tuple(map(itemgetter(j), level)) for j in range(len(next(iter(level), ())))]
 
 
-def _cycles(perm, items) -> list[tuple[int, ...]]:
-    """The cycles of perm through items, each from its first member in items."""
+def _cycles(perm) -> list[tuple[int, ...]]:
+    """The cycles of perm, each from its least member, sorted by that member."""
     seen, cycles = set(), []
-    for v in items:
+    for v in range(len(perm)):
         if v not in seen:
             cycle = [v]
             while perm[cycle[-1]] != v:
@@ -66,9 +66,10 @@ def _cycles(perm, items) -> list[tuple[int, ...]]:
 @dataclass(frozen=True, slots=True, repr=False)
 class SimplicialComplex:
     """The downward closure, on vertices 0..vertex_count-1, of the simplices
-    in `by_dim`, grouped and ordered in any way.  A simplex is its vertex
-    set.  `by_dim` then holds the closure: level d lists its d-simplices as
-    sorted tuples in sorted order, and the top level is not empty."""
+    in `by_dim`, grouped and ordered in any way; each vertex lies in one of
+    them.  A simplex is its vertex set.  `by_dim` then holds the closure:
+    level d lists its d-simplices as sorted tuples in sorted order, and the
+    top level is not empty."""
 
     vertex_count: int
     by_dim: tuple[tuple[Simplex, ...], ...]
@@ -82,7 +83,8 @@ class SimplicialComplex:
         column first: on a sorted level, dropping the last vertex gives one
         sorted run and each later column adds only new facets, in long runs,
         so the sort merges runs.  The dict is dropped before the level's tuple
-        is built."""
+        is built.  Level 0 then holds vertex_count vertices, or a label is
+        in no simplex."""
         whole(self.vertex_count, "vertex count")
         try:
             given = list(map(tuple, itertools.chain.from_iterable(self.by_dim)))
@@ -100,6 +102,9 @@ class SimplicialComplex:
                 zip(*cols[:j], *cols[j + 1:]) for j in range(len(cols) - 1, -1, -1)))
             maximal[:0] = tops = sorted(itertools.filterfalse(facets.__contains__, levels[size]))
             above = levels[size] = tuple(facets := sorted(itertools.chain(facets, tops)))
+        if sum(map(len, levels[1:2])) < self.vertex_count:
+            label = min(set(range(self.vertex_count)).difference(*itertools.chain(*levels[1:2])))
+            raise ValidationError(f"label {label} lies in no simplex")
         object.__setattr__(self, "by_dim", tuple(levels[1:]))
         object.__setattr__(self, "_maximal", tuple(maximal))
 
@@ -151,7 +156,7 @@ class SimplicialComplex:
 
 @dataclass(frozen=True)
 class ZpAction:
-    """Vertex permutation of order dividing the prime p."""
+    """Vertex permutation whose cycles all have the prime length p."""
 
     p: int
     perm: tuple[int, ...]
@@ -163,9 +168,10 @@ class ZpAction:
             raise ValidationError("perm must hold integers")
         if sorted(self.perm) != list(range(n)):
             raise ValidationError("perm is not a permutation of 0..n-1")
-        # p is prime: perm^p = id iff every cycle has length 1 or p
-        if set(map(len, _cycles(self.perm, range(n)))) - {1, self.p}:
-            raise ValidationError("perm^p is not the identity")
+        for cycle in _cycles(self.perm):
+            if len(cycle) != self.p:
+                raise ValidationError(f"label {cycle[0]} lies in a cycle of length "
+                                      f"{len(cycle)}, not p = {self.p}")
 
     def apply(self, simplex: Simplex) -> Simplex:
         return tuple(sorted(self.perm[v] for v in simplex))
@@ -184,9 +190,9 @@ class FreeZpComplex:
     def _validate(self):
         """T maps the faces of s to faces of T(s), so it is simplicial iff it
         maps the maximal simplices onto themselves.  A setwise-fixed simplex
-        is a union of orbits, so T is free iff no vertex orbit (1 or p
-        vertices) is a simplex; p being prime, a simplex fixed by a T^a,
-        0 < a < p, is fixed by T.  On failure the first simplex in level
+        is a union of orbits, so T is free iff no vertex orbit (p vertices,
+        as `ZpAction` holds) is a simplex; p being prime, a simplex fixed by
+        a T^a, 0 < a < p, is fixed by T.  On failure the first simplex in level
         order whose image is missing or itself is named."""
         cx, apply = self.complex, self.action.apply
         if len(self.action.perm) != cx.vertex_count:
@@ -194,7 +200,7 @@ class FreeZpComplex:
         tops = set(cx._maximal)
         orbits = set(map(tuple, map(sorted, self.vertex_orbits())))
         if all(map(tops.__contains__, map(apply, tops))) and orbits.isdisjoint(
-                itertools.chain(*cx.by_dim[:1], *cx.by_dim[self.p - 1:self.p])):
+                itertools.chain(*cx.by_dim[self.p - 1:self.p])):
             return
         simplices = set(cx.simplices())
         bad = next(s for s in cx.simplices() if apply(s) == s or apply(s) not in simplices)
@@ -214,9 +220,9 @@ class FreeZpComplex:
         return self.complex.is_empty()
 
     def vertex_orbits(self) -> list[tuple[int, ...]]:
-        """Orbits of the action on vertices of the complex, each starting at
-        its smallest member, sorted by that member."""
-        return _cycles(self.action.perm, (v for level in self.complex.by_dim[:1] for (v,) in level))
+        """Orbits of the action on the vertices, each starting at its
+        smallest member, sorted by that member."""
+        return _cycles(self.action.perm)
 
     def __repr__(self):
         return f"FreeZpComplex(p={self.p}, vertices={self.complex.vertex_count}, dim={self.dim})"
@@ -269,6 +275,12 @@ def make_discrete_zp(p: int) -> FreeZpComplex:
     return FreeZpComplex(cx, ZpAction(p, tuple((v + 1) % p for v in range(p))))
 
 
+def join_size(size: int, copies: int) -> int:
+    """(size + 1)^copies - 1, the simplices of a join of `copies` complexes of
+    `size` simplices each, or SIZE_CAP if larger: a power of cut products."""
+    return cut_power([[size + 1]], copies, SIZE_CAP + 1)[0][0] - 1
+
+
 def join(x: FreeZpComplex, y: FreeZpComplex) -> FreeZpComplex:
     """Combinatorial join: simplices are disjoint unions of a simplex from
     each side (either side may contribute nothing), acted on simultaneously;
@@ -297,7 +309,7 @@ def join_power(x: FreeZpComplex, copies: int) -> FreeZpComplex:
     vertex i*n + v is vertex v of copy i, where x has n vertices.  The
     result's (|x| + 1)^copies - 1 simplices are checked before the first join."""
     whole(copies, "need at least one copy: copies", 1)
-    within_budget((sum(x.complex.f_vector()) + 1) ** copies - 1, f"the join of {copies} copies")
+    within_budget(join_size(sum(x.complex.f_vector()), copies), f"the join of {copies} copies")
     return reduce(join, itertools.repeat(x, copies - 1), x)
 
 
@@ -309,9 +321,12 @@ def e_n_zp(n: int, p: int) -> FreeZpComplex:
     per copy.  The discrete factors are disconnected, so the result is not
     flagged as simply connected.  It is a flag complex: two vertices are
     adjacent iff they lie in different copies, so a clique picks at most one
-    vertex per copy, and is a simplex.
+    vertex per copy, and is a simplex.  Its (p + 1)^(n + 1) - 1 simplices
+    are checked before the p vertices are built.
     """
-    return join_power(make_discrete_zp(p), whole(n, "n") + 1)
+    copies = whole(n, "n") + 1
+    within_budget(join_size(prime(p), copies), f"the join of {copies} copies")
+    return join_power(make_discrete_zp(p), copies)
 
 
 def subdivision_size(f_vector) -> int:
@@ -352,7 +367,8 @@ def barycentric_subdivide(x: FreeZpComplex) -> FreeZpComplex:
 
 # ---------------------------------------------------------------------------
 # JSON interchange: {"p", "vertices", "perm", "simplices"} with maximal
-# simplices only; the downward closure is recomputed on load.
+# simplices only; the downward closure is recomputed on load.  `vertices`
+# counts the vertices, and each one lies in a listed simplex.
 
 def complex_to_json_dict(x: FreeZpComplex) -> dict:
     return {

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import compress, repeat
 from math import gcd, isqrt
-from operator import add, and_, itemgetter, mul
+from operator import add, and_, itemgetter
 
 from .errors import BudgetExceeded, ValidationError, whole
-from .fplinalg import prime
+from .fplinalg import cut_power, prime
 from .simplicial import FreeZpComplex, SimplicialComplex, ZpAction
 
 Word = tuple[int, ...]
@@ -148,7 +148,7 @@ def periodic_points(shift: Subshift, n: int, budget: int = DEFAULT_ENUM_BUDGET) 
 def as_free_zp_complex(words) -> FreeZpComplex:
     """Distinct words of one prime length p, closed under `rotate`, as a
     discrete free Z_p-set: vertex i is the i-th word and T rotates it.
-    `FreeZpComplex` refuses a word that T fixes."""
+    `ZpAction` refuses a word that T fixes."""
     words = list(words)
     if not words:
         raise ValidationError("empty periodic-point set carries no free action")
@@ -209,20 +209,8 @@ def _count(allowed: list[list[int]], window: int, n: int, cap: int) -> int:
     """min(cap, the period-n points) = min(cap, tr(A^(n/g))^g), g = gcd(window, n);
     the g-th power is that of a 1 x 1 matrix, so it is cut the same way."""
     g = gcd(window, n)
-    walks = _power(allowed, n // g, cap)
-    return _power([[sum(walks[i][i] for i in range(len(walks)))]], g, cap)[0][0]
-
-
-def _power(matrix: list[list[int]], e: int, cap: int) -> list[list[int]]:
-    """matrix^e, each entry of each product cut to min(entry, cap)."""
-    def times(x, y):
-        return [[min(sum(map(mul, row, col)), cap) for col in zip(*y)] for row in x]
-    result = [[int(i == j) for j in range(len(matrix))] for i in range(len(matrix))]
-    while e:
-        if e & 1:
-            result = times(result, matrix)
-        matrix, e = times(matrix, matrix), e >> 1
-    return result
+    walks = cut_power(allowed, n // g, cap)
+    return cut_power([[sum(walks[i][i] for i in range(len(walks)))]], g, cap)[0][0]
 
 
 def _totients(n: int) -> dict[int, int]:

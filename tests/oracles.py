@@ -26,14 +26,21 @@ numbers come from every boundary column (the library clears those that
 must reduce to zero), a complex is flag when networkx finds no clique
 of its 1-skeleton that is not a simplex (the library counts cliques level
 by level and never lists them),
-and geometric constraints are re-checked with Fraction arithmetic straight
-from the definitions.
+geometric constraints are re-checked with Fraction arithmetic straight
+from the definitions, and primes come from trial division (the library runs
+the Miller-Rabin test).
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product, takewhile
+from math import isqrt
 
 import networkx as nx
+
+
+def trial_division_prime(n):
+    """True iff n >= 2 has no divisor in 2..isqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def dense_fp_rank(rows, p):
@@ -527,10 +534,7 @@ def plain_vertex_map_search(source, target, budget):
     a time: the orbit's i-th vertex goes to T^i t for every target vertex t
     in ascending order.  Each placement is one node; it is kept when every
     source simplex whose vertices are all placed now maps onto a target
-    simplex.  After a full placement, every label of the source that lies
-    in no simplex goes along its cycle to the cycle of the least target
-    label whose cycle has the same length, the i-th label to the i-th.
-    Returns (vertex map, nodes) for the first full placement, or
+    simplex.  Returns (vertex map, nodes) for the first full placement, or
     (None, nodes) after every placement was tried; raises OverBudget when
     the node count passes `budget`."""
     present = sorted(s[0] for s in source.complex.simplices() if len(s) == 1)
@@ -579,13 +583,4 @@ def plain_vertex_map_search(source, target, budget):
 
     if not place(0):
         return None, nodes
-    target_cycles = [cycle(target.action.perm, t) for t in range(len(target.action.perm))]
-    for v in range(len(vertex_map)):
-        if vertex_map[v] == -1:
-            walk = cycle(source.action.perm, v)
-            image = next((c for c in target_cycles if len(c) == len(walk)), None)
-            if image is None:
-                raise ValueError(f"no target label for source label {v}")
-            for u, t in zip(walk, image):
-                vertex_map[u] = t
     return tuple(vertex_map), nodes

@@ -106,22 +106,21 @@ class TestSearch:
 
 class TestSubdivideTimes:
     def test_dimension_0_subdivided_at_most_once(self, monkeypatch):
-        """The first subdivision of three points on the labels {0, 2, 4} of 6
-        renumbers them 0..2; each later one returns its input, so a depth of
-        10^9 subdivides once."""
-        x = FreeZpComplex(SimplicialComplex.from_simplices(6, [(0,), (2,), (4,)]),
-                          ZpAction(3, (2, 3, 4, 5, 0, 1)))
-        once = barycentric_subdivide(x)
-        assert once.complex.vertex_count == 3 and barycentric_subdivide(once) == once
-        calls = []
+        """Three points on the labels {0, 2, 4} of 6 are refused, so no
+        subdivision renumbers labels.  A complex of dimension <= 0 is its own
+        subdivision, and a depth of 10^9 subdivides it no time at all."""
+        with pytest.raises(ValidationError, match="label 1 lies in no simplex"):
+            SimplicialComplex.from_simplices(6, [(0,), (2,), (4,)])
+        points = make_discrete_zp(3)
+        empty = FreeZpComplex(SimplicialComplex(0, []), ZpAction(3, ()))
+        assert barycentric_subdivide(points) == points
+        assert barycentric_subdivide(empty) == empty
 
-        def only_once(y):
-            assert not calls, "a 0-dimensional complex subdivided twice"
-            calls.append(y)
-            return barycentric_subdivide(y)
-        monkeypatch.setattr(zpindex.certificates, "barycentric_subdivide", only_once)
-        assert subdivide_times(x, 0) is x
-        assert subdivide_times(x, 10 ** 9) == once and calls == [x]
+        def never(y):
+            raise AssertionError("a complex of dimension <= 0 subdivided")
+        monkeypatch.setattr(zpindex.certificates, "barycentric_subdivide", never)
+        for x in (points, empty):
+            assert subdivide_times(x, 0) is x and subdivide_times(x, 10 ** 9) is x
 
 
 class TestCoindexLower:

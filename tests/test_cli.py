@@ -23,13 +23,11 @@ from zpindex.certificates import (
 from zpindex.cli import build_parser, canonical_json, main
 from zpindex.cubical import GridSpec, build_pp_xm
 from zpindex.simplicial import (
-    complex_from_json_dict,
     complex_to_json_dict,
     content_key,
     e_n_zp,
     make_discrete_zp,
 )
-from zpindex.verify import check_vertex_map
 
 
 def run(capsys, *argv):
@@ -121,26 +119,22 @@ class TestSubcommands:
         "search-map --source {source} --target {d}/e0p3.json",
         "ind --space file --input {source} --p 3 --target 0",
     ], ids=["search-map", "ind-file"])
-    def test_labels_in_no_simplex_are_mapped(self, tmp_path, capsys, argv):
+    def test_labels_in_no_simplex_are_2(self, tmp_path, capsys, argv):
         # labels 3, 4 and 5 form an orbit that lies in no simplex
         source = tmp_path / "source.json"
         source.write_text(json.dumps(dict(E0P3, vertices=6, perm=[1, 2, 0, 4, 5, 3])))
         (tmp_path / "e0p3.json").write_text(json.dumps(E0P3))
-        code, art = run(capsys, *argv.format(source=source, d=tmp_path).split())
-        assert code == 0
-        result = art["result"]
-        found = (result["vertex_map"] if "vertex_map" in result
-                 else result["certificate"]["evidence"]["vertex_map"])
-        source_cx = complex_from_json_dict(json.loads(source.read_text()))
-        assert check_vertex_map(source_cx, complex_from_json_dict(E0P3), found) == []
+        assert main(argv.format(source=source, d=tmp_path).split()) == 2
+        assert "label 3 lies in no simplex" in capsys.readouterr().err
 
     def test_fixed_label_into_free_target_is_2(self, tmp_path, capsys):
         source = tmp_path / "source.json"
-        source.write_text(json.dumps(dict(E0P3, vertices=4, perm=[1, 2, 0, 3])))
+        source.write_text(json.dumps(dict(E0P3, vertices=4, perm=[1, 2, 0, 3],
+                                          simplices=[[0], [1], [2], [3]])))
         (tmp_path / "e0p3.json").write_text(json.dumps(E0P3))
         code = main(["search-map", "--source", str(source),
                      "--target", str(tmp_path / "e0p3.json")])
-        assert "source label 3 lies in a cycle of length 1" in capsys.readouterr().err
+        assert "label 3 lies in a cycle of length 1, not p = 3" in capsys.readouterr().err
         assert code == 2
 
     def test_config_space_and_cubical_homology(self, capsys):
@@ -890,6 +884,24 @@ class TestProcessExitCodes:
                                    "simplices": [list(range(40))]}))
         assert zpindex_process(*argv.format(big=big).split(), cwd=tmp_path) == 3
 
+    @pytest.mark.parametrize("argv", [
+        "enzp --n 10000 --p 2",
+        "ind --space Z --p 3 --grid 3 --target 10000",
+        "coind --space enzp --n 1 --p 2 --target 10000",
+        "homology --input {big} --coeff 2",
+        "enzp --n 30000000 --p 2",
+        "enzp --n 0 --p 10000019",
+    ], ids=["enzp-past-the-digit-limit", "ind-model", "coind-model", "closure-past-the-digit-limit",
+            "enzp-huge-n", "enzp-huge-p"])
+    def test_huge_size_is_3_at_once(self, tmp_path, argv):
+        # the first four sizes have over 4,300 digits, which str refuses to
+        # print; 3^30000001 took 22 s to compute, and E_0(Z_10000019) built
+        # its 10,000,019 vertices before the budget was checked
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"p": 2, "vertices": 15000, "perm": [v ^ 1 for v in range(15000)],
+                                   "simplices": [list(range(15000))]}))
+        assert zpindex_process(*argv.format(big=big).split(), cwd=tmp_path, timeout=10) == 3
+
     def test_raised_depth_is_2_at_once(self, tmp_path):
         # E_1(Z_3) at depth 0 claimed at depth 40: refused before the model
         # is subdivided, not after it has grown to the cell budget (exit 3)
@@ -904,11 +916,10 @@ class TestProcessExitCodes:
         "subdivide --input {points} --depth 1000000000",
     ], ids=["coind", "subdivide"])
     def test_dimension_0_at_a_huge_depth_is_0(self, tmp_path, argv):
-        # each subdivision after the first returns its input, at about 25 us
-        # a step: 10^9 of them would take hours
+        # a 0-dimensional complex is its own subdivision: at about 25 us a
+        # step, 10^9 of them would take hours
         points = tmp_path / "points.json"
-        points.write_text(json.dumps({"p": 3, "vertices": 6, "perm": [2, 3, 4, 5, 0, 1],
-                                      "simplices": [[0], [2], [4]]}))
+        points.write_text(json.dumps(E0P3))
         assert zpindex_process(*argv.format(points=points).split(), cwd=tmp_path,
                                timeout=10) == 0
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -473,29 +474,35 @@ XM_PARAMS = [(N, p, G, m, delta) for N, p, G, m, delta in itertools.product(
              if (2 * G + 1) ** (p * N) <= 5000 and m % p]
 
 
-def _admissible_complexes():
+CIRCLE_PARAMS = [(p, G) for p, G in itertools.product((2, 3, 5), (1, 2, 3, 4))
+                 if (4 * G) ** p <= 5000]
+ADMISSIBLE_GRIDS = list(dict.fromkeys(
+    [(p, GridSpec(1, G, circle_valued=True)) for p, G in CIRCLE_PARAMS]
+    + [(p, GridSpec(N, G)) for N, p, G, _, _ in XM_PARAMS]))
+
+
+@functools.cache
+def admissible():
     """(complex, G, circle_valued) for each distinct X_m, Y or Z complex with
     G <= 4 and at most 5,000 candidate cells ((4G)^p on the circle,
-    (2G+1)^(pN) on the cube), X_m with m prime to p."""
+    (2G+1)^(pN) on the cube), X_m with m prime to p.  Built when first
+    drawn, so that a faulty judge fails the tests that draw them, not the
+    collection of the module."""
     found = {}
-    for kind, p, G in itertools.product("YZ", (2, 3, 5), (1, 2, 3, 4)):
-        if (4 * G) ** p <= 5000:
-            cx = build_pp_yz(kind, p, GridSpec(1, G, circle_valued=True))
-            found.setdefault((p, cx.grid, cx.cells), (cx, G, True))
+    for kind, (p, G) in itertools.product("YZ", CIRCLE_PARAMS):
+        cx = build_pp_yz(kind, p, GridSpec(1, G, circle_valued=True))
+        found.setdefault((p, cx.grid, cx.cells), (cx, G, True))
     for N, p, G, m, delta in XM_PARAMS:
         cx = build_pp_xm(N, delta, m, p, GridSpec(N, G))
         found.setdefault((p, cx.grid, cx.cells), (cx, G, False))
     return sorted(found.values(), key=lambda entry: len(entry[0].cells))
 
 
-ADMISSIBLE = _admissible_complexes()
-
-
 @st.composite
 def small_complexes(draw, max_cells=5000):
     """(complex, G, circle_valued): an admissible complex of at most
     max_cells cells, three draws in four one of 50 cells or more."""
-    fits = [entry for entry in ADMISSIBLE if len(entry[0].cells) <= max_cells]
+    fits = [entry for entry in admissible() if len(entry[0].cells) <= max_cells]
     large = draw(st.integers(0, 3)) > 0
     entry = draw(st.sampled_from([e for e in fits if (len(e[0].cells) >= 50) == large]))
     size = len(entry[0].cells)
@@ -572,9 +579,6 @@ class TestFaces:
                                        constraint.forbidden_test(grid), 10 ** 7))
         cells = [tuple(boxes[k] for k in word) for word in words]
         assert cells == sorted(cells) and cells
-
-
-ADMISSIBLE_GRIDS = list(dict.fromkeys((cx.p, cx.grid) for cx, _, _ in ADMISSIBLE))
 
 
 class TestCodes:

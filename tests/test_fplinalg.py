@@ -1,16 +1,17 @@
 import copy
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import dense_fp_rank
+from oracles import dense_fp_rank, trial_division_prime
 from zpindex import cli, fplinalg
 from zpindex.cubical import GridSpec, build_pp_xm, build_pp_yz, cubical_homology
 from zpindex.errors import ValidationError
-from zpindex.fplinalg import betti_numbers, fp_rank
+from zpindex.fplinalg import PRIME_LIMIT, betti_numbers, fp_rank, prime
 from zpindex.simplicial import barycentric_subdivide, e_n_zp, homology
 
 
@@ -162,3 +163,42 @@ class TestDriver:
     def test_non_prime_coefficients_rejected(self):
         with pytest.raises(ValidationError):
             betti_numbers([[(0,)]], lambda cell: (), 4, False)
+
+
+def is_prime(n):
+    try:
+        return prime(n) == n
+    except ValidationError:
+        return False
+
+
+class TestPrime:
+    """Miller-Rabin to the prime bases up to 41 against trial division."""
+
+    def test_every_int_below_10_to_the_5(self):
+        assert [n for n in range(-2, 10 ** 5) if is_prime(n) != trial_division_prime(n)] == []
+
+    @given(st.integers(10 ** 5, 10 ** 10) | st.integers(2, 10 ** 5).map(lambda n: n * (n + 2)))
+    def test_drawn_large_ints(self, n):
+        assert is_prime(n) == trial_division_prime(n)
+
+    @pytest.mark.parametrize("n", [
+        2047, 3215031751, 3825123056546413051,
+        # the least strong pseudoprime to every prime base up to 37: 41 refuses it
+        318665857834031151167461,
+    ])
+    def test_strong_pseudoprimes_to_fewer_bases_refused(self, n):
+        assert not is_prime(n)
+
+    def test_17_digits_answered_at_once(self):
+        # trial division took about 10 s on this prime
+        start = time.perf_counter()
+        assert prime(10000000000000061) == 10000000000000061
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("n", [PRIME_LIMIT, 2 ** 89 - 1, 10 ** 5000],
+                             ids=["limit", "mersenne-89", "past-the-digit-limit"])
+    def test_past_the_limit_refused(self, n):
+        # a Mersenne prime of 27 digits too; the bound is printed, not n
+        with pytest.raises(ValidationError, match=f"p must be below {PRIME_LIMIT}"):
+            prime(n)

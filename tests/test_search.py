@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import OverBudget, is_flag, plain_vertex_map_search
 from zpindex.cli import main
 from zpindex.cubical import GridSpec, build_pp_xm, build_pp_yz, cubical_to_simplicial
-from zpindex.errors import BudgetExceeded
+from zpindex.errors import BudgetExceeded, ValidationError
 from zpindex.search import _flag_up_to, find_equivariant_vertex_map
 from zpindex.simplicial import (
     FreeZpComplex,
@@ -80,7 +80,7 @@ def spaces(draw, p, lean=1):
     """A join of 1-3 (1-2 at p = 5) discrete, periodic-orbit or (p = 3,
     weighted twice) triangle-boundary factors, maybe subdivided once, or a
     small X_1 or Z triangulation; then maybe cut down to a random invariant
-    subcomplex (which leaves vertex labels unused) and maybe relabelled at
+    subcomplex, its vertices renumbered in order, and maybe relabelled at
     random.  The join, and leaving it unsubdivided, are each drawn `lean`
     times as often as the other way."""
     towards = st.sampled_from([True] * lean + [False])
@@ -97,9 +97,10 @@ def spaces(draw, p, lean=1):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         orbits = sorted({simplex_orbit(x, s) for s in x.complex.maximal_simplices()})
-        kept = rng.sample(orbits, rng.randint(1, len(orbits)))
-        cx = SimplicialComplex.from_simplices(x.complex.vertex_count, [s for o in kept for s in o])
-        x = FreeZpComplex(cx, x.action)
+        kept = [s for o in rng.sample(orbits, rng.randint(1, len(orbits))) for s in o]
+        label = {v: i for i, v in enumerate(sorted({v for s in kept for v in s}))}
+        cx = SimplicialComplex.from_simplices(len(label), [[label[v] for v in s] for s in kept])
+        x = FreeZpComplex(cx, ZpAction(x.p, tuple(label[x.action.perm[v]] for v in label)))
     if draw(st.booleans()):
         label = list(range(x.complex.vertex_count))
         rng.shuffle(label)
@@ -152,11 +153,12 @@ class TestAgainstPlainBacktracking:
             assert check_vertex_map(source, target, found[0]) == []
 
 
-def test_source_without_simplices_maps_every_label():
-    source = FreeZpComplex(SimplicialComplex.from_simplices(3, []), ZpAction(3, (1, 2, 0)))
-    target = e_n_zp(0, 3)
-    vertex_map, nodes = find_equivariant_vertex_map(source, target)
-    assert nodes == 0 and check_vertex_map(source, target, vertex_map) == []
+def test_source_without_simplices_is_refused():
+    # its labels would lie in no simplex; the empty source maps at no node
+    with pytest.raises(ValidationError, match="label 0 lies in no simplex"):
+        SimplicialComplex.from_simplices(3, [])
+    empty = FreeZpComplex(SimplicialComplex(0, []), ZpAction(3, ()))
+    assert find_equivariant_vertex_map(empty, e_n_zp(0, 3)) == ((), 0)
 
 
 def test_long_source_without_recursion():

@@ -21,7 +21,7 @@ from oracles import (
     vertex_map_problems,
 )
 from zpindex.cubical import GridSpec, build_pp_xm, cubical_to_simplicial
-from zpindex.errors import DEFAULT_CELL_BUDGET, BudgetExceeded, ValidationError
+from zpindex.errors import DEFAULT_CELL_BUDGET, SIZE_CAP, BudgetExceeded, ValidationError
 from zpindex.simplicial import (
     FreeZpComplex,
     SimplicialComplex,
@@ -34,6 +34,7 @@ from zpindex.simplicial import (
     homology,
     join,
     join_power,
+    join_size,
     make_discrete_zp,
     subdivision_size,
 )
@@ -209,7 +210,8 @@ def free_complexes(draw):
     """The Z_p-images of a few drawn simplices over 1-4 vertex orbits
     (vertex v moves to v + 1 within its orbit of p).  A drawn simplex that
     holds a whole orbit loses that orbit's last vertex, so no face is
-    setwise fixed and the action is free."""
+    setwise fixed and the action is free.  The orbits no simplex meets are
+    left out, and the rest renumbered in order."""
     p = draw(st.sampled_from([2, 3]))
     orbits = draw(st.integers(1, 4))
     perm = tuple(v - v % p + (v + 1) % p for v in range(orbits * p))
@@ -221,7 +223,11 @@ def free_complexes(draw):
         for _ in range(p):
             images.append(tuple(s))
             s = {perm[v] for v in s}
-    return FreeZpComplex(SimplicialComplex.from_simplices(orbits * p, images), ZpAction(p, perm))
+    kept = sorted({v // p for s in images for v in s})
+    label = {o * p + j: k * p + j for k, o in enumerate(kept) for j in range(p)}
+    images = [tuple(map(label.__getitem__, s)) for s in images]
+    return FreeZpComplex(SimplicialComplex.from_simplices(len(label), images),
+                         ZpAction(p, perm[:len(label)]))
 
 
 class TestJoinSize:
@@ -233,6 +239,29 @@ class TestJoinSize:
         assert sum(join(x, y).complex.f_vector()) == \
             (size + 1) * (sum(y.complex.f_vector()) + 1) - 1
         assert sum(join_power(x, copies).complex.f_vector()) == (size + 1) ** copies - 1
+
+    def test_sizes_cut_at_the_cap(self):
+        # exact below SIZE_CAP; a cut size is named, and counted, as SIZE_CAP
+        assert join_size(7, 8) == 8 ** 8 - 1 and join_size(7, 0) == join_size(0, 10 ** 12) == 0
+        assert join_size(SIZE_CAP - 1, 1) == SIZE_CAP - 1 and join_size(SIZE_CAP, 1) == SIZE_CAP
+        assert join_size(1, 10 ** 12) == SIZE_CAP
+        for build, what in ((lambda: e_n_zp(10000, 2), "the join of 10001 copies"),
+                            (lambda: join_power(make_discrete_zp(2), 10 ** 12),
+                             f"the join of {10 ** 12} copies"),
+                            (lambda: complex_from_json_dict(
+                                {"p": 2, "vertices": 15000, "perm": [v ^ 1 for v in range(15000)],
+                                 "simplices": [list(range(15000))]}), "the closure")):
+            with pytest.raises(BudgetExceeded, match=f"{what} would have at least {SIZE_CAP} "
+                                                     "simplices, above the budget") as raised:
+                build()
+            assert raised.value.count == SIZE_CAP
+
+    def test_model_size_checked_before_its_vertices(self, monkeypatch):
+        def built(p):
+            raise AssertionError("the vertices were built")
+        monkeypatch.setattr(zpindex.simplicial, "make_discrete_zp", built)
+        with pytest.raises(BudgetExceeded, match="the join of 1 copies would have 10000019 "):
+            e_n_zp(0, 10000019)
 
     def test_oversized_join_refused_before_building(self, monkeypatch):
         # E_7(Z_7) joins 8 copies of Z_7 (7 simplices), and E_3(Z_7) * E_3(Z_7)
@@ -351,8 +380,11 @@ class TestLevelChecks:
         (2.7, [[(0,), (1,)]], "vertex count 2.7 must be an integer >= 0"),
         (True, [[(0,)]], "vertex count True must be an integer >= 0"),
         (-1, [], "vertex count -1 must be an integer >= 0"),
+        (4, [[(0,), (1,), (3,)], [(0, 3)]], "label 2 lies in no simplex"),
+        (1, [], "label 0 lies in no simplex"),
     ], ids=["negative-vertex", "vertex-beyond-count", "float-vertex", "bool-vertices",
-            "float-vertex-count", "bool-vertex-count", "negative-vertex-count"])
+            "float-vertex-count", "bool-vertex-count", "negative-vertex-count",
+            "label-in-no-simplex", "no-simplices"])
     def test_complex_check_refuses(self, vertex_count, by_dim, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             SimplicialComplex(vertex_count, by_dim)
@@ -379,10 +411,10 @@ class TestLevelChecks:
         (4, [(0, 2), (1, 2), (3,)], 2, (1, 0, 3, 2),
          "action is not simplicial: image of (0, 2) missing"),
         # the top level maps onto itself; a lower maximal simplex does not
-        (6, [(0, 1), (2, 3), (4,)], 2, (2, 3, 0, 1, 5, 4),
-         "action is not simplicial: image of (4,) missing"),
+        (10, [(0, 1, 2), (3, 4, 5), (6, 7), (8,), (9,)], 2, (3, 4, 5, 0, 1, 2, 8, 9, 6, 7),
+         "action is not simplicial: image of (6, 7) missing"),
         (2, [(0, 1)], 2, (1, 0), "action is not free: (0, 1) is setwise fixed"),
-        (3, [(0,), (1,), (2,)], 2, (1, 0, 2), "action is not free: (2,) is setwise fixed"),
+        (3, [(0,), (1,), (2,)], 2, (1, 0, 2), "label 2 lies in a cycle of length 1, not p = 2"),
         (2, [(0,), (1,)], 2, (True, False), "perm must hold integers"),
         (2, [(0,), (1,)], 2.0, (1, 0), "p=2.0 is not prime"),
     ], ids=["perm-length", "non-simplicial-vertex-image", "non-simplicial-edge-image",
@@ -449,10 +481,10 @@ def damaged_complexes(draw):
 @st.composite
 def acted_complexes(draw, closed=False):
     """(complex, p, perm): seed simplices with some of their images under a
-    prime-order permutation, closed downward, on len(perm) vertices or one
-    more.  `closed`: a permutation without fixed points, every image and
-    len(perm) vertices, so that only a setwise-fixed seed can spoil it."""
-    p, perm = draw(free_perms() if closed else prime_order_perms())
+    permutation of p-cycles, and every label as a vertex, closed downward,
+    on len(perm) vertices or one more.  `closed`: every image and len(perm)
+    vertices, so that only a setwise-fixed seed can spoil it."""
+    p, perm = draw(free_perms())
     seeds = draw(st.lists(st.sets(st.integers(0, len(perm) - 1), min_size=1, max_size=3),
                           max_size=4))
     steps = p if closed else draw(st.integers(1, p))
@@ -462,6 +494,7 @@ def acted_complexes(draw, closed=False):
             family.add(tuple(sorted(s)))
             s = {perm[v] for v in s}
     extra = 0 if closed else draw(st.sampled_from([0, 0, 0, 1]))
+    family.update((v,) for v in range(len(perm) + extra))
     return SimplicialComplex.from_simplices(len(perm) + extra, family), p, perm
 
 
@@ -476,7 +509,8 @@ class TestLevelChecksMatchOracle:
     def test_complex_refused_iff_oracle_refuses(self, case):
         n, by_dim = case
         given = [s for level in by_dim for s in level]
-        if n >= 0 and all(s and all(type(v) is int and 0 <= v < n for v in s) for s in given):
+        if n >= 0 and all(s and all(type(v) is int and 0 <= v < n for v in s) for s in given) \
+                and {v for s in given for v in s} == set(range(n)):
             closure = brute_force_closure(given)
             top = max(map(len, closure), default=0)
             assert SimplicialComplex(n, by_dim).by_dim == tuple(
@@ -489,10 +523,11 @@ class TestLevelChecksMatchOracle:
     @given(acted_complexes())
     # the first bad simplex is a fixed edge below two maximal triangles
     @example((SimplicialComplex.from_simplices(4, [(0, 1, 2), (0, 1, 3)]), 2, (1, 0, 3, 2)))
-    # a fixed vertex comes before a vertex whose image is missing
-    @example((SimplicialComplex.from_simplices(4, [(0,), (1, 3)]), 2, (0, 2, 1, 3)))
-    # a missing vertex image comes before a fixed edge
-    @example((SimplicialComplex.from_simplices(4, [(0, 1), (2,)]), 2, (1, 0, 3, 2)))
+    # a missing edge image comes before a fixed triangle
+    @example((SimplicialComplex.from_simplices(6, [(0, 1, 2), (3, 4), (5,)]), 3,
+              (1, 2, 0, 4, 5, 3)))
+    # a missing edge image comes before a fixed edge of its level
+    @example((SimplicialComplex.from_simplices(4, [(0, 1), (0, 2), (3,)]), 2, (2, 3, 0, 1)))
     def test_action_refused_iff_oracle_refuses(self, case):
         """Refused iff the oracle refuses, and with the message naming the
         oracle's first bad simplex in level order; the fast check reads only
@@ -592,10 +627,9 @@ class TestVertexMapFastPath:
     # test and not the collection of the module
     @pytest.mark.parametrize("build,vertex_map", [
         (lambda: FreeZpComplex(SimplicialComplex(0, []), ZpAction(3, ())), ()),
-        (lambda: FreeZpComplex(SimplicialComplex(3, []), ZpAction(3, (1, 2, 0))), (0, 2, 1)),
         (lambda: make_discrete_zp(3), (3, 4, 5)),
         (lambda: make_discrete_zp(3), (3, 5, 4)),
-    ], ids=["empty", "no-simplices-not-equivariant", "coind-shaped", "coind-not-equivariant"])
+    ], ids=["empty", "coind-shaped", "coind-not-equivariant"])
     def test_sources_of_dimension_at_most_0(self, build, vertex_map):
         # the table then holds no more than the target's vertices
         source, target = build(), e_n_zp(3, 3)
@@ -669,58 +703,57 @@ class TestJsonInterchange:
 
 
 @st.composite
-def prime_order_perms(draw):
-    """(p, perm): a random permutation made of p-cycles and fixed points."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    n_cycles = draw(st.integers(1, 3))
-    n_fixed = draw(st.integers(0, 3))
-    labels = draw(st.permutations(range(n_cycles * p + n_fixed)))
+def free_perms(draw):
+    """(p, perm): a random permutation made of p-cycles only."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    labels = draw(st.permutations(range(draw(st.integers(1, 3)) * p)))
     perm = list(range(len(labels)))
-    for c in range(n_cycles):
+    for c in range(0, len(labels), p):
         for i in range(p):
-            perm[labels[c * p + i]] = labels[c * p + (i + 1) % p]
+            perm[labels[c + i]] = labels[c + (i + 1) % p]
     return p, tuple(perm)
 
 
 class TestActionProperties:
-    @given(prime_order_perms())
+    @given(free_perms())
     def test_cycles_partition_and_close(self, p_perm):
-        # the oracle's cycles partition and close; on the vertices the
-        # permutation moves, they are the free complex's vertex orbits
+        # the oracle's cycles partition and close, and they are the free
+        # complex's vertex orbits
         p, perm = p_perm
         found = cycles(range(len(perm)), perm.__getitem__)
         assert sorted(v for c in found for v in c) == list(range(len(perm)))
         for c in found:
             assert all(perm[c[i]] == c[(i + 1) % len(c)] for i in range(len(c)))
-        moved = [v for v in range(len(perm)) if perm[v] != v]
-        x = FreeZpComplex(SimplicialComplex.from_simplices(len(perm), [(v,) for v in moved]),
+        x = FreeZpComplex(SimplicialComplex(len(perm), [[(v,) for v in range(len(perm))]]),
                           ZpAction(p, perm))
-        assert x.vertex_orbits() == cycles(moved, perm.__getitem__)
+        assert x.vertex_orbits() == found
 
-    @given(prime_order_perms(), st.data())
-    def test_action_takes_exactly_cycles_of_length_1_or_p(self, p_perm, data):
+    @given(free_perms(), st.data())
+    def test_action_takes_exactly_cycles_of_length_p(self, p_perm, data):
         # every draw is accepted, with the oracle's cycles; a cycle of any
-        # other length, at random labels, is refused
+        # other length, a fixed label included, at random labels is refused
+        # and its least label named
         p, perm = p_perm
-        assert _cycles(ZpAction(p, perm).perm, range(len(perm))) == cycles(
-            range(len(perm)), perm.__getitem__)
-        length = data.draw(st.integers(2, 8).filter(lambda k: k != p))
+        assert _cycles(ZpAction(p, perm).perm) == cycles(range(len(perm)), perm.__getitem__)
+        length = data.draw(st.integers(1, 8).filter(lambda k: k != p))
         n = len(perm) + length
         grown = perm + tuple(len(perm) + (i + 1) % length for i in range(length))
         label = data.draw(st.permutations(range(n)))
         bad = [0] * n
         for v, image in enumerate(grown):
             bad[label[v]] = label[image]
-        with pytest.raises(ValidationError, match=r"perm\^p is not the identity"):
+        least = min(label[len(perm):])
+        message = f"label {least} lies in a cycle of length {length}, not p = {p}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             ZpAction(p, tuple(bad))
 
-    @given(prime_order_perms(), st.data())
+    @given(free_perms(), st.data())
     def test_generator_freeness_check_matches_all_powers(self, p_perm, data):
         p, perm = p_perm
         seeds = data.draw(st.lists(
             st.sets(st.integers(0, len(perm) - 1), min_size=1, max_size=3), max_size=4))
         # Close the seeds under the action so that it is simplicial.
-        closed = set()
+        closed = {(v,) for v in range(len(perm))}
         for s in seeds:
             for _ in range(p):
                 closed.add(tuple(sorted(s)))
@@ -737,25 +770,15 @@ class TestActionProperties:
 
 
 @st.composite
-def free_perms(draw):
-    """(p, perm): a random permutation made of p-cycles only."""
-    p = draw(st.sampled_from([2, 3, 5]))
-    labels = draw(st.permutations(range(draw(st.integers(1, 3)) * p)))
-    perm = list(range(len(labels)))
-    for c in range(0, len(labels), p):
-        for i in range(p):
-            perm[labels[c + i]] = labels[c + (i + 1) % p]
-    return p, tuple(perm)
-
-
-@st.composite
 def simplex_families(draw):
-    """(n, family): up to 8 vertex lists on n <= 7 vertices, each unsorted
-    and possibly repeating a vertex."""
+    """(n, family): 1 to 8 vertex lists on at most 7 vertices, each unsorted
+    and possibly repeating a vertex, with the n labels they hold renumbered
+    0..n-1 in order."""
     n = draw(st.integers(1, 7))
     vertex = st.integers(0, n - 1)
-    family = draw(st.lists(st.lists(vertex, min_size=1, max_size=n + 1), max_size=8))
-    return n, family
+    family = draw(st.lists(st.lists(vertex, min_size=1, max_size=n + 1), min_size=1, max_size=8))
+    label = {v: i for i, v in enumerate(sorted({v for s in family for v in s}))}
+    return len(label), [[label[v] for v in s] for s in family]
 
 
 # Three families that close to the triangle on 0, 1, 2, listing the faces

@@ -15,6 +15,7 @@ from oracles import (
 )
 from zpindex.cubical import GridSpec, build_pp_xm
 from zpindex.errors import BudgetExceeded, ValidationError
+from zpindex.fplinalg import cut_power
 from zpindex.simplicial import (
     FreeZpComplex,
     SimplicialComplex,
@@ -25,7 +26,6 @@ from zpindex.simplicial import (
 )
 from zpindex.subshifts import (
     Subshift,
-    _power,
     as_free_zp_complex,
     each_cyclic_word,
     make_sigma_m,
@@ -194,7 +194,8 @@ class TestRotation:
         assert rotate((1, 2, 3), 2) == rotate((1, 2, 3), -1) == (3, 1, 2)
 
     def test_validation_catches_bad_word(self):
-        with pytest.raises(ValidationError, match="not free"):  # rotation fixes 11
+        # rotation fixes 11
+        with pytest.raises(ValidationError, match="label 0 lies in a cycle of length 1, not p = 2"):
             as_free_zp_complex(((1, 1), (1, 2), (2, 1)))
 
 
@@ -373,7 +374,7 @@ class TestTable:
         for _ in range(e):
             power = [[sum(power[i][m] * matrix[m][j] for m in range(k)) for j in range(k)]
                      for i in range(k)]
-        assert _power(matrix, e, cap) == [[min(x, cap) for x in row] for row in power]
+        assert cut_power(matrix, e, cap) == [[min(x, cap) for x in row] for row in power]
 
     def test_empty_long_period_is_counted_at_once(self, monkeypatch):
         def no_divisors(n):

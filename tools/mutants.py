@@ -66,6 +66,12 @@ MUTANTS = (
              "if col and col[low := max(col)] % p and low not in pivots:",
              "if col and col[low := max(col)] % p:"),),
            ("tests/test_fplinalg.py::TestRankContract::test_lowest_row_already_a_pivot",)),
+    Mutant("Miller-Rabin without the base 41",
+           (("src/zpindex/fplinalg.py",
+             "29, 31, 37, 41)",
+             "29, 31, 37)"),),
+           ("tests/test_fplinalg.py::TestPrime::test_strong_pseudoprimes_to_fewer_bases_refused"
+            "[318665857834031151167461]",)),
     Mutant("simplicial faces all of sign +1",
            (("src/zpindex/simplicial.py",
              "signs = ((-1, 1) * len(starts), (1, -1) * len(starts))",
@@ -100,8 +106,8 @@ MUTANTS = (
             "tests/test_search.py::test_clique_count_matches_networkx")),
     Mutant("no shift bitsets for edges inside an orbit",
            (("src/zpindex/search.py",
-             "start = [reduce(and_, map(shifted.__getitem__, needed), everything) for needed in shifts]",
-             "start = [everything for needed in shifts]"),),
+             "start = [reduce(and_, map(shifted.__getitem__, needed), (1 << width) - 1) for needed in shifts]",
+             "start = [(1 << width) - 1 for needed in shifts]"),),
            ("tests/test_search.py::test_edges_inside_an_orbit_are_checked",
             "tests/test_search.py::TestAgainstPlainBacktracking::test_same_map_nodes_and_budget_raise")),
     Mutant("clique count without the +1 shift",
@@ -146,14 +152,14 @@ MUTANTS = (
              "nodes += 0"),),
            ("tests/test_search.py::test_witness_under_a_later_root_minimum",)),
     Mutant("matrix products not cut at the cap",
-           (("src/zpindex/subshifts.py",
+           (("src/zpindex/fplinalg.py",
              "return [[min(sum(map(mul, row, col)), cap) for col in zip(*y)] for row in x]",
              "return [[sum(map(mul, row, col)) for col in zip(*y)] for row in x]"),),
            (f"{TABLE}::test_cut_power_is_the_cut_true_power",)),
     Mutant("closed walks of length n in place of n/g",
            (("src/zpindex/subshifts.py",
-             "walks = _power(allowed, n // g, cap)",
-             "walks = _power(allowed, n, cap)"),),
+             "walks = cut_power(allowed, n // g, cap)",
+             "walks = cut_power(allowed, n, cap)"),),
            (f"{TABLE}::test_counts_match_brute_force", f"{TABLE}::test_no_word_is_built")),
     Mutant("Burnside weight 1 in place of phi(n/d)",
            (("src/zpindex/subshifts.py",
@@ -171,17 +177,36 @@ MUTANTS = (
              "nodes += size"),),
            (f"{ENUMERATOR}::test_same_tree_as_place_and_check",
             f"{ENUMERATOR}::test_emitted_words_count_against_budget")),
+    Mutant("a join size cut at SIZE_CAP itself",
+           (("src/zpindex/simplicial.py",
+             "cut_power([[size + 1]], copies, SIZE_CAP + 1)",
+             "cut_power([[size + 1]], copies, SIZE_CAP)"),),
+           ("tests/test_simplicial.py::TestJoinSize::test_sizes_cut_at_the_cap",)),
     Mutant("no vertex orbit test",
            (("src/zpindex/simplicial.py",
              "orbits = set(map(tuple, map(sorted, self.vertex_orbits())))",
              "orbits = set()"),),
            (f"{LEVEL_CHECKS}::test_action_check_refuses[fixed-edge]",
             "tests/test_simplicial.py::TestValidation::test_non_free_action_rejected")),
+    Mutant("labels in no simplex accepted",
+           (("src/zpindex/simplicial.py",
+             "if sum(map(len, levels[1:2])) < self.vertex_count:",
+             "if False:"),),
+           (f"{LEVEL_CHECKS}::test_complex_check_refuses[label-in-no-simplex]",
+            "tests/test_cli.py::TestSubcommands::test_labels_in_no_simplex_are_2[search-map]")),
+    # a label the action fixes is refused by ZpAction alone
     Mutant("fixed vertices not looked up",
            (("src/zpindex/simplicial.py",
-             "itertools.chain(*cx.by_dim[:1], *cx.by_dim[self.p - 1:self.p])",
-             "itertools.chain(*cx.by_dim[self.p - 1:self.p])"),),
-           (f"{LEVEL_CHECKS}::test_action_check_refuses[fixed-vertex]",)),
+             "for cycle in _cycles(self.perm):",
+             "for cycle in [c for c in _cycles(self.perm) if len(c) > 1]:"),),
+           (f"{LEVEL_CHECKS}::test_action_check_refuses[fixed-vertex]",
+            "tests/test_cli.py::TestSubcommands::test_fixed_label_into_free_target_is_2")),
+    Mutant("fixed labels accepted by ZpAction",
+           (("src/zpindex/simplicial.py",
+             "if len(cycle) != self.p:",
+             "if len(cycle) not in (1, self.p):"),),
+           (f"{LEVEL_CHECKS}::test_action_check_refuses[fixed-vertex]",
+            "tests/test_subshifts.py::TestRotation::test_validation_catches_bad_word")),
     Mutant("images checked against the top level only",
            (("src/zpindex/simplicial.py",
              "tops = set(cx._maximal)",
@@ -230,6 +255,11 @@ MUTANTS = (
              "2 * _circle_gap(a, b, two_g) < g",
              "3 * _circle_gap(a, b, two_g) < g"),),
            (f"{WINDOWS}::test_circle_pair[Z-3]", f"{ENUMERATION}::test_yz_matches_brute_force")),
+    Mutant("looser Y judge: antipodes off the grid points",
+           (("src/zpindex/cubical.py",
+             "xl == yl == 0 and (x - y) % two_g == g",
+             "(x - y) % two_g == g"),),
+           (f"{WINDOWS}::test_circle_pair[Y-3]", f"{ENUMERATION}::test_yz_matches_brute_force")),
     Mutant("stricter Y judge: the second pair never antipodal",
            (("src/zpindex/cubical.py",
              "or yl == zl == 0 and (y - z) % two_g == g",
@@ -237,7 +267,7 @@ MUTANTS = (
            (f"{WINDOWS}::test_circle_pair[Y-2]", f"{ENUMERATION}::test_yz_matches_brute_force")),
     Mutant("a 0-dimensional complex subdivided depth times",
            (("src/zpindex/certificates.py",
-             "range(depth if x.dim > 0 else min(depth, 1))",
+             "range(depth if x.dim > 0 else 0)",
              "range(depth)"),),
            ("tests/test_certificates.py::TestSubdivideTimes::test_dimension_0_subdivided_at_most_once",)),
     Mutant("report picks with the established test inverted",
