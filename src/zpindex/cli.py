@@ -221,11 +221,9 @@ def cmd_bound(bound, args):
 
 
 def _shift_from_args(args):
-    if args.shift == "sigma":
-        if args.m != 1:
-            raise ValidationError(f"--shift sigma is sigma_m with m = 1, not --m {args.m}; "
-                                  "use --shift sigma_m")
-        return make_sigma_m(1)
+    if args.shift == "sigma" and args.m != 1:
+        raise ValidationError(f"--shift sigma is sigma_m with m = 1, not --m {args.m}; "
+                              "use --shift sigma_m")
     return make_sigma_m(args.m)
 
 

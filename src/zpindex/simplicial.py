@@ -20,8 +20,8 @@ action moves every label: `_cycles` walks a permutation's cycles, which
 `ZpAction` holds to length p and `vertex_orbits` lists as vertex orbits.
 Every free Z_p-set of the package that is walked orbit by orbit is a vertex
 set walked by `vertex_orbits`; periodic words in `subshifts` become
-vertices, so their orbits are vertex orbits.  Every iterated join, E_n(Z_p)
-included, is `join_power`.
+vertices, so their orbits are vertex orbits.  Every iterated join is a left
+fold of `join`: `join_power`, or `e_n_zp`, which checks its size first.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ class SimplicialComplex:
                 zip(*cols[:j], *cols[j + 1:]) for j in range(len(cols) - 1, -1, -1)))
             maximal[:0] = tops = sorted(itertools.filterfalse(facets.__contains__, levels[size]))
             above = levels[size] = tuple(facets := sorted(itertools.chain(facets, tops)))
-        if sum(map(len, levels[1:2])) < self.vertex_count:
-            label = min(set(range(self.vertex_count)).difference(*itertools.chain(*levels[1:2])))
+        if len(vertices := levels[1] if by_size else ()) < self.vertex_count:
+            label = next((v for v, (u,) in enumerate(vertices) if u != v), len(vertices))
             raise ValidationError(f"label {label} lies in no simplex")
         object.__setattr__(self, "by_dim", tuple(levels[1:]))
         object.__setattr__(self, "_maximal", tuple(maximal))
@@ -326,7 +326,8 @@ def e_n_zp(n: int, p: int) -> FreeZpComplex:
     """
     copies = whole(n, "n") + 1
     within_budget(join_size(prime(p), copies), f"the join of {copies} copies")
-    return join_power(make_discrete_zp(p), copies)
+    x = make_discrete_zp(p)
+    return reduce(join, itertools.repeat(x, n), x)
 
 
 def subdivision_size(f_vector) -> int:

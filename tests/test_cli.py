@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -839,11 +840,14 @@ class TestCanonicalJson:
         assert canonical_json(value) == stdlib_text(value)
 
 
-def zpindex_process(*argv, cwd, timeout=60):
-    """Run `python -m zpindex.cli` in a process of its own: its exit code."""
+def zpindex_process(*argv, cwd, timeout=60, memory=None):
+    """Run `python -m zpindex.cli` in a process of its own, with at most
+    `memory` bytes of address space if given: its exit code."""
     env = dict(os.environ, PYTHONPATH=str(Path(zpindex.__file__).parents[1]))
+    limit = memory and (lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory)))
     return subprocess.run([sys.executable, "-m", "zpindex.cli", *map(str, argv)], cwd=cwd,
-                          env=env, capture_output=True, check=False, timeout=timeout).returncode
+                          env=env, capture_output=True, check=False, timeout=timeout,
+                          preexec_fn=limit).returncode
 
 
 class TestProcessExitCodes:
@@ -901,6 +905,16 @@ class TestProcessExitCodes:
         big.write_text(json.dumps({"p": 2, "vertices": 15000, "perm": [v ^ 1 for v in range(15000)],
                                    "simplices": [list(range(15000))]}))
         assert zpindex_process(*argv.format(big=big).split(), cwd=tmp_path, timeout=10) == 3
+
+    @pytest.mark.parametrize("simplices", [[[0], [1]], []], ids=["two-vertices", "no-simplices"])
+    def test_huge_vertex_count_is_2_at_once(self, tmp_path, simplices):
+        # the least label in no simplex is found from level 0, with no set of
+        # all 10^12 labels built: such a set fails at the 1 GB limit (exit 1)
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"p": 2, "vertices": 10 ** 12, "perm": [1, 0],
+                                   "simplices": simplices}))
+        assert zpindex_process("homology", "--input", big, "--coeff", "2",
+                               cwd=tmp_path, timeout=10, memory=2 ** 30) == 2
 
     def test_raised_depth_is_2_at_once(self, tmp_path):
         # E_1(Z_3) at depth 0 claimed at depth 40: refused before the model

@@ -190,22 +190,17 @@ MUTANTS = (
             "tests/test_simplicial.py::TestValidation::test_non_free_action_rejected")),
     Mutant("labels in no simplex accepted",
            (("src/zpindex/simplicial.py",
-             "if sum(map(len, levels[1:2])) < self.vertex_count:",
+             "if len(vertices := levels[1] if by_size else ()) < self.vertex_count:",
              "if False:"),),
            (f"{LEVEL_CHECKS}::test_complex_check_refuses[label-in-no-simplex]",
             "tests/test_cli.py::TestSubcommands::test_labels_in_no_simplex_are_2[search-map]")),
-    # a label the action fixes is refused by ZpAction alone
+    # ZpAction alone refuses a label the action fixes: fixed labels accepted there
     Mutant("fixed vertices not looked up",
-           (("src/zpindex/simplicial.py",
-             "for cycle in _cycles(self.perm):",
-             "for cycle in [c for c in _cycles(self.perm) if len(c) > 1]:"),),
-           (f"{LEVEL_CHECKS}::test_action_check_refuses[fixed-vertex]",
-            "tests/test_cli.py::TestSubcommands::test_fixed_label_into_free_target_is_2")),
-    Mutant("fixed labels accepted by ZpAction",
            (("src/zpindex/simplicial.py",
              "if len(cycle) != self.p:",
              "if len(cycle) not in (1, self.p):"),),
            (f"{LEVEL_CHECKS}::test_action_check_refuses[fixed-vertex]",
+            "tests/test_cli.py::TestSubcommands::test_fixed_label_into_free_target_is_2",
             "tests/test_subshifts.py::TestRotation::test_validation_catches_bad_word")),
     Mutant("images checked against the top level only",
            (("src/zpindex/simplicial.py",
