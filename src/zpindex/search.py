@@ -20,6 +20,13 @@ clique, so onto a simplex.  Other targets look larger simplices up in a table.
 Of each simplex orbit only the members that hold the representative of their
 last-placed vertex orbit are checked, so no action is applied to a simplex.
 
+A level is built when first read, so the search reads only what it uses:
+the edges of both complexes, the target's levels up to the source's
+dimension to count cliques and, on a target that is not flag, the source's
+levels above 0 and the target's for the table.  The neighbourhood bitsets
+take at least n(n+1)/2 bits on n target vertices, so past
+DEFAULT_CELL_BUDGET 64-bit words they are refused before any is built.
+
 `nodes` counts every (orbit, candidate) pair of the assignment tree,
 including the candidates a domain excludes: those are added arithmetically
 from the rank t + 1 of each tried vertex t among the target vertices.  So
@@ -58,16 +65,21 @@ from functools import partial, reduce
 from itertools import chain
 from operator import and_, rshift
 
-from .errors import BudgetExceeded, ValidationError, whole
+from .errors import DEFAULT_CELL_BUDGET, BudgetExceeded, ValidationError, whole
 from .simplicial import FreeZpComplex, SimplicialComplex, _columns, _cycles
 
 DEFAULT_BUDGET = 5_000_000
 
 
 def _closed_neighbourhoods(cx: SimplicialComplex) -> list[int]:
-    """Per vertex label v, N[v] as a bitset: v and its 1-skeleton neighbours."""
-    closed = [1 << v for v in range(cx.vertex_count)]
-    for a, b in chain.from_iterable(cx.by_dim[1:2]):
+    """Per vertex label v, N[v] as a bitset: v and its 1-skeleton neighbours;
+    refused before any is built past DEFAULT_CELL_BUDGET words (see above)."""
+    n = cx.vertex_count
+    if (words := n * (n + 1) // 128) > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(f"the neighbourhood bitsets of {n} target vertices would take "
+                             f"{words} words, above the budget {DEFAULT_CELL_BUDGET}")
+    closed = [1 << v for v in range(n)]
+    for a, b in cx.level(1):
         closed[a] |= 1 << b
         closed[b] |= 1 << a
     return closed
@@ -83,12 +95,11 @@ def _flag_up_to(cx: SimplicialComplex, size: int) -> bool:
     iff those counts sum to the number of simplices of k+1 vertices (0 above
     the top).  A collapsed image of a simplex is a smaller clique."""
     closed = _closed_neighbourhoods(cx)
-    levels = (*cx.by_dim, ())
-    for d in range(1, min(size - 1, len(cx.by_dim))):
-        cols = _columns(levels[d])
+    for d in range(1, min(size - 1, cx.dim + 1)):
+        cols = _columns(cx.level(d))
         common = reduce(partial(map, and_), [map(closed.__getitem__, col) for col in cols])
         above = map(rshift, common, map((1).__add__, cols[-1]))
-        if sum(map(int.bit_count, above)) != len(levels[d + 1]):
+        if sum(map(int.bit_count, above)) != len(cx.level(d + 1)):
             return False
     return True
 
@@ -126,7 +137,8 @@ def find_equivariant_vertex_map(
     pairs: list[set[int]] = [set() for _ in orbits]
     shifts: list[set[int]] = [set() for _ in orbits]
     ready: list[list[tuple[int, ...]]] = [[] for _ in orbits]
-    for s in chain.from_iterable(source.complex.by_dim[1:2 if flag else None]):
+    walked = range(1, 2 if flag else source.dim + 1)  # the edges, or every level above 0
+    for s in chain.from_iterable(map(source.complex.level, walked)):
         k = max(map(orbit_of.__getitem__, s))
         if len(s) > 2:
             if orbits[k][0] in s:
@@ -138,7 +150,9 @@ def find_equivariant_vertex_map(
             pairs[k].add(orbits[orbit_of[u]][(slot_of[u] - slot_of[v]) % p])
 
     tperm = target.action.perm
-    tset = frozenset(target.complex.simplices()) if any(ready) else frozenset()
+    # no image has more vertices than a source simplex
+    images = map(target.complex.level, range(1, source.dim + 1))
+    tset = frozenset(chain(zip(range(width)), *images)) if any(ready) else frozenset()
     closed = _closed_neighbourhoods(target.complex)
     shifted = {}
     for shift in set().union(*shifts):

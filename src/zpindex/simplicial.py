@@ -1,18 +1,23 @@
 """Finite simplicial complexes with free simplicial Z_p-actions.
 
 A complex is the downward closure of the simplices it is given, stored as
-sorted integer tuples grouped by dimension, so equality and hashing are
-canonical.  Actions are vertex permutations of
-prime order p; freeness is the setwise-fixed-simplex test, which is exact for
-simplicial actions of prime-order cyclic groups (a setwise-fixed simplex
-would fix its barycenter).  Homology is the driver `fplinalg.betti_numbers`
-with the simplex face rule.
+its maximal simplices (the compact form of Boissonnat, Karthik & Tavenas,
+Algorithmica 2017): sorted integer tuples grouped by dimension, so equality
+and hashing are canonical.  A level of the closure is built only when a
+caller reads it, from the maximal simplices, and kept: files, content keys,
+certificates and the action check read the maximal simplices, the map
+search the edges, and only homology, subdivision, `f_vector` and failure
+messages every level.  Actions are vertex permutations of prime order p;
+freeness is the setwise-fixed-simplex test, which is exact for simplicial
+actions of prime-order cyclic groups (a setwise-fixed simplex would fix its
+barycenter).  Homology is the driver `fplinalg.betti_numbers` with the
+simplex face rule.
 
-The closure runs once per level on its vertex columns (column j: vertex j
-of each simplex), so per-simplex work runs in C: dropping column j leaves
-the j-th facets, gathered last column first so that the level's one sort
-merges sorted runs.  It records the given simplices that no facet covers:
-the maximal simplices, which the subdivision and the action check read.
+Containment is decided without faces: `_holders` intersects, vertex column
+by vertex column (column j: vertex j of each simplex), per-vertex sets of
+the simplices that hold a vertex, so per-simplex work runs in C.  It finds
+the maximal simplices of a given family and the vertex orbits that are
+simplices.
 
 Both complex types are frozen dataclasses, their equality, hashing and
 read-only fields declared.  Every label of a complex is a vertex, and an
@@ -30,9 +35,10 @@ import hashlib
 import itertools
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import itemgetter, mul
+from functools import partial, reduce
+from operator import and_, itemgetter, mul
 
 from .errors import SIZE_CAP, ValidationError, whole, within_budget
 from .fplinalg import betti_numbers, cut_power, prime
@@ -48,6 +54,20 @@ INFINITE_CONNECTIVITY = math.inf
 def _columns(level) -> list[tuple[int, ...]]:
     """Column j holds vertex j of each simplex, in the level's iteration order."""
     return [tuple(map(itemgetter(j), level)) for j in range(len(next(iter(level), ())))]
+
+
+def _holders(tops, groups):
+    """For each simplex of each group (simplices of one size), the set of the
+    indices in tops of the simplices that hold all its vertices: per-vertex
+    sets intersected column by column, as `search._flag_up_to` ANDs bitsets.
+    A vertex's set grows with its holders only, not with tops."""
+    holding = defaultdict(set)
+    for i, top in enumerate(tops):
+        for v in top:
+            holding[v].add(i)
+    return itertools.chain.from_iterable(
+        reduce(partial(map, and_), [map(holding.__getitem__, col) for col in _columns(group)])
+        for group in groups)
 
 
 def _cycles(perm) -> list[tuple[int, ...]]:
@@ -66,47 +86,40 @@ def _cycles(perm) -> list[tuple[int, ...]]:
 @dataclass(frozen=True, slots=True, repr=False)
 class SimplicialComplex:
     """The downward closure, on vertices 0..vertex_count-1, of the simplices
-    in `by_dim`, grouped and ordered in any way; each vertex lies in one of
-    them.  A simplex is its vertex set.  `by_dim` then holds the closure:
-    level d lists its d-simplices as sorted tuples in sorted order, and the
-    top level is not empty."""
+    given in `maximal`, grouped and ordered in any way; each vertex lies in
+    one of them.  A simplex is its vertex set.  The complex is its maximal
+    simplices: `maximal` then holds them grouped by dimension, entry d the
+    maximal d-simplices as sorted tuples in sorted order (empty if none), up
+    to the top dimension.  With `vertex_count` that is all that is compared
+    and hashed, and `SimplicialComplex(n, cx.maximal)` is cx.  Level d lists
+    the d-simplices as sorted tuples in sorted order; it is built when first
+    read (`level`) and kept."""
 
     vertex_count: int
-    by_dim: tuple[tuple[Simplex, ...], ...]
-    _maximal: tuple[Simplex, ...] = field(init=False, compare=False, repr=False)
+    maximal: tuple[tuple[Simplex, ...], ...]
+    _levels: dict[int, tuple[Simplex, ...]] = field(init=False, compare=False)
 
     def __post_init__(self):
-        """Refuse the given simplices (`_validate`), file them by size (an
-        empty one in a level of its own, left out), then from the top down
-        record a level's given simplices that no facet from above covers and
-        sort them with its facets.  The facets are gathered in a dict, last
-        column first: on a sorted level, dropping the last vertex gives one
-        sorted run and each later column adds only new facets, in long runs,
-        so the sort merges runs.  The dict is dropped before the level's tuple
-        is built.  Level 0 then holds vertex_count vertices, or a label is
-        in no simplex."""
+        """Refuse the given simplices (`_validate`), then keep the distinct
+        ones that no larger one holds.  With one size every distinct simplex
+        is maximal; otherwise a simplex is held by a larger one iff a given
+        simplex other than itself holds all its vertices."""
         whole(self.vertex_count, "vertex count")
         try:
-            given = list(map(tuple, itertools.chain.from_iterable(self.by_dim)))
+            given = list(map(tuple, itertools.chain.from_iterable(self.maximal)))
         except TypeError as exc:
             raise ValidationError(f"simplices must hold integers: {exc}") from exc
         self._validate(given)
-        by_size = sorted(map(tuple, map(sorted, map(set, given))), key=len)
-        levels = [set() for _ in range(len(by_size[-1]) + 1 if by_size else 1)]
-        for size, group in itertools.groupby(by_size, len):
-            levels[size].update(group)
-        maximal, above = [], ()
-        for size in range(len(levels) - 1, 0, -1):
-            cols = _columns(above)
-            facets = dict.fromkeys(itertools.chain.from_iterable(
-                zip(*cols[:j], *cols[j + 1:]) for j in range(len(cols) - 1, -1, -1)))
-            maximal[:0] = tops = sorted(itertools.filterfalse(facets.__contains__, levels[size]))
-            above = levels[size] = tuple(facets := sorted(itertools.chain(facets, tops)))
-        if len(vertices := levels[1] if by_size else ()) < self.vertex_count:
-            label = next((v for v, (u,) in enumerate(vertices) if u != v), len(vertices))
-            raise ValidationError(f"label {label} lies in no simplex")
-        object.__setattr__(self, "by_dim", tuple(levels[1:]))
-        object.__setattr__(self, "_maximal", tuple(maximal))
+        family = sorted(sorted(set(map(tuple, map(sorted, map(set, given))))), key=len)
+        groups = [list(group) for _, group in itertools.groupby(family, len)]
+        if len(groups) > 1:
+            alone = map((1).__eq__, map(len, _holders(family, groups[:-1])))
+            family = [*itertools.compress(itertools.chain(*groups[:-1]), alone), *groups[-1]]
+        levels = [()] * (len(family[-1]) if family else 0)
+        for size, group in itertools.groupby(family, len):
+            levels[size - 1] = tuple(group)
+        object.__setattr__(self, "maximal", tuple(levels))
+        object.__setattr__(self, "_levels", {})
 
     @classmethod
     def from_simplices(cls, vertex_count: int, simplices) -> "SimplicialComplex":
@@ -114,12 +127,13 @@ class SimplicialComplex:
         return cls(vertex_count, [simplices])
 
     def _validate(self, given):
-        """Before the closure is built, refuse an empty simplex, then the
-        first simplex holding a vertex that is no int (bools included), then
-        one holding a vertex outside 0..vertex_count-1.  Every vertex of the
-        closure is a vertex of a given simplex, so only these are read: a
-        bool or float equal to an int vertex may hide behind it in a set of
-        faces."""
+        """Before anything else, refuse an empty simplex, then the first
+        simplex holding a vertex that is no int (bools included), then one
+        holding a vertex outside 0..vertex_count-1, then a label in no given
+        simplex, the least missing from the set of given vertices (so a huge
+        vertex_count costs nothing).  Every vertex of the closure is a vertex
+        of a given simplex, so only these are read: a bool or float equal to
+        an int vertex may hide behind it in a set."""
         if not all(given):
             raise ValidationError("empty vertex tuple is not a simplex")
         n, vertices = self.vertex_count, list(itertools.chain.from_iterable(given))
@@ -130,25 +144,44 @@ class SimplicialComplex:
         if vertices and (min(vertices) < 0 or max(vertices) >= n):
             bad = next(s for s in given if not all(0 <= v < n for v in s))
             raise ValidationError(f"simplex {bad} exceeds vertex range 0..{n - 1}")
+        if len(labels := set(vertices)) < n:
+            label = next(itertools.filterfalse(labels.__contains__, itertools.count()))
+            raise ValidationError(f"label {label} lies in no simplex")
+
+    def level(self, d: int) -> tuple[Simplex, ...]:
+        """The d-simplices: the (d+1)-subsets of the maximal simplices of more
+        than d vertices, each kept once in first-seen order (so the sort
+        merges the sorted runs `combinations` gives), sorted.  Built on the
+        first read and kept."""
+        if (faces := self._levels.get(d)) is None:
+            tops = itertools.chain.from_iterable(self.maximal[d:])
+            faces = self._levels[d] = tuple(sorted(dict.fromkeys(itertools.chain.from_iterable(
+                map(itertools.combinations, tops, itertools.repeat(d + 1))))))
+        return faces
+
+    @property
+    def by_dim(self) -> tuple[tuple[Simplex, ...], ...]:
+        """Every level, 0 to dim."""
+        return tuple(map(self.level, range(self.dim + 1)))
 
     @property
     def dim(self) -> int:
-        return len(self.by_dim) - 1
+        return len(self.maximal) - 1
 
     def is_empty(self) -> bool:
-        return not self.by_dim
+        return not self.maximal
 
     def simplices(self):
         for level in self.by_dim:
             yield from level
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.by_dim)
+        return tuple(map(len, self.by_dim))
 
     def maximal_simplices(self) -> list[Simplex]:
         """Simplices that are no proper face of any simplex, in (dimension,
-        lexicographic) order: the record the constructor's closure made."""
-        return list(self._maximal)
+        lexicographic) order."""
+        return list(itertools.chain.from_iterable(self.maximal))
 
     def __repr__(self):
         return f"SimplicialComplex(vertices={self.vertex_count}, f={self.f_vector()})"
@@ -174,7 +207,7 @@ class ZpAction:
                                       f"{len(cycle)}, not p = {self.p}")
 
     def apply(self, simplex: Simplex) -> Simplex:
-        return tuple(sorted(self.perm[v] for v in simplex))
+        return tuple(sorted(map(self.perm.__getitem__, simplex)))
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -191,16 +224,18 @@ class FreeZpComplex:
         """T maps the faces of s to faces of T(s), so it is simplicial iff it
         maps the maximal simplices onto themselves.  A setwise-fixed simplex
         is a union of orbits, so T is free iff no vertex orbit (p vertices,
-        as `ZpAction` holds) is a simplex; p being prime, a simplex fixed by
-        a T^a, 0 < a < p, is fixed by T.  On failure the first simplex in level
-        order whose image is missing or itself is named."""
+        as `ZpAction` holds) is a simplex, that is iff no maximal simplex
+        holds all p vertices of an orbit; p being prime, a simplex fixed by
+        a T^a, 0 < a < p, is fixed by T.  Only on failure are the levels
+        built, to name the first simplex in level order whose image is
+        missing or itself."""
         cx, apply = self.complex, self.action.apply
         if len(self.action.perm) != cx.vertex_count:
             raise ValidationError("permutation length differs from vertex count")
-        tops = set(cx._maximal)
-        orbits = set(map(tuple, map(sorted, self.vertex_orbits())))
-        if all(map(tops.__contains__, map(apply, tops))) and orbits.isdisjoint(
-                itertools.chain(*cx.by_dim[self.p - 1:self.p])):
+        tops = set(itertools.chain.from_iterable(cx.maximal))
+        holding = list(itertools.chain.from_iterable(cx.maximal[self.p - 1:]))
+        if all(map(tops.__contains__, map(apply, tops))) and not (
+                holding and any(_holders(holding, [self.vertex_orbits()]))):
             return
         simplices = set(cx.simplices())
         bad = next(s for s in cx.simplices() if apply(s) == s or apply(s) not in simplices)
@@ -347,10 +382,9 @@ def barycentric_subdivide(x: FreeZpComplex) -> FreeZpComplex:
     Vertex i is the barycenter of the i-th simplex in (dimension,
     lexicographic) order, the order `simplices` yields.  A simplex of the
     subdivision is a chain of faces, and every chain lies in a full flag of
-    a maximal simplex (read from the record the closure made), so the
-    complex is the closure of those flags.  A full flag of s is a full flag
-    of a facet of s extended by s; a face comes before its cofaces, so every
-    flag is already increasing.  The size is predicted from the f-vector
+    a maximal simplex, so the complex is the closure of those flags.  A full
+    flag of s is a full flag of a facet of s extended by s; a face comes
+    before its cofaces, so every flag is already increasing.  The size is predicted from the f-vector
     first, and BudgetExceeded is raised before any flag is built when it
     passes DEFAULT_CELL_BUDGET.
 
@@ -362,14 +396,14 @@ def barycentric_subdivide(x: FreeZpComplex) -> FreeZpComplex:
     for s, i in index.items():
         flags[s] = [c + (i,) for f in itertools.combinations(s, len(s) - 1) for c in flags[f]]
     perm = tuple(index[x.action.apply(s)] for s in index)
-    tops = (flags[s] for s in x.complex._maximal)
+    tops = (flags[s] for s in itertools.chain.from_iterable(x.complex.maximal))
     return FreeZpComplex(SimplicialComplex(len(index), tops), ZpAction(x.p, perm))
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange: {"p", "vertices", "perm", "simplices"} with maximal
-# simplices only; the downward closure is recomputed on load.  `vertices`
-# counts the vertices, and each one lies in a listed simplex.
+# simplices only, which are the complex as stored.  `vertices` counts the
+# vertices, and each one lies in a listed simplex.
 
 def complex_to_json_dict(x: FreeZpComplex) -> dict:
     return {
@@ -381,11 +415,12 @@ def complex_to_json_dict(x: FreeZpComplex) -> dict:
 
 
 def complex_from_json_dict(data: dict) -> FreeZpComplex:
-    """Load a complex file: `from_simplices` closes its simplices downward
-    and checks their vertices.  Before the closure is built it is bounded by
-    the sum over listed simplices s of 2^|s| - 1 faces, which counts shared
-    faces once per simplex: so a file that lists non-maximal simplices may
-    be refused (BudgetExceeded) although its closure would fit the budget."""
+    """Load a complex file: `from_simplices` checks its simplices and keeps
+    the maximal ones; no level of the closure is built until a caller reads
+    it.  The closure a reader may build is bounded first, by the sum over
+    listed simplices s of 2^|s| - 1 faces, which counts shared faces once
+    per simplex: so a file that lists non-maximal simplices may be refused
+    (BudgetExceeded) although its closure would fit the budget."""
     try:
         p = data["p"]
         vertices = data["vertices"]

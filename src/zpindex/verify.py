@@ -4,10 +4,11 @@ Deliberately independent of the search engine: it rebuilds the target
 simplex table from the raw level data and checks the map from scratch.
 Certificates are only trusted after passing this.  A face's image lies in
 its maximal coface's and the target is closed under faces, so the map is
-simplicial iff every maximal source simplex (the closure's record) has a
-target image; none has more than dim + 1 vertices, so the table holds the
-target's levels 0..dim.  Only a failure walks every source simplex, level
-by level, to name each one with no target image.
+simplicial iff every maximal source simplex (as the complex stores it) has
+a target image; none has more than dim + 1 vertices, so the table holds the
+target's levels 0..dim, level 0 being every label, and no higher level of
+the target is built.  Only a failure builds and walks every source level to
+name each simplex with no target image.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def check_vertex_map(source: FreeZpComplex, target: FreeZpComplex,
     if problems:
         return problems
 
-    table = set(itertools.chain.from_iterable(target.complex.by_dim[:source.dim + 1]))
+    levels = map(target.complex.level, range(1, source.dim + 1))
+    table = set(itertools.chain(zip(range(n_target)), *levels))
     tops = map(map, itertools.repeat(vertex_map.__getitem__), source.complex.maximal_simplices())
     if not all(map(table.__contains__, map(tuple, map(sorted, map(set, tops))))):
         for s in source.complex.simplices():

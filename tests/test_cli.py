@@ -908,13 +908,27 @@ class TestProcessExitCodes:
 
     @pytest.mark.parametrize("simplices", [[[0], [1]], []], ids=["two-vertices", "no-simplices"])
     def test_huge_vertex_count_is_2_at_once(self, tmp_path, simplices):
-        # the least label in no simplex is found from level 0, with no set of
-        # all 10^12 labels built: such a set fails at the 1 GB limit (exit 1)
+        # the least label in no simplex is found from the given vertices, with
+        # no set of all 10^12 labels built: such a set fails at the 1 GB limit
+        # (exit 1)
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"p": 2, "vertices": 10 ** 12, "perm": [1, 0],
                                    "simplices": simplices}))
         assert zpindex_process("homology", "--input", big, "--coeff", "2",
                                cwd=tmp_path, timeout=10, memory=2 ** 30) == 2
+
+    def test_huge_search_target_is_3_at_once(self, tmp_path):
+        # the neighbourhood bitsets of 300,000 target vertices would take
+        # 5.6 GB: they are refused before any is built (exit 3), where
+        # building them failed at the 1 GB limit (exit 1)
+        n = 300_000
+        (tmp_path / "source.json").write_text(json.dumps(E0P2))
+        (tmp_path / "target.json").write_text(json.dumps({
+            "p": 2, "vertices": n, "perm": [v ^ 1 for v in range(n)],
+            "simplices": [[v] for v in range(n)]}))
+        assert zpindex_process("search-map", "--source", tmp_path / "source.json",
+                               "--target", tmp_path / "target.json",
+                               cwd=tmp_path, timeout=60, memory=2 ** 30) == 3
 
     def test_raised_depth_is_2_at_once(self, tmp_path):
         # E_1(Z_3) at depth 0 claimed at depth 40: refused before the model

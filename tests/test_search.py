@@ -22,6 +22,7 @@ from zpindex.simplicial import (
     SimplicialComplex,
     ZpAction,
     barycentric_subdivide,
+    complex_from_json_dict,
     complex_to_json_dict,
     e_n_zp,
     join,
@@ -198,6 +199,32 @@ REFUTE = {
 def test_refute_node_counts(name):
     source, target, nodes = REFUTE[name]
     assert find_equivariant_vertex_map(source(), target()) == (None, nodes)
+
+
+def test_search_builds_only_the_target_edges():
+    # loading a complex file builds no level; searching from E_1(Z_3) reads
+    # the target's edges and no other level of it
+    target = complex_from_json_dict(json.loads(json.dumps(complex_to_json_dict(x1(2, 3, 2)))))
+    assert target.complex._levels == {}
+    assert find_equivariant_vertex_map(e_n_zp(1, 3), target) == (None, 254_520)
+    assert list(target.complex._levels) == [1]
+
+
+def discrete(n, p):
+    """n isolated vertices, T cycling each block pk, ..., pk + p - 1."""
+    return FreeZpComplex(SimplicialComplex(n, [[(v,) for v in range(n)]]),
+                         ZpAction(p, tuple(v - v % p + (v + 1) % p for v in range(n))))
+
+
+def test_neighbourhood_bitsets_bounded_in_words():
+    # N[v] holds bit v, so n target vertices take n(n + 1)/128 words or more:
+    # 35,777 vertices (10,000,230 words) are refused before any is built,
+    # and 5,005 (195,751 words, but 12.5M bits) are searched
+    source = e_n_zp(0, 7)
+    with pytest.raises(BudgetExceeded, match="neighbourhood bitsets of 35777 target vertices "
+                                             "would take 10000230 words"):
+        find_equivariant_vertex_map(source, discrete(35_777, 7))
+    assert find_equivariant_vertex_map(source, discrete(5_005, 7)) == (tuple(range(7)), 1)
 
 
 def test_budget_at_the_last_charged_rotation():

@@ -348,10 +348,10 @@ class TestValueTypes:
     """Both complex types are frozen values: fields cannot be reassigned (so
     no hash goes stale), and equal complexes hash equal however built."""
 
-    @pytest.mark.parametrize("field", ["vertex_count", "by_dim", "complex", "action"])
+    @pytest.mark.parametrize("field", ["vertex_count", "maximal", "complex", "action"])
     def test_fields_are_read_only(self, field):
         x = e_n_zp(1, 3)
-        owner = x.complex if field in ("vertex_count", "by_dim") else x
+        owner = x.complex if field in ("vertex_count", "maximal") else x
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(owner, field, getattr(owner, field))
 
@@ -480,10 +480,11 @@ def damaged_complexes(draw):
 
 @st.composite
 def acted_complexes(draw, closed=False):
-    """(complex, p, perm): seed simplices with some of their images under a
-    permutation of p-cycles, and every label as a vertex, closed downward,
-    on len(perm) vertices or one more.  `closed`: every image and len(perm)
-    vertices, so that only a setwise-fixed seed can spoil it."""
+    """(vertex_count, family, p, perm): seed simplices with some of their
+    images under a permutation of p-cycles, and every label as a vertex, on
+    len(perm) vertices or one more.  `closed`: every image and len(perm)
+    vertices, so that only a setwise-fixed seed can spoil it.  The tests
+    build the complex, so that a constructor that raises fails a test."""
     p, perm = draw(free_perms())
     seeds = draw(st.lists(st.sets(st.integers(0, len(perm) - 1), min_size=1, max_size=3),
                           max_size=4))
@@ -495,7 +496,7 @@ def acted_complexes(draw, closed=False):
             s = {perm[v] for v in s}
     extra = 0 if closed else draw(st.sampled_from([0, 0, 0, 1]))
     family.update((v,) for v in range(len(perm) + extra))
-    return SimplicialComplex.from_simplices(len(perm) + extra, family), p, perm
+    return len(perm) + extra, sorted(family), p, perm
 
 
 class TestLevelChecksMatchOracle:
@@ -522,17 +523,17 @@ class TestLevelChecksMatchOracle:
     @settings(max_examples=300)
     @given(acted_complexes())
     # the first bad simplex is a fixed edge below two maximal triangles
-    @example((SimplicialComplex.from_simplices(4, [(0, 1, 2), (0, 1, 3)]), 2, (1, 0, 3, 2)))
+    @example((4, [(0, 1, 2), (0, 1, 3)], 2, (1, 0, 3, 2)))
     # a missing edge image comes before a fixed triangle
-    @example((SimplicialComplex.from_simplices(6, [(0, 1, 2), (3, 4), (5,)]), 3,
-              (1, 2, 0, 4, 5, 3)))
+    @example((6, [(0, 1, 2), (3, 4), (5,)], 3, (1, 2, 0, 4, 5, 3)))
     # a missing edge image comes before a fixed edge of its level
-    @example((SimplicialComplex.from_simplices(4, [(0, 1), (0, 2), (3,)]), 2, (2, 3, 0, 1)))
+    @example((4, [(0, 1), (0, 2), (3,)], 2, (2, 3, 0, 1)))
     def test_action_refused_iff_oracle_refuses(self, case):
         """Refused iff the oracle refuses, and with the message naming the
         oracle's first bad simplex in level order; the fast check reads only
         the maximal simplices and the vertex orbits."""
-        cx, p, perm = case
+        n, family, p, perm = case
+        cx = SimplicialComplex.from_simplices(n, family)
         if action_ok(cx.vertex_count, cx.by_dim, perm):
             event("accepted")
             FreeZpComplex(cx, ZpAction(p, perm))
@@ -555,7 +556,9 @@ class TestLevelChecksMatchOracle:
     @settings(max_examples=300)
     @given(acted_complexes(closed=True), acted_complexes(closed=True), st.data())
     def test_vertex_map_problems_match_oracle(self, source_case, target_case, data):
-        (scx, sp, sperm), (tcx, tp, tperm) = source_case, target_case
+        (sn, sfamily, sp, sperm), (tn, tfamily, tp, tperm) = source_case, target_case
+        scx = SimplicialComplex.from_simplices(sn, sfamily)
+        tcx = SimplicialComplex.from_simplices(tn, tfamily)
         assume(action_ok(scx.vertex_count, scx.by_dim, sperm))
         assume(action_ok(tcx.vertex_count, tcx.by_dim, tperm))
         source = FreeZpComplex(scx, ZpAction(sp, sperm))
@@ -802,14 +805,17 @@ class TestFaceRelationProperties:
         cx = SimplicialComplex.from_simplices(n, family)
         assert cx.maximal_simplices() == brute_force_maximal(cx.simplices())
 
-    def test_maximal_record_is_neither_compared_nor_hashed(self):
+    def test_equality_and_hash_follow_the_maximal_simplices(self):
         first, *others = (SimplicialComplex.from_simplices(n, family)
                           for n, family in SAME_CLOSURE)
         for cx in others:
+            assert cx.maximal == first.maximal == ((), (), ((0, 1, 2),))
             assert cx == first and hash(cx) == hash(first)
-        object.__setattr__(first, "_maximal", ())
-        assert first == others[0] and hash(first) == hash(others[0])
+        # the levels read so far are no part of the value
+        assert first.by_dim and first == others[0] and hash(first) == hash(others[0])
         assert repr(first) == repr(others[0])
+        boundary = SimplicialComplex.from_simplices(3, [(0, 1), (0, 2), (1, 2)])
+        assert boundary != first and boundary.by_dim == first.by_dim[:2]
 
     @given(simplex_families())
     def test_maximal_simplices_close_back(self, n_family):
@@ -832,6 +838,76 @@ class TestFaceRelationProperties:
         other = SimplicialComplex.from_simplices(n, data.draw(st.permutations(mixed)))
         assert other.by_dim == cx.by_dim
         assert other.maximal_simplices() == cx.maximal_simplices()
+
+
+@st.composite
+def nested_families(draw):
+    """(n, family): a drawn family with faces of its members (perhaps whole
+    members, perhaps with a vertex repeated) put in anywhere, so that
+    members repeat, nest and differ in size."""
+    n, family = draw(simplex_families())
+    for s in draw(st.lists(st.sampled_from(family), max_size=4)):
+        face = draw(st.lists(st.sampled_from(s), min_size=1, max_size=len(s)))
+        family.insert(draw(st.integers(0, len(family))), face)
+    return n, family
+
+
+def free_perm_on(data, n):
+    """A drawn permutation of 0..n-1 made of p-cycles, with its p, or None
+    when no prime up to 7 divides n."""
+    primes = [p for p in (2, 3, 5, 7) if n % p == 0]
+    if not primes:
+        return None
+    p, labels = data.draw(st.sampled_from(primes)), data.draw(st.permutations(range(n)))
+    perm = [0] * n
+    for c in range(0, n, p):
+        for i in range(p):
+            perm[labels[c + i]] = labels[c + (i + 1) % p]
+    return p, tuple(perm)
+
+
+class TestMaximalModel:
+    """A complex is its maximal simplices: each level is built from them when
+    it is first read, in any order; equality and hashing follow the closure,
+    and the action check reads the maximal simplices alone."""
+
+    @settings(max_examples=300)
+    @given(nested_families(), st.data())
+    def test_matches_the_oracles(self, n_family, data):
+        n, family = n_family
+        cx = SimplicialComplex.from_simplices(n, family)
+        closure = brute_force_closure(family)
+        assert cx.maximal_simplices() == brute_force_maximal(closure)
+        assert cx._levels == {}
+        # the edges first, as the search reads them, then every level
+        order = [1, *data.draw(st.permutations(range(cx.dim + 2)), label="level order")]
+        for d in order:
+            assert cx.level(d) == tuple(sorted(s for s in closure if len(s) == d + 1))
+        assert sorted(cx._levels) == sorted(set(order))
+
+        m, other = data.draw(nested_families() | st.just((n, family[::-1])), label="other")
+        same = m == n and brute_force_closure(other) == closure
+        event(f"same closure: {same}")
+        assert (SimplicialComplex.from_simplices(m, other) == cx) == same
+        if same:
+            assert hash(SimplicialComplex.from_simplices(m, other)) == hash(cx)
+
+        if (acted := free_perm_on(data, n)) is None:
+            return
+        p, perm = acted
+        if data.draw(st.booleans(), label="closed under the action"):
+            images = family
+            for _ in range(p - 1):
+                images = [[perm[v] for v in s] for s in images]
+                family = family + images
+            cx = SimplicialComplex.from_simplices(n, family)
+        ok = action_ok(n, [sorted(brute_force_closure(family))], perm)
+        event(f"acted: {'accepted' if ok else 'refused'}")
+        if ok:
+            FreeZpComplex(cx, ZpAction(p, perm))
+        else:
+            with pytest.raises(ValidationError, match="action is not"):
+                FreeZpComplex(cx, ZpAction(p, perm))
 
 
 class TestHomologyProperties:

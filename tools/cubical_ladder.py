@@ -30,18 +30,19 @@ Each stage's time is its own, less the stages called inside it:
 - subdivide: `certificates.barycentric_subdivide`, which subdivides a
   search's source and, through `subdivide_times`, the `subdivide`
   subcommand's input;
-- close: `SimplicialComplex.from_simplices`, the constructor's downward
-  closure of a flat family (triangulations, joins and loaded files), which
-  also records the maximal simplices; the subdivision calls the
-  constructor itself, so its closure counts under subdivide;
+- close: `SimplicialComplex.from_simplices`, the constructor on a flat
+  family (triangulations, joins and loaded files), which keeps the maximal
+  simplices and builds no face level; the subdivision calls the
+  constructor itself, so its work counts under subdivide.  A level of a
+  complex is built when first read, inside the stage that reads it;
 - complex_validation: `SimplicialComplex._validate`, the vertex checks on
   the simplices a constructor is given;
 - action_validation: `FreeZpComplex._validate`, which maps only the
-  recorded maximal simplices and looks up the vertex orbits;
-- maximal: `SimplicialComplex.maximal_simplices`, a lookup of that record;
+  maximal simplices and looks for vertex orbits among them;
+- maximal: `SimplicialComplex.maximal_simplices`, which lists them;
 - search: `certificates.find_equivariant_vertex_map`, the map search;
 - verify: `certificates.check_vertex_map`, the witness checker, which maps
-  the source's maximal simplices (the lookup counts under maximal) and
+  the source's maximal simplices (the listing counts under maximal) and
   walks every simplex only to name a refusal;
 - artifact: `cli.canonical_json`, which writes the artifact's text (and
   that of `index.json` beside it).

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 
 CLOSURE_ORACLE = "tests/test_simplicial.py::TestLevelChecksMatchOracle"
+MODEL = "tests/test_simplicial.py::TestMaximalModel"
 FACE_RELATION = "tests/test_simplicial.py::TestFaceRelationProperties"
 JSON = "tests/test_simplicial.py::TestJsonInterchange"
 LEVEL_CHECKS = "tests/test_simplicial.py::TestLevelChecks"
@@ -82,25 +83,40 @@ MUTANTS = (
              "betti_numbers(cx.by_dim, signed_faces, p_coeff, False)",
              "betti_numbers([level[::-1] for level in cx.by_dim], signed_faces, p_coeff, False)"),),
            ("tests/test_fplinalg.py::TestDriver::test_levels_increase_and_faces_lie_below",)),
+    # a level is built from the maximal simplices when first read
     Mutant("closure facets kept in a list, duplicates and all",
            (("src/zpindex/simplicial.py",
-             "facets = dict.fromkeys(itertools.chain.from_iterable(",
-             "facets = list(itertools.chain.from_iterable("),),
-           (f"{CLOSURE_ORACLE}::test_complex_refused_iff_oracle_refuses",)),
-    Mutant("every given simplex recorded as maximal",
-           (("src/zpindex/simplicial.py",
-             "tops = sorted(itertools.filterfalse(facets.__contains__, levels[size]))",
-             "tops = sorted(levels[size])"),),
-           (f"{FACE_RELATION}::test_maximal_matches_brute_force",
+             "tuple(sorted(dict.fromkeys(itertools.chain.from_iterable(",
+             "tuple(sorted(list(itertools.chain.from_iterable("),),
+           (f"{MODEL}::test_matches_the_oracles",
             f"{CLOSURE_ORACLE}::test_complex_refused_iff_oracle_refuses")),
     Mutant("closed level left unsorted",
            (("src/zpindex/simplicial.py",
-             "tuple(facets := sorted(itertools.chain(facets, tops)))",
-             "tuple(facets := list(itertools.chain(facets, tops)))"),),
-           (f"{CLOSURE_ORACLE}::test_complex_refused_iff_oracle_refuses",)),
+             "tuple(sorted(dict.fromkeys(",
+             "tuple((dict.fromkeys("),),
+           (f"{MODEL}::test_matches_the_oracles",
+            f"{CLOSURE_ORACLE}::test_complex_refused_iff_oracle_refuses")),
+    Mutant("level d built from the maximal simplices of more than d + 1 vertices",
+           (("src/zpindex/simplicial.py",
+             "tops = itertools.chain.from_iterable(self.maximal[d:])",
+             "tops = itertools.chain.from_iterable(self.maximal[d + 1:])"),),
+           (f"{MODEL}::test_matches_the_oracles",
+            f"{CLOSURE_ORACLE}::test_complex_refused_iff_oracle_refuses")),
+    Mutant("every given simplex recorded as maximal",
+           (("src/zpindex/simplicial.py",
+             "alone = map((1).__eq__, map(len, _holders(family, groups[:-1])))",
+             "alone = itertools.repeat(True)"),),
+           (f"{MODEL}::test_matches_the_oracles",
+            f"{FACE_RELATION}::test_maximal_matches_brute_force")),
+    Mutant("maximality test skipped on two sizes",
+           (("src/zpindex/simplicial.py",
+             "if len(groups) > 1:",
+             "if len(groups) > 2:"),),
+           (f"{MODEL}::test_matches_the_oracles",
+            f"{FACE_RELATION}::test_maximal_matches_brute_force")),
     Mutant("flag test always true",
            (("src/zpindex/search.py",
-             "if sum(map(int.bit_count, above)) != len(levels[d + 1]):",
+             "if sum(map(int.bit_count, above)) != len(cx.level(d + 1)):",
              "if False:"),),
            ("tests/test_search.py::test_every_simplex_orbit_is_checked",
             "tests/test_search.py::test_clique_count_matches_networkx")),
@@ -118,10 +134,37 @@ MUTANTS = (
             "tests/test_search.py::test_targets_are_flag[e2p2]")),
     Mutant("clique count stops one level early",
            (("src/zpindex/search.py",
-             "for d in range(1, min(size - 1, len(cx.by_dim))):",
-             "for d in range(1, min(size - 2, len(cx.by_dim))):"),),
+             "for d in range(1, min(size - 1, cx.dim + 1)):",
+             "for d in range(1, min(size - 2, cx.dim + 1)):"),),
            ("tests/test_search.py::test_clique_count_matches_networkx",
             "tests/test_search.py::test_non_flag_complexes_are_found[triangle-boundary]")),
+    Mutant("clique count stops below the target's top level",
+           (("src/zpindex/search.py",
+             "for d in range(1, min(size - 1, cx.dim + 1)):",
+             "for d in range(1, min(size - 1, cx.dim)):"),),
+           ("tests/test_search.py::test_clique_count_matches_networkx",
+            "tests/test_search.py::test_non_flag_complexes_are_found[triangle-boundary]")),
+    Mutant("non-flag source walk stops below the top level",
+           (("src/zpindex/search.py",
+             "walked = range(1, 2 if flag else source.dim + 1)",
+             "walked = range(1, 2 if flag else source.dim)"),),
+           ("tests/test_search.py::test_every_simplex_orbit_is_checked",
+            "tests/test_search.py::test_non_flag_target_through_cli[2]")),
+    Mutant("simplex table stops one level short",
+           (("src/zpindex/search.py",
+             "images = map(target.complex.level, range(1, source.dim + 1))",
+             "images = map(target.complex.level, range(1, source.dim))"),),
+           ("tests/test_search.py::test_non_flag_target_through_cli[3]",)),
+    Mutant("simplex table without the vertices",
+           (("src/zpindex/search.py",
+             "tset = frozenset(chain(zip(range(width)), *images))",
+             "tset = frozenset(chain(*images))"),),
+           (f"{PLAIN}::test_same_map_nodes_and_budget_raise",)),
+    Mutant("neighbourhood bitsets bounded in bits, not words",
+           (("src/zpindex/search.py",
+             "n * (n + 1) // 128",
+             "n * (n + 1) // 2"),),
+           ("tests/test_search.py::test_neighbourhood_bitsets_bounded_in_words",)),
     Mutant("only simplices of 4 or more vertices checked",
            (("src/zpindex/search.py",
              "if orbits[k][0] in s:",
@@ -184,13 +227,19 @@ MUTANTS = (
            ("tests/test_simplicial.py::TestJoinSize::test_sizes_cut_at_the_cap",)),
     Mutant("no vertex orbit test",
            (("src/zpindex/simplicial.py",
-             "orbits = set(map(tuple, map(sorted, self.vertex_orbits())))",
-             "orbits = set()"),),
+             "holding and any(_holders(holding, [self.vertex_orbits()]))",
+             "holding and any([])"),),
            (f"{LEVEL_CHECKS}::test_action_check_refuses[fixed-edge]",
             "tests/test_simplicial.py::TestValidation::test_non_free_action_rejected")),
+    Mutant("orbits looked for in maximal simplices of more than p vertices only",
+           (("src/zpindex/simplicial.py",
+             "cx.maximal[self.p - 1:]",
+             "cx.maximal[self.p:]"),),
+           (f"{LEVEL_CHECKS}::test_action_check_refuses[fixed-edge]",
+            f"{MODEL}::test_matches_the_oracles")),
     Mutant("labels in no simplex accepted",
            (("src/zpindex/simplicial.py",
-             "if len(vertices := levels[1] if by_size else ()) < self.vertex_count:",
+             "if len(labels := set(vertices)) < n:",
              "if False:"),),
            (f"{LEVEL_CHECKS}::test_complex_check_refuses[label-in-no-simplex]",
             "tests/test_cli.py::TestSubcommands::test_labels_in_no_simplex_are_2[search-map]")),
@@ -204,8 +253,8 @@ MUTANTS = (
             "tests/test_subshifts.py::TestRotation::test_validation_catches_bad_word")),
     Mutant("images checked against the top level only",
            (("src/zpindex/simplicial.py",
-             "tops = set(cx._maximal)",
-             "tops = set(cx.by_dim[-1])"),),
+             "tops = set(itertools.chain.from_iterable(cx.maximal))",
+             "tops = set(cx.maximal[-1])"),),
            (f"{LEVEL_CHECKS}::test_action_check_refuses[non-simplicial-lower-maximal]",)),
     Mutant("non-int vertices let through to the closure",
            (("src/zpindex/simplicial.py",
@@ -215,13 +264,12 @@ MUTANTS = (
             f"{LEVEL_CHECKS}::test_non_integer_behind_equal_int_refused")),
     Mutant("_validate run after the closure",
            (("src/zpindex/simplicial.py",
-             "        self._validate(given)\n        by_size",
-             "        by_size"),
+             "        self._validate(given)\n        family",
+             "        family"),
             ("src/zpindex/simplicial.py",
-             'object.__setattr__(self, "_maximal", tuple(maximal))',
-             'object.__setattr__(self, "_maximal", tuple(maximal))\n        self._validate(given)')),
-           (f"{JSON}::test_vertex_range_refused_before_the_closure",
-            f"{JSON}::test_float_vertex_refused_before_the_closure")),
+             'object.__setattr__(self, "_levels", {})',
+             'object.__setattr__(self, "_levels", {})\n        self._validate(given)')),
+           (f"{LEVEL_CHECKS}::test_closure_refuses_vertices_that_do_not_sort",)),
     Mutant("map fast path reads only the top-dimensional maximal simplices",
            (("src/zpindex/verify.py",
              "vertex_map.__getitem__), source.complex.maximal_simplices())",
@@ -229,10 +277,14 @@ MUTANTS = (
            (f"{FAST_PATH}::test_map_failing_only_on_lower_maximal_simplices",)),
     Mutant("map target table stops one level short",
            (("src/zpindex/verify.py",
-             "target.complex.by_dim[:source.dim + 1]",
-             "target.complex.by_dim[:source.dim]"),),
-           (f"{FAST_PATH}::test_map_failing_only_on_lower_maximal_simplices",
-            f"{FAST_PATH}::test_sources_of_dimension_at_most_0[coind-shaped]")),
+             "map(target.complex.level, range(1, source.dim + 1))",
+             "map(target.complex.level, range(1, source.dim))"),),
+           (f"{FAST_PATH}::test_map_failing_only_on_lower_maximal_simplices",)),
+    Mutant("map target table without the vertices",
+           (("src/zpindex/verify.py",
+             "table = set(itertools.chain(zip(range(n_target)), *levels))",
+             "table = set(itertools.chain(*levels))"),),
+           (f"{FAST_PATH}::test_sources_of_dimension_at_most_0[coind-shaped]",)),
     Mutant("refused map named on its maximal simplices only",
            (("src/zpindex/verify.py",
              "for s in source.complex.simplices():",
